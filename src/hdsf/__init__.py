@@ -17,10 +17,10 @@ from .drone import (ControllerVariant, DroneParams, build_full_system,
                     build_surrogate_system, conformance_check,
                     emergency_deploy_decision, timing_comparison)
 from .errors import HdsfError
-from .falsify import (CampaignSummary, TrialFeedback, ViolationRecord, campaign,
-                      dedup, generate, mutate, run_trial)
+from .falsify import (CampaignSummary, ViolationRecord, campaign, generate, mutate,
+                      run_trial)
 from .hybrid import (ContinuousDynamics, Guard, HybridSystem, ModeId, StateExpr,
-                     Trace, Transition, project_trace, simulate, step)
+                     Trace, Transition, project_trace, simulate)
 from .margins import MarginPoint, compute_margins
 from .reduction import (ReducedSystem, RelevanceReport, build_surrogate,
                         relevant_modes, relevant_signals,

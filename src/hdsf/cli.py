@@ -15,6 +15,7 @@ faults during conformance.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -25,20 +26,11 @@ import numpy as np
 from .config import Configuration, ConfigSpace
 from .drone import (ControllerVariant, DroneParams, build_full_system,
                     build_surrogate_system, conformance_check, default_config_space,
-                    phi_for, timing_comparison)
-from .errors import HdsfError
+                    default_configuration, phi_for, timing_comparison)
+from .errors import ConfigurationError, HdsfError
 from .falsify import campaign, generate, run_trial, write_margins_csv
 from .margins import compute_margins, decision_index
 from .stl import Outcome
-
-_PARAM_FLAGS = {
-    "min_deploy_alt": "--min-deploy-alt",
-    "max_deploy_alt": "--max-deploy-alt",
-    "low_batt_threshold": "--batt-threshold",
-    "delta": "--delta",
-    "dt": "--dt",
-    "horizon": "--horizon",
-}
 
 
 def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
@@ -56,8 +48,9 @@ def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
                         help="allowed deployment delay in seconds (default 2.0)")
     parser.add_argument("--variant", choices=[v.value for v in ControllerVariant],
                         default="buggy", help="controller variant")
+    # a string default goes through type=int, so a bad HDSF_SEED is a usage error
     parser.add_argument("--seed", type=int,
-                        default=int(os.environ.get("HDSF_SEED", "0")),
+                        default=os.environ.get("HDSF_SEED", "0"),
                         help="random seed (HDSF_SEED overrides the default)")
     parser.add_argument("--runs", type=int, default=200, help="number of runs")
     parser.add_argument("--out-dir", type=str, default="hdsf-out",
@@ -70,19 +63,42 @@ def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
                         help="JSON file with scenario parameters")
 
 
+def _like(default, value, where: str):
+    """``value`` checked against the shape of ``default``: a number, or a
+    tuple of a fixed length (given as a JSON list) of such values."""
+    if isinstance(default, tuple):
+        if not isinstance(value, list) or len(value) != len(default):
+            raise ConfigurationError(
+                f"{where} must be a list of {len(default)} entries, got {value!r}")
+        return tuple(_like(d, v, where) for d, v in zip(default, value))
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigurationError(f"{where} must be a number, got {value!r}")
+    return value
+
+
+def _load_scenario(path: str) -> dict:
+    """Scenario parameters from a JSON object whose keys are DroneParams fields."""
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigurationError(f"cannot read scenario {path}: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"scenario {path} must hold a JSON object")
+    defaults = DroneParams()
+    known = sorted(f.name for f in dataclasses.fields(DroneParams))
+    values = {}
+    for key, value in raw.items():
+        if key not in known:
+            raise ConfigurationError(
+                f"scenario {path}: unknown key {key!r}; known keys: {known}")
+        values[key] = _like(getattr(defaults, key), value, f"scenario {path}: {key}")
+    return values
+
+
 def _resolve_params(args) -> DroneParams:
     """Defaults, overridden by the scenario file, overridden by explicit flags."""
-    values: dict = {}
-    if args.scenario:
-        with open(args.scenario) as fh:
-            raw = json.load(fh)
-        for key, value in raw.items():
-            if key == "waypoint":
-                values[key] = tuple(value)
-            elif key == "pid_gains":
-                values[key] = tuple(tuple(axis) for axis in value)
-            else:
-                values[key] = value
+    values = _load_scenario(args.scenario) if args.scenario else {}
     flag_values = {
         "min_deploy_alt": args.min_deploy_alt,
         "max_deploy_alt": args.max_deploy_alt,
@@ -95,17 +111,6 @@ def _resolve_params(args) -> DroneParams:
         if value is not None:
             values[key] = value
     return DroneParams(**values)
-
-
-def _resolve_config(args, params: DroneParams) -> Configuration:
-    return Configuration({
-        "battery_init": args.battery,
-        "altitude_init": args.altitude,
-        "min_deploy_alt": params.min_deploy_alt,
-        "max_deploy_alt": params.max_deploy_alt,
-        "low_batt_threshold": params.low_batt_threshold,
-        "delta": params.delta,
-    })
 
 
 def _print_run_report(trace, config: Configuration, verdict) -> None:
@@ -138,7 +143,7 @@ def _print_run_report(trace, config: Configuration, verdict) -> None:
 
 def _cmd_run(args) -> int:
     params = _resolve_params(args)
-    config = _resolve_config(args, params)
+    config = default_configuration(params, args.battery, args.altitude)
     surrogate = build_surrogate_system(params, ControllerVariant(args.variant))
     verdict, trace = run_trial(surrogate, config, phi_for, params.dt, params.horizon)
     _print_run_report(trace, config, verdict)
@@ -147,7 +152,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_run_full(args) -> int:
     params = _resolve_params(args)
-    config = _resolve_config(args, params)
+    config = default_configuration(params, args.battery, args.altitude)
     system = build_full_system(params, ControllerVariant(args.variant))
     if args.entry == "goto":
         system = system.with_entry("GOTO")
@@ -215,15 +220,7 @@ def _cmd_margins(args) -> int:
         config = generate(space, rng)
         verdict, trace = run_trial(surrogate, config, phi_for, params.dt, params.horizon)
         point = compute_margins(trace, config, verdict=verdict.outcome)
-        rows.append({
-            "trial": trial,
-            "battery_margin": point.battery_margin,
-            "altitude_margin": point.altitude_margin,
-            "in_band": point.in_band,
-            "verdict": verdict.outcome.value,
-            "quadrant": point.quadrant,
-            "config": config,
-        })
+        rows.append((trial, config, point))
         key = f"{point.quadrant}/{verdict.outcome.value}"
         counts[key] = counts.get(key, 0) + 1
     out_dir = Path(args.out_dir)

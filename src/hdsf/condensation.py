@@ -16,7 +16,7 @@ small by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Mapping, Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 import scipy.linalg
@@ -30,11 +30,10 @@ if TYPE_CHECKING:
 
 @dataclass
 class LinearSystem:
-    """Dense system K U = F, optionally assembled from a parameter vector."""
+    """Dense system K U = F."""
 
     K: np.ndarray
     F: np.ndarray
-    parameter_hook: Optional[Callable[[Mapping[str, float]], tuple[np.ndarray, np.ndarray]]] = None
 
     def __post_init__(self):
         self.K = np.asarray(self.K, dtype=float)
@@ -50,13 +49,6 @@ class LinearSystem:
     @property
     def size(self) -> int:
         return self.K.shape[0]
-
-    def assemble(self, parameters: Mapping[str, float]) -> "LinearSystem":
-        """Re-assemble (K, F) for a parameter vector via the hook."""
-        if self.parameter_hook is None:
-            return self
-        K, F = self.parameter_hook(parameters)
-        return LinearSystem(K, F, parameter_hook=self.parameter_hook)
 
 
 @dataclass(frozen=True)
@@ -161,36 +153,6 @@ def reassemble(partition: Partition, u_p: np.ndarray, u_i: np.ndarray) -> np.nda
     full[list(partition.interface_indices)] = u_p
     full[list(partition.internal_indices)] = u_i
     return full
-
-
-# ---------------------------------------------------------------------------
-# Plain-text dense matrix I/O (test fixtures)
-# ---------------------------------------------------------------------------
-
-def save_matrix(path, matrix: np.ndarray) -> None:
-    m = np.atleast_2d(np.asarray(matrix, dtype=float))
-    with open(path, "w") as fh:
-        fh.write(f"{m.shape[0]} {m.shape[1]}\n")
-        for row in m:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-
-
-def load_matrix(path) -> np.ndarray:
-    with open(path) as fh:
-        header = fh.readline().split()
-        rows, cols = int(header[0]), int(header[1])
-        data = [float(tok) for line in fh for tok in line.split()]
-    if len(data) != rows * cols:
-        raise ConfigurationError(
-            f"matrix file {path} declares {rows}x{cols} but holds {len(data)} entries")
-    return np.array(data).reshape(rows, cols)
-
-
-def load_vector(path) -> np.ndarray:
-    m = load_matrix(path)
-    if m.shape[1] != 1:
-        raise ConfigurationError(f"vector file {path} has {m.shape[1]} columns")
-    return m[:, 0]
 
 
 # ---------------------------------------------------------------------------

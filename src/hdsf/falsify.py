@@ -28,7 +28,7 @@ from .errors import SimulationFault, SpaceError, TrialFault
 from .hybrid import HybridSystem, Trace, project_trace, simulate, write_trace_jsonl
 from .margins import MarginPoint, compute_margins
 from .stl import (Atom, Eventually, Globally, Implies, And, Not, Or, Until,
-                  Outcome, StlFormula, Verdict, evaluate)
+                  StlFormula, Verdict, evaluate)
 
 FormulaLike = Union[StlFormula, Callable[[Configuration], StlFormula]]
 
@@ -39,16 +39,11 @@ ALTITUDE_SEEK_WINDOW = 10.0
 _BATTERY_SEEK_SIGMA = 0.25
 _ALTITUDE_SEEK_SIGMA = 1.0
 _MAX_REPAIR_ROUNDS = 100
-
-
-@dataclass(frozen=True)
-class TrialFeedback:
-    """Verdict and margins of a completed trial, used to steer mutation."""
-
-    verdict: Outcome
-    battery_margin: float
-    altitude_margin: float
-    in_band: bool
+# Share of trials that mutate a pooled near-boundary configuration (once
+# the pool is nonempty), and the faulted share of trials that aborts a
+# campaign.
+MUTATION_FRACTION = 0.5
+MAX_FAULT_FRACTION = 0.1
 
 
 @dataclass
@@ -109,15 +104,9 @@ def _clip(value: float, lo: float, hi: float) -> float:
 
 
 def mutate(config: Configuration, space: ConfigSpace,
-           feedback: Optional[TrialFeedback], rng: np.random.Generator,
-           step_scale: float = 1.0) -> Configuration:
+           feedback: Optional[MarginPoint], rng: np.random.Generator) -> Configuration:
     """Perturb a random subset of parameters, steered toward decision
-    boundaries when the feedback margins are small.
-
-    A zero ``step_scale`` is the identity.
-    """
-    if step_scale == 0.0:
-        return config
+    boundaries when the margins of the configuration's run are small."""
     values = config.as_dict()
     seeking: set[str] = set()
 
@@ -128,7 +117,7 @@ def mutate(config: Configuration, space: ConfigSpace,
             target = values["battery_init"] - feedback.battery_margin
             lo, hi = space.bounds["battery_init"]
             values["battery_init"] = _clip(
-                target + rng.normal(0.0, _BATTERY_SEEK_SIGMA * step_scale), lo, hi)
+                target + rng.normal(0.0, _BATTERY_SEEK_SIGMA), lo, hi)
         if ("altitude_init" in values and "altitude_init" in space.bounds
                 and abs(feedback.altitude_margin) < ALTITUDE_SEEK_WINDOW):
             seeking.add("altitude_init")
@@ -145,13 +134,13 @@ def mutate(config: Configuration, space: ConfigSpace,
                 target = values["altitude_init"] - feedback.altitude_margin
             lo, hi = space.bounds["altitude_init"]
             values["altitude_init"] = _clip(
-                target + rng.normal(0.0, _ALTITUDE_SEEK_SIGMA * step_scale), lo, hi)
+                target + rng.normal(0.0, _ALTITUDE_SEEK_SIGMA), lo, hi)
 
     for name, (lo, hi) in space.bounds.items():
         if name in seeking or name not in values:
             continue
         if rng.random() < 0.5:
-            sigma = 0.05 * (hi - lo) * step_scale
+            sigma = 0.05 * (hi - lo)
             if sigma > 0.0:
                 values[name] = _clip(values[name] + rng.normal(0.0, sigma), lo, hi)
 
@@ -183,7 +172,7 @@ def formula_horizon(formula: StlFormula) -> float:
 
 
 def run_trial(surrogate, config: Configuration, formula: FormulaLike,
-              dt: float, horizon: float, extend_on_truncation: bool = True,
+              dt: float, horizon: float,
               project_to: Optional[list[str]] = None) -> tuple[Verdict, Trace]:
     """Simulate one configuration and evaluate the property on its trace.
 
@@ -208,8 +197,7 @@ def run_trial(surrogate, config: Configuration, formula: FormulaLike,
 
     try:
         verdict, trace = one_run(horizon)
-        if (verdict.violated and verdict.window_truncated and extend_on_truncation
-                and not trace.settled):
+        if verdict.violated and verdict.window_truncated and not trace.settled:
             verdict, trace = one_run(horizon + formula_horizon(phi) + 10.0 * dt)
     except SimulationFault as exc:
         raise TrialFault(exc, config) from exc
@@ -226,21 +214,13 @@ def _quantize(value: float) -> int:
 
 
 def violation_signature(config: Configuration, margins: MarginPoint) -> str:
-    """Dedup key: altitude side of the band plus the quantized configuration."""
+    """Deduplication key: altitude side of the band plus the quantized configuration."""
     if margins.in_band:
         side = "in_band"
     else:
         side = "above" if margins.altitude_margin > 0 else "below"
     quantized = ";".join(f"{k}={_quantize(v)}" for k, v in sorted(config.items()))
     return f"{side}|{quantized}"
-
-
-def dedup(record: ViolationRecord, seen: set[str]) -> bool:
-    """True iff the record's signature is new; new signatures are recorded."""
-    if record.signature in seen:
-        return False
-    seen.add(record.signature)
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -254,16 +234,15 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
 def campaign(surrogate, formula: FormulaLike, space: ConfigSpace,
              budget: Optional[int], *, dt: float, horizon: float,
              seed: Optional[int] = None, out_dir=None,
-             wall_clock_seconds: Optional[float] = None,
-             max_fault_fraction: float = 0.1,
-             mutation_fraction: float = 0.5) -> tuple[CampaignSummary, list[ViolationRecord]]:
+             wall_clock_seconds: Optional[float] = None
+             ) -> tuple[CampaignSummary, list[ViolationRecord]]:
     """Run a falsification campaign.
 
     ``budget`` is a run count (the deterministic mode); pass None with
     ``wall_clock_seconds`` for exploratory wall-time campaigns, which are
     documented as nondeterministic.  With ``out_dir`` set, writes
     summary.json, violations.jsonl, margins.csv, and one trace file per
-    unique violation.  Aborts when more than ``max_fault_fraction`` of
+    unique violation.  Aborts when more than ``MAX_FAULT_FRACTION`` of
     trials fault.
     """
     if budget is None and wall_clock_seconds is None:
@@ -275,8 +254,8 @@ def campaign(surrogate, formula: FormulaLike, space: ConfigSpace,
 
     violations: list[ViolationRecord] = []
     seen: set[str] = set()
-    pool: list[tuple[Configuration, TrialFeedback]] = []
-    rows: list[dict] = []
+    pool: list[tuple[Configuration, MarginPoint]] = []
+    rows: list[tuple[int, Configuration, MarginPoint]] = []
     faults: list[tuple[int, str]] = []
 
     trial = 0
@@ -286,9 +265,9 @@ def campaign(surrogate, formula: FormulaLike, space: ConfigSpace,
         if budget is None and time.perf_counter() - started >= wall_clock_seconds:
             break
         rng = _trial_rng(campaign_seed, trial)
-        if pool and rng.random() < mutation_fraction:
-            base_config, feedback = pool[int(rng.integers(len(pool)))]
-            config = mutate(base_config, space, feedback, rng)
+        if pool and rng.random() < MUTATION_FRACTION:
+            base_config, base_point = pool[int(rng.integers(len(pool)))]
+            config = mutate(base_config, space, base_point, rng)
         else:
             config = generate(space, rng)
 
@@ -297,7 +276,7 @@ def campaign(surrogate, formula: FormulaLike, space: ConfigSpace,
         except TrialFault as exc:
             faults.append((trial, str(exc)))
             completed = trial + 1
-            if completed >= 10 and len(faults) > max_fault_fraction * completed:
+            if completed >= 10 and len(faults) > MAX_FAULT_FRACTION * completed:
                 raise SpaceError(
                     f"campaign aborted: {len(faults)}/{completed} trials faulted; "
                     f"first fault: {faults[0][1]}") from exc
@@ -305,31 +284,22 @@ def campaign(surrogate, formula: FormulaLike, space: ConfigSpace,
             continue
 
         point = compute_margins(trace, config, verdict=verdict.outcome)
-        rows.append({
-            "trial": trial,
-            "battery_margin": point.battery_margin,
-            "altitude_margin": point.altitude_margin,
-            "in_band": point.in_band,
-            "verdict": verdict.outcome.value,
-            "quadrant": point.quadrant,
-            "config": config,
-        })
-        feedback = TrialFeedback(verdict.outcome, point.battery_margin,
-                                 point.altitude_margin, point.in_band)
+        rows.append((trial, config, point))
         if (abs(point.battery_margin) <= BATTERY_SEEK_WINDOW
                 or (not point.in_band and abs(point.altitude_margin) <= ALTITUDE_SEEK_WINDOW)):
-            pool.append((config, feedback))
+            pool.append((config, point))
 
         if verdict.violated:
-            record = ViolationRecord(
-                trial=trial,
-                config=config,
-                witness_time=verdict.witness_time,
-                signature=violation_signature(config, point),
-                trace=trace,
-            )
-            if dedup(record, seen):
-                violations.append(record)
+            signature = violation_signature(config, point)
+            if signature not in seen:
+                seen.add(signature)
+                violations.append(ViolationRecord(
+                    trial=trial,
+                    config=config,
+                    witness_time=verdict.witness_time,
+                    signature=signature,
+                    trace=trace,
+                ))
         trial += 1
 
     total = trial
@@ -346,7 +316,8 @@ def campaign(surrogate, formula: FormulaLike, space: ConfigSpace,
 
 
 def write_campaign_outputs(out_dir: Path, summary: CampaignSummary,
-                           violations: list[ViolationRecord], rows: list[dict],
+                           violations: list[ViolationRecord],
+                           rows: list[tuple[int, Configuration, MarginPoint]],
                            space: ConfigSpace) -> None:
     """Persist the campaign artifacts.
 
@@ -386,15 +357,17 @@ def write_campaign_outputs(out_dir: Path, summary: CampaignSummary,
     write_margins_csv(out_dir / "margins.csv", rows, space)
 
 
-def write_margins_csv(path, rows: list[dict], space: ConfigSpace) -> None:
+def write_margins_csv(path, rows: list[tuple[int, Configuration, MarginPoint]],
+                      space: ConfigSpace) -> None:
+    """One line per ``(trial, config, point)`` row; ``point`` carries the verdict."""
     config_fields = sorted(space.bounds)
     header = ["trial", "battery_margin", "altitude_margin", "in_band",
               "verdict", "quadrant"] + config_fields
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
+        for trial, config, point in rows:
             writer.writerow(
-                [row["trial"], row["battery_margin"], row["altitude_margin"],
-                 row["in_band"], row["verdict"], row["quadrant"]]
-                + [row["config"][name] for name in config_fields])
+                [trial, point.battery_margin, point.altitude_margin,
+                 point.in_band, point.verdict.value, point.quadrant]
+                + [config[name] for name in config_fields])

@@ -10,11 +10,15 @@ parameters they read.  The declarations make the models statically
 analyzable: the property-guided reduction works purely on these declared
 dependency sets, never by introspecting the callables.
 
-Integration is explicit forward Euler with a fixed step.  Guards are
-evaluated on the initial sample and after every integration step, in
-declaration order; the first guard whose predicate holds fires.  The
-recorded sample at an event time carries the pre-transition state and
-mode, so a trace always shows the state the guard actually tested.
+Integration is explicit forward Euler with a fixed step; every rate
+reads the pre-step state.  Guards are evaluated on every recorded
+sample, the initial one included, in declaration order; the first guard
+whose predicate holds fires.  The recorded sample at an event time
+carries the pre-transition state and mode, so a trace always shows the
+state the guard actually tested.  Simulation stops early, with the trace
+marked settled, in a terminal mode (no outgoing guards, static
+dynamics).  Dynamics, guard and reset callables are pure functions of
+``(state, params)`` and may be called any number of times.
 """
 
 from __future__ import annotations
@@ -70,30 +74,6 @@ class ContinuousDynamics:
             raise ConfigurationError(f"rates for undeclared signals: {sorted(unknown)}")
         self.rates = dict(rates)
 
-    @property
-    def dimension(self) -> int:
-        return len(self.signal_names)
-
-    @property
-    def is_static(self) -> bool:
-        return not self.rates
-
-    def vector_field(self, state: np.ndarray, parameters: Params) -> np.ndarray:
-        """Derivative vector for ``state`` given in signal order."""
-        named = dict(zip(self.signal_names, state))
-        out = np.zeros(self.dimension)
-        for i, name in enumerate(self.signal_names):
-            expr = self.rates.get(name)
-            if expr is not None:
-                out[i] = expr.func(named, parameters)
-        return out
-
-    def reads(self) -> frozenset[str]:
-        out: set[str] = set()
-        for expr in self.rates.values():
-            out |= expr.reads
-        return frozenset(out)
-
     def param_reads(self) -> frozenset[str]:
         out: set[str] = set()
         for expr in self.rates.values():
@@ -122,9 +102,6 @@ class Transition:
 
     target: str
     reset: Mapping[str, StateExpr] = field(default_factory=dict)
-
-    def reset_writes(self) -> frozenset[str]:
-        return frozenset(self.reset)
 
 
 @dataclass
@@ -185,12 +162,6 @@ class HybridSystem:
         if bad:
             raise ConfigurationError(f"initials for undeclared signals: {sorted(bad)}")
 
-    def mode(self, name: str) -> ModeId:
-        for m in self.modes:
-            if m.name == name:
-                return m
-        raise ConfigurationError(f"unknown mode {name!r}")
-
     def with_entry(self, mode_name: str) -> "HybridSystem":
         """Copy of the system starting in ``mode_name``."""
         if mode_name not in (m.name for m in self.modes):
@@ -205,7 +176,7 @@ class HybridSystem:
         )
 
     def is_terminal(self, mode_name: str) -> bool:
-        return not self.guards[mode_name] and self.dynamics[mode_name].is_static
+        return not self.guards[mode_name] and not self.dynamics[mode_name].rates
 
     def initial_state(self, parameters: Params) -> np.ndarray:
         """Initial state vector built from ``initials`` and the configuration."""
@@ -278,9 +249,6 @@ class Trace:
     def signal_names(self) -> list[str]:
         return list(self.signals)
 
-    def final_state(self) -> dict[str, float]:
-        return {k: float(v[-1]) for k, v in self.signals.items()}
-
 
 def project_trace(trace: Trace, signals: Sequence[str]) -> Trace:
     """Restrict the signal map to ``signals``; times, modes, events unchanged."""
@@ -298,138 +266,91 @@ def project_trace(trace: Trace, signals: Sequence[str]) -> Trace:
     )
 
 
-def _first_fired_guard(system: HybridSystem, mode: str, named: StateMap,
-                       parameters: Params) -> Optional[Guard]:
-    for g in system.guards[mode]:
-        if g.predicate(named, parameters):
-            return g
-    return None
-
-
-def _apply_reset(system: HybridSystem, transition: Transition,
-                 named: StateMap, parameters: Params) -> list[float]:
+def _apply_reset(system: HybridSystem, transition: Transition, named: StateMap,
+                 parameters: Params, time: float) -> list[float]:
     new = []
     for name in system.signal_names:
         expr = transition.reset.get(name)
         if expr is None:
             new.append(named[name])
-        else:
-            new.append(float(expr.func(named, parameters)))
-    return new
-
-
-def step(system: HybridSystem, mode: str, state: np.ndarray, parameters: Params,
-         dt: float) -> tuple[str, np.ndarray, Optional[str]]:
-    """One integration step followed by a guard check.
-
-    Returns the (possibly switched) mode, the post-step (and post-reset,
-    if a guard fired) state, and the fired guard's label or None.
-    """
-    if dt <= 0:
-        raise ConfigurationError(f"dt must be positive, got {dt}")
-    if len(state) != len(system.signal_names):
-        raise ConfigurationError(
-            f"state has {len(state)} entries, mode {mode} expects {len(system.signal_names)}")
-    dyn = system.dynamics[mode]
-    named = dict(zip(system.signal_names, (float(v) for v in state)))
-    new = [named[n] + dt * dyn.rates[n].func(named, parameters)
-           if n in dyn.rates else named[n]
-           for n in system.signal_names]
-    for name, value in zip(system.signal_names, new):
+            continue
+        value = float(expr.func(named, parameters))
         if not math.isfinite(value):
-            raise SimulationFault(dt, name, value)
-    named = dict(zip(system.signal_names, new))
-    fired = _first_fired_guard(system, mode, named, parameters)
-    if fired is None:
-        return mode, np.array(new), None
-    transition = system.transitions[mode][fired.label]
-    return transition.target, np.array(
-        _apply_reset(system, transition, named, parameters)), fired.label
+            raise SimulationFault(time, name, value)
+        new.append(value)
+    return new
 
 
 def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
              parameters: Params, dt: float, horizon: float) -> Trace:
     """Run the system over [0, horizon] with fixed step ``dt``.
 
+    Every sample k, t = 0 included, is handled the same way: record the
+    state and mode at t = k * dt; fire the first guard of the mode that
+    holds on the recorded state, in declaration order, and apply its
+    reset; stop at the horizon, or with the trace marked settled in a
+    terminal mode (no outgoing guards, static dynamics); otherwise take
+    one forward-Euler step in which every rate reads the pre-step state.
+
     ``initial_state`` may be None, in which case it is built from the
-    system's declared initials and the configuration.  Simulation ends
-    early, with the trace marked settled, when a terminal mode (no
-    outgoing guards, static dynamics) is entered.
+    system's declared initials and the configuration.  A non-finite value
+    produced by a step or a reset raises :class:`SimulationFault`.
+
+    ``StateExpr`` and ``Guard`` callables must be pure functions of
+    ``(state, params)``: the simulator may call them any number of times,
+    and their results may depend on nothing else.
     """
     if dt <= 0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
     if horizon < dt:
         raise ConfigurationError(f"horizon {horizon} must be at least dt {dt}")
     names = system.signal_names
-    nsig = len(names)
     if initial_state is None:
         state = [float(v) for v in system.initial_state(parameters)]
     else:
-        if len(initial_state) != nsig:
+        if len(initial_state) != len(names):
             raise ConfigurationError(
-                f"initial state has {len(initial_state)} entries, expected {nsig}")
+                f"initial state has {len(initial_state)} entries, expected {len(names)}")
         state = [float(v) for v in initial_state]
+    rates = {mode: [(i, name, dyn.rates[name].func)
+                    for i, name in enumerate(names) if name in dyn.rates]
+             for mode, dyn in system.dynamics.items()}
 
     n_steps = int(round(horizon / dt))
-    data = np.empty((n_steps + 1, nsig))
+    data = np.empty((n_steps + 1, len(names)))
     modes: list[str] = []
     events: list[TraceEvent] = []
-    n_recorded = 0
     settled = False
-
     mode = system.initial_mode
-    dyn = system.dynamics[mode]
-    rate_items = [(i, names[i], dyn.rates[names[i]].func)
-                  for i in range(nsig) if names[i] in dyn.rates]
-
-    def record(named_state: StateMap):
-        nonlocal n_recorded
-        for i, n in enumerate(names):
-            data[n_recorded, i] = named_state[n]
+    for k in range(n_steps + 1):
+        t = k * dt
+        named = dict(zip(names, state))
+        data[k] = state
         modes.append(mode)
-        n_recorded += 1
-
-    named = dict(zip(names, state))
-    record(named)
-    fired = _first_fired_guard(system, mode, named, parameters)
-    if fired is not None:
-        transition = system.transitions[mode][fired.label]
-        events.append(TraceEvent(0.0, fired.label, mode, transition.target))
-        state = _apply_reset(system, transition, named, parameters)
-        mode = transition.target
-        dyn = system.dynamics[mode]
-        rate_items = [(i, names[i], dyn.rates[names[i]].func)
-                      for i in range(nsig) if names[i] in dyn.rates]
-
-    for k in range(1, n_steps + 1):
+        for guard in system.guards[mode]:
+            if guard.predicate(named, parameters):
+                transition = system.transitions[mode][guard.label]
+                events.append(TraceEvent(t, guard.label, mode, transition.target))
+                state = _apply_reset(system, transition, named, parameters, t)
+                named = dict(zip(names, state))
+                mode = transition.target
+                break
+        if k == n_steps:
+            break
         if system.is_terminal(mode):
             settled = True
             break
-        t = k * dt
-        named = dict(zip(names, state))
-        for i, name, f in rate_items:
+        for i, name, f in rates[mode]:
             value = state[i] + dt * f(named, parameters)
             if not math.isfinite(value):
-                raise SimulationFault(t, name, value)
+                raise SimulationFault((k + 1) * dt, name, value)
             state[i] = value
-        named = dict(zip(names, state))
-        record(named)
-        fired = _first_fired_guard(system, mode, named, parameters)
-        if fired is not None:
-            transition = system.transitions[mode][fired.label]
-            events.append(TraceEvent(t, fired.label, mode, transition.target))
-            state = _apply_reset(system, transition, named, parameters)
-            mode = transition.target
-            dyn = system.dynamics[mode]
-            rate_items = [(i, names[i], dyn.rates[names[i]].func)
-                          for i in range(nsig) if names[i] in dyn.rates]
 
-    data = data[:n_recorded]
-    times = np.arange(n_recorded) * dt
+    data = data[:len(modes)]
+    times = np.arange(len(modes)) * dt
     signals = {name: data[:, i].copy() for i, name in enumerate(names)}
     return Trace(times=times, modes=modes, signals=signals, events=events,
                  dt=dt, settled=settled)
-
 
 # ---------------------------------------------------------------------------
 # Trace serialization (JSON lines)

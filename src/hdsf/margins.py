@@ -21,8 +21,6 @@ from .stl import Outcome
 
 AIRBORNE_MIN_ALTITUDE = 0.5
 
-QUADRANTS = ("Q1", "Q2", "Q3", "Q4")
-
 
 def quadrant_for(battery_margin: float, altitude_margin: float) -> str:
     """Quadrant from margin signs.
@@ -47,8 +45,7 @@ class MarginPoint:
     quadrant: str
 
 
-def decision_index(trace, threshold: float,
-                   airborne_min: float = AIRBORNE_MIN_ALTITUDE) -> int:
+def decision_index(trace, threshold: float) -> int:
     """Index of the first sample with battery at or below the threshold while
     airborne; the final sample if the battery never crosses in flight."""
     for name in ("battery", "altitude"):
@@ -59,18 +56,17 @@ def decision_index(trace, threshold: float,
     battery = trace.signals["battery"]
     altitude = trace.signals["altitude"]
     for i in range(len(battery)):
-        if battery[i] <= threshold and altitude[i] > airborne_min:
+        if battery[i] <= threshold and altitude[i] > AIRBORNE_MIN_ALTITUDE:
             return i
     return len(battery) - 1
 
 
-def compute_margins(trace, config, verdict: Optional[Outcome] = None,
-                    airborne_min: float = AIRBORNE_MIN_ALTITUDE) -> MarginPoint:
+def compute_margins(trace, config, verdict: Optional[Outcome] = None) -> MarginPoint:
     """Margin-space coordinates of one run at its decision point."""
     threshold = config["low_batt_threshold"]
     lo = config["min_deploy_alt"]
     hi = config["max_deploy_alt"]
-    decision = decision_index(trace, threshold, airborne_min)
+    decision = decision_index(trace, threshold)
     battery = trace.signals["battery"]
     altitude = trace.signals["altitude"]
 

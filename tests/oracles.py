@@ -2,8 +2,9 @@
 
 These deliberately share no evaluation code with the package: the STL
 oracle here is a direct quantifier expansion of the documented semantics,
-and the drone violation predicate is the closed-form behavior of the
-buggy controller.
+the simulation oracle steps a plain dict through the documented hybrid
+semantics, and the drone violation predicate is the closed-form behavior
+of the buggy controller.
 """
 
 from __future__ import annotations
@@ -92,6 +93,54 @@ def naive_value(formula, trace: Trace, i: int, memo=None) -> int:
 def naive_verdict(formula, trace: Trace) -> int:
     """Three-valued verdict at the start of the trace."""
     return naive_value(formula, trace, 0)
+
+
+# ---------------------------------------------------------------------------
+# Naive hybrid simulation from the documented semantics
+# ---------------------------------------------------------------------------
+
+def naive_simulate(system, initial_state, params, dt: float, horizon: float):
+    """``(times, modes, rows, events, settled)`` of a fixed-step run.
+
+    A transcription of the semantics in the ``hdsf.hybrid`` docstring over
+    a plain dict state: sample k is taken at t = k * dt before any
+    transition, so the sample at an event carries the pre-transition
+    state; guards are tried in declaration order and the first true one
+    fires, its reset reading that sample; every Euler rate reads the
+    pre-step state; a mode with neither guards nor rates ends the run
+    (settled) unless the horizon is reached first.  ``rows`` holds one
+    list of signal values per sample and ``events`` one
+    ``(t, guard, source, target)`` tuple per transition.
+    """
+    names = list(system.signal_names)
+    if initial_state is None:
+        initial_state = [params[init] if isinstance(init, str) else init
+                         for init in (system.initials.get(n, 0.0) for n in names)]
+    state = {n: float(v) for n, v in zip(names, initial_state)}
+    mode = system.initial_mode
+    times, modes, rows, events = [], [], [], []
+    settled = False
+    for k in range(int(round(horizon / dt)) + 1):
+        if k > 0:
+            rates = system.dynamics[mode].rates
+            if not rates and not system.guards[mode]:
+                settled = True
+                break
+            derivative = {n: expr.func(state, params) for n, expr in rates.items()}
+            state = {n: state[n] + dt * derivative[n] if n in derivative else state[n]
+                     for n in names}
+        times.append(k * dt)
+        modes.append(mode)
+        rows.append([state[n] for n in names])
+        for guard in system.guards[mode]:
+            if guard.predicate(state, params):
+                transition = system.transitions[mode][guard.label]
+                events.append((k * dt, guard.label, mode, transition.target))
+                state = {n: float(transition.reset[n].func(state, params))
+                         if n in transition.reset else state[n] for n in names}
+                mode = transition.target
+                break
+    return times, modes, rows, events, settled
 
 
 # ---------------------------------------------------------------------------

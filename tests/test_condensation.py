@@ -6,8 +6,7 @@ import pytest
 from hdsf.condensation import (DRONE_INTERFACE_PARTITION, CondensedSystem,
                                LinearSystem, Partition, clamped_rate, condense,
                                condensed_drone_descent, drone_block_system,
-                               load_matrix, load_vector, reassemble,
-                               reconstruct_internal, save_matrix, solve_condensed)
+                               reassemble, reconstruct_internal, solve_condensed)
 from hdsf.drone import ControllerVariant, DroneParams, build_full_system
 from hdsf.errors import CondensationError, ConfigurationError
 
@@ -139,34 +138,6 @@ class TestStructuralProperties:
             Partition((0, 1), (1, 2))
         with pytest.raises(ConfigurationError):
             Partition((0,), (2,))
-
-
-class TestParametricAssembly:
-    def test_hook_reassembles(self):
-        def hook(mu):
-            scale = mu["scale"]
-            return scale * np.eye(2), np.array([scale, 2.0 * scale])
-
-        base = LinearSystem(np.eye(2), np.zeros(2), parameter_hook=hook)
-        assembled = base.assemble({"scale": 4.0})
-        assert np.array_equal(assembled.K, 4.0 * np.eye(2))
-        assert np.array_equal(assembled.F, [4.0, 8.0])
-
-
-class TestMatrixIO:
-    def test_matrix_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(31)
-        m = rng.standard_normal((4, 3))
-        path = tmp_path / "m.txt"
-        save_matrix(path, m)
-        assert path.read_text().splitlines()[0] == "4 3"
-        assert np.array_equal(load_matrix(path), m)
-
-    def test_vector_roundtrip(self, tmp_path):
-        v = np.array([1.5, -2.25, 1.0 / 3.0])
-        path = tmp_path / "v.txt"
-        save_matrix(path, v.reshape(-1, 1))
-        assert np.array_equal(load_vector(path), v)
 
 
 class TestCondensedDroneDescent:

@@ -1,4 +1,5 @@
-"""Constraint-preserving generation, boundary-seeking mutation, dedup, campaigns."""
+"""Constraint-preserving generation, boundary-seeking mutation, violation
+signatures, campaigns."""
 
 import json
 
@@ -10,10 +11,9 @@ from hdsf.config import Configuration, ConfigSpace
 from hdsf.drone import (ControllerVariant, DroneParams, build_surrogate_system,
                         default_config_space, default_configuration, phi_for)
 from hdsf.errors import SpaceError
-from hdsf.falsify import (TrialFeedback, ViolationRecord, campaign, dedup,
-                          generate, mutate, run_trial, violation_signature)
+from hdsf.falsify import campaign, generate, mutate, run_trial, violation_signature
 from hdsf.hybrid import ContinuousDynamics, HybridSystem, ModeId, StateExpr
-from hdsf.margins import MarginPoint
+from hdsf.margins import MarginPoint, quadrant_for
 from hdsf.stl import Atom, Globally, Outcome, evaluate
 
 from oracles import buggy_violation_predicate
@@ -64,13 +64,17 @@ class TestGenerate:
                         orderings=(("a", "b"), ("b", "a")))
 
 
+def margin_point(battery_margin, altitude_margin, in_band, verdict=Outcome.SATISFIED):
+    return MarginPoint(battery_margin, altitude_margin, in_band, verdict,
+                       quadrant_for(battery_margin, altitude_margin))
+
+
 class TestMutate:
     def test_boundary_seeking_battery(self):
         space = default_config_space(DroneParams())
         config = default_configuration(DroneParams(), battery_init=10.1,
                                        altitude_init=20.0)
-        feedback = TrialFeedback(Outcome.SATISFIED, battery_margin=0.1,
-                                 altitude_margin=-40.0, in_band=False)
+        feedback = margin_point(battery_margin=0.1, altitude_margin=-40.0, in_band=False)
         rng = rng_for(4)
         threshold = 10.0
         near = sum(
@@ -78,17 +82,11 @@ class TestMutate:
             for _ in range(1000))
         assert near >= 900
 
-    def test_zero_step_scale_is_identity(self):
-        space = default_config_space(DroneParams())
-        config = default_configuration(DroneParams(), 42.0, 55.0)
-        feedback = TrialFeedback(Outcome.SATISFIED, 0.1, 0.0, True)
-        assert mutate(config, space, feedback, rng_for(5), step_scale=0.0) == config
-
     def test_constraints_never_violated(self):
         space = default_config_space(DroneParams())
         rng = rng_for(6)
         config = generate(space, rng)
-        feedback = TrialFeedback(Outcome.VIOLATED, 0.0, -5.0, False)
+        feedback = margin_point(0.0, -5.0, False, Outcome.VIOLATED)
         for _ in range(10_000):
             config = mutate(config, space, feedback, rng)
             assert config["min_deploy_alt"] < config["max_deploy_alt"]
@@ -166,25 +164,17 @@ class TestDedup:
         sig_a = violation_signature(a, self.margins("below"))
         sig_b = violation_signature(b, self.margins("below"))
         assert sig_a == sig_b
-        seen = set()
-        assert dedup(ViolationRecord(0, a, 0.0, sig_a), seen)
-        assert not dedup(ViolationRecord(1, b, 0.0, sig_b), seen)
 
     def test_identical_configs_are_duplicates(self):
         a = self.config()
-        sig = violation_signature(a, self.margins("below"))
-        seen = set()
-        assert dedup(ViolationRecord(0, a, 0.0, sig), seen)
-        assert not dedup(ViolationRecord(1, a, 0.0, sig), seen)
+        assert (violation_signature(a, self.margins("below"))
+                == violation_signature(a, self.margins("below")))
 
     def test_below_vs_above_band_distinct(self):
         a = self.config(altitude_init=50.0)
         below = violation_signature(a, self.margins("below"))
         above = violation_signature(a, self.margins("above"))
         assert below != above
-        seen = set()
-        assert dedup(ViolationRecord(0, a, 0.0, below), seen)
-        assert dedup(ViolationRecord(1, a, 0.0, above), seen)
 
 
 class TestCampaign:
@@ -220,12 +210,8 @@ class TestCampaign:
         for record in violations:
             verdict = evaluate(phi_for(record.config), record.trace)
             assert verdict.outcome is Outcome.VIOLATED
-        # dedup idempotence: replaying the campaign's own violations adds nothing
-        seen = {r.signature for r in violations}
-        before = set(seen)
-        for record in violations:
-            assert not dedup(record, seen)
-        assert seen == before
+        # one logged violation per signature
+        assert len({r.signature for r in violations}) == len(violations)
 
     def test_byte_identical_reruns(self, tmp_path):
         surrogate = build_surrogate_system(self.params, ControllerVariant.BUGGY)

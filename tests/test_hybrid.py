@@ -2,11 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from hdsf.config import Configuration
+from hdsf.drone import (ControllerVariant, DroneParams, build_full_system,
+                        build_surrogate_system, default_config_space)
 from hdsf.errors import ConfigurationError, ProjectionError, SimulationFault
 from hdsf.hybrid import (ContinuousDynamics, Guard, HybridSystem, ModeId,
                          StateExpr, Transition, project_trace, read_trace_jsonl,
-                         simulate, step, trace_to_jsonl, write_trace_jsonl)
+                         simulate, trace_to_jsonl, write_trace_jsonl)
+
+from oracles import naive_simulate
 
 
 def single_mode_system(rates, signals=("x",), guards=(), transitions=None,
@@ -123,6 +129,13 @@ class TestGuardsAndEvents:
         # B is terminal (static, no guards): trace settles right after entry
         assert trace.settled
 
+    def test_terminal_entry_on_final_sample_is_not_settled(self):
+        system = two_mode_system(lambda s, p: s["x"] >= 0.5)
+        trace = simulate(system, [0.0, 0.0], {}, dt=0.25, horizon=0.5)
+        assert [ev.time for ev in trace.events] == [0.5]
+        assert trace.modes == ["A", "A", "A"]
+        assert not trace.settled
+
     def test_mode_coverage(self):
         system = two_mode_system(lambda s, p: s["x"] >= 0.5)
         trace = simulate(system, [0.0, 0.0], {}, dt=0.1, horizon=2.0)
@@ -153,31 +166,137 @@ class TestGuardsAndEvents:
 
 
 class TestStep:
+    """A single Euler step: ``simulate`` with ``horizon=dt``."""
+
     def test_zero_field_no_guards(self):
         system = single_mode_system({"x": StateExpr(lambda s, p: 0.0)})
-        mode, state, fired = step(system, "M", np.array([3.0]), {}, dt=0.5)
-        assert mode == "M" and fired is None
-        assert state[0] == 3.0
+        trace = simulate(system, [3.0], {}, dt=0.5, horizon=0.5)
+        assert trace.modes == ["M", "M"] and trace.events == []
+        assert trace.signals["x"][1] == 3.0
 
     def test_hand_euler_step(self):
-        mode, state, fired = step(drain_system(), "M", np.array([100.0]), {}, dt=0.5)
-        assert state[0] == 99.0
-        assert fired is None
+        trace = simulate(drain_system(), [100.0], {}, dt=0.5, horizon=0.5)
+        assert trace.signals["b"][1] == 99.0
+        assert trace.events == []
 
-    def test_two_simultaneous_guards_first_fires(self):
-        signals = ("x",)
-        g1 = Guard("g1", lambda s, p: True)
-        g2 = Guard("g2", lambda s, p: True)
+    def test_nonfinite_reset_raises_simulation_fault(self):
+        # B has no rate for "flag", so no Euler step would catch the NaN
+        signals = ("x", "flag")
         system = HybridSystem(
-            modes=[ModeId("A", 0), ModeId("B", 1), ModeId("C", 2)],
-            dynamics={m: ContinuousDynamics(signals, {}) for m in ("A", "B", "C")},
-            guards={"A": (g1, g2), "B": (), "C": ()},
-            transitions={"A": {"g1": Transition("B"), "g2": Transition("C")},
-                         "B": {}, "C": {}},
+            modes=[ModeId("A", 0), ModeId("B", 1)],
+            dynamics={"A": ContinuousDynamics(signals, {"x": StateExpr(lambda s, p: 1.0)}),
+                      "B": ContinuousDynamics(signals, {"x": StateExpr(lambda s, p: 1.0)})},
+            guards={"A": (Guard("go", lambda s, p: s["x"] >= 0.5, reads=frozenset({"x"})),),
+                    "B": ()},
+            transitions={"A": {"go": Transition(
+                "B", {"flag": StateExpr(lambda s, p: float("nan"))})}, "B": {}},
             initial_mode="A",
         )
-        mode, state, fired = step(system, "A", np.array([0.0]), {}, dt=0.1)
-        assert fired == "g1" and mode == "B"
+        with pytest.raises(SimulationFault) as err:
+            simulate(system, [0.0, 0.0], {}, dt=0.1, horizon=2.0)
+        assert err.value.signal == "flag"
+        assert err.value.time == pytest.approx(0.5)
+
+
+def assert_matches_naive(system, initial_state, params, dt, horizon):
+    trace = simulate(system, initial_state, params, dt, horizon)
+    times, modes, rows, events, settled = naive_simulate(
+        system, initial_state, params, dt, horizon)
+    assert trace.times.tolist() == times
+    assert trace.modes == modes
+    for i, name in enumerate(system.signal_names):
+        assert trace.signals[name].tolist() == [row[i] for row in rows], name
+    assert [(e.time, e.guard, e.source, e.target) for e in trace.events] == events
+    assert trace.settled == settled
+
+
+ORACLE_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
+                           database=None)
+_PARAMS = DroneParams()
+_SYSTEMS = {
+    (kind, variant): system
+    for variant in ControllerVariant
+    for kind, system in (
+        ("surrogate", build_surrogate_system(_PARAMS, variant).system),
+        ("goto", build_full_system(_PARAMS, variant).with_entry("GOTO")),
+        ("idle", build_full_system(_PARAMS, variant)))
+}
+
+
+@st.composite
+def drone_configs(draw):
+    space = default_config_space(_PARAMS)
+    values = {name: draw(st.floats(lo, hi)) for name, (lo, hi) in space.bounds.items()}
+    assume(values["min_deploy_alt"] < values["max_deploy_alt"])
+    return Configuration(values)
+
+
+@st.composite
+def small_systems(draw):
+    """Up to three modes over up to three signals, with affine rates,
+    threshold guards with random targets, and constant or affine resets."""
+    signals = ("x", "y", "z")[:draw(st.integers(1, 3))]
+    modes = [f"M{i}" for i in range(draw(st.integers(1, 3)))]
+    unit = st.floats(-1.0, 1.0)
+    signal = st.sampled_from(signals)
+
+    def affine():
+        src, a, b = draw(signal), draw(unit), draw(unit)
+        return StateExpr(lambda s, p, src=src, a=a, b=b: a * s[src] + b,
+                         reads=frozenset({src}))
+
+    def reset_value():
+        if draw(st.booleans()):
+            return affine()
+        c = draw(unit)
+        return StateExpr(lambda s, p, c=c: c)
+
+    dynamics, guards, transitions = {}, {}, {}
+    for mode in modes:
+        rated = draw(st.lists(signal, unique=True))
+        dynamics[mode] = ContinuousDynamics(signals, {n: affine() for n in rated})
+        guards[mode], transitions[mode] = [], {}
+        for j in range(draw(st.integers(0, 2))):
+            src, bound, above = draw(signal), draw(st.floats(-2.0, 2.0)), draw(st.booleans())
+            guards[mode].append(Guard(
+                f"g{j}", lambda s, p, src=src, c=bound, up=above: (s[src] >= c) == up,
+                reads=frozenset({src})))
+            written = draw(st.lists(signal, unique=True, max_size=2))
+            transitions[mode][f"g{j}"] = Transition(
+                draw(st.sampled_from(modes)), {n: reset_value() for n in written})
+    system = HybridSystem(
+        modes=[ModeId(m, i) for i, m in enumerate(modes)], dynamics=dynamics,
+        guards={m: tuple(g) for m, g in guards.items()}, transitions=transitions,
+        initial_mode=draw(st.sampled_from(modes)))
+    initial = draw(st.lists(st.floats(-2.0, 2.0), min_size=len(signals),
+                            max_size=len(signals)))
+    dt = draw(st.sampled_from([0.1, 0.25, 0.5]))
+    return system, initial, dt, dt * draw(st.integers(1, 40))
+
+
+class TestNaiveOracle:
+    """``simulate`` reproduces ``naive_simulate`` exactly."""
+
+    @ORACLE_SETTINGS
+    @given(config=drone_configs(), variant=st.sampled_from(list(ControllerVariant)))
+    def test_drone_surrogate(self, config, variant):
+        assert_matches_naive(_SYSTEMS["surrogate", variant], None, config,
+                             _PARAMS.dt, _PARAMS.horizon)
+
+    @ORACLE_SETTINGS
+    @given(config=drone_configs(), variant=st.sampled_from(list(ControllerVariant)),
+           entry=st.sampled_from(["goto", "idle"]))
+    def test_drone_full_model(self, config, variant, entry):
+        if entry == "idle":
+            config = config.replacing(altitude_init=0.0, mission_start=1.0)
+        assert_matches_naive(_SYSTEMS[entry, variant], None, config,
+                             _PARAMS.dt, _PARAMS.horizon)
+
+    @ORACLE_SETTINGS
+    @given(case=small_systems())
+    def test_random_guarded_systems(self, case):
+        system, initial, dt, horizon = case
+        assert_matches_naive(system, initial, {}, dt, horizon)
 
 
 class TestProjection:

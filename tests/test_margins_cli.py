@@ -139,6 +139,45 @@ class TestRunCommand:
         assert code == 0
 
 
+class TestInputErrors:
+    """Bad input exits 2 with a one-line ``error:`` message, never a traceback."""
+
+    def run_scenario(self, capsys, path):
+        code = main(["run", "--scenario", str(path)])
+        err = capsys.readouterr().err.strip().split("\n")
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        return err[0]
+
+    def test_scenario_unknown_key(self, capsys, tmp_path):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"no_such_key": 1.0}))
+        assert "no_such_key" in self.run_scenario(capsys, scenario)
+
+    def test_scenario_malformed_json(self, capsys, tmp_path):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text("{not json")
+        self.run_scenario(capsys, scenario)
+
+    def test_scenario_missing_file(self, capsys, tmp_path):
+        self.run_scenario(capsys, tmp_path / "absent.json")
+
+    @pytest.mark.parametrize("raw", [{"delta": "2.0"}, {"waypoint": 5},
+                                     {"dt": [0.05]}, {"horizon": True}])
+    def test_scenario_wrong_type(self, capsys, tmp_path, raw):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(raw))
+        assert next(iter(raw)) in self.run_scenario(capsys, scenario)
+
+    def test_non_integer_seed_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("HDSF_SEED", "seven")
+        with pytest.raises(SystemExit) as err:
+            main(["run"])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.strip().split("\n")[-1].startswith(
+            "hdsf run: error: argument --seed")
+
+
 class TestFuzzCommand:
     def test_patched_campaign_zero_violations(self, capsys, tmp_path):
         code = main(["fuzz", "--variant", "patched", "--runs", "50",
