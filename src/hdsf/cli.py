@@ -174,7 +174,12 @@ def _cmd_fuzz(args) -> int:
     surrogate = build_surrogate_system(params, ControllerVariant(args.variant),
                                        rng_seed=args.seed)
     if args.space_file:
-        space = ConfigSpace.from_json(Path(args.space_file).read_text())
+        try:
+            text = Path(args.space_file).read_text()
+        except OSError as exc:
+            raise ConfigurationError(
+                f"cannot read space file {args.space_file}: {exc}") from None
+        space = ConfigSpace.from_json(text)
     else:
         space = surrogate.parameter_space
     summary, violations = campaign(

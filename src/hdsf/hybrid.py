@@ -294,7 +294,8 @@ def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
 
     ``initial_state`` may be None, in which case it is built from the
     system's declared initials and the configuration.  A non-finite value
-    produced by a step or a reset raises :class:`SimulationFault`.
+    in the initial state, or produced by a step or a reset, raises
+    :class:`SimulationFault`, so a trace holds finite values only.
 
     ``StateExpr`` and ``Guard`` callables must be pure functions of
     ``(state, params)``: the simulator may call them any number of times,
@@ -312,6 +313,9 @@ def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
             raise ConfigurationError(
                 f"initial state has {len(initial_state)} entries, expected {len(names)}")
         state = [float(v) for v in initial_state]
+    for name, value in zip(names, state):
+        if not math.isfinite(value):
+            raise SimulationFault(0.0, name, value)
     rates = {mode: [(i, name, dyn.rates[name].func)
                     for i, name in enumerate(names) if name in dyn.rates]
              for mode, dyn in system.dynamics.items()}
@@ -356,26 +360,55 @@ def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
 # Trace serialization (JSON lines)
 # ---------------------------------------------------------------------------
 
+_NONFINITE_JSON = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_floats(values) -> np.ndarray:
+    """JSON text of each value, as ``json.dumps`` writes a float.
+
+    For a finite float that text is ``repr``; each distinct value is
+    formatted once.  Values are told apart by their bits, so ``-0.0``
+    keeps its sign and does not merge with ``0.0``.
+    """
+    bits, inverse = np.unique(np.asarray(values, dtype=float).view(np.uint64),
+                              return_inverse=True)
+    distinct = bits.view(float)
+    text = repr(distinct.tolist())[1:-1].split(", ")
+    if not np.isfinite(distinct).all():
+        text = [_NONFINITE_JSON.get(s, s) for s in text]
+    return np.array(text, dtype=object)[inverse]
+
+
 def trace_to_jsonl(trace: Trace) -> str:
-    """Serialize: header object, one object per sample, then event records."""
-    seen: list[str] = []
-    for m in trace.modes:
-        if m not in seen:
-            seen.append(m)
-    lines = [json.dumps({"dt": trace.dt, "signals": list(trace.signals),
-                         "modes": seen}, sort_keys=True)]
-    names = list(trace.signals)
-    for i in range(len(trace)):
-        lines.append(json.dumps({
-            "t": float(trace.times[i]),
-            "mode": trace.modes[i],
-            "signals": {n: float(trace.signals[n][i]) for n in names},
-        }, sort_keys=True))
-    for ev in trace.events:
-        lines.append(json.dumps({"event": {
-            "t": ev.time, "guard": ev.guard, "from": ev.source, "to": ev.target,
-        }}, sort_keys=True))
-    return "\n".join(lines) + "\n"
+    """Serialize: a header line, one line per sample, then one per event.
+
+    Every line is the ``json.dumps(..., sort_keys=True)`` text of one
+    object.  The header holds ``dt``, ``modes`` (in order of first
+    appearance) and ``signals`` (in trace order).  A sample line is
+    ``{"mode": m, "signals": {name: value, ...}, "t": t}`` with the
+    signals sorted by name, and an event line is
+    ``{"event": {"from": ..., "guard": ..., "t": ..., "to": ...}}``.
+    Floats are written as Python's ``repr`` (``NaN``/``Infinity`` if not
+    finite), so equal traces give byte-identical text.
+
+    Sample lines come from one template filled column by column, which
+    writes the same bytes as one ``json.dumps`` per sample.
+    """
+    seen = list(dict.fromkeys(trace.modes))
+    header = json.dumps({"dt": trace.dt, "signals": list(trace.signals),
+                         "modes": seen}, sort_keys=True)
+    names = sorted(trace.signals)
+    # keys are escaped for %-formatting; values are filled in as text
+    fields = ", ".join(json.dumps(n).replace("%", "%%") + ": %s" for n in names)
+    template = '{"mode": %s, "signals": {' + fields + '}, "t": %s}'
+    mode_json = {m: json.dumps(m) for m in seen}
+    columns = [_json_floats(trace.signals[n]) for n in names]
+    samples = map(template.__mod__, zip(map(mode_json.__getitem__, trace.modes),
+                                        *columns, _json_floats(trace.times)))
+    events = (json.dumps({"event": {
+        "t": ev.time, "guard": ev.guard, "from": ev.source, "to": ev.target,
+    }}, sort_keys=True) for ev in trace.events)
+    return "\n".join([header, *samples, *events]) + "\n"
 
 
 def write_trace_jsonl(trace: Trace, path) -> None:

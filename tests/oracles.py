@@ -3,15 +3,20 @@
 These deliberately share no evaluation code with the package: the STL
 oracle here is a direct quantifier expansion of the documented semantics,
 the simulation oracle steps a plain dict through the documented hybrid
-semantics, and the drone violation predicate is the closed-form behavior
+semantics, the trace serializer makes one ``json.dumps`` call per
+sample, and the drone violation predicate is the closed-form behavior
 of the buggy controller.
 """
 
 from __future__ import annotations
 
+import json
+import math
+
 import numpy as np
 
 from hdsf import stl
+from hdsf.errors import SimulationFault
 from hdsf.hybrid import Trace
 
 # ---------------------------------------------------------------------------
@@ -22,7 +27,6 @@ _NOT = {stl.FALSE: stl.TRUE, stl.UNKNOWN: stl.UNKNOWN, stl.TRUE: stl.FALSE}
 
 
 def _bound(seconds: float, dt: float) -> int:
-    import math
     return int(math.floor(seconds / dt + 0.5))
 
 
@@ -99,6 +103,12 @@ def naive_verdict(formula, trace: Trace) -> int:
 # Naive hybrid simulation from the documented semantics
 # ---------------------------------------------------------------------------
 
+def _check_finite(state, names, t):
+    for n in names:
+        if not math.isfinite(state[n]):
+            raise SimulationFault(t, n, state[n])
+
+
 def naive_simulate(system, initial_state, params, dt: float, horizon: float):
     """``(times, modes, rows, events, settled)`` of a fixed-step run.
 
@@ -108,15 +118,18 @@ def naive_simulate(system, initial_state, params, dt: float, horizon: float):
     state; guards are tried in declaration order and the first true one
     fires, its reset reading that sample; every Euler rate reads the
     pre-step state; a mode with neither guards nor rates ends the run
-    (settled) unless the horizon is reached first.  ``rows`` holds one
-    list of signal values per sample and ``events`` one
-    ``(t, guard, source, target)`` tuple per transition.
+    (settled) unless the horizon is reached first; a non-finite value in
+    the initial state, after a step or after a reset raises
+    ``SimulationFault``.  ``rows`` holds one list of signal values per
+    sample and ``events`` one ``(t, guard, source, target)`` tuple per
+    transition.
     """
     names = list(system.signal_names)
     if initial_state is None:
         initial_state = [params[init] if isinstance(init, str) else init
                          for init in (system.initials.get(n, 0.0) for n in names)]
     state = {n: float(v) for n, v in zip(names, initial_state)}
+    _check_finite(state, names, 0.0)
     mode = system.initial_mode
     times, modes, rows, events = [], [], [], []
     settled = False
@@ -129,6 +142,7 @@ def naive_simulate(system, initial_state, params, dt: float, horizon: float):
             derivative = {n: expr.func(state, params) for n, expr in rates.items()}
             state = {n: state[n] + dt * derivative[n] if n in derivative else state[n]
                      for n in names}
+            _check_finite(state, names, k * dt)
         times.append(k * dt)
         modes.append(mode)
         rows.append([state[n] for n in names])
@@ -138,9 +152,36 @@ def naive_simulate(system, initial_state, params, dt: float, horizon: float):
                 events.append((k * dt, guard.label, mode, transition.target))
                 state = {n: float(transition.reset[n].func(state, params))
                          if n in transition.reset else state[n] for n in names}
+                _check_finite(state, names, k * dt)
                 mode = transition.target
                 break
     return times, modes, rows, events, settled
+
+
+# ---------------------------------------------------------------------------
+# Naive trace serialization: one json.dumps per sample
+# ---------------------------------------------------------------------------
+
+def naive_trace_to_jsonl(trace: Trace) -> str:
+    """Serialize: header object, one object per sample, then event records."""
+    seen: list[str] = []
+    for m in trace.modes:
+        if m not in seen:
+            seen.append(m)
+    lines = [json.dumps({"dt": trace.dt, "signals": list(trace.signals),
+                         "modes": seen}, sort_keys=True)]
+    names = list(trace.signals)
+    for i in range(len(trace)):
+        lines.append(json.dumps({
+            "t": float(trace.times[i]),
+            "mode": trace.modes[i],
+            "signals": {n: float(trace.signals[n][i]) for n in names},
+        }, sort_keys=True))
+    for ev in trace.events:
+        lines.append(json.dumps({"event": {
+            "t": ev.time, "guard": ev.guard, "from": ev.source, "to": ev.target,
+        }}, sort_keys=True))
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

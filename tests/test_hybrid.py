@@ -9,10 +9,11 @@ from hdsf.drone import (ControllerVariant, DroneParams, build_full_system,
                         build_surrogate_system, default_config_space)
 from hdsf.errors import ConfigurationError, ProjectionError, SimulationFault
 from hdsf.hybrid import (ContinuousDynamics, Guard, HybridSystem, ModeId,
-                         StateExpr, Transition, project_trace, read_trace_jsonl,
-                         simulate, trace_to_jsonl, write_trace_jsonl)
+                         StateExpr, Trace, TraceEvent, Transition, project_trace,
+                         read_trace_jsonl, simulate, trace_to_jsonl,
+                         write_trace_jsonl)
 
-from oracles import naive_simulate
+from oracles import naive_simulate, naive_trace_to_jsonl
 
 
 def single_mode_system(rates, signals=("x",), guards=(), transitions=None,
@@ -86,6 +87,23 @@ class TestSimulate:
             simulate(system, [50.0], {}, dt=1.0, horizon=50.0)
         assert err.value.signal == "x"
         assert err.value.time > 0
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_nonfinite_initial_state_raises_simulation_fault(self, value):
+        with pytest.raises(SimulationFault) as err:
+            simulate(drain_system(), [value], {}, dt=0.1, horizon=1.0)
+        assert (err.value.time, err.value.signal) == (0.0, "b")
+        with pytest.raises(SimulationFault) as naive:
+            naive_simulate(drain_system(), [value], {}, dt=0.1, horizon=1.0)
+        assert (naive.value.time, naive.value.signal) == (0.0, "b")
+
+    def test_nonfinite_initials_entry_raises_simulation_fault(self):
+        system = single_mode_system({"x": StateExpr(lambda s, p: 0.0)},
+                                    signals=("x", "y"), initials={"y": float("nan")})
+        for run in (simulate, naive_simulate):
+            with pytest.raises(SimulationFault) as err:
+                run(system, None, {}, 0.1, 1.0)
+            assert (err.value.time, err.value.signal) == (0.0, "y")
 
     def test_determinism_bit_identical(self):
         a = simulate(drain_system(), [100.0], {}, dt=0.1, horizon=10.0)
@@ -385,3 +403,67 @@ class TestSerialization:
         sample = json.loads(lines[1])
         assert set(sample) == {"t", "mode", "signals"}
         assert json.loads(lines[-1]).get("event") is not None
+
+
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 1e16, 1e-7, 0.1 + 0.2, float("nan"),
+                  float("inf"), float("-inf")]
+# JSON-escaped, %-formatting and non-ASCII characters
+NAMES = st.text(alphabet='ab"\\%{}é☃', max_size=4)
+VALUES = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+
+
+@st.composite
+def hand_built_traces(draw):
+    """Up to 30 samples over up to four signals in drawn (unsorted) order."""
+    n = draw(st.integers(1, 30))
+    names = draw(st.lists(NAMES, unique=True, max_size=4))
+    mode_names = draw(st.lists(NAMES, min_size=1, max_size=3))
+    column = st.lists(VALUES, min_size=n, max_size=n)
+    events = st.builds(TraceEvent, VALUES, NAMES, NAMES, NAMES)
+    return Trace(
+        times=np.array(draw(column)),
+        modes=[draw(st.sampled_from(mode_names)) for _ in range(n)],
+        signals={name: np.array(draw(column)) for name in names},
+        events=draw(st.lists(events, max_size=3)),
+        dt=draw(VALUES))
+
+
+class TestSerializerOracle:
+    """``trace_to_jsonl`` writes the same bytes as ``naive_trace_to_jsonl``."""
+
+    @ORACLE_SETTINGS
+    @given(trace=hand_built_traces())
+    def test_hand_built_traces(self, trace):
+        assert trace_to_jsonl(trace) == naive_trace_to_jsonl(trace)
+
+    def test_special_floats_one_sample_no_events(self):
+        for value in SPECIAL_FLOATS:
+            trace = Trace(times=np.array([value]), modes=["M"],
+                          signals={"z": np.array([value]), "a": np.array([-value])},
+                          events=[], dt=0.1)
+            assert trace_to_jsonl(trace) == naive_trace_to_jsonl(trace)
+
+    def test_escaped_names_in_unsorted_order(self):
+        names = ['z"q', "b\\s", "%s", "{0}", "é☃", "%%{", "a"]
+        trace = Trace(times=np.array([0.0, 0.1]), modes=['"%{é', "\\M"],
+                      signals={n: np.array([1.5, 2.0]) for n in names},
+                      events=[TraceEvent(0.1, "g%{", '"%{é', "\\M")], dt=0.1)
+        assert trace_to_jsonl(trace) == naive_trace_to_jsonl(trace)
+
+    def test_signed_zeros_in_one_column(self):
+        column = np.array([0.0, -0.0, 0.0, -0.0])
+        trace = Trace(times=np.arange(4) * 0.5, modes=["M"] * 4,
+                      signals={"x": column}, events=[], dt=0.5)
+        text = trace_to_jsonl(trace)
+        assert text == naive_trace_to_jsonl(trace)
+        assert '"x": -0.0' in text and '"x": 0.0' in text
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(config=drone_configs(), variant=st.sampled_from(list(ControllerVariant)),
+           kind=st.sampled_from(["surrogate", "goto", "idle"]))
+    def test_drone_traces(self, config, variant, kind):
+        if kind == "idle":
+            config = config.replacing(altitude_init=0.0, mission_start=1.0)
+        trace = simulate(_SYSTEMS[kind, variant], None, config,
+                         _PARAMS.dt, _PARAMS.horizon)
+        assert trace_to_jsonl(trace) == naive_trace_to_jsonl(trace)

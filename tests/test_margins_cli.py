@@ -142,12 +142,15 @@ class TestRunCommand:
 class TestInputErrors:
     """Bad input exits 2 with a one-line ``error:`` message, never a traceback."""
 
-    def run_scenario(self, capsys, path):
-        code = main(["run", "--scenario", str(path)])
+    def usage_error(self, capsys, argv):
+        code = main(argv)
         err = capsys.readouterr().err.strip().split("\n")
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error:"), err
         return err[0]
+
+    def run_scenario(self, capsys, path):
+        return self.usage_error(capsys, ["run", "--scenario", str(path)])
 
     def test_scenario_unknown_key(self, capsys, tmp_path):
         scenario = tmp_path / "scenario.json"
@@ -168,6 +171,28 @@ class TestInputErrors:
         scenario = tmp_path / "scenario.json"
         scenario.write_text(json.dumps(raw))
         assert next(iter(raw)) in self.run_scenario(capsys, scenario)
+
+    def run_space_file(self, capsys, tmp_path, path):
+        return self.usage_error(capsys, ["fuzz", "--runs", "2", "--space-file", str(path),
+                                         "--out-dir", str(tmp_path / "out")])
+
+    def test_space_file_missing(self, capsys, tmp_path):
+        self.run_space_file(capsys, tmp_path, tmp_path / "absent.json")
+
+    def test_space_file_malformed_json(self, capsys, tmp_path):
+        space_file = tmp_path / "space.json"
+        space_file.write_text("{not json")
+        self.run_space_file(capsys, tmp_path, space_file)
+
+    def test_space_file_without_bounds(self, capsys, tmp_path):
+        space_file = tmp_path / "space.json"
+        space_file.write_text(json.dumps({"orderings": []}))
+        assert "bounds" in self.run_space_file(capsys, tmp_path, space_file)
+
+    def test_space_file_non_list_bound(self, capsys, tmp_path):
+        space_file = tmp_path / "space.json"
+        space_file.write_text(json.dumps({"bounds": {"battery_init": 50.0}}))
+        assert "battery_init" in self.run_space_file(capsys, tmp_path, space_file)
 
     def test_non_integer_seed_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("HDSF_SEED", "seven")
