@@ -360,23 +360,9 @@ def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
 # Trace serialization (JSON lines)
 # ---------------------------------------------------------------------------
 
-_NONFINITE_JSON = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_floats(values) -> np.ndarray:
-    """JSON text of each value, as ``json.dumps`` writes a float.
-
-    For a finite float that text is ``repr``; each distinct value is
-    formatted once.  Values are told apart by their bits, so ``-0.0``
-    keeps its sign and does not merge with ``0.0``.
-    """
-    bits, inverse = np.unique(np.asarray(values, dtype=float).view(np.uint64),
-                              return_inverse=True)
-    distinct = bits.view(float)
-    text = repr(distinct.tolist())[1:-1].split(", ")
-    if not np.isfinite(distinct).all():
-        text = [_NONFINITE_JSON.get(s, s) for s in text]
-    return np.array(text, dtype=object)[inverse]
+def _json_floats(values) -> list[str]:
+    """JSON text of each value, exactly as ``json.dumps`` writes a float."""
+    return json.dumps(np.asarray(values, dtype=float).tolist())[1:-1].split(", ")
 
 
 def trace_to_jsonl(trace: Trace) -> str:
