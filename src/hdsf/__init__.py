@@ -20,7 +20,7 @@ from .errors import HdsfError
 from .falsify import (CampaignSummary, ViolationRecord, campaign, generate, mutate,
                       run_trial)
 from .hybrid import (ContinuousDynamics, Guard, HybridSystem, ModeId, StateExpr,
-                     Trace, Transition, project_trace, simulate)
+                     Trace, project_trace, simulate)
 from .margins import MarginPoint, compute_margins
 from .reduction import (ReducedSystem, RelevanceReport, build_surrogate,
                         relevant_modes, relevant_signals,

@@ -28,7 +28,7 @@ from .drone import (ControllerVariant, DroneParams, build_full_system,
                     build_surrogate_system, conformance_check, default_config_space,
                     default_configuration, phi_for, timing_comparison)
 from .errors import ConfigurationError, HdsfError
-from .falsify import campaign, generate, run_trial, write_margins_csv
+from .falsify import campaign, generate, run_trial, trial_rng, write_margins_csv
 from .margins import compute_margins, decision_index
 from .stl import Outcome
 
@@ -220,9 +220,7 @@ def _cmd_margins(args) -> int:
     rows = []
     counts: dict[str, int] = {}
     for trial in range(args.runs):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=args.seed,
-                                                           spawn_key=(trial,)))
-        config = generate(space, rng)
+        config = generate(space, trial_rng(args.seed, trial))
         verdict, trace = run_trial(surrogate, config, phi_for, params.dt, params.horizon)
         point = compute_margins(trace, config, verdict=verdict.outcome)
         rows.append((trial, config, point))

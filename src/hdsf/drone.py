@@ -10,10 +10,11 @@ variant deploys unconditionally on critical battery.
 The full model commands positions through saturated proportional
 guidance toward the mission waypoint and carries first-order actuator
 lag states for the velocity channels.  The lag poles (0.1 s) are why the
-full model is integrated at a much finer step than the surrogate: its
-default fidelity step is ``full_model_dt`` while the surrogate, whose
-condensed dynamics are piecewise constant rates, is exact at the coarse
-trace step.
+full model has its own, much finer fidelity step ``full_model_dt``, while
+the surrogate, whose condensed dynamics are piecewise constant rates, is
+exact at the coarse trace step ``dt``.  The timing comparison runs the
+full model at ``full_model_dt``; the conformance check runs both systems
+at the trace step it is given.
 
 Analysis starts mid-mission: reduction and conformance enter the system
 in GOTO, which is also why IDLE and TAKE_OFF fall out of the reduced
@@ -30,8 +31,7 @@ from typing import Sequence
 from .condensation import SURROGATE_SIGNALS, clamped_rate, condensed_drone_descent
 from .config import Configuration, ConfigSpace
 from .errors import ConfigurationError, TrialFault
-from .hybrid import (ContinuousDynamics, Guard, HybridSystem, ModeId, StateExpr,
-                     Transition)
+from .hybrid import ContinuousDynamics, Guard, HybridSystem, ModeId, StateExpr
 from .margins import AIRBORNE_MIN_ALTITUDE
 from .falsify import run_trial
 from .reduction import ReducedSystem, build_surrogate
@@ -129,7 +129,7 @@ def _emergency_guard(variant: ControllerVariant, params: DroneParams) -> Guard:
     param_reads = {"low_batt_threshold"}
     if variant is ControllerVariant.BUGGY:
         param_reads |= {"min_deploy_alt", "max_deploy_alt"}
-    return Guard("battery_critical", predicate,
+    return Guard("battery_critical", predicate, "PARACHUTE", _parachute_reset(params),
                  reads=frozenset({"battery", "altitude"}),
                  param_reads=frozenset(param_reads))
 
@@ -209,18 +209,17 @@ def build_full_system(params: DroneParams,
     emergency = _emergency_guard(variant, params)
     mission_start = Guard(
         "mission_start",
-        lambda s, cfg: cfg.get("mission_start", 0.0) >= 0.5,
+        lambda s, cfg: cfg.get("mission_start", 0.0) >= 0.5, "TAKE_OFF",
         param_reads=frozenset({"mission_start"}))
     cruise_reached = Guard(
         "cruise_altitude_reached",
-        lambda s, cfg: s["altitude"] >= CLIMB_FRACTION * wz,
+        lambda s, cfg: s["altitude"] >= CLIMB_FRACTION * wz, "GOTO",
         reads=frozenset({"altitude"}))
     waypoint_reached = Guard(
         "waypoint_reached",
         lambda s, cfg: (s["x"] - wx) ** 2 + (s["y"] - wy) ** 2 <= WAYPOINT_RADIUS ** 2,
-        reads=frozenset({"x", "y"}))
+        "LAND", reads=frozenset({"x", "y"}))
 
-    reset = _parachute_reset(params)
     return HybridSystem(
         modes=[ModeId(name, i) for i, name in enumerate(FULL_MODES)],
         dynamics={"IDLE": idle, "TAKE_OFF": take_off, "GOTO": goto,
@@ -231,14 +230,6 @@ def build_full_system(params: DroneParams,
             "GOTO": (emergency, waypoint_reached),
             "LAND": (emergency,),
             "PARACHUTE": (),
-        },
-        transitions={
-            "IDLE": {"mission_start": Transition("TAKE_OFF")},
-            "TAKE_OFF": {"cruise_altitude_reached": Transition("GOTO")},
-            "GOTO": {"battery_critical": Transition("PARACHUTE", reset),
-                     "waypoint_reached": Transition("LAND")},
-            "LAND": {"battery_critical": Transition("PARACHUTE", reset)},
-            "PARACHUTE": {},
         },
         initial_mode="IDLE",
         initials={"x": 0.0, "y": 0.0, "altitude": "altitude_init",
@@ -336,7 +327,8 @@ def conformance_check(params: DroneParams, variant: ControllerVariant,
                       configs: Sequence[Configuration], dt: float,
                       horizon: float) -> ConformanceReport:
     """Per-configuration verdict agreement between the full model (entered
-    in GOTO, trace projected to the property's signals) and the surrogate.
+    in GOTO, trace projected to the property's signals) and the surrogate,
+    both simulated at the step ``dt``.
 
     Configurations that fault in either system are excluded from the
     agreement denominator and reported separately.

@@ -197,7 +197,7 @@ def run_trial(surrogate, config: Configuration, formula: FormulaLike,
 
     try:
         verdict, trace = one_run(horizon)
-        if verdict.violated and verdict.window_truncated and not trace.settled:
+        if verdict.violated and verdict.window_truncated:
             verdict, trace = one_run(horizon + formula_horizon(phi) + 10.0 * dt)
     except SimulationFault as exc:
         raise TrialFault(exc, config) from exc
@@ -227,7 +227,8 @@ def violation_signature(config: Configuration, margins: MarginPoint) -> str:
 # Campaign
 # ---------------------------------------------------------------------------
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
+def trial_rng(seed: int, trial: int) -> np.random.Generator:
+    """The random stream of trial ``trial`` in a campaign seeded with ``seed``."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
 
 
@@ -264,7 +265,7 @@ def campaign(surrogate, formula: FormulaLike, space: ConfigSpace,
             break
         if budget is None and time.perf_counter() - started >= wall_clock_seconds:
             break
-        rng = _trial_rng(campaign_seed, trial)
+        rng = trial_rng(campaign_seed, trial)
         if pool and rng.random() < MUTATION_FRACTION:
             base_config, base_point = pool[int(rng.integers(len(pool)))]
             config = mutate(base_config, space, base_point, rng)

@@ -1,9 +1,10 @@
-"""Hybrid dynamical systems: modes, guarded transitions, and simulation.
+"""Hybrid dynamical systems: modes, guarded edges, and simulation.
 
 A system couples a finite set of control modes with per-mode continuous
-dynamics over one shared, ordered list of named signals.  Guards are
-predicates over the named state; when a guard fires, its transition's
-reset rewrites selected signals and the mode switches.
+dynamics over one shared, ordered list of named signals.  Each mode's
+outgoing edges are its guards: a guard is a predicate over the named
+state that names its target mode and its reset; when it fires, the reset
+rewrites selected signals and the mode switches to the target.
 
 Dynamics, guards, and resets all declare the signals and configuration
 parameters they read.  The declarations make the models statically
@@ -15,17 +16,17 @@ reads the pre-step state.  Guards are evaluated on every recorded
 sample, the initial one included, in declaration order; the first guard
 whose predicate holds fires.  The recorded sample at an event time
 carries the pre-transition state and mode, so a trace always shows the
-state the guard actually tested.  Simulation stops early, with the trace
-marked settled, in a terminal mode (no outgoing guards, static
-dynamics).  Dynamics, guard and reset callables are pure functions of
-``(state, params)`` and may be called any number of times.
+state the guard actually tested.  Every run ends at the horizon; a mode
+with no guards and no rates holds its state until then.  Dynamics, guard
+and reset callables are pure functions of ``(state, params)`` and may be
+called any number of times.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -62,9 +63,7 @@ class ContinuousDynamics:
     """Per-mode vector field over the shared signal list.
 
     ``rates`` maps a signal name to the :class:`StateExpr` computing its
-    time derivative; signals without an entry have derivative zero.  A
-    dynamics object with no entries is static, which (together with the
-    absence of outgoing guards) marks a terminal mode.
+    time derivative; signals without an entry have derivative zero.
     """
 
     def __init__(self, signal_names: Sequence[str], rates: Mapping[str, StateExpr]):
@@ -83,30 +82,25 @@ class ContinuousDynamics:
 
 @dataclass(frozen=True)
 class Guard:
-    """Predicate triggering a transition out of its source mode."""
+    """One edge out of a mode: when ``predicate`` holds, apply ``reset``
+    and switch to ``target``.
+
+    ``reset`` maps signal names to new-value expressions, which read the
+    pre-transition state; signals without an entry carry over unchanged.
+    ``reads`` and ``param_reads`` declare what ``predicate`` consults.
+    """
 
     label: str
     predicate: Callable[[StateMap, Params], bool]
-    reads: frozenset[str] = frozenset()
-    param_reads: frozenset[str] = frozenset()
-    source: str = ""
-
-
-@dataclass(frozen=True)
-class Transition:
-    """Target mode plus the reset applied when the guard fires.
-
-    ``reset`` maps signal names to new-value expressions; signals without
-    an entry carry over unchanged.
-    """
-
     target: str
     reset: Mapping[str, StateExpr] = field(default_factory=dict)
+    reads: frozenset[str] = frozenset()
+    param_reads: frozenset[str] = frozenset()
 
 
 @dataclass
 class HybridSystem:
-    """The tuple of modes, per-mode dynamics, guards, and transition maps.
+    """The tuple of modes, per-mode dynamics, and per-mode guarded edges.
 
     ``initials`` gives the default initial value per signal: a float, or
     the name of a configuration parameter to read it from.  Instances are
@@ -116,7 +110,6 @@ class HybridSystem:
     modes: list[ModeId]
     dynamics: dict[str, ContinuousDynamics]
     guards: dict[str, tuple[Guard, ...]]
-    transitions: dict[str, dict[str, Transition]]
     initial_mode: str
     initials: dict[str, Union[float, str]] = field(default_factory=dict)
 
@@ -137,27 +130,19 @@ class HybridSystem:
         if len(sig_lists) != 1:
             raise ConfigurationError("all modes must share one ordered signal list")
         self.signal_names = next(iter(sig_lists))
-        # normalize guard/transition tables, stamping guard sources
         for name in names:
-            self.guards.setdefault(name, ())
-            self.transitions.setdefault(name, {})
-            stamped = tuple(replace(g, source=name) for g in self.guards[name])
-            labels = [g.label for g in stamped]
+            self.guards[name] = tuple(self.guards.get(name, ()))
+            labels = [g.label for g in self.guards[name]]
             if len(set(labels)) != len(labels):
                 raise ConfigurationError(f"duplicate guard labels in mode {name}: {labels}")
-            self.guards[name] = stamped
-            for g in stamped:
-                if g.label not in self.transitions[name]:
+            for g in self.guards[name]:
+                if g.target not in names:
                     raise ConfigurationError(
-                        f"guard {g.label!r} of mode {name} has no transition entry")
-            for label, tr in self.transitions[name].items():
-                if tr.target not in names:
-                    raise ConfigurationError(
-                        f"transition {label!r} of mode {name} targets unknown mode {tr.target!r}")
-                bad = set(tr.reset) - set(self.signal_names)
+                        f"guard {g.label!r} of mode {name} targets unknown mode {g.target!r}")
+                bad = set(g.reset) - set(self.signal_names)
                 if bad:
                     raise ConfigurationError(
-                        f"reset of {label!r} writes undeclared signals: {sorted(bad)}")
+                        f"reset of {g.label!r} writes undeclared signals: {sorted(bad)}")
         bad = set(self.initials) - set(self.signal_names)
         if bad:
             raise ConfigurationError(f"initials for undeclared signals: {sorted(bad)}")
@@ -170,13 +155,9 @@ class HybridSystem:
             modes=list(self.modes),
             dynamics=dict(self.dynamics),
             guards=dict(self.guards),
-            transitions=dict(self.transitions),
             initial_mode=mode_name,
             initials=dict(self.initials),
         )
-
-    def is_terminal(self, mode_name: str) -> bool:
-        return not self.guards[mode_name] and not self.dynamics[mode_name].rates
 
     def initial_state(self, parameters: Params) -> np.ndarray:
         """Initial state vector built from ``initials`` and the configuration."""
@@ -203,8 +184,7 @@ class HybridSystem:
                 m.name: [
                     {"label": g.label, "reads": sorted(g.reads),
                      "params": sorted(g.param_reads),
-                     "target": self.transitions[m.name][g.label].target,
-                     "reset_writes": sorted(self.transitions[m.name][g.label].reset)}
+                     "target": g.target, "reset_writes": sorted(g.reset)}
                     for g in self.guards[m.name]
                 ]
                 for m in self.modes
@@ -231,13 +211,12 @@ class Trace:
 
     def __init__(self, times: np.ndarray, modes: list[str],
                  signals: dict[str, np.ndarray], events: list[TraceEvent],
-                 dt: float, settled: bool = False):
+                 dt: float):
         self.times = times
         self.modes = modes
         self.signals = signals
         self.events = events
         self.dt = dt
-        self.settled = settled
 
     def __len__(self) -> int:
         return len(self.times)
@@ -262,15 +241,14 @@ def project_trace(trace: Trace, signals: Sequence[str]) -> Trace:
         signals={s: trace.signals[s] for s in signals},
         events=trace.events,
         dt=trace.dt,
-        settled=trace.settled,
     )
 
 
-def _apply_reset(system: HybridSystem, transition: Transition, named: StateMap,
+def _apply_reset(system: HybridSystem, guard: Guard, named: StateMap,
                  parameters: Params, time: float) -> list[float]:
     new = []
     for name in system.signal_names:
-        expr = transition.reset.get(name)
+        expr = guard.reset.get(name)
         if expr is None:
             new.append(named[name])
             continue
@@ -287,10 +265,10 @@ def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
 
     Every sample k, t = 0 included, is handled the same way: record the
     state and mode at t = k * dt; fire the first guard of the mode that
-    holds on the recorded state, in declaration order, and apply its
-    reset; stop at the horizon, or with the trace marked settled in a
-    terminal mode (no outgoing guards, static dynamics); otherwise take
-    one forward-Euler step in which every rate reads the pre-step state.
+    holds on the recorded state, in declaration order, apply its reset
+    and switch to its target; stop at the horizon; otherwise take one
+    forward-Euler step in which every rate reads the pre-step state.  The
+    trace always holds ``round(horizon / dt) + 1`` samples.
 
     ``initial_state`` may be None, in which case it is built from the
     system's declared initials and the configuration.  A non-finite value
@@ -324,7 +302,6 @@ def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
     data = np.empty((n_steps + 1, len(names)))
     modes: list[str] = []
     events: list[TraceEvent] = []
-    settled = False
     mode = system.initial_mode
     for k in range(n_steps + 1):
         t = k * dt
@@ -333,16 +310,12 @@ def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
         modes.append(mode)
         for guard in system.guards[mode]:
             if guard.predicate(named, parameters):
-                transition = system.transitions[mode][guard.label]
-                events.append(TraceEvent(t, guard.label, mode, transition.target))
-                state = _apply_reset(system, transition, named, parameters, t)
+                events.append(TraceEvent(t, guard.label, mode, guard.target))
+                state = _apply_reset(system, guard, named, parameters, t)
                 named = dict(zip(names, state))
-                mode = transition.target
+                mode = guard.target
                 break
         if k == n_steps:
-            break
-        if system.is_terminal(mode):
-            settled = True
             break
         for i, name, f in rates[mode]:
             value = state[i] + dt * f(named, parameters)
@@ -350,11 +323,9 @@ def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
                 raise SimulationFault((k + 1) * dt, name, value)
             state[i] = value
 
-    data = data[:len(modes)]
-    times = np.arange(len(modes)) * dt
+    times = np.arange(n_steps + 1) * dt
     signals = {name: data[:, i].copy() for i, name in enumerate(names)}
-    return Trace(times=times, modes=modes, signals=signals, events=events,
-                 dt=dt, settled=settled)
+    return Trace(times=times, modes=modes, signals=signals, events=events, dt=dt)
 
 # ---------------------------------------------------------------------------
 # Trace serialization (JSON lines)

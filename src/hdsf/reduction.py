@@ -24,15 +24,13 @@ system empirically (per-configuration verdict agreement), not by proof.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Optional
 
 from .config import ConfigSpace
 from .errors import ProjectionError, ReductionError, SpecificationError
-from .hybrid import ContinuousDynamics, HybridSystem, ModeId, Transition
+from .hybrid import ContinuousDynamics, HybridSystem, ModeId
 from .stl import StlFormula, atom_signals
-
-SignalSet = frozenset
 
 
 @dataclass
@@ -84,19 +82,13 @@ def relevant_signals(formula: StlFormula, system: HybridSystem) -> frozenset[str
                 if sig in closure and not expr.reads <= closure:
                     closure |= expr.reads
                     changed = True
-            for label, tr in system.transitions[mode.name].items():
-                touched = False
-                for sig, expr in tr.reset.items():
-                    if sig in closure:
-                        touched = True
-                        if not expr.reads <= closure:
-                            closure |= expr.reads
-                            changed = True
-                if touched:
-                    for g in system.guards[mode.name]:
-                        if g.label == label and not g.reads <= closure:
-                            closure |= g.reads
-                            changed = True
+            for g in system.guards[mode.name]:
+                written = [expr for sig, expr in g.reset.items() if sig in closure]
+                if written:
+                    reads = g.reads.union(*(expr.reads for expr in written))
+                    if not reads <= closure:
+                        closure |= reads
+                        changed = True
     return frozenset(closure)
 
 
@@ -122,14 +114,13 @@ def relevant_modes(system: HybridSystem, signals: frozenset[str],
             continue
         reachable.add(mode)
         for g in ok_guards(mode):
-            frontier.append(system.transitions[mode][g.label].target)
+            frontier.append(g.target)
 
     def writes_kept(mode: str) -> bool:
         dyn = system.dynamics[mode]
         if any(sig in signals for sig in dyn.rates):
             return True
-        return any(set(tr.reset) & signals
-                   for tr in system.transitions[mode].values())
+        return any(set(g.reset) & signals for g in system.guards[mode])
 
     def guards_on_kept(mode: str) -> bool:
         return any(g.reads & signals for g in ok_guards(mode))
@@ -142,9 +133,8 @@ def relevant_modes(system: HybridSystem, signals: frozenset[str],
     pred: dict[str, list[str]] = {m: [] for m in reachable}
     for m in reachable:
         for g in ok_guards(m):
-            target = system.transitions[m][g.label].target
-            if target in pred:
-                pred[target].append(m)
+            if g.target in pred:
+                pred[g.target].append(m)
     can_reach_anchor = set(anchors)
     frontier = list(anchors)
     while frontier:
@@ -164,8 +154,7 @@ def relevant_modes(system: HybridSystem, signals: frozenset[str],
     reasons: dict[str, str] = {}
     for mode in names:
         if mode in kept:
-            labels = tuple(g.label for g in ok_guards(mode)
-                           if system.transitions[mode][g.label].target in kept)
+            labels = tuple(g.label for g in ok_guards(mode) if g.target in kept)
             guards_kept[mode] = labels
             why = []
             if writes_kept(mode):
@@ -191,8 +180,7 @@ def relevant_modes(system: HybridSystem, signals: frozenset[str],
                         f"dropped: reads irrelevant signals {sorted(g.reads - signals)}")
                 else:
                     reasons[f"guard:{mode}:{g.label}"] = (
-                        f"dropped: target {system.transitions[mode][g.label].target} "
-                        "was dropped")
+                        f"dropped: target {g.target} was dropped")
 
     return RelevanceReport(
         modes_kept=frozenset(kept),
@@ -242,7 +230,6 @@ def build_surrogate(system: HybridSystem, formula: StlFormula,
     reduced_modes = [ModeId(m.name, i) for i, m in enumerate(modes)]
     dynamics: dict[str, ContinuousDynamics] = {}
     guards = {}
-    transitions: dict[str, dict[str, Transition]] = {}
     params_used: set[str] = set()
 
     for m in reduced_modes:
@@ -258,25 +245,24 @@ def build_surrogate(system: HybridSystem, formula: StlFormula,
         params_used |= dyn.param_reads()
 
         kept_labels = set(report.guards_kept.get(m.name, ()))
-        kept_guards = tuple(g for g in system.guards[m.name] if g.label in kept_labels)
-        guards[m.name] = kept_guards
-        for g in kept_guards:
+        kept_guards = []
+        for g in system.guards[m.name]:
+            if g.label not in kept_labels:
+                continue
             params_used |= g.param_reads
-        transitions[m.name] = {}
-        for label in kept_labels:
-            tr = system.transitions[m.name][label]
             reset = {}
-            for sig, expr in tr.reset.items():
+            for sig, expr in g.reset.items():
                 if sig not in signals:
                     continue
                 dangling = expr.reads - signals
                 if dangling:
                     raise ProjectionError(
-                        f"reset of {label!r} writes kept signal {sig!r} but reads "
+                        f"reset of {g.label!r} writes kept signal {sig!r} but reads "
                         f"dropped signals {sorted(dangling)}")
                 reset[sig] = expr
                 params_used |= expr.params
-            transitions[m.name][label] = Transition(target=tr.target, reset=reset)
+            kept_guards.append(replace(g, reset=reset))
+        guards[m.name] = tuple(kept_guards)
 
     initials = {}
     for sig in kept_order:
@@ -289,7 +275,6 @@ def build_surrogate(system: HybridSystem, formula: StlFormula,
         modes=reduced_modes,
         dynamics=dynamics,
         guards=guards,
-        transitions=transitions,
         initial_mode=report.entry_mode,
         initials=initials,
     )
@@ -308,8 +293,7 @@ def verify_projection_closure(rs: ReducedSystem) -> bool:
         for g in rs.system.guards[mode.name]:
             if not g.reads <= available:
                 return False
-        for tr in rs.system.transitions[mode.name].values():
-            for expr in tr.reset.values():
+            for expr in g.reset.values():
                 if not expr.reads <= available:
                     return False
     return True

@@ -110,17 +110,16 @@ def _check_finite(state, names, t):
 
 
 def naive_simulate(system, initial_state, params, dt: float, horizon: float):
-    """``(times, modes, rows, events, settled)`` of a fixed-step run.
+    """``(times, modes, rows, events)`` of a fixed-step run.
 
     A transcription of the semantics in the ``hdsf.hybrid`` docstring over
     a plain dict state: sample k is taken at t = k * dt before any
     transition, so the sample at an event carries the pre-transition
     state; guards are tried in declaration order and the first true one
-    fires, its reset reading that sample; every Euler rate reads the
-    pre-step state; a mode with neither guards nor rates ends the run
-    (settled) unless the horizon is reached first; a non-finite value in
-    the initial state, after a step or after a reset raises
-    ``SimulationFault``.  ``rows`` holds one list of signal values per
+    fires, its reset reading that sample, and the mode switches to its
+    target; every Euler rate reads the pre-step state; every run ends at
+    the horizon; a non-finite value in the initial state, after a step or
+    after a reset raises ``SimulationFault``.  ``rows`` holds one list of signal values per
     sample and ``events`` one ``(t, guard, source, target)`` tuple per
     transition.
     """
@@ -132,13 +131,9 @@ def naive_simulate(system, initial_state, params, dt: float, horizon: float):
     _check_finite(state, names, 0.0)
     mode = system.initial_mode
     times, modes, rows, events = [], [], [], []
-    settled = False
     for k in range(int(round(horizon / dt)) + 1):
         if k > 0:
             rates = system.dynamics[mode].rates
-            if not rates and not system.guards[mode]:
-                settled = True
-                break
             derivative = {n: expr.func(state, params) for n, expr in rates.items()}
             state = {n: state[n] + dt * derivative[n] if n in derivative else state[n]
                      for n in names}
@@ -148,14 +143,13 @@ def naive_simulate(system, initial_state, params, dt: float, horizon: float):
         rows.append([state[n] for n in names])
         for guard in system.guards[mode]:
             if guard.predicate(state, params):
-                transition = system.transitions[mode][guard.label]
-                events.append((k * dt, guard.label, mode, transition.target))
-                state = {n: float(transition.reset[n].func(state, params))
-                         if n in transition.reset else state[n] for n in names}
+                events.append((k * dt, guard.label, mode, guard.target))
+                state = {n: float(guard.reset[n].func(state, params))
+                         if n in guard.reset else state[n] for n in names}
                 _check_finite(state, names, k * dt)
-                mode = transition.target
+                mode = guard.target
                 break
-    return times, modes, rows, events, settled
+    return times, modes, rows, events
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hdsf.condensation import condensed_drone_descent
+from hdsf.condensation import SURROGATE_SIGNALS, condensed_drone_descent
 from hdsf.drone import (ControllerVariant, DroneParams, build_full_system,
                         build_surrogate_system, conformance_check,
                         default_config_space, default_configuration,
@@ -200,6 +200,28 @@ class TestConformance:
         assert report.agreement == 1.0
         if variant is PATCHED:
             assert all(p.full is Outcome.SATISFIED for p in report.pairs)
+
+    @pytest.mark.parametrize("variant", [BUGGY, PATCHED])
+    def test_full_model_at_fidelity_step_agrees(self, variant):
+        # conformance_check runs both systems at the trace step; the full
+        # model at its fidelity step must give the surrogate's verdicts too
+        params = DroneParams()
+        full = build_full_system(params, variant).with_entry("GOTO")
+        surrogate = build_surrogate_system(params, variant)
+        space = default_config_space(params)
+        rng = np.random.default_rng(59)
+        outcomes = set()
+        for config in [generate(space, rng) for _ in range(10)]:
+            fine, trace = run_trial(full, config, phi_for, params.full_model_dt,
+                                    params.horizon, project_to=list(SURROGATE_SIGNALS))
+            coarse, _ = run_trial(surrogate, config, phi_for, params.dt, params.horizon)
+            assert trace.dt == params.full_model_dt
+            assert fine.outcome is coarse.outcome, config
+            outcomes.add(coarse.outcome)
+        if variant is BUGGY:
+            assert outcomes == {Outcome.VIOLATED, Outcome.SATISFIED}
+        else:
+            assert outcomes == {Outcome.SATISFIED}
 
 
 class TestTiming:

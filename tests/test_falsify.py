@@ -14,7 +14,7 @@ from hdsf.errors import SpaceError
 from hdsf.falsify import campaign, generate, mutate, run_trial, violation_signature
 from hdsf.hybrid import ContinuousDynamics, HybridSystem, ModeId, StateExpr
 from hdsf.margins import MarginPoint, quadrant_for
-from hdsf.stl import Atom, Globally, Outcome, evaluate
+from hdsf.stl import Atom, Globally, Outcome, evaluate, parse
 
 from oracles import buggy_violation_predicate
 
@@ -143,6 +143,16 @@ class TestRunTrial:
         verdict, trace = run_trial(patched, config, phi_for, params.dt, horizon)
         assert verdict.outcome is Outcome.SATISFIED
         assert trace.times[-1] > horizon  # the extension actually ran
+
+    def test_static_mode_is_judged_over_the_whole_horizon(self):
+        # a mode with no guards and no rates holds x = 1 to the horizon, so
+        # the whole [0, 5] window is observed and satisfied
+        system = HybridSystem(modes=[ModeId("M", 0)],
+                              dynamics={"M": ContinuousDynamics(("x",), {})},
+                              guards={}, initial_mode="M", initials={"x": 1.0})
+        verdict, trace = run_trial(system, {}, parse("G[0,5] x >= 0.5"), 0.1, 10.0)
+        assert verdict.outcome is Outcome.SATISFIED
+        assert len(trace) == 101
 
 
 class TestDedup:
@@ -279,7 +289,7 @@ class TestCampaign:
                                  reads=frozenset({"battery"}))})
         system = HybridSystem(
             modes=[ModeId("M", 0)], dynamics={"M": exploding},
-            guards={"M": ()}, transitions={"M": {}}, initial_mode="M",
+            guards={"M": ()}, initial_mode="M",
             initials={"battery": "battery_init", "altitude": "altitude_init"})
         space = ConfigSpace(bounds={"battery_init": (50.0, 100.0),
                                     "altitude_init": (10.0, 20.0),

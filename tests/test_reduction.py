@@ -7,8 +7,7 @@ from hdsf.config import ConfigSpace
 from hdsf.drone import (ControllerVariant, DroneParams, build_full_system,
                         build_surrogate_system)
 from hdsf.errors import ProjectionError, ReductionError, SpecificationError
-from hdsf.hybrid import (ContinuousDynamics, Guard, HybridSystem, ModeId,
-                         StateExpr, Transition)
+from hdsf.hybrid import ContinuousDynamics, Guard, HybridSystem, ModeId, StateExpr
 from hdsf.reduction import (ReducedSystem, build_surrogate, relevant_modes,
                             relevant_signals, verify_projection_closure)
 from hdsf.stl import And, Atom, Globally, builtin_phi
@@ -28,13 +27,14 @@ def chain_system(rates_reads, guard_reads=None):
     }
     dynamics = {m: ContinuousDynamics(signals, rates) for m in ("A", "B", "C")}
     guard_reads = guard_reads or {}
-    g_ab = Guard("ab", lambda s, p: True, reads=frozenset(guard_reads.get("ab", {"a"})))
-    g_bc = Guard("bc", lambda s, p: True, reads=frozenset(guard_reads.get("bc", {"a"})))
+    g_ab = Guard("ab", lambda s, p: True, "B",
+                 reads=frozenset(guard_reads.get("ab", {"a"})))
+    g_bc = Guard("bc", lambda s, p: True, "C",
+                 reads=frozenset(guard_reads.get("bc", {"a"})))
     return HybridSystem(
         modes=[ModeId("A", 0), ModeId("B", 1), ModeId("C", 2)],
         dynamics=dynamics,
         guards={"A": (g_ab,), "B": (g_bc,), "C": ()},
-        transitions={"A": {"ab": Transition("B")}, "B": {"bc": Transition("C")}, "C": {}},
         initial_mode="A",
     )
 
@@ -79,14 +79,13 @@ class TestRelevantSignals:
     def test_guard_reads_join_when_reset_writes_kept_signal(self):
         signals = ("a", "b", "c")
         dyn = {m: ContinuousDynamics(signals, {}) for m in ("A", "B")}
-        guard = Guard("g", lambda s, p: True, reads=frozenset({"c"}))
+        guard = Guard("g", lambda s, p: True, "B",
+                      {"a": StateExpr(lambda s, p: 1.0, reads=frozenset({"b"}))},
+                      reads=frozenset({"c"}))
         system = HybridSystem(
             modes=[ModeId("A", 0), ModeId("B", 1)],
             dynamics=dyn,
             guards={"A": (guard,), "B": ()},
-            transitions={"A": {"g": Transition(
-                "B", {"a": StateExpr(lambda s, p: 1.0, reads=frozenset({"b"}))})},
-                "B": {}},
             initial_mode="A",
         )
         closure = relevant_signals(Globally(Atom("a", ">", 0.0)), system)
@@ -135,9 +134,8 @@ class TestRelevantModes:
         system = HybridSystem(
             modes=[ModeId("IDLE", 0), ModeId("WORK", 1)],
             dynamics={"IDLE": dyn_idle, "WORK": dyn_work},
-            guards={"IDLE": (Guard("go", lambda s, p: True,
+            guards={"IDLE": (Guard("go", lambda s, p: True, "WORK",
                                    reads=frozenset({"b"})),), "WORK": ()},
-            transitions={"IDLE": {"go": Transition("WORK")}, "WORK": {}},
             initial_mode="IDLE",
         )
         with pytest.raises(ReductionError, match="entry"):
@@ -182,7 +180,6 @@ class TestRelevantModes:
             signals = tuple(names)
             dynamics = {}
             guards = {}
-            transitions = {}
             for m in mode_names:
                 rates = {}
                 for sig in names:
@@ -191,17 +188,14 @@ class TestRelevantModes:
                         rates[sig] = StateExpr(lambda s, p: 0.0, reads=reads)
                 dynamics[m] = ContinuousDynamics(signals, rates)
                 gs = []
-                trs = {}
                 for g_i in range(int(rng.integers(0, 3))):
-                    label = f"g{g_i}"
                     reads = frozenset(s for s in names if rng.random() < 0.35)
-                    gs.append(Guard(label, lambda s, p: False, reads=reads))
-                    trs[label] = Transition(mode_names[int(rng.integers(n_modes))])
+                    target = mode_names[int(rng.integers(n_modes))]
+                    gs.append(Guard(f"g{g_i}", lambda s, p: False, target, reads=reads))
                 guards[m] = tuple(gs)
-                transitions[m] = trs
             system = HybridSystem(
                 modes=[ModeId(m, i) for i, m in enumerate(mode_names)],
-                dynamics=dynamics, guards=guards, transitions=transitions,
+                dynamics=dynamics, guards=guards,
                 initial_mode="M0")
             small = frozenset(s for s in names if rng.random() < 0.5) or frozenset({"a"})
             large = small | frozenset(s for s in names if rng.random() < 0.5)
@@ -292,7 +286,7 @@ class TestVerifyProjectionClosure:
         dyn = ContinuousDynamics(
             signals, {"a": StateExpr(lambda s, p: 0.0, reads=frozenset({"ghost"}))})
         system = HybridSystem(modes=[ModeId("A", 0)], dynamics={"A": dyn},
-                              guards={"A": ()}, transitions={"A": {}},
+                              guards={"A": ()},
                               initial_mode="A")
         rs = ReducedSystem(system=system, report=None)
         assert not verify_projection_closure(rs)
