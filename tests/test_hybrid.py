@@ -32,16 +32,21 @@ def drain_system():
 
 
 class TestSimulate:
+    def test_zero_field_identity(self):
+        # a static mode without guards holds its state until the horizon
+        system = single_mode_system({})
+        trace = simulate(system, [5.0], {}, dt=0.1, horizon=1.0)
+        assert len(trace) == 11
+        assert all(v == 5.0 for v in trace.signals["x"])
+        assert trace.events == []
+
     def test_zero_field_with_guard_runs_full_horizon(self):
-        # with or without an outgoing guard, a static mode holds its state
-        # until the horizon
         never = Guard("never", lambda s, p: False, "M")
-        for guards in ((), (never,)):
-            system = single_mode_system({}, guards=guards)
-            trace = simulate(system, [5.0], {}, dt=0.1, horizon=1.0)
-            assert len(trace) == 11
-            assert all(v == 5.0 for v in trace.signals["x"])
-            assert trace.events == []
+        system = single_mode_system({}, guards=[never])
+        trace = simulate(system, [5.0], {}, dt=0.1, horizon=1.0)
+        assert len(trace) == 11
+        assert all(v == 5.0 for v in trace.signals["x"])
+        assert trace.events == []
 
     def test_constant_drain_closed_form(self):
         trace = simulate(drain_system(), [100.0], {}, dt=0.1, horizon=10.0)
