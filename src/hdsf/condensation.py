@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import CondensationError, ConfigurationError, SolveError
-from .hybrid import ContinuousDynamics, StateExpr
+from .hybrid import StateExpr
 
 if TYPE_CHECKING:
     from .drone import DroneParams
@@ -203,15 +203,16 @@ def clamped_rate(level: float, rate: float) -> float:
     return rate if level > 0.0 else (rate if rate > 0.0 else 0.0)
 
 
-def condensed_drone_descent(params: "DroneParams", mode: str = "PARACHUTE") -> ContinuousDynamics:
-    """Two-variable (battery, altitude) dynamics for one surrogate mode,
+def condensed_drone_descent(params: "DroneParams",
+                            mode: str = "PARACHUTE") -> dict[str, StateExpr]:
+    """Two-variable (battery, altitude) rates for one surrogate mode,
     obtained by condensing the block physical model onto the interface.
 
     Battery stops draining at empty; altitude stops falling at ground.
     """
     cs = condense(drone_block_system(mode, params), DRONE_INTERFACE_PARTITION)
     battery_rate, altitude_rate = (float(v) for v in solve_condensed(cs))
-    rates = {
+    return {
         "battery": StateExpr(
             lambda s, p, r=battery_rate: clamped_rate(s["battery"], r),
             reads=frozenset({"battery"})),
@@ -219,4 +220,3 @@ def condensed_drone_descent(params: "DroneParams", mode: str = "PARACHUTE") -> C
             lambda s, p, r=altitude_rate: clamped_rate(s["altitude"], r),
             reads=frozenset({"altitude"})),
     }
-    return ContinuousDynamics(SURROGATE_SIGNALS, rates)

@@ -115,14 +115,22 @@ class ConfigSpace:
                 visit(node)
 
     def _check_feasible(self):
-        # tighten effective upper bounds along the ordering DAG; a strict
-        # chain a < b is feasible iff lo_a < effective hi with nonzero width
+        # propagate lower bounds forward and upper bounds backward along the
+        # ordering DAG; then each strict a < b is feasible iff lo_a < hi_b
+        lo = {name: bound[0] for name, bound in self.bounds.items()}
+        hi = {name: bound[1] for name, bound in self.bounds.items()}
+        changed = True
+        while changed:
+            changed = False
+            for a, b in self.orderings:
+                if lo[a] > lo[b]:
+                    lo[b], changed = lo[a], True
+                if hi[b] < hi[a]:
+                    hi[a], changed = hi[b], True
         for a, b in self.orderings:
-            lo_a, _ = self.bounds[a]
-            _, hi_b = self.bounds[b]
-            if not lo_a < hi_b:
-                raise SpaceError(
-                    f"constraint {a} < {b} infeasible: [{self.bounds[a]}] vs [{self.bounds[b]}]")
+            if not lo[a] < hi[b]:
+                raise SpaceError(f"constraint {a} < {b} infeasible: along the "
+                                 f"orderings {a} >= {lo[a]} but {b} <= {hi[b]}")
 
     @property
     def names(self) -> list[str]:

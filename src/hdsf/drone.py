@@ -31,14 +31,13 @@ from typing import Sequence
 from .condensation import SURROGATE_SIGNALS, clamped_rate, condensed_drone_descent
 from .config import Configuration, ConfigSpace
 from .errors import ConfigurationError, TrialFault
-from .hybrid import ContinuousDynamics, Guard, HybridSystem, ModeId, StateExpr
+from .hybrid import Guard, HybridSystem, StateExpr
 from .margins import AIRBORNE_MIN_ALTITUDE
 from .falsify import run_trial
 from .reduction import ReducedSystem, build_surrogate
 from .stl import Outcome, StlFormula, builtin_phi
 
 FULL_SIGNALS = ("x", "y", "altitude", "vx", "vy", "vz", "battery", "deployed_flag")
-FULL_MODES = ("IDLE", "TAKE_OFF", "GOTO", "LAND", "PARACHUTE")
 
 # Parameters the surrogate's search space ranges over.
 SURROGATE_PARAMETERS = ("battery_init", "altitude_init", "min_deploy_alt",
@@ -176,35 +175,34 @@ def build_full_system(params: DroneParams,
 
     zero_cmd = lambda s: 0.0
 
-    idle = ContinuousDynamics(FULL_SIGNALS, {})
-    take_off = ContinuousDynamics(FULL_SIGNALS, {
+    take_off = {
         "altitude": StateExpr(lambda s, p: climb_cmd(s), reads=frozenset({"altitude"})),
         "vx": lag(zero_cmd, "vx"),
         "vy": lag(zero_cmd, "vy"),
         "vz": lag(climb_cmd, "vz", extra_reads=("altitude",)),
         "battery": cruise_battery,
-    })
-    goto = ContinuousDynamics(FULL_SIGNALS, {
+    }
+    goto = {
         "x": StateExpr(lambda s, p: vx_cmd(s), reads=frozenset({"x"})),
         "y": StateExpr(lambda s, p: vy_cmd(s), reads=frozenset({"y"})),
         "vx": lag(vx_cmd, "vx", extra_reads=("x",)),
         "vy": lag(vy_cmd, "vy", extra_reads=("y",)),
         "vz": lag(zero_cmd, "vz"),
         "battery": cruise_battery,
-    })
-    land = ContinuousDynamics(FULL_SIGNALS, {
+    }
+    land = {
         "altitude": StateExpr(lambda s, p: clamped_rate(s["altitude"], land_cmd(s)),
                               reads=frozenset({"altitude"})),
         "vx": lag(zero_cmd, "vx"),
         "vy": lag(zero_cmd, "vy"),
         "vz": lag(land_cmd, "vz", extra_reads=("altitude",)),
         "battery": hover_battery,
-    })
-    parachute = ContinuousDynamics(FULL_SIGNALS, {
+    }
+    parachute = {
         "altitude": StateExpr(
             lambda s, p, r=params.descent_rate: clamped_rate(s["altitude"], -r),
             reads=frozenset({"altitude"})),
-    })
+    }
 
     emergency = _emergency_guard(variant, params)
     mission_start = Guard(
@@ -221,15 +219,14 @@ def build_full_system(params: DroneParams,
         "LAND", reads=frozenset({"x", "y"}))
 
     return HybridSystem(
-        modes=[ModeId(name, i) for i, name in enumerate(FULL_MODES)],
-        dynamics={"IDLE": idle, "TAKE_OFF": take_off, "GOTO": goto,
+        signal_names=FULL_SIGNALS,
+        dynamics={"IDLE": {}, "TAKE_OFF": take_off, "GOTO": goto,
                   "LAND": land, "PARACHUTE": parachute},
         guards={
             "IDLE": (mission_start,),
             "TAKE_OFF": (cruise_reached,),
             "GOTO": (emergency, waypoint_reached),
             "LAND": (emergency,),
-            "PARACHUTE": (),
         },
         initial_mode="IDLE",
         initials={"x": 0.0, "y": 0.0, "altitude": "altitude_init",

@@ -233,22 +233,16 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
 
 
 def campaign(surrogate, formula: FormulaLike, space: ConfigSpace,
-             budget: Optional[int], *, dt: float, horizon: float,
-             seed: Optional[int] = None, out_dir=None,
-             wall_clock_seconds: Optional[float] = None
+             budget: int, *, dt: float, horizon: float,
+             seed: Optional[int] = None, out_dir=None
              ) -> tuple[CampaignSummary, list[ViolationRecord]]:
-    """Run a falsification campaign.
+    """Run a falsification campaign of ``budget`` trials.
 
-    ``budget`` is a run count (the deterministic mode); pass None with
-    ``wall_clock_seconds`` for exploratory wall-time campaigns, which are
-    documented as nondeterministic.  With ``out_dir`` set, writes
-    summary.json, violations.jsonl, margins.csv, and one trace file per
-    unique violation.  Aborts when more than ``MAX_FAULT_FRACTION`` of
-    trials fault.
+    With ``out_dir`` set, writes summary.json, violations.jsonl,
+    margins.csv, and one trace file per unique violation.  Aborts when
+    more than ``MAX_FAULT_FRACTION`` of trials fault.
     """
-    if budget is None and wall_clock_seconds is None:
-        raise SpaceError("campaign needs a run-count or wall-clock budget")
-    if budget is not None and budget < 0:
+    if budget < 0:
         raise SpaceError(f"budget must be nonnegative, got {budget}")
     campaign_seed = int(seed if seed is not None else space.rng_seed)
     started = time.perf_counter()
@@ -259,12 +253,7 @@ def campaign(surrogate, formula: FormulaLike, space: ConfigSpace,
     rows: list[tuple[int, Configuration, MarginPoint]] = []
     faults: list[tuple[int, str]] = []
 
-    trial = 0
-    while True:
-        if budget is not None and trial >= budget:
-            break
-        if budget is None and time.perf_counter() - started >= wall_clock_seconds:
-            break
+    for trial in range(budget):
         rng = trial_rng(campaign_seed, trial)
         if pool and rng.random() < MUTATION_FRACTION:
             base_config, base_point = pool[int(rng.integers(len(pool)))]
@@ -281,7 +270,6 @@ def campaign(surrogate, formula: FormulaLike, space: ConfigSpace,
                 raise SpaceError(
                     f"campaign aborted: {len(faults)}/{completed} trials faulted; "
                     f"first fault: {faults[0][1]}") from exc
-            trial += 1
             continue
 
         point = compute_margins(trace, config, verdict=verdict.outcome)
@@ -301,13 +289,11 @@ def campaign(surrogate, formula: FormulaLike, space: ConfigSpace,
                     signature=signature,
                     trace=trace,
                 ))
-        trial += 1
 
-    total = trial
     summary = CampaignSummary(
-        total_runs=total,
+        total_runs=budget,
         unique_violations=len(violations),
-        violation_rate=(len(violations) / total) if total else 0.0,
+        violation_rate=(len(violations) / budget) if budget else 0.0,
         seed=campaign_seed,
         wall_time=time.perf_counter() - started,
     )

@@ -1,10 +1,12 @@
 """Hybrid dynamical systems: modes, guarded edges, and simulation.
 
-A system couples a finite set of control modes with per-mode continuous
-dynamics over one shared, ordered list of named signals.  Each mode's
-outgoing edges are its guards: a guard is a predicate over the named
-state that names its target mode and its reset; when it fires, the reset
-rewrites selected signals and the mode switches to the target.
+A system declares one ordered list of named signals, shared by every
+mode, and gives each control mode its own flow: a dict of rates keyed by
+signal.  A mode is nothing but its name, a key of the system's
+``dynamics``.  Each mode's outgoing edges are its guards: a guard is a
+predicate over the named state that names its target mode and its reset;
+when it fires, the reset rewrites selected signals and the mode switches
+to the target.
 
 Dynamics, guards, and resets all declare the signals and configuration
 parameters they read.  The declarations make the models statically
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -35,14 +37,6 @@ from .errors import ConfigurationError, ProjectionError, SimulationFault
 
 StateMap = Mapping[str, float]
 Params = Mapping[str, float]
-
-
-@dataclass(frozen=True)
-class ModeId:
-    """Discrete control mode, unique by name within a system."""
-
-    name: str
-    index: int
 
 
 @dataclass(frozen=True)
@@ -57,27 +51,6 @@ class StateExpr:
     func: Callable[[StateMap, Params], float]
     reads: frozenset[str] = frozenset()
     params: frozenset[str] = frozenset()
-
-
-class ContinuousDynamics:
-    """Per-mode vector field over the shared signal list.
-
-    ``rates`` maps a signal name to the :class:`StateExpr` computing its
-    time derivative; signals without an entry have derivative zero.
-    """
-
-    def __init__(self, signal_names: Sequence[str], rates: Mapping[str, StateExpr]):
-        self.signal_names = tuple(signal_names)
-        unknown = set(rates) - set(self.signal_names)
-        if unknown:
-            raise ConfigurationError(f"rates for undeclared signals: {sorted(unknown)}")
-        self.rates = dict(rates)
-
-    def param_reads(self) -> frozenset[str]:
-        out: set[str] = set()
-        for expr in self.rates.values():
-            out |= expr.params
-        return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -100,64 +73,59 @@ class Guard:
 
 @dataclass
 class HybridSystem:
-    """The tuple of modes, per-mode dynamics, and per-mode guarded edges.
+    """A hybrid automaton: one ordered signal list shared by every mode,
+    a flow per mode, and per-mode guarded edges.
 
+    ``signal_names`` declares the state once.  The keys of ``dynamics``,
+    in order, are the modes; each maps to that mode's rates, a
+    ``{signal: StateExpr}`` dict giving a signal's time derivative
+    (signals without an entry have derivative zero).  ``guards`` maps a
+    mode to its outgoing edges; a mode without an entry has none.
     ``initials`` gives the default initial value per signal: a float, or
     the name of a configuration parameter to read it from.  Instances are
     treated as immutable after construction.
     """
 
-    modes: list[ModeId]
-    dynamics: dict[str, ContinuousDynamics]
+    signal_names: tuple[str, ...]
+    dynamics: dict[str, dict[str, StateExpr]]
     guards: dict[str, tuple[Guard, ...]]
     initial_mode: str
     initials: dict[str, Union[float, str]] = field(default_factory=dict)
 
     def __post_init__(self):
-        names = [m.name for m in self.modes]
-        if len(set(names)) != len(names):
-            raise ConfigurationError(f"duplicate mode names: {names}")
-        for i, m in enumerate(self.modes):
-            if m.index != i:
-                raise ConfigurationError(f"mode {m.name} has index {m.index}, expected {i}")
-        if self.initial_mode not in names:
-            raise ConfigurationError(f"initial mode {self.initial_mode!r} not in {names}")
-        sig_lists = set()
-        for name in names:
-            if name not in self.dynamics:
-                raise ConfigurationError(f"mode {name} has no dynamics")
-            sig_lists.add(self.dynamics[name].signal_names)
-        if len(sig_lists) != 1:
-            raise ConfigurationError("all modes must share one ordered signal list")
-        self.signal_names = next(iter(sig_lists))
-        for name in names:
-            self.guards[name] = tuple(self.guards.get(name, ()))
-            labels = [g.label for g in self.guards[name]]
+        self.signal_names = tuple(self.signal_names)
+        declared = set(self.signal_names)
+        if self.initial_mode not in self.dynamics:
+            raise ConfigurationError(
+                f"initial mode {self.initial_mode!r} not in {list(self.dynamics)}")
+        unknown = self.guards.keys() - self.dynamics.keys()
+        if unknown:
+            raise ConfigurationError(f"guards for unknown modes: {sorted(unknown)}")
+        for name, rates in self.dynamics.items():
+            bad = set(rates) - declared
+            if bad:
+                raise ConfigurationError(
+                    f"rates of mode {name} for undeclared signals: {sorted(bad)}")
+        self.guards = {name: tuple(self.guards.get(name, ())) for name in self.dynamics}
+        for name, guards in self.guards.items():
+            labels = [g.label for g in guards]
             if len(set(labels)) != len(labels):
                 raise ConfigurationError(f"duplicate guard labels in mode {name}: {labels}")
-            for g in self.guards[name]:
-                if g.target not in names:
+            for g in guards:
+                if g.target not in self.dynamics:
                     raise ConfigurationError(
                         f"guard {g.label!r} of mode {name} targets unknown mode {g.target!r}")
-                bad = set(g.reset) - set(self.signal_names)
+                bad = set(g.reset) - declared
                 if bad:
                     raise ConfigurationError(
                         f"reset of {g.label!r} writes undeclared signals: {sorted(bad)}")
-        bad = set(self.initials) - set(self.signal_names)
+        bad = set(self.initials) - declared
         if bad:
             raise ConfigurationError(f"initials for undeclared signals: {sorted(bad)}")
 
     def with_entry(self, mode_name: str) -> "HybridSystem":
         """Copy of the system starting in ``mode_name``."""
-        if mode_name not in (m.name for m in self.modes):
-            raise ConfigurationError(f"unknown mode {mode_name!r}")
-        return HybridSystem(
-            modes=list(self.modes),
-            dynamics=dict(self.dynamics),
-            guards=dict(self.guards),
-            initial_mode=mode_name,
-            initials=dict(self.initials),
-        )
+        return replace(self, initial_mode=mode_name)
 
     def initial_state(self, parameters: Params) -> np.ndarray:
         """Initial state vector built from ``initials`` and the configuration."""
@@ -178,21 +146,20 @@ class HybridSystem:
         """Comparable description of the discrete structure (no callables)."""
         return {
             "signals": list(self.signal_names),
-            "modes": [m.name for m in self.modes],
+            "modes": list(self.dynamics),
             "initial_mode": self.initial_mode,
             "guards": {
-                m.name: [
+                name: [
                     {"label": g.label, "reads": sorted(g.reads),
                      "params": sorted(g.param_reads),
                      "target": g.target, "reset_writes": sorted(g.reset)}
-                    for g in self.guards[m.name]
+                    for g in guards
                 ]
-                for m in self.modes
+                for name, guards in self.guards.items()
             },
             "dynamics": {
-                m.name: {s: sorted(self.dynamics[m.name].rates[s].reads)
-                         for s in sorted(self.dynamics[m.name].rates)}
-                for m in self.modes
+                name: {s: sorted(rates[s].reads) for s in sorted(rates)}
+                for name, rates in self.dynamics.items()
             },
             "initials": {k: v for k, v in sorted(self.initials.items())},
         }
@@ -279,6 +246,8 @@ def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
     ``(state, params)``: the simulator may call them any number of times,
     and their results may depend on nothing else.
     """
+    if not (math.isfinite(dt) and math.isfinite(horizon)):
+        raise ConfigurationError(f"dt {dt} and horizon {horizon} must be finite")
     if dt <= 0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
     if horizon < dt:
@@ -294,8 +263,8 @@ def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
     for name, value in zip(names, state):
         if not math.isfinite(value):
             raise SimulationFault(0.0, name, value)
-    rates = {mode: [(i, name, dyn.rates[name].func)
-                    for i, name in enumerate(names) if name in dyn.rates]
+    rates = {mode: [(i, name, dyn[name].func)
+                    for i, name in enumerate(names) if name in dyn]
              for mode, dyn in system.dynamics.items()}
 
     n_steps = int(round(horizon / dt))

@@ -29,7 +29,7 @@ from typing import Mapping, Optional
 
 from .config import ConfigSpace
 from .errors import ProjectionError, ReductionError, SpecificationError
-from .hybrid import ContinuousDynamics, HybridSystem, ModeId
+from .hybrid import HybridSystem, StateExpr
 from .stl import StlFormula, atom_signals
 
 
@@ -76,13 +76,12 @@ def relevant_signals(formula: StlFormula, system: HybridSystem) -> frozenset[str
     changed = True
     while changed:
         changed = False
-        for mode in system.modes:
-            dyn = system.dynamics[mode.name]
-            for sig, expr in dyn.rates.items():
+        for mode, rates in system.dynamics.items():
+            for sig, expr in rates.items():
                 if sig in closure and not expr.reads <= closure:
                     closure |= expr.reads
                     changed = True
-            for g in system.guards[mode.name]:
+            for g in system.guards[mode]:
                 written = [expr for sig, expr in g.reset.items() if sig in closure]
                 if written:
                     reads = g.reads.union(*(expr.reads for expr in written))
@@ -98,7 +97,7 @@ def relevant_modes(system: HybridSystem, signals: frozenset[str],
     if not signals:
         raise SpecificationError("relevance analysis needs a nonempty signal set")
     entry = entry_mode or system.initial_mode
-    names = [m.name for m in system.modes]
+    names = list(system.dynamics)
     if entry not in names:
         raise ReductionError(f"entry mode {entry!r} is not a mode of the system")
 
@@ -117,8 +116,7 @@ def relevant_modes(system: HybridSystem, signals: frozenset[str],
             frontier.append(g.target)
 
     def writes_kept(mode: str) -> bool:
-        dyn = system.dynamics[mode]
-        if any(sig in signals for sig in dyn.rates):
+        if any(sig in signals for sig in system.dynamics[mode]):
             return True
         return any(set(g.reset) & signals for g in system.guards[mode])
 
@@ -192,61 +190,65 @@ def relevant_modes(system: HybridSystem, signals: frozenset[str],
     )
 
 
-def project_dynamics(dyn: ContinuousDynamics, kept: frozenset[str],
-                     signal_order: tuple[str, ...]) -> ContinuousDynamics:
-    """Restrict a vector field to the kept signals.
+def project_dynamics(rates: Mapping[str, StateExpr],
+                     kept: frozenset[str]) -> dict[str, StateExpr]:
+    """Restrict a mode's rates to the kept signals.
 
     Raises ProjectionError if the rate of a kept signal reads a dropped one.
     """
-    rates = {}
-    for sig, expr in dyn.rates.items():
+    out = {}
+    for sig, expr in rates.items():
         if sig not in kept:
             continue
         dangling = expr.reads - kept
         if dangling:
             raise ProjectionError(
                 f"rate of kept signal {sig!r} reads dropped signals {sorted(dangling)}")
-        rates[sig] = expr
-    return ContinuousDynamics(signal_order, rates)
+        out[sig] = expr
+    return out
 
 
 def build_surrogate(system: HybridSystem, formula: StlFormula,
-                    condensed_dynamics: Optional[Mapping[str, ContinuousDynamics]] = None,
+                    condensed_dynamics: Optional[Mapping[str, Mapping[str, StateExpr]]] = None,
                     entry_mode: Optional[str] = None,
                     parameter_space: Optional[ConfigSpace] = None) -> ReducedSystem:
     """Assemble the executable reduced system for ``formula``.
 
-    Per-mode dynamics are taken from ``condensed_dynamics`` where given,
-    otherwise the original dynamics projected onto the kept signals.  The
-    parameter space, when provided, is restricted to the parameters the
-    reduced system actually reads.
+    Per-mode rates are taken from ``condensed_dynamics`` where given,
+    otherwise the original rates projected onto the kept signals.
+    Condensed rates must rate and read kept signals only.  The parameter
+    space, when provided, is restricted to the parameters the reduced
+    system actually reads.
     """
     signals = relevant_signals(formula, system)
     report = relevant_modes(system, signals, entry_mode=entry_mode)
     kept_order = tuple(s for s in system.signal_names if s in signals)
 
     condensed = dict(condensed_dynamics or {})
-    modes = [m for m in system.modes if m.name in report.modes_kept]
-    reduced_modes = [ModeId(m.name, i) for i, m in enumerate(modes)]
-    dynamics: dict[str, ContinuousDynamics] = {}
+    dynamics: dict[str, dict[str, StateExpr]] = {}
     guards = {}
     params_used: set[str] = set()
 
-    for m in reduced_modes:
-        if m.name in condensed:
-            dyn = condensed[m.name]
-            if tuple(dyn.signal_names) != kept_order:
-                raise ProjectionError(
-                    f"condensed dynamics for {m.name} are over {dyn.signal_names}, "
-                    f"expected {kept_order}")
+    for mode in system.dynamics:
+        if mode not in report.modes_kept:
+            continue
+        if mode in condensed:
+            rates = condensed[mode]
+            for sig, expr in rates.items():
+                outside = ({sig} | expr.reads) - signals
+                if outside:
+                    raise ProjectionError(
+                        f"condensed rate of {sig!r} in mode {mode} rates or reads "
+                        f"dropped signals {sorted(outside)}")
         else:
-            dyn = project_dynamics(system.dynamics[m.name], signals, kept_order)
-        dynamics[m.name] = dyn
-        params_used |= dyn.param_reads()
+            rates = project_dynamics(system.dynamics[mode], signals)
+        dynamics[mode] = rates
+        for expr in rates.values():
+            params_used |= expr.params
 
-        kept_labels = set(report.guards_kept.get(m.name, ()))
+        kept_labels = set(report.guards_kept.get(mode, ()))
         kept_guards = []
-        for g in system.guards[m.name]:
+        for g in system.guards[mode]:
             if g.label not in kept_labels:
                 continue
             params_used |= g.param_reads
@@ -262,7 +264,7 @@ def build_surrogate(system: HybridSystem, formula: StlFormula,
                 reset[sig] = expr
                 params_used |= expr.params
             kept_guards.append(replace(g, reset=reset))
-        guards[m.name] = tuple(kept_guards)
+        guards[mode] = tuple(kept_guards)
 
     initials = {}
     for sig in kept_order:
@@ -272,7 +274,7 @@ def build_surrogate(system: HybridSystem, formula: StlFormula,
             params_used.add(init)
 
     reduced = HybridSystem(
-        modes=reduced_modes,
+        signal_names=kept_order,
         dynamics=dynamics,
         guards=guards,
         initial_mode=report.entry_mode,
@@ -285,12 +287,11 @@ def build_surrogate(system: HybridSystem, formula: StlFormula,
 def verify_projection_closure(rs: ReducedSystem) -> bool:
     """True iff no kept guard, reset, or dynamics reads a dropped signal."""
     available = set(rs.system.signal_names)
-    for mode in rs.system.modes:
-        dyn = rs.system.dynamics[mode.name]
-        for expr in dyn.rates.values():
+    for mode, rates in rs.system.dynamics.items():
+        for expr in rates.values():
             if not expr.reads <= available:
                 return False
-        for g in rs.system.guards[mode.name]:
+        for g in rs.system.guards[mode]:
             if not g.reads <= available:
                 return False
             for expr in g.reset.values():

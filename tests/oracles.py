@@ -133,7 +133,7 @@ def naive_simulate(system, initial_state, params, dt: float, horizon: float):
     times, modes, rows, events = [], [], [], []
     for k in range(int(round(horizon / dt)) + 1):
         if k > 0:
-            rates = system.dynamics[mode].rates
+            rates = system.dynamics[mode]
             derivative = {n: expr.func(state, params) for n, expr in rates.items()}
             state = {n: state[n] + dt * derivative[n] if n in derivative else state[n]
                      for n in names}

@@ -1,0 +1,61 @@
+"""Pinned bytes of the deterministic outputs.
+
+Campaign artifacts and conformance verdicts must stay byte-identical for
+a fixed (seed, run count) unless a change says why they move.  These
+digests were recorded from the code before the mode/signal refactor;
+when a change alters the outputs on purpose, record the new digests
+together with the reason.
+"""
+
+import hashlib
+
+import numpy as np
+
+from hdsf.drone import (ControllerVariant, DroneParams, build_surrogate_system,
+                        conformance_check, default_config_space, phi_for)
+from hdsf.falsify import campaign, generate
+
+CAMPAIGN_DIGESTS = {
+    "summary.json": "c16ad77be7a5a34e7151770348f59a6a38ea5746d6201acf261cac4cdbc1ee98",
+    "violations.jsonl": "0072b5f24294440d318079f22986ad388f372f4ef8ab2afd44a07bc1fdd8ab79",
+    "margins.csv": "108297f7b4b5896dd3b12cb995057a03ed562e3c6f8996c51c34b0bd70e44fe7",
+}
+# 44 trace files, hashed as name, NUL, bytes in sorted name order
+TRACES_DIGEST = "3757ed55282a69104fd9fc54dbca40608d897351b107c6b5ad8d13ebf663e423"
+# one "<full> <surrogate>" verdict line per configuration
+CONFORMANCE_DIGESTS = {
+    ControllerVariant.BUGGY:
+        "51f2d5a122b2cdbae96a919ec870d6d46f1ac206748415e671f4ac024c82c46d",
+    ControllerVariant.PATCHED:
+        "1259df7da0dbd6eb821f748b4bed02d14a9c76ad1536b9098a6956f6f9699a44",
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_buggy_campaign_artifacts_pinned(tmp_path):
+    params = DroneParams()
+    surrogate = build_surrogate_system(params, ControllerVariant.BUGGY)
+    campaign(surrogate, phi_for, surrogate.parameter_space, 60,
+             dt=params.dt, horizon=params.horizon, seed=7, out_dir=tmp_path)
+    for name, digest in CAMPAIGN_DIGESTS.items():
+        assert sha256((tmp_path / name).read_bytes()) == digest, name
+    traces = sorted((tmp_path / "traces").iterdir())
+    assert len(traces) == 44
+    joined = b"".join(f"traces/{p.name}".encode() + b"\0" + p.read_bytes()
+                      for p in traces)
+    assert sha256(joined) == TRACES_DIGEST
+
+
+def test_conformance_verdicts_pinned():
+    params = DroneParams()
+    space = default_config_space(params)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=1))
+    configs = [generate(space, rng) for _ in range(20)]
+    for variant, digest in CONFORMANCE_DIGESTS.items():
+        report = conformance_check(params, variant, configs, params.dt, params.horizon)
+        assert report.faults == []
+        text = "".join(f"{p.full.value} {p.surrogate.value}\n" for p in report.pairs)
+        assert sha256(text.encode()) == digest, variant

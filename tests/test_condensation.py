@@ -145,21 +145,21 @@ class TestCondensedDroneDescent:
         params = DroneParams()
         dyn = condensed_drone_descent(params, "GOTO")
         state = {"altitude": 50.0, "battery": 80.0, "deployed_flag": 0.0}
-        assert dyn.rates["battery"].func(state, {}) == -params.cruise_drain
-        assert dyn.rates["altitude"].func(state, {}) == 0.0
+        assert dyn["battery"].func(state, {}) == -params.cruise_drain
+        assert dyn["altitude"].func(state, {}) == 0.0
 
     def test_descent_rates_match_parameters_exactly(self):
         params = DroneParams()
         dyn = condensed_drone_descent(params, "PARACHUTE")
         state = {"altitude": 50.0, "battery": 80.0, "deployed_flag": 0.0}
-        assert dyn.rates["battery"].func(state, {}) == 0.0
-        assert dyn.rates["altitude"].func(state, {}) == -params.descent_rate
+        assert dyn["battery"].func(state, {}) == 0.0
+        assert dyn["altitude"].func(state, {}) == -params.descent_rate
 
     def test_zero_drain_gives_zero_battery_rate(self):
         params = DroneParams(cruise_drain=0.0)
         dyn = condensed_drone_descent(params, "GOTO")
         state = {"altitude": 50.0, "battery": 80.0, "deployed_flag": 0.0}
-        assert dyn.rates["battery"].func(state, {}) == 0.0
+        assert dyn["battery"].func(state, {}) == 0.0
 
     def test_matches_full_model_fields_on_grid(self):
         """Condensed per-mode rates equal the full model's projected rates."""
@@ -174,9 +174,9 @@ class TestCondensedDroneDescent:
                              "vx": 0.0, "vy": 0.0, "vz": 0.0,
                              "battery": battery, "deployed_flag": 0.0}
                     for sig in ("battery", "altitude"):
-                        expr = full_dyn.rates.get(sig)
+                        expr = full_dyn.get(sig)
                         full_rate = expr.func(state, {}) if expr else 0.0
-                        cond_rate = condensed.rates[sig].func(state, {})
+                        cond_rate = condensed[sig].func(state, {})
                         assert cond_rate == pytest.approx(full_rate, abs=1e-9)
 
     def test_clamps(self):

@@ -254,9 +254,9 @@ class TestCondensedInterplay:
         params = DroneParams()
         goto = condensed_drone_descent(params, "GOTO")
         state = {"altitude": 20.0, "battery": 50.0, "deployed_flag": 0.0}
-        assert goto.rates["battery"].func(state, {}) == -params.cruise_drain
+        assert goto["battery"].func(state, {}) == -params.cruise_drain
         parachute = condensed_drone_descent(params, "PARACHUTE")
-        assert parachute.rates["altitude"].func(state, {}) == -params.descent_rate
+        assert parachute["altitude"].func(state, {}) == -params.descent_rate
 
     def test_surrogate_descends_to_ground_and_stops(self):
         params = DroneParams()

@@ -12,7 +12,7 @@ from hdsf.drone import (ControllerVariant, DroneParams, build_surrogate_system,
                         default_config_space, default_configuration, phi_for)
 from hdsf.errors import SpaceError
 from hdsf.falsify import campaign, generate, mutate, run_trial, violation_signature
-from hdsf.hybrid import ContinuousDynamics, HybridSystem, ModeId, StateExpr
+from hdsf.hybrid import HybridSystem, StateExpr
 from hdsf.margins import MarginPoint, quadrant_for
 from hdsf.stl import Atom, Globally, Outcome, evaluate, parse
 
@@ -57,6 +57,19 @@ class TestGenerate:
         with pytest.raises(SpaceError, match="infeasible"):
             ConfigSpace(bounds={"lo": (10.0, 20.0), "hi": (0.0, 5.0)},
                         orderings=(("lo", "hi"),))
+
+    def test_infeasible_ordering_chain_rejected_at_construction(self):
+        # each pair is feasible on its own, but a >= 10 and c <= 5 leave no
+        # room for a < b < c
+        with pytest.raises(SpaceError, match="infeasible"):
+            ConfigSpace(bounds={"a": (10.0, 20.0), "b": (0.0, 30.0), "c": (0.0, 5.0)},
+                        orderings=(("a", "b"), ("b", "c")))
+
+    def test_feasible_ordering_chain_constructs(self):
+        space = ConfigSpace(bounds={"a": (10.0, 20.0), "b": (0.0, 30.0),
+                                    "c": (0.0, 12.0)},
+                            orderings=(("a", "b"), ("b", "c")))
+        assert space.contains(Configuration({"a": 10.0, "b": 11.0, "c": 12.0}))
 
     def test_cyclic_orderings_rejected(self):
         with pytest.raises(SpaceError, match="cycle"):
@@ -147,8 +160,7 @@ class TestRunTrial:
     def test_static_mode_is_judged_over_the_whole_horizon(self):
         # a mode with no guards and no rates holds x = 1 to the horizon, so
         # the whole [0, 5] window is observed and satisfied
-        system = HybridSystem(modes=[ModeId("M", 0)],
-                              dynamics={"M": ContinuousDynamics(("x",), {})},
+        system = HybridSystem(signal_names=("x",), dynamics={"M": {}},
                               guards={}, initial_mode="M", initials={"x": 1.0})
         verdict, trace = run_trial(system, {}, parse("G[0,5] x >= 0.5"), 0.1, 10.0)
         assert verdict.outcome is Outcome.SATISFIED
@@ -267,28 +279,13 @@ class TestCampaign:
                                    "trace_file"}
             assert (tmp_path / record["trace_file"]).exists()
 
-    def test_wall_clock_budget_terminates(self):
-        surrogate = build_surrogate_system(self.params, ControllerVariant.BUGGY)
-        summary, _ = campaign(
-            surrogate, phi_for, surrogate.parameter_space, None,
-            dt=self.params.dt, horizon=self.params.horizon, seed=2,
-            wall_clock_seconds=0.3)
-        assert summary.total_runs >= 1
-        assert summary.wall_time >= 0.3
-
-    def test_budget_required(self):
-        surrogate = build_surrogate_system(self.params, ControllerVariant.BUGGY)
-        with pytest.raises(SpaceError, match="budget"):
-            campaign(surrogate, phi_for, surrogate.parameter_space, None,
-                     dt=self.params.dt, horizon=self.params.horizon)
-
     def test_persistent_faults_abort(self):
         signals = ("battery", "altitude")
-        exploding = ContinuousDynamics(signals, {
+        exploding = {
             "battery": StateExpr(lambda s, p: s["battery"] * s["battery"] * 1e30,
-                                 reads=frozenset({"battery"}))})
+                                 reads=frozenset({"battery"}))}
         system = HybridSystem(
-            modes=[ModeId("M", 0)], dynamics={"M": exploding},
+            signal_names=signals, dynamics={"M": exploding},
             guards={"M": ()}, initial_mode="M",
             initials={"battery": "battery_init", "altitude": "altitude_init"})
         space = ConfigSpace(bounds={"battery_init": (50.0, 100.0),

@@ -8,18 +8,17 @@ from hdsf.config import Configuration
 from hdsf.drone import (ControllerVariant, DroneParams, build_full_system,
                         build_surrogate_system, default_config_space)
 from hdsf.errors import ConfigurationError, ProjectionError, SimulationFault
-from hdsf.hybrid import (ContinuousDynamics, Guard, HybridSystem, ModeId,
-                         StateExpr, Trace, TraceEvent, project_trace,
-                         read_trace_jsonl, simulate, trace_to_jsonl,
-                         write_trace_jsonl)
+from hdsf.hybrid import (Guard, HybridSystem, StateExpr, Trace, TraceEvent,
+                         project_trace, read_trace_jsonl, simulate,
+                         trace_to_jsonl, write_trace_jsonl)
 
 from oracles import naive_simulate, naive_trace_to_jsonl
 
 
 def single_mode_system(rates, signals=("x",), guards=(), initials=None):
     return HybridSystem(
-        modes=[ModeId("M", 0)],
-        dynamics={"M": ContinuousDynamics(signals, rates)},
+        signal_names=signals,
+        dynamics={"M": rates},
         guards={"M": tuple(guards)},
         initial_mode="M",
         initials=initials or {},
@@ -119,9 +118,8 @@ def two_mode_system(guard_pred, reset=None):
     rates_a = {"x": StateExpr(lambda s, p: 1.0)}
     guard = Guard("go", guard_pred, "B", reset or {}, reads=frozenset({"x"}))
     return HybridSystem(
-        modes=[ModeId("A", 0), ModeId("B", 1)],
-        dynamics={"A": ContinuousDynamics(signals, rates_a),
-                  "B": ContinuousDynamics(signals, {})},
+        signal_names=signals,
+        dynamics={"A": rates_a, "B": {}},
         guards={"A": (guard,), "B": ()},
         initial_mode="A",
     )
@@ -161,8 +159,8 @@ class TestGuardsAndEvents:
         first = Guard("first", lambda s, p: True, "B")
         second = Guard("second", lambda s, p: True, "C")
         system = HybridSystem(
-            modes=[ModeId("A", 0), ModeId("B", 1), ModeId("C", 2)],
-            dynamics={m: ContinuousDynamics(signals, {}) for m in ("A", "B", "C")},
+            signal_names=signals,
+            dynamics={m: {} for m in ("A", "B", "C")},
             guards={"A": (first, second), "B": (), "C": ()},
             initial_mode="A",
         )
@@ -189,9 +187,9 @@ class TestStep:
         # B has no rate for "flag", so no Euler step would catch the NaN
         signals = ("x", "flag")
         system = HybridSystem(
-            modes=[ModeId("A", 0), ModeId("B", 1)],
-            dynamics={"A": ContinuousDynamics(signals, {"x": StateExpr(lambda s, p: 1.0)}),
-                      "B": ContinuousDynamics(signals, {"x": StateExpr(lambda s, p: 1.0)})},
+            signal_names=signals,
+            dynamics={"A": {"x": StateExpr(lambda s, p: 1.0)},
+                      "B": {"x": StateExpr(lambda s, p: 1.0)}},
             guards={"A": (Guard("go", lambda s, p: s["x"] >= 0.5, "B",
                                 {"flag": StateExpr(lambda s, p: float("nan"))},
                                 reads=frozenset({"x"})),),
@@ -263,7 +261,7 @@ def small_systems(draw):
     dynamics, guards = {}, {}
     for mode in modes:
         rated = draw(st.lists(signal, unique=True))
-        dynamics[mode] = ContinuousDynamics(signals, {n: affine() for n in rated})
+        dynamics[mode] = {n: affine() for n in rated}
         guards[mode] = []
         for j in range(draw(st.integers(0, 2))):
             src, bound, above = draw(signal), draw(st.floats(-2.0, 2.0)), draw(st.booleans())
@@ -273,7 +271,7 @@ def small_systems(draw):
                 draw(st.sampled_from(modes)), {n: reset_value() for n in written},
                 reads=frozenset({src})))
     system = HybridSystem(
-        modes=[ModeId(m, i) for i, m in enumerate(modes)], dynamics=dynamics,
+        signal_names=signals, dynamics=dynamics,
         guards={m: tuple(g) for m, g in guards.items()},
         initial_mode=draw(st.sampled_from(modes)))
     initial = draw(st.lists(st.floats(-2.0, 2.0), min_size=len(signals),
@@ -349,14 +347,30 @@ class TestProjection:
 
 
 class TestSystemValidation:
-    def test_mismatched_signal_lists_rejected(self):
-        with pytest.raises(ConfigurationError, match="signal list"):
-            HybridSystem(
-                modes=[ModeId("A", 0), ModeId("B", 1)],
-                dynamics={"A": ContinuousDynamics(("x",), {}),
-                          "B": ContinuousDynamics(("y",), {})},
-                guards={}, initial_mode="A",
-            )
+    def test_rate_for_undeclared_signal_rejected(self):
+        with pytest.raises(ConfigurationError, match=r"mode B.*\['y'\]"):
+            HybridSystem(signal_names=("x",),
+                         dynamics={"A": {}, "B": {"y": StateExpr(lambda s, p: 1.0)}},
+                         guards={}, initial_mode="A")
+
+    def test_guards_for_unknown_mode_rejected(self):
+        # a misspelt mode key must not silently drop that mode's guards
+        with pytest.raises(ConfigurationError, match=r"unknown modes: \['B'\]"):
+            HybridSystem(signal_names=("x",), dynamics={"A": {}},
+                         guards={"B": (Guard("g", lambda s, p: True, "A"),)},
+                         initial_mode="A")
+
+    def test_callers_guards_dict_left_unchanged(self):
+        go = Guard("go", lambda s, p: True, "B")
+        guards = {"A": [go]}
+        system = HybridSystem(signal_names=("x",), dynamics={"A": {}, "B": {}},
+                              guards=guards, initial_mode="A")
+        assert guards == {"A": [go]}
+        assert system.guards == {"A": (go,), "B": ()}
+
+    def test_unknown_entry_mode_rejected(self):
+        with pytest.raises(ConfigurationError, match="initial mode 'NOPE'"):
+            single_mode_system({}).with_entry("NOPE")
 
     def test_unknown_guard_target_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown mode"):

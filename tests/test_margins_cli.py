@@ -194,6 +194,15 @@ class TestInputErrors:
         space_file.write_text(json.dumps({"bounds": {"battery_init": 50.0}}))
         self.run_space_file(capsys, tmp_path, space_file)
 
+    @pytest.mark.parametrize("flag, value", [("--dt", "nan"), ("--horizon", "nan"),
+                                             ("--horizon", "inf")])
+    def test_nonfinite_step_or_horizon(self, capsys, flag, value):
+        assert "finite" in self.usage_error(capsys, ["run", flag, value])
+
+    def test_negative_run_count(self, capsys, tmp_path):
+        assert "budget" in self.usage_error(
+            capsys, ["fuzz", "--runs", "-1", "--out-dir", str(tmp_path / "out")])
+
     def test_non_integer_seed_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("HDSF_SEED", "seven")
         with pytest.raises(SystemExit) as err:

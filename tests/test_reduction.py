@@ -7,7 +7,7 @@ from hdsf.config import ConfigSpace
 from hdsf.drone import (ControllerVariant, DroneParams, build_full_system,
                         build_surrogate_system)
 from hdsf.errors import ProjectionError, ReductionError, SpecificationError
-from hdsf.hybrid import ContinuousDynamics, Guard, HybridSystem, ModeId, StateExpr
+from hdsf.hybrid import Guard, HybridSystem, StateExpr
 from hdsf.reduction import (ReducedSystem, build_surrogate, relevant_modes,
                             relevant_signals, verify_projection_closure)
 from hdsf.stl import And, Atom, Globally, builtin_phi
@@ -25,14 +25,14 @@ def chain_system(rates_reads, guard_reads=None):
         sig: StateExpr(lambda s, p: 0.0, reads=frozenset(reads))
         for sig, reads in rates_reads.items()
     }
-    dynamics = {m: ContinuousDynamics(signals, rates) for m in ("A", "B", "C")}
+    dynamics = {m: rates for m in ("A", "B", "C")}
     guard_reads = guard_reads or {}
     g_ab = Guard("ab", lambda s, p: True, "B",
                  reads=frozenset(guard_reads.get("ab", {"a"})))
     g_bc = Guard("bc", lambda s, p: True, "C",
                  reads=frozenset(guard_reads.get("bc", {"a"})))
     return HybridSystem(
-        modes=[ModeId("A", 0), ModeId("B", 1), ModeId("C", 2)],
+        signal_names=signals,
         dynamics=dynamics,
         guards={"A": (g_ab,), "B": (g_bc,), "C": ()},
         initial_mode="A",
@@ -78,12 +78,12 @@ class TestRelevantSignals:
 
     def test_guard_reads_join_when_reset_writes_kept_signal(self):
         signals = ("a", "b", "c")
-        dyn = {m: ContinuousDynamics(signals, {}) for m in ("A", "B")}
+        dyn = {m: {} for m in ("A", "B")}
         guard = Guard("g", lambda s, p: True, "B",
                       {"a": StateExpr(lambda s, p: 1.0, reads=frozenset({"b"}))},
                       reads=frozenset({"c"}))
         system = HybridSystem(
-            modes=[ModeId("A", 0), ModeId("B", 1)],
+            signal_names=signals,
             dynamics=dyn,
             guards={"A": (guard,), "B": ()},
             initial_mode="A",
@@ -128,12 +128,10 @@ class TestRelevantModes:
     def test_entry_mode_dropped_raises(self):
         # entry writes nothing relevant and reaches nothing relevant
         signals = ("a", "b")
-        dyn_idle = ContinuousDynamics(signals, {})
-        dyn_work = ContinuousDynamics(
-            signals, {"a": StateExpr(lambda s, p: 1.0, reads=frozenset())})
+        dyn_work = {"a": StateExpr(lambda s, p: 1.0, reads=frozenset())}
         system = HybridSystem(
-            modes=[ModeId("IDLE", 0), ModeId("WORK", 1)],
-            dynamics={"IDLE": dyn_idle, "WORK": dyn_work},
+            signal_names=signals,
+            dynamics={"IDLE": {}, "WORK": dyn_work},
             guards={"IDLE": (Guard("go", lambda s, p: True, "WORK",
                                    reads=frozenset({"b"})),), "WORK": ()},
             initial_mode="IDLE",
@@ -145,7 +143,7 @@ class TestRelevantModes:
         full = build_full_system(DroneParams(), ControllerVariant.BUGGY)
         signals = relevant_signals(drone_phi(), full)
         report = relevant_modes(full, signals, entry_mode="GOTO")
-        all_modes = {m.name for m in full.modes}
+        all_modes = set(full.dynamics)
         assert report.modes_kept | report.modes_dropped == all_modes
         assert not report.modes_kept & report.modes_dropped
         for mode in all_modes:
@@ -186,7 +184,7 @@ class TestRelevantModes:
                     if rng.random() < 0.5:
                         reads = frozenset(s for s in names if rng.random() < 0.3)
                         rates[sig] = StateExpr(lambda s, p: 0.0, reads=reads)
-                dynamics[m] = ContinuousDynamics(signals, rates)
+                dynamics[m] = rates
                 gs = []
                 for g_i in range(int(rng.integers(0, 3))):
                     reads = frozenset(s for s in names if rng.random() < 0.35)
@@ -194,7 +192,7 @@ class TestRelevantModes:
                     gs.append(Guard(f"g{g_i}", lambda s, p: False, target, reads=reads))
                 guards[m] = tuple(gs)
             system = HybridSystem(
-                modes=[ModeId(m, i) for i, m in enumerate(mode_names)],
+                signal_names=signals,
                 dynamics=dynamics, guards=guards,
                 initial_mode="M0")
             small = frozenset(s for s in names if rng.random() < 0.5) or frozenset({"a"})
@@ -212,7 +210,7 @@ class TestBuildSurrogate:
         params = DroneParams()
         full = build_full_system(params, ControllerVariant.BUGGY)
         rs = build_surrogate(full, drone_phi(params), entry_mode="GOTO")
-        assert [m.name for m in rs.system.modes] == ["GOTO", "PARACHUTE"]
+        assert list(rs.system.dynamics) == ["GOTO", "PARACHUTE"]
         assert rs.system.signal_names == ("altitude", "battery", "deployed_flag")
         assert rs.system.initial_mode == "GOTO"
         labels = [g.label for g in rs.system.guards["GOTO"]]
@@ -254,16 +252,15 @@ class TestBuildSurrogate:
         # the closure normally pulls dependencies in, so exercise the
         # defensive check directly with an undersized kept set
         from hdsf.reduction import project_dynamics
-        dyn = ContinuousDynamics(
-            ("a", "b"), {"a": StateExpr(lambda s, p: s["b"], reads=frozenset({"b"}))})
+        rates = {"a": StateExpr(lambda s, p: s["b"], reads=frozenset({"b"}))}
         with pytest.raises(ProjectionError, match="'a'.*\\['b'\\]"):
-            project_dynamics(dyn, frozenset({"a"}), ("a",))
+            project_dynamics(rates, frozenset({"a"}))
 
-    def test_condensed_shape_mismatch_rejected(self):
+    def test_condensed_rate_for_dropped_signal_rejected(self):
         params = DroneParams()
         full = build_full_system(params, ControllerVariant.BUGGY)
-        wrong = ContinuousDynamics(("battery",), {})
-        with pytest.raises(ProjectionError, match="expected"):
+        wrong = {"x": StateExpr(lambda s, p: 1.0)}
+        with pytest.raises(ProjectionError, match=r"'x'.*\['x'\]"):
             build_surrogate(full, drone_phi(params),
                             condensed_dynamics={"GOTO": wrong}, entry_mode="GOTO")
 
@@ -283,9 +280,8 @@ class TestVerifyProjectionClosure:
 
     def test_dangling_read_detected(self):
         signals = ("a",)
-        dyn = ContinuousDynamics(
-            signals, {"a": StateExpr(lambda s, p: 0.0, reads=frozenset({"ghost"}))})
-        system = HybridSystem(modes=[ModeId("A", 0)], dynamics={"A": dyn},
+        dyn = {"a": StateExpr(lambda s, p: 0.0, reads=frozenset({"ghost"}))}
+        system = HybridSystem(signal_names=signals, dynamics={"A": dyn},
                               guards={"A": ()},
                               initial_mode="A")
         rs = ReducedSystem(system=system, report=None)
