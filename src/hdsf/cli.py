@@ -6,6 +6,7 @@ Commands:
   fuzz         falsification campaign with summary / violation log / margins CSV
   conformance  full-vs-surrogate verdict agreement over sampled configurations
   margins      margin-space export for sampled configurations
+  timing       full-model vs surrogate wall-clock comparison
 
 Exit codes: 0 success / property satisfied, 1 property violated or
 agreement below 100%, 2 usage or configuration error, 3 simulation
@@ -33,7 +34,19 @@ from .margins import compute_margins, decision_index
 from .stl import Outcome
 
 
-def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
+# Flag groups: a subcommand takes only the groups whose flags its _cmd_* reads.
+def _add_model_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--variant", choices=[v.value for v in ControllerVariant],
+                        default="buggy", help="controller variant")
+    parser.add_argument("--dt", type=float, default=None,
+                        help="integration / trace step in seconds (default 0.05)")
+    parser.add_argument("--horizon", type=float, default=None,
+                        help="simulation horizon in seconds (default 120.0)")
+    parser.add_argument("--scenario", type=str, default=None,
+                        help="JSON file with scenario parameters")
+
+
+def _add_trial_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--battery", type=float, default=100.0,
                         help="initial battery percentage")
     parser.add_argument("--altitude", type=float, default=70.0,
@@ -42,25 +55,23 @@ def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
                         help="minimum allowed deployment altitude (default 60.0)")
     parser.add_argument("--max-deploy-alt", type=float, default=None,
                         help="maximum allowed deployment altitude (default 80.0)")
-    parser.add_argument("--batt-threshold", type=float, default=None,
-                        help="low battery threshold percent (default 10.0)")
+    parser.add_argument("--batt-threshold", dest="low_batt_threshold", type=float,
+                        default=None, help="low battery threshold percent (default 10.0)")
     parser.add_argument("--delta", type=float, default=None,
                         help="allowed deployment delay in seconds (default 2.0)")
-    parser.add_argument("--variant", choices=[v.value for v in ControllerVariant],
-                        default="buggy", help="controller variant")
+
+
+def _add_seed_flag(parser: argparse.ArgumentParser) -> None:
     # a string default goes through type=int, so a bad HDSF_SEED is a usage error
     parser.add_argument("--seed", type=int,
                         default=os.environ.get("HDSF_SEED", "0"),
                         help="random seed (HDSF_SEED overrides the default)")
+
+
+def _add_batch_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--runs", type=int, default=200, help="number of runs")
     parser.add_argument("--out-dir", type=str, default="hdsf-out",
                         help="output directory for campaign artifacts")
-    parser.add_argument("--dt", type=float, default=None,
-                        help="integration / trace step in seconds (default 0.05)")
-    parser.add_argument("--horizon", type=float, default=None,
-                        help="simulation horizon in seconds (default 120.0)")
-    parser.add_argument("--scenario", type=str, default=None,
-                        help="JSON file with scenario parameters")
 
 
 def _like(default, value, where: str):
@@ -97,19 +108,13 @@ def _load_scenario(path: str) -> dict:
 
 
 def _resolve_params(args) -> DroneParams:
-    """Defaults, overridden by the scenario file, overridden by explicit flags."""
+    """Defaults, overridden by the scenario file, overridden by those of the
+    command's flags that name a DroneParams field."""
     values = _load_scenario(args.scenario) if args.scenario else {}
-    flag_values = {
-        "min_deploy_alt": args.min_deploy_alt,
-        "max_deploy_alt": args.max_deploy_alt,
-        "low_batt_threshold": args.batt_threshold,
-        "delta": args.delta,
-        "dt": args.dt,
-        "horizon": args.horizon,
-    }
-    for key, value in flag_values.items():
+    for f in dataclasses.fields(DroneParams):
+        value = getattr(args, f.name, None)
         if value is not None:
-            values[key] = value
+            values[f.name] = value
     return DroneParams(**values)
 
 
@@ -257,39 +262,37 @@ def build_parser() -> argparse.ArgumentParser:
                     "and falsify its safety property.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="one surrogate trial")
-    _add_shared_flags(p_run)
-    p_run.set_defaults(func=_cmd_run)
+    def command(name, func, summary, *flag_groups):
+        p = sub.add_parser(name, help=summary)
+        for add_flags in (_add_model_flags, *flag_groups):
+            add_flags(p)
+        p.set_defaults(func=func)
+        return p
 
-    p_full = sub.add_parser("run-full", help="one full-model trial")
-    _add_shared_flags(p_full)
+    command("run", _cmd_run, "one surrogate trial", _add_trial_flags)
+
+    p_full = command("run-full", _cmd_run_full, "one full-model trial", _add_trial_flags)
     p_full.add_argument("--entry", choices=["goto", "idle"], default="goto",
                         help="start mid-mission (goto) or fly the whole mission (idle)")
     p_full.add_argument("--full-dt", action="store_true",
                         help="integrate at the full model's fidelity step")
-    p_full.set_defaults(func=_cmd_run_full)
 
-    p_fuzz = sub.add_parser("fuzz", help="falsification campaign")
-    _add_shared_flags(p_fuzz)
+    p_fuzz = command("fuzz", _cmd_fuzz, "falsification campaign",
+                     _add_seed_flag, _add_batch_flags)
     p_fuzz.add_argument("--space-file", type=str, default=None,
                         help="JSON configuration-space file (bounds/orderings)")
-    p_fuzz.set_defaults(func=_cmd_fuzz)
 
-    p_conf = sub.add_parser("conformance", help="full-vs-surrogate verdict agreement")
-    _add_shared_flags(p_conf)
+    p_conf = command("conformance", _cmd_conformance,
+                     "full-vs-surrogate verdict agreement", _add_seed_flag)
     p_conf.add_argument("--n-configs", type=int, default=100,
                         help="number of sampled configurations")
-    p_conf.set_defaults(func=_cmd_conformance)
 
-    p_marg = sub.add_parser("margins", help="margin-space export")
-    _add_shared_flags(p_marg)
-    p_marg.set_defaults(func=_cmd_margins)
+    command("margins", _cmd_margins, "margin-space export", _add_seed_flag, _add_batch_flags)
 
-    p_time = sub.add_parser("timing", help="full-vs-surrogate wall-clock comparison")
-    _add_shared_flags(p_time)
+    p_time = command("timing", _cmd_timing, "full-vs-surrogate wall-clock comparison",
+                     _add_seed_flag)
     p_time.add_argument("--n-configs", type=int, default=50,
                         help="number of sampled configurations")
-    p_time.set_defaults(func=_cmd_timing)
 
     return parser
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
 from .errors import ConfigurationError, MissingParameterError, SpaceError
@@ -66,9 +66,6 @@ class Configuration(Mapping[str, float]):
     def as_dict(self) -> dict[str, float]:
         return dict(self._values)
 
-    def to_json(self) -> str:
-        return json.dumps(self._values, sort_keys=True)
-
 
 @dataclass(frozen=True)
 class ConfigSpace:
@@ -76,12 +73,17 @@ class ConfigSpace:
 
     ``orderings`` lists (low, high) parameter-name pairs that every
     configuration must satisfy as low < high.  The constraint graph must
-    be acyclic and the feasible region nonempty.
+    be acyclic and the feasible region nonempty.  ``feasible_bounds``
+    holds the bounds tightened along the orderings: lower bounds pushed
+    forward and upper bounds backward, so every configuration in the
+    space lies inside them.
     """
 
     bounds: Mapping[str, tuple[float, float]]
     orderings: tuple[tuple[str, str], ...] = ()
     rng_seed: int = 0
+    feasible_bounds: Mapping[str, tuple[float, float]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "bounds",
@@ -93,7 +95,7 @@ class ConfigSpace:
             if a not in self.bounds or b not in self.bounds:
                 raise SpaceError(f"ordering {a} < {b} references unknown parameters")
         self._check_acyclic()
-        self._check_feasible()
+        object.__setattr__(self, "feasible_bounds", self._propagate_bounds())
 
     def _check_acyclic(self):
         succ: dict[str, list[str]] = {}
@@ -114,7 +116,7 @@ class ConfigSpace:
             if state.get(node) is None:
                 visit(node)
 
-    def _check_feasible(self):
+    def _propagate_bounds(self) -> dict[str, tuple[float, float]]:
         # propagate lower bounds forward and upper bounds backward along the
         # ordering DAG; then each strict a < b is feasible iff lo_a < hi_b
         lo = {name: bound[0] for name, bound in self.bounds.items()}
@@ -131,10 +133,7 @@ class ConfigSpace:
             if not lo[a] < hi[b]:
                 raise SpaceError(f"constraint {a} < {b} infeasible: along the "
                                  f"orderings {a} >= {lo[a]} but {b} <= {hi[b]}")
-
-    @property
-    def names(self) -> list[str]:
-        return list(self.bounds)
+        return {name: (lo[name], hi[name]) for name in self.bounds}
 
     def contains(self, config: Configuration) -> bool:
         for name, (lo, hi) in self.bounds.items():
@@ -174,10 +173,3 @@ class ConfigSpace:
             )
         except (TypeError, ValueError) as exc:
             raise SpaceError(f"malformed space: {exc}") from None
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "bounds": {k: list(v) for k, v in self.bounds.items()},
-            "orderings": [list(p) for p in self.orderings],
-            "rng_seed": self.rng_seed,
-        }, sort_keys=True, indent=2)

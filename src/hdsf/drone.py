@@ -39,10 +39,6 @@ from .stl import Outcome, StlFormula, builtin_phi
 
 FULL_SIGNALS = ("x", "y", "altitude", "vx", "vy", "vz", "battery", "deployed_flag")
 
-# Parameters the surrogate's search space ranges over.
-SURROGATE_PARAMETERS = ("battery_init", "altitude_init", "min_deploy_alt",
-                        "max_deploy_alt", "low_batt_threshold", "delta")
-
 # Controller-internal constants (not part of the searched configuration).
 MAX_SPEED = 5.0           # m/s, saturation of commanded velocities
 ACTUATOR_TAU = 0.1        # s, first-order lag of the velocity channels
@@ -284,12 +280,11 @@ def build_surrogate_system(params: DroneParams,
         "GOTO": condensed_drone_descent(params, "GOTO"),
         "PARACHUTE": condensed_drone_descent(params, "PARACHUTE"),
     }
-    space = default_config_space(params, rng_seed=rng_seed)
-    reduced = build_surrogate(full, phi, condensed_dynamics=condensed,
-                              entry_mode="GOTO", parameter_space=space)
+    reduced = build_surrogate(full, phi, condensed_dynamics=condensed, entry_mode="GOTO")
     # the property's delay bound is a searched parameter even though the
-    # formula carries it as a literal; pin the canonical six-parameter space
-    reduced.parameter_space = space.restricted(SURROGATE_PARAMETERS)
+    # formula carries it as a literal, so the space is not restricted to
+    # the parameters the reduced system reads
+    reduced.parameter_space = default_config_space(params, rng_seed=rng_seed)
     return reduced
 
 

@@ -70,18 +70,19 @@ class CampaignSummary:
 # ---------------------------------------------------------------------------
 
 def _repair_orderings(values: dict[str, float], space: ConfigSpace, rng) -> None:
-    """Resample the violating member of each ordering pair until all hold."""
+    """Resample the violating member of each ordering pair, within the
+    space's feasible bounds, until all hold."""
     for _ in range(_MAX_REPAIR_ROUNDS):
         stable = True
         for a, b in space.orderings:
             if values[a] < values[b]:
                 continue
             stable = False
-            lo_b, hi_b = space.bounds[b]
+            lo_b, hi_b = space.feasible_bounds[b]
             if values[a] < hi_b:
                 values[b] = rng.uniform(np.nextafter(max(lo_b, values[a]), np.inf), hi_b)
             else:
-                lo_a, hi_a = space.bounds[a]
+                lo_a, hi_a = space.feasible_bounds[a]
                 if not lo_a < values[b]:
                     raise SpaceError(
                         f"constraint {a} < {b} cannot be repaired within bounds")
@@ -93,8 +94,10 @@ def _repair_orderings(values: dict[str, float], space: ConfigSpace, rng) -> None
 
 
 def generate(space: ConfigSpace, rng: np.random.Generator) -> Configuration:
-    """Draw a configuration uniformly, repairing ordering violations."""
-    values = {name: float(rng.uniform(lo, hi)) for name, (lo, hi) in space.bounds.items()}
+    """Draw a configuration uniformly within the space's feasible bounds,
+    repairing ordering violations."""
+    values = {name: float(rng.uniform(lo, hi))
+              for name, (lo, hi) in space.feasible_bounds.items()}
     _repair_orderings(values, space, rng)
     return Configuration(values)
 
@@ -115,7 +118,7 @@ def mutate(config: Configuration, space: ConfigSpace,
                 and abs(feedback.battery_margin) < BATTERY_SEEK_WINDOW):
             seeking.add("battery_init")
             target = values["battery_init"] - feedback.battery_margin
-            lo, hi = space.bounds["battery_init"]
+            lo, hi = space.feasible_bounds["battery_init"]
             values["battery_init"] = _clip(
                 target + rng.normal(0.0, _BATTERY_SEEK_SIGMA), lo, hi)
         if ("altitude_init" in values and "altitude_init" in space.bounds
@@ -132,11 +135,11 @@ def mutate(config: Configuration, space: ConfigSpace,
                     target = alt
             else:
                 target = values["altitude_init"] - feedback.altitude_margin
-            lo, hi = space.bounds["altitude_init"]
+            lo, hi = space.feasible_bounds["altitude_init"]
             values["altitude_init"] = _clip(
                 target + rng.normal(0.0, _ALTITUDE_SEEK_SIGMA), lo, hi)
 
-    for name, (lo, hi) in space.bounds.items():
+    for name, (lo, hi) in space.feasible_bounds.items():
         if name in seeking or name not in values:
             continue
         if rng.random() < 0.5:

@@ -95,6 +95,8 @@ class HybridSystem:
     def __post_init__(self):
         self.signal_names = tuple(self.signal_names)
         declared = set(self.signal_names)
+        if len(declared) != len(self.signal_names):
+            raise ConfigurationError(f"duplicate signal names: {list(self.signal_names)}")
         if self.initial_mode not in self.dynamics:
             raise ConfigurationError(
                 f"initial mode {self.initial_mode!r} not in {list(self.dynamics)}")

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
 from hdsf.config import Configuration, ConfigSpace
 from hdsf.drone import (ControllerVariant, DroneParams, build_surrogate_system,
@@ -21,6 +22,17 @@ from oracles import buggy_violation_predicate
 
 def rng_for(seed=0):
     return np.random.default_rng(seed)
+
+
+@st.composite
+def chain_spaces(draw):
+    """Feasible spaces p0 < p1 < ... < pk: integer bounds, often degenerate
+    or shared between neighbours, around a strictly increasing witness."""
+    witness = sorted(draw(st.sets(st.integers(0, 30), min_size=2, max_size=5)))
+    bounds = {f"p{i}": (w - draw(st.integers(0, 15)), w + draw(st.integers(0, 15)))
+              for i, w in enumerate(witness)}
+    names = list(bounds)
+    return ConfigSpace(bounds=bounds, orderings=tuple(zip(names, names[1:])))
 
 
 class TestGenerate:
@@ -75,6 +87,17 @@ class TestGenerate:
         with pytest.raises(SpaceError, match="cycle"):
             ConfigSpace(bounds={"a": (0.0, 1.0), "b": (0.0, 1.0)},
                         orderings=(("a", "b"), ("b", "a")))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(space=chain_spaces(), seed=st.integers(0, 2**32 - 1))
+    def test_chain_spaces_generate_and_mutate_inside(self, space, seed):
+        rng = rng_for(seed)
+        for _ in range(10):
+            config = generate(space, rng)
+            assert space.contains(config), config
+            for _ in range(5):
+                config = mutate(config, space, None, rng)
+                assert space.contains(config), config
 
 
 def margin_point(battery_margin, altitude_margin, in_band, verdict=Outcome.SATISFIED):

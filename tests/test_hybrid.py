@@ -376,6 +376,13 @@ class TestSystemValidation:
         with pytest.raises(ConfigurationError, match="unknown mode"):
             single_mode_system({}, guards=[Guard("g", lambda s, p: True, "NOPE")])
 
+    def test_duplicate_signal_names_rejected(self):
+        # a repeated name would drop one state entry from every trace
+        with pytest.raises(ConfigurationError, match=r"duplicate signal names: \['x', 'x'\]"):
+            HybridSystem(signal_names=("x", "x"),
+                         dynamics={"A": {"x": StateExpr(lambda s, p: 1.0)}},
+                         guards={}, initial_mode="A")
+
 
 class TestSerialization:
     def test_jsonl_roundtrip(self, tmp_path):

@@ -1,5 +1,6 @@
 """Margin-space arithmetic and the command-line surface."""
 
+import argparse
 import csv
 import json
 
@@ -206,10 +207,10 @@ class TestInputErrors:
     def test_non_integer_seed_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("HDSF_SEED", "seven")
         with pytest.raises(SystemExit) as err:
-            main(["run"])
+            main(["fuzz"])
         assert err.value.code == 2
         assert capsys.readouterr().err.strip().split("\n")[-1].startswith(
-            "hdsf run: error: argument --seed")
+            "hdsf fuzz: error: argument --seed")
 
 
 class TestFuzzCommand:
@@ -319,3 +320,42 @@ class TestSeedEnvironment:
         monkeypatch.setenv("HDSF_SEED", "424242")
         args = build_parser().parse_args(["fuzz", "--runs", "1", "--seed", "5"])
         assert args.seed == 5
+
+
+MODEL_FLAGS = {"--variant", "--dt", "--horizon", "--scenario"}
+TRIAL_FLAGS = {"--battery", "--altitude", "--min-deploy-alt", "--max-deploy-alt",
+               "--batt-threshold", "--delta"}
+OPTIONS = {
+    "run": MODEL_FLAGS | TRIAL_FLAGS,
+    "run-full": MODEL_FLAGS | TRIAL_FLAGS | {"--entry", "--full-dt"},
+    "fuzz": MODEL_FLAGS | {"--seed", "--runs", "--out-dir", "--space-file"},
+    "conformance": MODEL_FLAGS | {"--seed", "--n-configs"},
+    "margins": MODEL_FLAGS | {"--seed", "--runs", "--out-dir"},
+    "timing": MODEL_FLAGS | {"--seed", "--n-configs"},
+}
+# every subcommand used to accept all of these, read or not
+FORMERLY_SHARED = MODEL_FLAGS | TRIAL_FLAGS | {"--seed", "--runs", "--out-dir"}
+UNREAD = sorted((command, flag) for command, options in OPTIONS.items()
+                for flag in FORMERLY_SHARED - options)
+
+
+class TestParser:
+    """Each subcommand accepts only the flags its command reads."""
+
+    def test_option_sets_pinned(self):
+        parser = build_parser()
+        subparsers = next(a for a in parser._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        options = {name: {flag for action in sub._actions for flag in action.option_strings
+                          if flag not in ("-h", "--help")}
+                   for name, sub in subparsers.choices.items()}
+        assert options == OPTIONS
+        assert sum(len(flags) for flags in OPTIONS.values()) == 49
+        assert len(UNREAD) == 34
+
+    @pytest.mark.parametrize("command, flag", UNREAD)
+    def test_unread_flag_exits_2(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as err:
+            main([command, flag, "1"])
+        assert err.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
