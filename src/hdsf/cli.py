@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import os
 import sys
@@ -43,7 +44,7 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--horizon", type=float, default=None,
                         help="simulation horizon in seconds (default 120.0)")
     parser.add_argument("--scenario", type=str, default=None,
-                        help="JSON file with scenario parameters")
+                        help="JSON file of model and run settings (DroneParams fields)")
 
 
 def _add_trial_flags(parser: argparse.ArgumentParser) -> None:
@@ -51,14 +52,15 @@ def _add_trial_flags(parser: argparse.ArgumentParser) -> None:
                         help="initial battery percentage")
     parser.add_argument("--altitude", type=float, default=70.0,
                         help="initial altitude in meters")
-    parser.add_argument("--min-deploy-alt", type=float, default=None,
-                        help="minimum allowed deployment altitude (default 60.0)")
-    parser.add_argument("--max-deploy-alt", type=float, default=None,
-                        help="maximum allowed deployment altitude (default 80.0)")
-    parser.add_argument("--batt-threshold", dest="low_batt_threshold", type=float,
-                        default=None, help="low battery threshold percent (default 10.0)")
-    parser.add_argument("--delta", type=float, default=None,
-                        help="allowed deployment delay in seconds (default 2.0)")
+    # the band, threshold and delay default to default_configuration's values
+    reference = inspect.signature(default_configuration).parameters
+    for flag, dest, what in (
+            ("--min-deploy-alt", "min_deploy_alt", "minimum allowed deployment altitude"),
+            ("--max-deploy-alt", "max_deploy_alt", "maximum allowed deployment altitude"),
+            ("--batt-threshold", "low_batt_threshold", "low battery threshold percent"),
+            ("--delta", "delta", "allowed deployment delay in seconds")):
+        parser.add_argument(flag, dest=dest, type=float, default=reference[dest].default,
+                            help=f"{what} (default %(default)s)")
 
 
 def _add_seed_flag(parser: argparse.ArgumentParser) -> None:
@@ -68,8 +70,15 @@ def _add_seed_flag(parser: argparse.ArgumentParser) -> None:
                         help="random seed (HDSF_SEED overrides the default)")
 
 
+def _count(text: str) -> int:
+    """The argparse type of --runs and --n-configs."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _add_batch_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--runs", type=int, default=200, help="number of runs")
+    parser.add_argument("--runs", type=_count, default=200, help="number of runs")
     parser.add_argument("--out-dir", type=str, default="hdsf-out",
                         help="output directory for campaign artifacts")
 
@@ -88,7 +97,8 @@ def _like(default, value, where: str):
 
 
 def _load_scenario(path: str) -> dict:
-    """Scenario parameters from a JSON object whose keys are DroneParams fields."""
+    """Scenario parameters from a JSON object whose keys are DroneParams fields;
+    any other key, such as a trial value like ``delta``, is an error."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -109,7 +119,7 @@ def _load_scenario(path: str) -> dict:
 
 def _resolve_params(args) -> DroneParams:
     """Defaults, overridden by the scenario file, overridden by those of the
-    command's flags that name a DroneParams field."""
+    command's flags that name a DroneParams field (--dt and --horizon)."""
     values = _load_scenario(args.scenario) if args.scenario else {}
     for f in dataclasses.fields(DroneParams):
         value = getattr(args, f.name, None)
@@ -148,7 +158,8 @@ def _print_run_report(trace, config: Configuration, verdict) -> None:
 
 def _cmd_run(args) -> int:
     params = _resolve_params(args)
-    config = default_configuration(params, args.battery, args.altitude)
+    config = default_configuration(args.battery, args.altitude, args.min_deploy_alt,
+                                   args.max_deploy_alt, args.low_batt_threshold, args.delta)
     surrogate = build_surrogate_system(params, ControllerVariant(args.variant))
     verdict, trace = run_trial(surrogate, config, phi_for, params.dt, params.horizon)
     _print_run_report(trace, config, verdict)
@@ -157,7 +168,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_run_full(args) -> int:
     params = _resolve_params(args)
-    config = default_configuration(params, args.battery, args.altitude)
+    config = default_configuration(args.battery, args.altitude, args.min_deploy_alt,
+                                   args.max_deploy_alt, args.low_batt_threshold, args.delta)
     system = build_full_system(params, ControllerVariant(args.variant))
     if args.entry == "goto":
         system = system.with_entry("GOTO")
@@ -284,14 +296,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_conf = command("conformance", _cmd_conformance,
                      "full-vs-surrogate verdict agreement", _add_seed_flag)
-    p_conf.add_argument("--n-configs", type=int, default=100,
+    p_conf.add_argument("--n-configs", type=_count, default=100,
                         help="number of sampled configurations")
 
     command("margins", _cmd_margins, "margin-space export", _add_seed_flag, _add_batch_flags)
 
     p_time = command("timing", _cmd_timing, "full-vs-surrogate wall-clock comparison",
                      _add_seed_flag)
-    p_time.add_argument("--n-configs", type=int, default=50,
+    p_time.add_argument("--n-configs", type=_count, default=50,
                         help="number of sampled configurations")
 
     return parser

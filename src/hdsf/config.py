@@ -143,15 +143,6 @@ class ConfigSpace:
                 return False
         return all(config[a] < config[b] for a, b in self.orderings)
 
-    def restricted(self, names) -> "ConfigSpace":
-        """Sub-space over the given parameter names."""
-        keep = set(names)
-        return ConfigSpace(
-            bounds={k: v for k, v in self.bounds.items() if k in keep},
-            orderings=tuple((a, b) for a, b in self.orderings if a in keep and b in keep),
-            rng_seed=self.rng_seed,
-        )
-
     @classmethod
     def from_json(cls, text: str) -> "ConfigSpace":
         """Space from a JSON object: ``bounds`` maps each name to a

@@ -53,58 +53,43 @@ class ControllerVariant(Enum):
 
 @dataclass(frozen=True)
 class DroneParams:
-    """Scenario parameters; defaults reproduce the reference run exactly."""
+    """The model and the run settings; defaults reproduce the reference run.
+    The values a trial varies live in a Configuration (default_configuration)."""
 
-    min_deploy_alt: float = 60.0
-    max_deploy_alt: float = 80.0
-    low_batt_threshold: float = 10.0
     cruise_drain: float = 0.8        # percent/s while navigating
     hover_drain: float = 0.4         # percent/s while landing
     descent_rate: float = 3.0        # m/s under parachute
     waypoint: tuple[float, float, float] = (1000.0, 0.0, 70.0)
     pid_gains: tuple[tuple[float, float, float], ...] = (
         (0.5, 0.0, 0.0), (0.5, 0.0, 0.0), (0.8, 0.0, 0.0))
-    delta: float = 2.0               # s, allowed deployment delay
     dt: float = 0.05                 # s, surrogate / trace step
     horizon: float = 120.0           # s
     full_model_dt: float = 0.005     # s, fidelity step for the full model
 
     def __post_init__(self):
-        if not self.min_deploy_alt < self.max_deploy_alt:
-            raise ConfigurationError(
-                f"min_deploy_alt {self.min_deploy_alt} must be below "
-                f"max_deploy_alt {self.max_deploy_alt}")
         if self.cruise_drain < 0 or self.hover_drain < 0:
             raise ConfigurationError("battery drains must be nonnegative")
         if self.descent_rate <= 0:
             raise ConfigurationError("descent_rate must be positive")
-        if self.delta <= 0:
-            raise ConfigurationError("delta must be positive")
         if len(self.waypoint) != 3:
             raise ConfigurationError("waypoint must be a 3-vector")
         if len(self.pid_gains) != 3:
             raise ConfigurationError("pid_gains must give (kp, ki, kd) per axis")
 
 
-def _deploy_decision(variant: ControllerVariant, battery: float, altitude: float,
-                     threshold: float, min_alt: float, max_alt: float) -> bool:
-    if battery > threshold:
-        return False
-    if variant is ControllerVariant.PATCHED:
-        return True
-    return min_alt <= altitude <= max_alt
-
-
 def emergency_deploy_decision(variant: ControllerVariant, battery: float,
-                              altitude: float, params: DroneParams) -> bool:
+                              altitude: float, config: Configuration) -> bool:
     """Deployment decision of the emergency controller.
 
     Buggy: deploy only when the battery is critical AND the altitude lies
     inside the configured deployment band.  Patched: deploy whenever the
     battery is critical.
     """
-    return _deploy_decision(variant, battery, altitude, params.low_batt_threshold,
-                            params.min_deploy_alt, params.max_deploy_alt)
+    if battery > config["low_batt_threshold"]:
+        return False
+    if variant is ControllerVariant.PATCHED:
+        return True
+    return config["min_deploy_alt"] <= altitude <= config["max_deploy_alt"]
 
 
 # ---------------------------------------------------------------------------
@@ -117,9 +102,7 @@ def _saturated(command: float) -> float:
 
 def _emergency_guard(variant: ControllerVariant, params: DroneParams) -> Guard:
     def predicate(s, cfg):
-        return _deploy_decision(
-            variant, s["battery"], s["altitude"],
-            cfg["low_batt_threshold"], cfg["min_deploy_alt"], cfg["max_deploy_alt"])
+        return emergency_deploy_decision(variant, s["battery"], s["altitude"], cfg)
 
     param_reads = {"low_batt_threshold"}
     if variant is ControllerVariant.BUGGY:
@@ -257,15 +240,22 @@ def phi_for(config: Configuration) -> StlFormula:
                        AIRBORNE_MIN_ALTITUDE)
 
 
-def default_configuration(params: DroneParams, battery_init: float,
-                          altitude_init: float) -> Configuration:
+def default_configuration(battery_init: float, altitude_init: float,
+                          min_deploy_alt: float = 60.0, max_deploy_alt: float = 80.0,
+                          low_batt_threshold: float = 10.0,
+                          delta: float = 2.0) -> Configuration:
+    """One trial's configuration; the defaults are the reference example's
+    band, threshold and delay.  ``phi_for`` checks the delay."""
+    if not min_deploy_alt < max_deploy_alt:
+        raise ConfigurationError(f"min_deploy_alt {min_deploy_alt} must be below "
+                                 f"max_deploy_alt {max_deploy_alt}")
     return Configuration({
         "battery_init": battery_init,
         "altitude_init": altitude_init,
-        "min_deploy_alt": params.min_deploy_alt,
-        "max_deploy_alt": params.max_deploy_alt,
-        "low_batt_threshold": params.low_batt_threshold,
-        "delta": params.delta,
+        "min_deploy_alt": min_deploy_alt,
+        "max_deploy_alt": max_deploy_alt,
+        "low_batt_threshold": low_batt_threshold,
+        "delta": delta,
     })
 
 
@@ -275,15 +265,15 @@ def build_surrogate_system(params: DroneParams,
     """Two-mode surrogate over (altitude, battery, deployed_flag), with the
     condensed per-mode physical dynamics and the six-parameter search space."""
     full = build_full_system(params, variant)
-    phi = builtin_phi(params.delta, params.low_batt_threshold, AIRBORNE_MIN_ALTITUDE)
+    phi = phi_for(default_configuration(10.0, 20.0))  # reduction reads its signals only
     condensed = {
         "GOTO": condensed_drone_descent(params, "GOTO"),
         "PARACHUTE": condensed_drone_descent(params, "PARACHUTE"),
     }
     reduced = build_surrogate(full, phi, condensed_dynamics=condensed, entry_mode="GOTO")
     # the property's delay bound is a searched parameter even though the
-    # formula carries it as a literal, so the space is not restricted to
-    # the parameters the reduced system reads
+    # formula carries it as a literal and no part of the reduced system
+    # reads it, so the space is the whole default space
     reduced.parameter_space = default_config_space(params, rng_seed=rng_seed)
     return reduced
 

@@ -58,7 +58,7 @@ class SolveError(HdsfError):
 
 
 class SpecificationError(HdsfError):
-    """A property references signals unknown to the system under analysis."""
+    """A property is malformed or references signals unknown to the system."""
 
 
 class ReductionError(HdsfError):

@@ -8,10 +8,10 @@ predicate over the named state that names its target mode and its reset;
 when it fires, the reset rewrites selected signals and the mode switches
 to the target.
 
-Dynamics, guards, and resets all declare the signals and configuration
-parameters they read.  The declarations make the models statically
-analyzable: the property-guided reduction works purely on these declared
-dependency sets, never by introspecting the callables.
+Dynamics, guards, and resets declare the signals they read; guards also
+declare the parameters they read.  The declarations make the models
+statically analyzable: the property-guided reduction works purely on
+these declared dependency sets, never by introspecting the callables.
 
 Integration is explicit forward Euler with a fixed step; every rate
 reads the pre-step state.  Guards are evaluated on every recorded
@@ -43,14 +43,12 @@ Params = Mapping[str, float]
 class StateExpr:
     """A scalar function of the named state and configuration.
 
-    ``reads`` and ``params`` declare exactly which signals / configuration
-    parameters ``func`` consults; the reduction machinery trusts these
-    declarations.
+    ``reads`` declares exactly which signals ``func`` consults; the
+    reduction machinery trusts this declaration.
     """
 
     func: Callable[[StateMap, Params], float]
     reads: frozenset[str] = frozenset()
-    params: frozenset[str] = frozenset()
 
 
 @dataclass(frozen=True)

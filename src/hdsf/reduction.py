@@ -210,15 +210,14 @@ def project_dynamics(rates: Mapping[str, StateExpr],
 
 def build_surrogate(system: HybridSystem, formula: StlFormula,
                     condensed_dynamics: Optional[Mapping[str, Mapping[str, StateExpr]]] = None,
-                    entry_mode: Optional[str] = None,
-                    parameter_space: Optional[ConfigSpace] = None) -> ReducedSystem:
+                    entry_mode: Optional[str] = None) -> ReducedSystem:
     """Assemble the executable reduced system for ``formula``.
 
     Per-mode rates are taken from ``condensed_dynamics`` where given,
     otherwise the original rates projected onto the kept signals.
-    Condensed rates must rate and read kept signals only.  The parameter
-    space, when provided, is restricted to the parameters the reduced
-    system actually reads.
+    Condensed rates must rate and read kept signals only.  The result
+    has no parameter space; which parameters a search varies is the
+    caller's choice.
     """
     signals = relevant_signals(formula, system)
     report = relevant_modes(system, signals, entry_mode=entry_mode)
@@ -227,7 +226,6 @@ def build_surrogate(system: HybridSystem, formula: StlFormula,
     condensed = dict(condensed_dynamics or {})
     dynamics: dict[str, dict[str, StateExpr]] = {}
     guards = {}
-    params_used: set[str] = set()
 
     for mode in system.dynamics:
         if mode not in report.modes_kept:
@@ -243,15 +241,12 @@ def build_surrogate(system: HybridSystem, formula: StlFormula,
         else:
             rates = project_dynamics(system.dynamics[mode], signals)
         dynamics[mode] = rates
-        for expr in rates.values():
-            params_used |= expr.params
 
         kept_labels = set(report.guards_kept.get(mode, ()))
         kept_guards = []
         for g in system.guards[mode]:
             if g.label not in kept_labels:
                 continue
-            params_used |= g.param_reads
             reset = {}
             for sig, expr in g.reset.items():
                 if sig not in signals:
@@ -262,26 +257,17 @@ def build_surrogate(system: HybridSystem, formula: StlFormula,
                         f"reset of {g.label!r} writes kept signal {sig!r} but reads "
                         f"dropped signals {sorted(dangling)}")
                 reset[sig] = expr
-                params_used |= expr.params
             kept_guards.append(replace(g, reset=reset))
         guards[mode] = tuple(kept_guards)
-
-    initials = {}
-    for sig in kept_order:
-        init = system.initials.get(sig, 0.0)
-        initials[sig] = init
-        if isinstance(init, str):
-            params_used.add(init)
 
     reduced = HybridSystem(
         signal_names=kept_order,
         dynamics=dynamics,
         guards=guards,
         initial_mode=report.entry_mode,
-        initials=initials,
+        initials={sig: system.initials.get(sig, 0.0) for sig in kept_order},
     )
-    space = parameter_space.restricted(params_used) if parameter_space is not None else None
-    return ReducedSystem(system=reduced, report=report, parameter_space=space)
+    return ReducedSystem(system=reduced, report=report)
 
 
 def verify_projection_closure(rs: ReducedSystem) -> bool:

@@ -45,7 +45,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import EvaluationError, ParseError
+from .errors import EvaluationError, ParseError, SpecificationError
 
 # Three-valued encoding ordered so that kleene AND = min and OR = max.
 FALSE = 0
@@ -328,7 +328,7 @@ def builtin_phi(delta: float, battery_threshold: float = 10.0,
        -> F[0, delta] deployed_flag >= 0.5 )
     """
     if delta <= 0:
-        raise ValueError("delta must be positive")
+        raise SpecificationError(f"delta must be positive, got {delta}")
     antecedent = And(
         Atom("battery", "<=", float(battery_threshold)),
         Atom("altitude", ">", float(airborne_min_altitude)),

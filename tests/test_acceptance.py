@@ -179,7 +179,7 @@ def test_c6_stl_oracle_equivalence(capsys):
 def test_c7_reduction_structure(capsys):
     params = DroneParams()
     full = build_full_system(params, BUGGY)
-    phi = builtin_phi(params.delta, params.low_batt_threshold, 0.5)
+    phi = builtin_phi(2.0, 10.0, 0.5)
 
     signals = relevant_signals(phi, full)
     assert signals == {"battery", "altitude", "deployed_flag"}

@@ -1,5 +1,6 @@
 """End-to-end behavior of the parachute case study."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from hdsf.errors import ConfigurationError
 from hdsf.falsify import generate, run_trial
 from hdsf.hybrid import simulate
 from hdsf.reduction import build_surrogate
-from hdsf.stl import Outcome, builtin_phi
+from hdsf.stl import Outcome
 
 
 BUGGY = ControllerVariant.BUGGY
@@ -41,30 +42,46 @@ def trace_scan_violated(trace, config) -> bool:
 
 
 class TestDeployDecision:
+    """The decision the emergency guard of the full model and the surrogate runs."""
+
+    REFERENCE = default_configuration(10.0, 20.0)
+
     def test_buggy_blocks_outside_band(self):
-        assert emergency_deploy_decision(BUGGY, 10.0, 20.0, DroneParams()) is False
+        assert emergency_deploy_decision(BUGGY, 10.0, 20.0, self.REFERENCE) is False
 
     def test_patched_unconditional(self):
-        assert emergency_deploy_decision(PATCHED, 10.0, 20.0, DroneParams()) is True
+        assert emergency_deploy_decision(PATCHED, 10.0, 20.0, self.REFERENCE) is True
 
     def test_buggy_deploys_inside_band(self):
-        assert emergency_deploy_decision(BUGGY, 10.0, 70.0, DroneParams()) is True
+        assert emergency_deploy_decision(BUGGY, 10.0, 70.0, self.REFERENCE) is True
 
     def test_above_threshold_never_deploys(self):
-        params = DroneParams()
         for variant in (BUGGY, PATCHED):
-            assert emergency_deploy_decision(variant, 50.0, 70.0, params) is False
+            assert emergency_deploy_decision(variant, 50.0, 70.0, self.REFERENCE) is False
+
+    def test_reads_band_and_threshold_from_configuration(self):
+        config = default_configuration(25.0, 20.0, min_deploy_alt=15.0,
+                                       max_deploy_alt=25.0, low_batt_threshold=30.0)
+        assert emergency_deploy_decision(BUGGY, 25.0, 20.0, config) is True
+        assert emergency_deploy_decision(BUGGY, 25.0, 26.0, config) is False
+        assert emergency_deploy_decision(BUGGY, 31.0, 20.0, config) is False
 
 
 class TestDroneParams:
     def test_defaults_reproduce_reference_thresholds(self):
-        params = DroneParams()
-        assert (params.min_deploy_alt, params.max_deploy_alt,
-                params.low_batt_threshold) == (60.0, 80.0, 10.0)
+        config = default_configuration(10.0, 20.0)
+        assert (config["min_deploy_alt"], config["max_deploy_alt"],
+                config["low_batt_threshold"], config["delta"]) == (60.0, 80.0, 10.0, 2.0)
 
     def test_invalid_band_rejected(self):
-        with pytest.raises(ConfigurationError):
-            DroneParams(min_deploy_alt=90.0, max_deploy_alt=80.0)
+        for low, high in ((90.0, 80.0), (80.0, 80.0)):
+            with pytest.raises(ConfigurationError, match="min_deploy_alt"):
+                default_configuration(10.0, 20.0, min_deploy_alt=low, max_deploy_alt=high)
+
+    def test_fields_are_the_model_and_run_settings(self):
+        assert [f.name for f in dataclasses.fields(DroneParams)] == [
+            "cruise_drain", "hover_drain", "descent_rate", "waypoint", "pid_gains",
+            "dt", "horizon", "full_model_dt"]
 
     def test_negative_drain_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -75,7 +92,7 @@ class TestFullSystem:
     def test_reference_scenario_violates_buggy(self):
         params = DroneParams()
         system = build_full_system(params, BUGGY).with_entry("GOTO")
-        config = default_configuration(params, 10.0, 20.0)
+        config = default_configuration(10.0, 20.0)
         verdict, trace = run_trial(system, config, phi_for, params.dt, params.horizon)
         assert verdict.outcome is Outcome.VIOLATED
         assert trace.signals["deployed_flag"].max() < 0.5
@@ -83,7 +100,7 @@ class TestFullSystem:
     def test_reference_scenario_satisfied_patched(self):
         params = DroneParams()
         system = build_full_system(params, PATCHED).with_entry("GOTO")
-        config = default_configuration(params, 10.0, 20.0)
+        config = default_configuration(10.0, 20.0)
         verdict, trace = run_trial(system, config, phi_for, params.dt, params.horizon)
         assert verdict.outcome is Outcome.SATISFIED
         assert trace.signals["deployed_flag"].max() >= 0.5
@@ -91,7 +108,7 @@ class TestFullSystem:
     def test_full_battery_short_mission_vacuous(self):
         params = DroneParams()
         system = build_full_system(params, BUGGY).with_entry("GOTO")
-        config = default_configuration(params, 100.0, 70.0)
+        config = default_configuration(100.0, 70.0)
         verdict, _ = run_trial(system, config, phi_for, params.dt, 10.0)
         assert verdict.outcome is Outcome.SATISFIED
 
@@ -99,7 +116,7 @@ class TestFullSystem:
         # a near waypoint so the mission takes off, cruises, and lands
         params = DroneParams(waypoint=(40.0, 0.0, 70.0))
         system = build_full_system(params, BUGGY)
-        config = default_configuration(params, 100.0, 0.0).replacing(mission_start=1.0)
+        config = default_configuration(100.0, 0.0).replacing(mission_start=1.0)
         trace = simulate(system, None, config, params.dt, params.horizon)
         visited = list(dict.fromkeys(trace.modes))
         assert visited[:3] == ["IDLE", "TAKE_OFF", "GOTO"]
@@ -109,7 +126,7 @@ class TestFullSystem:
     def test_mission_does_not_start_without_parameter(self):
         params = DroneParams()
         system = build_full_system(params, BUGGY)
-        config = default_configuration(params, 100.0, 0.0)
+        config = default_configuration(100.0, 0.0)
         trace = simulate(system, None, config, params.dt, 5.0)
         assert set(trace.modes) == {"IDLE"}
 
@@ -117,7 +134,7 @@ class TestFullSystem:
         from hdsf.hybrid import project_trace
         params = DroneParams()
         system = build_full_system(params, PATCHED).with_entry("GOTO")
-        config = default_configuration(params, 10.0, 20.0)
+        config = default_configuration(10.0, 20.0)
         trace = simulate(system, None, config, params.dt, 10.0)
         projected = project_trace(trace, ["battery", "altitude"])
         assert projected.signal_names() == ["battery", "altitude"]
@@ -129,7 +146,7 @@ class TestSurrogateSystem:
     def test_structural_match_with_generic_reduction(self):
         params = DroneParams()
         full = build_full_system(params, BUGGY)
-        phi = builtin_phi(params.delta, params.low_batt_threshold, 0.5)
+        phi = phi_for(default_configuration(10.0, 20.0))
         generic = build_surrogate(full, phi, entry_mode="GOTO")
         packaged = build_surrogate_system(params, BUGGY)
         a = generic.system.structure_summary()
@@ -140,7 +157,7 @@ class TestSurrogateSystem:
     def test_reference_config_violated_on_buggy(self):
         params = DroneParams()
         surrogate = build_surrogate_system(params, BUGGY)
-        config = default_configuration(params, 10.0, 20.0)
+        config = default_configuration(10.0, 20.0)
         verdict, _ = run_trial(surrogate, config, phi_for, params.dt, params.horizon)
         assert verdict.outcome is Outcome.VIOLATED
 
@@ -182,7 +199,7 @@ class TestSurrogateSystem:
 class TestConformance:
     def test_reference_config_agrees_violated(self):
         params = DroneParams()
-        config = default_configuration(params, 10.0, 20.0)
+        config = default_configuration(10.0, 20.0)
         report = conformance_check(params, BUGGY, [config], params.dt, params.horizon)
         assert report.pairs[0].full is Outcome.VIOLATED
         assert report.pairs[0].surrogate is Outcome.VIOLATED
@@ -228,7 +245,7 @@ class TestTiming:
     def test_requires_ten_configs(self):
         params = DroneParams()
         with pytest.raises(ConfigurationError, match="10"):
-            timing_comparison(params, [default_configuration(params, 50, 70)],
+            timing_comparison(params, [default_configuration(50, 70)],
                               params.dt, params.horizon)
 
     def test_self_comparison_near_unity(self):
@@ -261,7 +278,7 @@ class TestCondensedInterplay:
     def test_surrogate_descends_to_ground_and_stops(self):
         params = DroneParams()
         surrogate = build_surrogate_system(params, PATCHED)
-        config = default_configuration(params, 5.0, 70.0)
+        config = default_configuration(5.0, 70.0)
         _, trace = run_trial(surrogate, config, phi_for, params.dt, params.horizon)
         altitude = trace.signals["altitude"]
         assert altitude[-1] <= 0.5

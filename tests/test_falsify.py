@@ -108,8 +108,7 @@ def margin_point(battery_margin, altitude_margin, in_band, verdict=Outcome.SATIS
 class TestMutate:
     def test_boundary_seeking_battery(self):
         space = default_config_space(DroneParams())
-        config = default_configuration(DroneParams(), battery_init=10.1,
-                                       altitude_init=20.0)
+        config = default_configuration(battery_init=10.1, altitude_init=20.0)
         feedback = margin_point(battery_margin=0.1, altitude_margin=-40.0, in_band=False)
         rng = rng_for(4)
         threshold = 10.0
@@ -143,14 +142,14 @@ class TestRunTrial:
         self.surrogate = build_surrogate_system(self.params, ControllerVariant.BUGGY)
 
     def test_reference_config_violates_buggy(self):
-        config = default_configuration(self.params, 10.0, 20.0)
+        config = default_configuration(10.0, 20.0)
         verdict, trace = run_trial(self.surrogate, config, phi_for,
                                    self.params.dt, self.params.horizon)
         assert verdict.outcome is Outcome.VIOLATED
         assert trace.signals["deployed_flag"].max() < 0.5
 
     def test_full_battery_short_horizon_is_satisfied(self):
-        config = default_configuration(self.params, 100.0, 70.0)
+        config = default_configuration(100.0, 70.0)
         verdict, _ = run_trial(self.surrogate, config, phi_for, 0.05, 5.0)
         assert verdict.outcome is Outcome.SATISFIED
 
@@ -174,8 +173,9 @@ class TestRunTrial:
         horizon = 1.0
         # crosses the threshold on the final sample, one sample too late for
         # the deployment to land inside the recorded trace
-        crossing_b0 = params.low_batt_threshold + params.cruise_drain * horizon - 0.01
-        config = default_configuration(params, crossing_b0, 20.0)
+        threshold = default_configuration(0.0, 20.0)["low_batt_threshold"]
+        crossing_b0 = threshold + params.cruise_drain * horizon - 0.01
+        config = default_configuration(crossing_b0, 20.0)
         verdict, trace = run_trial(patched, config, phi_for, params.dt, horizon)
         assert verdict.outcome is Outcome.SATISFIED
         assert trace.times[-1] > horizon  # the extension actually ran

@@ -9,7 +9,7 @@ import pytest
 from hdsf.cli import build_parser, main
 from hdsf.config import Configuration
 from hdsf.drone import (ControllerVariant, DroneParams, build_surrogate_system,
-                        default_configuration, phi_for)
+                        default_config_space, default_configuration, phi_for)
 from hdsf.errors import EvaluationError
 from hdsf.falsify import run_trial
 from hdsf.margins import compute_margins, quadrant_for
@@ -19,7 +19,7 @@ def surrogate_trace(battery_init, altitude_init, variant=ControllerVariant.BUGGY
                     params=None):
     params = params or DroneParams()
     surrogate = build_surrogate_system(params, variant)
-    config = default_configuration(params, battery_init, altitude_init)
+    config = default_configuration(battery_init, altitude_init)
     verdict, trace = run_trial(surrogate, config, phi_for, params.dt, params.horizon)
     return trace, config, verdict
 
@@ -166,7 +166,7 @@ class TestInputErrors:
     def test_scenario_missing_file(self, capsys, tmp_path):
         self.run_scenario(capsys, tmp_path / "absent.json")
 
-    @pytest.mark.parametrize("raw", [{"delta": "2.0"}, {"waypoint": 5},
+    @pytest.mark.parametrize("raw", [{"cruise_drain": "0.8"}, {"waypoint": 5},
                                      {"dt": [0.05]}, {"horizon": True}])
     def test_scenario_wrong_type(self, capsys, tmp_path, raw):
         scenario = tmp_path / "scenario.json"
@@ -200,9 +200,43 @@ class TestInputErrors:
     def test_nonfinite_step_or_horizon(self, capsys, flag, value):
         assert "finite" in self.usage_error(capsys, ["run", flag, value])
 
-    def test_negative_run_count(self, capsys, tmp_path):
-        assert "budget" in self.usage_error(
-            capsys, ["fuzz", "--runs", "-1", "--out-dir", str(tmp_path / "out")])
+    @pytest.mark.parametrize("command, flag", [("fuzz", "--runs"),
+                                               ("conformance", "--n-configs"),
+                                               ("margins", "--runs")])
+    def test_negative_count_exits_2(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as err:
+            main([command, flag, "-1"])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.strip().split("\n")[-1] == (
+            f"hdsf {command}: error: argument {flag}: expected a nonnegative integer, "
+            "got '-1'")
+
+    @pytest.mark.parametrize("command", ["run", "run-full", "fuzz", "conformance",
+                                         "margins", "timing"])
+    @pytest.mark.parametrize("key", ["min_deploy_alt", "max_deploy_alt",
+                                     "low_batt_threshold", "delta"])
+    def test_scenario_trial_key_rejected(self, capsys, tmp_path, monkeypatch, command, key):
+        # trial values are flags of run / run-full, never model parameters
+        monkeypatch.chdir(tmp_path)  # where fuzz and margins would write
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({key: 3}))
+        message = self.usage_error(capsys, [command, "--scenario", str(scenario)])
+        assert f"unknown key {key!r}" in message
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--min-deploy-alt", "90", "--max-deploy-alt", "80"], "must be below"),
+        (["--delta", "0"], "delta must be positive")])
+    def test_invalid_trial_flags(self, capsys, flags, message):
+        assert message in self.usage_error(capsys, ["run", *flags])
+
+    def test_space_file_nonpositive_delta(self, capsys, tmp_path):
+        space_file = tmp_path / "space.json"
+        bounds = {name: list(bound) for name, bound
+                  in default_config_space(DroneParams()).bounds.items()}
+        space_file.write_text(json.dumps({
+            "bounds": {**bounds, "delta": [-1.0, -0.5]},
+            "orderings": [["min_deploy_alt", "max_deploy_alt"]]}))
+        assert "delta must be positive" in self.run_space_file(capsys, tmp_path, space_file)
 
     def test_non_integer_seed_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("HDSF_SEED", "seven")

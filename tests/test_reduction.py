@@ -3,19 +3,17 @@
 import numpy as np
 import pytest
 
-from hdsf.config import ConfigSpace
 from hdsf.drone import (ControllerVariant, DroneParams, build_full_system,
-                        build_surrogate_system)
+                        build_surrogate_system, default_configuration, phi_for)
 from hdsf.errors import ProjectionError, ReductionError, SpecificationError
 from hdsf.hybrid import Guard, HybridSystem, StateExpr
 from hdsf.reduction import (ReducedSystem, build_surrogate, relevant_modes,
                             relevant_signals, verify_projection_closure)
-from hdsf.stl import And, Atom, Globally, builtin_phi
+from hdsf.stl import And, Atom, Globally
 
 
-def drone_phi(params=None):
-    params = params or DroneParams()
-    return builtin_phi(params.delta, params.low_batt_threshold, 0.5)
+def drone_phi():
+    return phi_for(default_configuration(10.0, 20.0))
 
 
 def chain_system(rates_reads, guard_reads=None):
@@ -209,7 +207,7 @@ class TestBuildSurrogate:
     def test_drone_surrogate_structure(self):
         params = DroneParams()
         full = build_full_system(params, ControllerVariant.BUGGY)
-        rs = build_surrogate(full, drone_phi(params), entry_mode="GOTO")
+        rs = build_surrogate(full, drone_phi(), entry_mode="GOTO")
         assert list(rs.system.dynamics) == ["GOTO", "PARACHUTE"]
         assert rs.system.signal_names == ("altitude", "battery", "deployed_flag")
         assert rs.system.initial_mode == "GOTO"
@@ -229,25 +227,6 @@ class TestBuildSurrogate:
         rs = build_surrogate(full, formula)
         assert rs.system.structure_summary() == full.structure_summary()
 
-    def test_parameter_space_restriction(self):
-        params = DroneParams()
-        full = build_full_system(params, ControllerVariant.BUGGY)
-        space = ConfigSpace(bounds={
-            "battery_init": (0.0, 100.0),
-            "altitude_init": (0.0, 150.0),
-            "min_deploy_alt": (20.0, 90.0),
-            "max_deploy_alt": (40.0, 120.0),
-            "low_batt_threshold": (5.0, 30.0),
-            "mission_start": (0.0, 1.0),
-            "unrelated": (0.0, 1.0),
-        }, orderings=(("min_deploy_alt", "max_deploy_alt"),))
-        rs = build_surrogate(full, drone_phi(params), entry_mode="GOTO",
-                             parameter_space=space)
-        assert set(rs.parameter_space.bounds) == {
-            "battery_init", "altitude_init", "min_deploy_alt", "max_deploy_alt",
-            "low_batt_threshold"}
-        assert rs.parameter_space.orderings == (("min_deploy_alt", "max_deploy_alt"),)
-
     def test_projection_error_names_dependency(self):
         # the closure normally pulls dependencies in, so exercise the
         # defensive check directly with an undersized kept set
@@ -261,14 +240,14 @@ class TestBuildSurrogate:
         full = build_full_system(params, ControllerVariant.BUGGY)
         wrong = {"x": StateExpr(lambda s, p: 1.0)}
         with pytest.raises(ProjectionError, match=r"'x'.*\['x'\]"):
-            build_surrogate(full, drone_phi(params),
+            build_surrogate(full, drone_phi(),
                             condensed_dynamics={"GOTO": wrong}, entry_mode="GOTO")
 
     def test_idempotence(self):
         params = DroneParams()
         full = build_full_system(params, ControllerVariant.BUGGY)
-        once = build_surrogate(full, drone_phi(params), entry_mode="GOTO")
-        twice = build_surrogate(once.system, drone_phi(params))
+        once = build_surrogate(full, drone_phi(), entry_mode="GOTO")
+        twice = build_surrogate(once.system, drone_phi())
         assert twice.system.structure_summary() == once.system.structure_summary()
         assert twice.report.modes_dropped == frozenset()
 

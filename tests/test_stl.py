@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hdsf import stl
-from hdsf.errors import EvaluationError, ParseError
+from hdsf.errors import EvaluationError, ParseError, SpecificationError
 from hdsf.hybrid import Trace
 from hdsf.stl import (Atom, And, Eventually, Globally, Implies, Not, Or, Until,
                       Outcome, builtin_phi, evaluate, parse, pretty_print)
@@ -30,7 +30,7 @@ class TestBuiltinPhi:
         assert body.right.interval == (0.0, 2.0)
 
     def test_rejects_nonpositive_delta(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SpecificationError):
             builtin_phi(0.0)
 
     def test_grounded_trace_is_vacuously_satisfied(self, make_trace):
