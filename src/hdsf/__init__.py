@@ -23,8 +23,7 @@ from .hybrid import (Guard, HybridSystem, StateExpr, Trace, project_trace,
                      simulate)
 from .margins import MarginPoint, compute_margins
 from .reduction import (ReducedSystem, RelevanceReport, build_surrogate,
-                        relevant_modes, relevant_signals,
-                        verify_projection_closure)
+                        relevant_modes, relevant_signals)
 from .stl import (Atom, Eventually, Globally, Implies, Not, Or, And, Until,
                   Outcome, StlFormula, Verdict, builtin_phi, evaluate, parse,
                   pretty_print)

@@ -166,10 +166,6 @@ def reassemble(partition: Partition, u_p: np.ndarray, u_i: np.ndarray) -> np.nda
 _COUPLING = 0.25
 _INTERNAL_STIFFNESS = 2.0
 
-# Surrogate signal order mirrors the full drone model's declaration order
-# restricted to the property-relevant signals.
-SURROGATE_SIGNALS = ("altitude", "battery", "deployed_flag")
-
 
 def drone_block_system(mode: str, params: "DroneParams") -> LinearSystem:
     """Per-mode linear block model whose interface solution is the

@@ -145,10 +145,11 @@ class ConfigSpace:
 
     @classmethod
     def from_json(cls, text: str) -> "ConfigSpace":
-        """Space from a JSON object: ``bounds`` maps each name to a
-        ``[low, high]`` pair; ``orderings`` (a list of ``[low, high]``
-        name pairs) and ``rng_seed`` are optional.  Malformed or wrongly
-        shaped input raises :class:`SpaceError`.
+        """Space from a JSON object with two keys: ``bounds`` maps each
+        name to a ``[low, high]`` pair, and the optional ``orderings`` is a
+        list of ``[low, high]`` name pairs.  Any other key, malformed or
+        wrongly shaped input raises :class:`SpaceError`.  A campaign takes
+        its seed from its caller, so a space file holds none.
         """
         try:
             data = json.loads(text)
@@ -156,11 +157,14 @@ class ConfigSpace:
             raise SpaceError(f"space is not valid JSON: {exc}") from None
         if not isinstance(data, dict) or not isinstance(data.get("bounds"), dict):
             raise SpaceError("space must be a JSON object with a 'bounds' object")
+        unknown = sorted(set(data) - {"bounds", "orderings"})
+        if unknown:
+            raise SpaceError(f"space has unknown keys {unknown}; "
+                             "known keys: ['bounds', 'orderings']")
         try:
             return cls(
                 bounds={k: tuple(v) for k, v in data["bounds"].items()},
                 orderings=tuple(tuple(pair) for pair in data.get("orderings", [])),
-                rng_seed=int(data.get("rng_seed", 0)),
             )
         except (TypeError, ValueError) as exc:
             raise SpaceError(f"malformed space: {exc}") from None

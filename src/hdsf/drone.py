@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .condensation import SURROGATE_SIGNALS, clamped_rate, condensed_drone_descent
+from .condensation import clamped_rate, condensed_drone_descent
 from .config import Configuration, ConfigSpace
 from .errors import ConfigurationError, TrialFault
 from .hybrid import Guard, HybridSystem, StateExpr
@@ -240,15 +240,31 @@ def phi_for(config: Configuration) -> StlFormula:
                        AIRBORNE_MIN_ALTITUDE)
 
 
+def check_band(min_deploy_alt: float, max_deploy_alt: float) -> None:
+    """The band rule: the minimum deployment altitude lies below the maximum."""
+    if not min_deploy_alt < max_deploy_alt:
+        raise ConfigurationError(f"min_deploy_alt {min_deploy_alt} must be below "
+                                 f"max_deploy_alt {max_deploy_alt}")
+
+
+def check_space_band(space: ConfigSpace) -> None:
+    """The band rule for all of ``space``: unless its orderings chain the band,
+    the highest min_deploy_alt it allows must lie below the lowest maximum."""
+    bounds = space.feasible_bounds
+    above = {"min_deploy_alt"}
+    for _ in space.orderings:
+        above |= {b for a, b in space.orderings if a in above}
+    if "max_deploy_alt" not in above and {"min_deploy_alt", "max_deploy_alt"} <= bounds.keys():
+        check_band(bounds["min_deploy_alt"][1], bounds["max_deploy_alt"][0])
+
+
 def default_configuration(battery_init: float, altitude_init: float,
                           min_deploy_alt: float = 60.0, max_deploy_alt: float = 80.0,
                           low_batt_threshold: float = 10.0,
                           delta: float = 2.0) -> Configuration:
     """One trial's configuration; the defaults are the reference example's
     band, threshold and delay.  ``phi_for`` checks the delay."""
-    if not min_deploy_alt < max_deploy_alt:
-        raise ConfigurationError(f"min_deploy_alt {min_deploy_alt} must be below "
-                                 f"max_deploy_alt {max_deploy_alt}")
+    check_band(min_deploy_alt, max_deploy_alt)
     return Configuration({
         "battery_init": battery_init,
         "altitude_init": altitude_init,
@@ -309,7 +325,7 @@ def conformance_check(params: DroneParams, variant: ControllerVariant,
                       configs: Sequence[Configuration], dt: float,
                       horizon: float) -> ConformanceReport:
     """Per-configuration verdict agreement between the full model (entered
-    in GOTO, trace projected to the property's signals) and the surrogate,
+    in GOTO, trace projected to the surrogate's signals) and the surrogate,
     both simulated at the step ``dt``.
 
     Configurations that fault in either system are excluded from the
@@ -317,7 +333,7 @@ def conformance_check(params: DroneParams, variant: ControllerVariant,
     """
     full = build_full_system(params, variant).with_entry("GOTO")
     surrogate = build_surrogate_system(params, variant)
-    projection = list(SURROGATE_SIGNALS)
+    projection = list(surrogate.system.signal_names)
     pairs = []
     faults = []
     for config in configs:

@@ -12,6 +12,8 @@ Dynamics, guards, and resets declare the signals they read; guards also
 declare the parameters they read.  The declarations make the models
 statically analyzable: the property-guided reduction works purely on
 these declared dependency sets, never by introspecting the callables.
+A system checks when it is built that every declared read names one of
+its signals, so no system, reduced or not, reads a signal it lacks.
 
 Integration is explicit forward Euler with a fixed step; every rate
 reads the pre-step state.  Guards are evaluated on every recorded
@@ -80,8 +82,10 @@ class HybridSystem:
     (signals without an entry have derivative zero).  ``guards`` maps a
     mode to its outgoing edges; a mode without an entry has none.
     ``initials`` gives the default initial value per signal: a float, or
-    the name of a configuration parameter to read it from.  Instances are
-    treated as immutable after construction.
+    the name of a configuration parameter to read it from.  Construction
+    raises :class:`ConfigurationError` when a rate, guard or reset reads or
+    writes a signal outside ``signal_names``.  Instances are treated as
+    immutable after construction.
     """
 
     signal_names: tuple[str, ...]
@@ -101,11 +105,16 @@ class HybridSystem:
         unknown = self.guards.keys() - self.dynamics.keys()
         if unknown:
             raise ConfigurationError(f"guards for unknown modes: {sorted(unknown)}")
-        for name, rates in self.dynamics.items():
-            bad = set(rates) - declared
+
+        def check(what: str, signals) -> None:
+            bad = set(signals) - declared
             if bad:
-                raise ConfigurationError(
-                    f"rates of mode {name} for undeclared signals: {sorted(bad)}")
+                raise ConfigurationError(f"{what} undeclared signals: {sorted(bad)}")
+
+        for name, rates in self.dynamics.items():
+            check(f"rates of mode {name} for", rates)
+            for sig, expr in rates.items():
+                check(f"rate of {sig!r} in mode {name} reads", expr.reads)
         self.guards = {name: tuple(self.guards.get(name, ())) for name in self.dynamics}
         for name, guards in self.guards.items():
             labels = [g.label for g in guards]
@@ -115,13 +124,12 @@ class HybridSystem:
                 if g.target not in self.dynamics:
                     raise ConfigurationError(
                         f"guard {g.label!r} of mode {name} targets unknown mode {g.target!r}")
-                bad = set(g.reset) - declared
-                if bad:
-                    raise ConfigurationError(
-                        f"reset of {g.label!r} writes undeclared signals: {sorted(bad)}")
-        bad = set(self.initials) - declared
-        if bad:
-            raise ConfigurationError(f"initials for undeclared signals: {sorted(bad)}")
+                check(f"reset of {g.label!r} writes", g.reset)
+                check(f"guard {g.label!r} of mode {name} reads", g.reads)
+                for sig, expr in g.reset.items():
+                    check(f"reset of {sig!r} by guard {g.label!r} of mode {name} reads",
+                          expr.reads)
+        check("initials for", self.initials)
 
     def with_entry(self, mode_name: str) -> "HybridSystem":
         """Copy of the system starting in ``mode_name``."""

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Optional
 
 from .config import ConfigSpace
-from .errors import ProjectionError, ReductionError, SpecificationError
+from .errors import ReductionError, SpecificationError
 from .hybrid import HybridSystem, StateExpr
 from .stl import StlFormula, atom_signals
 
@@ -190,97 +190,36 @@ def relevant_modes(system: HybridSystem, signals: frozenset[str],
     )
 
 
-def project_dynamics(rates: Mapping[str, StateExpr],
-                     kept: frozenset[str]) -> dict[str, StateExpr]:
-    """Restrict a mode's rates to the kept signals.
-
-    Raises ProjectionError if the rate of a kept signal reads a dropped one.
-    """
-    out = {}
-    for sig, expr in rates.items():
-        if sig not in kept:
-            continue
-        dangling = expr.reads - kept
-        if dangling:
-            raise ProjectionError(
-                f"rate of kept signal {sig!r} reads dropped signals {sorted(dangling)}")
-        out[sig] = expr
-    return out
-
-
 def build_surrogate(system: HybridSystem, formula: StlFormula,
                     condensed_dynamics: Optional[Mapping[str, Mapping[str, StateExpr]]] = None,
                     entry_mode: Optional[str] = None) -> ReducedSystem:
     """Assemble the executable reduced system for ``formula``.
 
-    Per-mode rates are taken from ``condensed_dynamics`` where given,
-    otherwise the original rates projected onto the kept signals.
-    Condensed rates must rate and read kept signals only.  The result
-    has no parameter space; which parameters a search varies is the
-    caller's choice.
+    A kept mode's rates are ``condensed_dynamics[mode]`` where that key is
+    given, otherwise its original rates for the kept signals; resets keep
+    their writes of kept signals.  The dependency closure already holds
+    every read of what is kept, so this is plain filtering; building the
+    reduced :class:`HybridSystem` rejects a condensed rate that rates or
+    reads a dropped signal.  The result has no parameter space; which
+    parameters a search varies is the caller's choice.
     """
     signals = relevant_signals(formula, system)
     report = relevant_modes(system, signals, entry_mode=entry_mode)
     kept_order = tuple(s for s in system.signal_names if s in signals)
+    condensed = condensed_dynamics or {}
 
-    condensed = dict(condensed_dynamics or {})
-    dynamics: dict[str, dict[str, StateExpr]] = {}
-    guards = {}
+    def kept(exprs: Mapping[str, StateExpr]) -> dict[str, StateExpr]:
+        return {sig: expr for sig, expr in exprs.items() if sig in signals}
 
-    for mode in system.dynamics:
-        if mode not in report.modes_kept:
-            continue
-        if mode in condensed:
-            rates = condensed[mode]
-            for sig, expr in rates.items():
-                outside = ({sig} | expr.reads) - signals
-                if outside:
-                    raise ProjectionError(
-                        f"condensed rate of {sig!r} in mode {mode} rates or reads "
-                        f"dropped signals {sorted(outside)}")
-        else:
-            rates = project_dynamics(system.dynamics[mode], signals)
-        dynamics[mode] = rates
-
-        kept_labels = set(report.guards_kept.get(mode, ()))
-        kept_guards = []
-        for g in system.guards[mode]:
-            if g.label not in kept_labels:
-                continue
-            reset = {}
-            for sig, expr in g.reset.items():
-                if sig not in signals:
-                    continue
-                dangling = expr.reads - signals
-                if dangling:
-                    raise ProjectionError(
-                        f"reset of {g.label!r} writes kept signal {sig!r} but reads "
-                        f"dropped signals {sorted(dangling)}")
-                reset[sig] = expr
-            kept_guards.append(replace(g, reset=reset))
-        guards[mode] = tuple(kept_guards)
-
+    modes = [m for m in system.dynamics if m in report.modes_kept]
     reduced = HybridSystem(
         signal_names=kept_order,
-        dynamics=dynamics,
-        guards=guards,
+        dynamics={m: condensed[m] if m in condensed else kept(system.dynamics[m])
+                  for m in modes},
+        guards={m: tuple(replace(g, reset=kept(g.reset)) for g in system.guards[m]
+                         if g.label in report.guards_kept[m])
+                for m in modes},
         initial_mode=report.entry_mode,
         initials={sig: system.initials.get(sig, 0.0) for sig in kept_order},
     )
     return ReducedSystem(system=reduced, report=report)
-
-
-def verify_projection_closure(rs: ReducedSystem) -> bool:
-    """True iff no kept guard, reset, or dynamics reads a dropped signal."""
-    available = set(rs.system.signal_names)
-    for mode, rates in rs.system.dynamics.items():
-        for expr in rates.values():
-            if not expr.reads <= available:
-                return False
-        for g in rs.system.guards[mode]:
-            if not g.reads <= available:
-                return False
-            for expr in g.reset.values():
-                if not expr.reads <= available:
-                    return False
-    return True

@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from hdsf.condensation import SURROGATE_SIGNALS, condensed_drone_descent
+from hdsf.condensation import condensed_drone_descent
+from hdsf.config import ConfigSpace
 from hdsf.drone import (ControllerVariant, DroneParams, build_full_system,
-                        build_surrogate_system, conformance_check,
+                        build_surrogate_system, check_space_band, conformance_check,
                         default_config_space, default_configuration,
                         emergency_deploy_decision, mean_trial_seconds, phi_for,
                         timing_comparison)
@@ -21,6 +22,7 @@ from hdsf.stl import Outcome
 
 BUGGY = ControllerVariant.BUGGY
 PATCHED = ControllerVariant.PATCHED
+BAND = ("min_deploy_alt", "max_deploy_alt")
 
 
 def trace_scan_violated(trace, config) -> bool:
@@ -77,6 +79,23 @@ class TestDroneParams:
         for low, high in ((90.0, 80.0), (80.0, 80.0)):
             with pytest.raises(ConfigurationError, match="min_deploy_alt"):
                 default_configuration(10.0, 20.0, min_deploy_alt=low, max_deploy_alt=high)
+
+    @pytest.mark.parametrize("bounds, orderings, ok", [
+        ({"min_deploy_alt": (20, 90), "max_deploy_alt": (40, 120)}, [BAND], True),
+        ({"min_deploy_alt": (20, 39), "max_deploy_alt": (40, 120)}, [], True),
+        ({"min_deploy_alt": (20, 40), "max_deploy_alt": (40, 120)}, [], False),
+        ({"min_deploy_alt": (20, 90), "max_deploy_alt": (40, 120), "mid": (0, 200)},
+         [("min_deploy_alt", "mid"), ("mid", "max_deploy_alt")], True),
+        ({"battery_init": (0, 100)}, [], True)])
+    def test_space_band(self, bounds, orderings, ok):
+        # a space passes when its orderings chain the band or when no
+        # minimum it allows reaches a maximum it allows
+        space = ConfigSpace(bounds=bounds, orderings=tuple(orderings))
+        if ok:
+            check_space_band(space)
+        else:
+            with pytest.raises(ConfigurationError, match="40.0 must be below"):
+                check_space_band(space)
 
     def test_fields_are_the_model_and_run_settings(self):
         assert [f.name for f in dataclasses.fields(DroneParams)] == [
@@ -230,7 +249,8 @@ class TestConformance:
         outcomes = set()
         for config in [generate(space, rng) for _ in range(10)]:
             fine, trace = run_trial(full, config, phi_for, params.full_model_dt,
-                                    params.horizon, project_to=list(SURROGATE_SIGNALS))
+                                    params.horizon,
+                                    project_to=list(surrogate.system.signal_names))
             coarse, _ = run_trial(surrogate, config, phi_for, params.dt, params.horizon)
             assert trace.dt == params.full_model_dt
             assert fine.outcome is coarse.outcome, config

@@ -353,6 +353,25 @@ class TestSystemValidation:
                          dynamics={"A": {}, "B": {"y": StateExpr(lambda s, p: 1.0)}},
                          guards={}, initial_mode="A")
 
+    @pytest.mark.parametrize("part, message", [
+        pytest.param("rate", "rate of 'x' in mode A", id="rate"),
+        pytest.param("guard", "guard 'g' of mode A", id="guard"),
+        pytest.param("reset", "reset of 'x' by guard 'g' of mode A", id="reset")])
+    def test_undeclared_read_rejected(self, part, message):
+        # a read of a signal the system lacks fails at construction, not as
+        # a KeyError inside simulate
+        def reads(where):
+            return frozenset({"ghost"}) if where == part else frozenset()
+
+        guard = Guard("g", lambda s, p: s["ghost"] > 0.0, "A", reads=reads("guard"),
+                      reset={"x": StateExpr(lambda s, p: s["ghost"], reads=reads("reset"))})
+        with pytest.raises(ConfigurationError,
+                           match=rf"{message} reads undeclared signals: \['ghost'\]"):
+            HybridSystem(signal_names=("x",),
+                         dynamics={"A": {"x": StateExpr(lambda s, p: s["ghost"],
+                                                        reads=reads("rate"))}},
+                         guards={"A": (guard,)}, initial_mode="A")
+
     def test_guards_for_unknown_mode_rejected(self):
         # a misspelt mode key must not silently drop that mode's guards
         with pytest.raises(ConfigurationError, match=r"unknown modes: \['B'\]"):

@@ -238,6 +238,29 @@ class TestInputErrors:
             "orderings": [["min_deploy_alt", "max_deploy_alt"]]}))
         assert "delta must be positive" in self.run_space_file(capsys, tmp_path, space_file)
 
+    @pytest.mark.parametrize("key", ["ordering", "rng_seed"])
+    def test_space_file_unknown_key(self, capsys, tmp_path, key):
+        # a misspelt "orderings" would drop the band ordering; a seed in the
+        # file would be overridden by --seed
+        space_file = tmp_path / "space.json"
+        space_file.write_text(json.dumps({
+            "bounds": {"min_deploy_alt": [20.0, 90.0], "max_deploy_alt": [40.0, 120.0]},
+            key: [["min_deploy_alt", "max_deploy_alt"]] if key == "ordering" else 5}))
+        message = self.run_space_file(capsys, tmp_path, space_file)
+        assert f"unknown keys [{key!r}]" in message
+        assert not (tmp_path / "out").exists()
+
+    def test_space_file_inverted_band(self, capsys, tmp_path):
+        # without the band ordering these bounds only draw inverted bands
+        space_file = tmp_path / "space.json"
+        bounds = {name: list(bound) for name, bound
+                  in default_config_space(DroneParams()).bounds.items()}
+        space_file.write_text(json.dumps({"bounds": {
+            **bounds, "min_deploy_alt": [60.0, 90.0], "max_deploy_alt": [10.0, 50.0]}}))
+        message = self.run_space_file(capsys, tmp_path, space_file)
+        assert message == "error: min_deploy_alt 90.0 must be below max_deploy_alt 10.0"
+        assert not (tmp_path / "out").exists()
+
     def test_non_integer_seed_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("HDSF_SEED", "seven")
         with pytest.raises(SystemExit) as err:

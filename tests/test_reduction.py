@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from hdsf.drone import (ControllerVariant, DroneParams, build_full_system,
-                        build_surrogate_system, default_configuration, phi_for)
-from hdsf.errors import ProjectionError, ReductionError, SpecificationError
+                        default_configuration, phi_for)
+from hdsf.errors import ConfigurationError, ReductionError, SpecificationError
 from hdsf.hybrid import Guard, HybridSystem, StateExpr
-from hdsf.reduction import (ReducedSystem, build_surrogate, relevant_modes,
-                            relevant_signals, verify_projection_closure)
+from hdsf.reduction import build_surrogate, relevant_modes, relevant_signals
 from hdsf.stl import And, Atom, Globally
 
 
@@ -227,21 +226,26 @@ class TestBuildSurrogate:
         rs = build_surrogate(full, formula)
         assert rs.system.structure_summary() == full.structure_summary()
 
-    def test_projection_error_names_dependency(self):
-        # the closure normally pulls dependencies in, so exercise the
-        # defensive check directly with an undersized kept set
-        from hdsf.reduction import project_dynamics
-        rates = {"a": StateExpr(lambda s, p: s["b"], reads=frozenset({"b"}))}
-        with pytest.raises(ProjectionError, match="'a'.*\\['b'\\]"):
-            project_dynamics(rates, frozenset({"a"}))
-
     def test_condensed_rate_for_dropped_signal_rejected(self):
-        params = DroneParams()
-        full = build_full_system(params, ControllerVariant.BUGGY)
-        wrong = {"x": StateExpr(lambda s, p: 1.0)}
-        with pytest.raises(ProjectionError, match=r"'x'.*\['x'\]"):
-            build_surrogate(full, drone_phi(),
-                            condensed_dynamics={"GOTO": wrong}, entry_mode="GOTO")
+        # building the reduced system rejects a condensed rate that rates
+        # or reads a signal the reduction dropped
+        full = build_full_system(DroneParams(), ControllerVariant.BUGGY)
+        for wrong, message in (
+                ({"x": StateExpr(lambda s, p: 1.0)},
+                 r"rates of mode GOTO for undeclared signals: \['x'\]"),
+                ({"battery": StateExpr(lambda s, p: -s["vx"], reads=frozenset({"vx"}))},
+                 r"rate of 'battery' in mode GOTO reads undeclared signals: \['vx'\]")):
+            with pytest.raises(ConfigurationError, match=message):
+                build_surrogate(full, drone_phi(),
+                                condensed_dynamics={"GOTO": wrong}, entry_mode="GOTO")
+
+    def test_empty_condensed_mode_has_no_rates(self):
+        # a condensed entry replaces the mode's rates even when it is empty
+        full = build_full_system(DroneParams(), ControllerVariant.BUGGY)
+        rs = build_surrogate(full, drone_phi(), condensed_dynamics={"GOTO": {}},
+                             entry_mode="GOTO")
+        assert rs.system.dynamics["GOTO"] == {}
+        assert set(rs.system.dynamics["PARACHUTE"]) == {"altitude"}
 
     def test_idempotence(self):
         params = DroneParams()
@@ -251,24 +255,3 @@ class TestBuildSurrogate:
         assert twice.system.structure_summary() == once.system.structure_summary()
         assert twice.report.modes_dropped == frozenset()
 
-
-class TestVerifyProjectionClosure:
-    def test_drone_surrogate_closes(self):
-        rs = build_surrogate_system(DroneParams(), ControllerVariant.BUGGY)
-        assert verify_projection_closure(rs)
-
-    def test_dangling_read_detected(self):
-        signals = ("a",)
-        dyn = {"a": StateExpr(lambda s, p: 0.0, reads=frozenset({"ghost"}))}
-        system = HybridSystem(signal_names=signals, dynamics={"A": dyn},
-                              guards={"A": ()},
-                              initial_mode="A")
-        rs = ReducedSystem(system=system, report=None)
-        assert not verify_projection_closure(rs)
-
-    def test_empty_drop_reduction_closes(self):
-        system = chain_system({"a": set(), "b": set(), "c": set()})
-        rs = build_surrogate(system, Globally(And(Atom("a", ">", 0.0),
-                                                  And(Atom("b", ">", 0.0),
-                                                      Atom("c", ">", 0.0)))))
-        assert verify_projection_closure(rs)
