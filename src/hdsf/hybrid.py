@@ -23,7 +23,8 @@ carries the pre-transition state and mode, so a trace always shows the
 state the guard actually tested.  Every run ends at the horizon; a mode
 with no guards and no rates holds its state until then.  Dynamics, guard
 and reset callables are pure functions of ``(state, params)`` and may be
-called any number of times.
+called any number of times; once a step changes nothing, the rest of the
+run repeats it without calling them again.
 """
 
 from __future__ import annotations
@@ -245,6 +246,12 @@ def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
     forward-Euler step in which every rate reads the pre-step state.  The
     trace always holds ``round(horizon / dt) + 1`` samples.
 
+    A step that fires no guard and leaves every signal bit-identical (a
+    ``-0.0`` that becomes ``0.0`` counts as a change) reaches a fixed
+    point: every remaining sample repeats it in the same mode, with no
+    further event, so they are filled in at once and no callable is
+    called again.
+
     ``initial_state`` may be None, in which case it is built from the
     system's declared initials and the configuration.  A non-finite value
     in the initial state, or produced by a step or a reset, raises
@@ -252,7 +259,8 @@ def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
 
     ``StateExpr`` and ``Guard`` callables must be pure functions of
     ``(state, params)``: the simulator may call them any number of times,
-    and their results may depend on nothing else.
+    or not at all past a fixed point, and their results may depend on
+    nothing else, time included.
     """
     if not (math.isfinite(dt) and math.isfinite(horizon)):
         raise ConfigurationError(f"dt {dt} and horizon {horizon} must be finite")
@@ -285,20 +293,31 @@ def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
         named = dict(zip(names, state))
         data[k] = state
         modes.append(mode)
+        fixed = True
         for guard in system.guards[mode]:
             if guard.predicate(named, parameters):
                 events.append(TraceEvent(t, guard.label, mode, guard.target))
                 state = _apply_reset(system, guard, named, parameters, t)
                 named = dict(zip(names, state))
                 mode = guard.target
+                fixed = False
                 break
         if k == n_steps:
             break
         for i, name, f in rates[mode]:
-            value = state[i] + dt * f(named, parameters)
+            old = state[i]
+            value = old + dt * f(named, parameters)
             if not math.isfinite(value):
                 raise SimulationFault((k + 1) * dt, name, value)
+            if value != old or (value == 0.0 and
+                                math.copysign(1.0, value) != math.copysign(1.0, old)):
+                fixed = False
             state[i] = value
+        if fixed:
+            # pure, time-invariant callables: every later step repeats this one
+            data[k + 1:] = state
+            modes.extend([mode] * (n_steps - k))
+            break
 
     times = np.arange(n_steps + 1) * dt
     signals = {name: data[:, i].copy() for i, name in enumerate(names)}

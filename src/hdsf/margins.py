@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .errors import EvaluationError
 from .stl import Outcome
 
@@ -55,10 +57,8 @@ def decision_index(trace, threshold: float) -> int:
                 f"trace has {sorted(trace.signals)}")
     battery = trace.signals["battery"]
     altitude = trace.signals["altitude"]
-    for i in range(len(battery)):
-        if battery[i] <= threshold and altitude[i] > AIRBORNE_MIN_ALTITUDE:
-            return i
-    return len(battery) - 1
+    hits = np.flatnonzero((battery <= threshold) & (altitude > AIRBORNE_MIN_ALTITUDE))
+    return int(hits[0]) if hits.size else len(battery) - 1
 
 
 def compute_margins(trace, config, verdict: Optional[Outcome] = None) -> MarginPoint:

@@ -1,5 +1,7 @@
 """Simulation semantics: integration, guards, events, projection, serialization."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import Phase, assume, given, settings, strategies as st
@@ -209,7 +211,9 @@ def assert_matches_naive(system, initial_state, params, dt, horizon):
     assert trace.times.tolist() == times
     assert trace.modes == modes
     for i, name in enumerate(system.signal_names):
-        assert trace.signals[name].tolist() == [row[i] for row in rows], name
+        # compared as hex, which tells -0.0 from 0.0 where == does not
+        assert ([v.hex() for v in trace.signals[name].tolist()] ==
+                [row[i].hex() for row in rows]), name
     assert [(e.time, e.guard, e.source, e.target) for e in trace.events] == events
 
 
@@ -301,6 +305,99 @@ class TestNaiveOracle:
     @ORACLE_SETTINGS
     @given(case=small_systems())
     def test_random_guarded_systems(self, case):
+        system, initial, dt, horizon = case
+        assert_matches_naive(system, initial, {}, dt, horizon)
+
+
+@st.composite
+def fixed_point_systems(draw):
+    """Up to two modes over up to two signals whose runs tend to settle:
+    clamped (``r if level > 0 else 0``) or exactly zero rates, constant
+    resets, and signed zeros as initial values, rates and reset values.
+    Every mode rates a signal and has a guard, half of them a sign test,
+    so a ``-0.0`` that a zero rate turns into ``0.0`` is often seen."""
+    signals = ("x", "y")[:draw(st.integers(1, 2))]
+    modes = [f"M{i}" for i in range(draw(st.integers(1, 2)))]
+    value = st.one_of(st.sampled_from([-0.0, 0.0]), st.floats(-2.0, 2.0))
+    rest = st.sampled_from([0.0, -0.0])
+    signal = st.sampled_from(signals)
+
+    def rate():
+        if draw(st.booleans()):
+            c = draw(rest)
+            return StateExpr(lambda s, p, c=c: c)
+        level, r, c = draw(signal), draw(st.floats(-1.0, 1.0)), draw(rest)
+        return StateExpr(lambda s, p, level=level, r=r, c=c: r if s[level] > 0 else c,
+                         reads=frozenset({level}))
+
+    dynamics, guards = {}, {}
+    for mode in modes:
+        rated = draw(st.lists(signal, unique=True, min_size=1))
+        dynamics[mode] = {n: rate() for n in rated}
+        guards[mode] = []
+        for j in range(draw(st.integers(1, 2))):
+            src, bound = draw(signal), draw(value)
+            if draw(st.booleans()):
+                predicate = lambda s, p, src=src: math.copysign(1.0, s[src]) > 0
+            else:
+                predicate = lambda s, p, src=src, c=bound: s[src] <= c
+            written = draw(st.lists(signal, unique=True, max_size=2))
+            reset = {n: StateExpr(lambda s, p, c=draw(value): c) for n in written}
+            guards[mode].append(Guard(f"g{j}", predicate, draw(st.sampled_from(modes)),
+                                      reset, reads=frozenset({src})))
+    system = HybridSystem(
+        signal_names=signals, dynamics=dynamics,
+        guards={m: tuple(g) for m, g in guards.items()},
+        initial_mode=draw(st.sampled_from(modes)))
+    initial = draw(st.lists(value, min_size=len(signals), max_size=len(signals)))
+    dt = draw(st.sampled_from([0.1, 0.25, 0.5]))
+    return system, initial, dt, dt * draw(st.integers(1, 40))
+
+
+class TestFixedPoint:
+    """A step that changes nothing and fires no guard ends the work: the
+    rest of the trace repeats it, exactly as ``naive_simulate`` computes."""
+
+    def test_signed_zero_is_a_change(self):
+        # -0.0 + dt * 0.0 is 0.0: equal under ==, but the guard tells them apart
+        positive = Guard("positive", lambda s, p: math.copysign(1.0, s["x"]) > 0, "B",
+                         reads=frozenset({"x"}))
+        system = HybridSystem(signal_names=("x",),
+                              dynamics={"A": {"x": StateExpr(lambda s, p: 0.0)}, "B": {}},
+                              guards={"A": (positive,)}, initial_mode="A")
+        trace = simulate(system, [-0.0], {}, dt=0.5, horizon=5.0)
+        assert [(e.time, e.guard) for e in trace.events] == [(0.5, "positive")]
+        assert_matches_naive(system, [-0.0], {}, 0.5, 5.0)
+
+    def test_self_loop_fires_at_every_sample(self):
+        identity = {"x": StateExpr(lambda s, p: s["x"], reads=frozenset({"x"}))}
+        loop = Guard("loop", lambda s, p: True, "M", identity)
+        system = single_mode_system({}, guards=[loop])
+        trace = simulate(system, [1.0], {}, dt=0.5, horizon=5.0)
+        assert [e.time for e in trace.events] == trace.times.tolist()
+        assert_matches_naive(system, [1.0], {}, 0.5, 5.0)
+
+    def test_no_callable_called_past_the_fixed_point(self):
+        calls = {"rate": 0, "guard": 0}
+
+        def rate(s, p):
+            calls["rate"] += 1
+            return 0.0
+
+        def never(s, p):
+            calls["guard"] += 1
+            return False
+
+        system = single_mode_system({"x": StateExpr(rate)},
+                                    guards=[Guard("never", never, "M")])
+        trace = simulate(system, [3.0], {}, dt=0.1, horizon=10.0)
+        assert calls == {"rate": 1, "guard": 1}
+        assert len(trace) == 101 and trace.modes == ["M"] * 101
+        assert trace.signals["x"].tolist() == [3.0] * 101 and trace.events == []
+
+    @ORACLE_SETTINGS
+    @given(case=fixed_point_systems())
+    def test_random_fixed_points(self, case):
         system, initial, dt, horizon = case
         assert_matches_naive(system, initial, {}, dt, horizon)
 

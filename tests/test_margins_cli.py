@@ -367,6 +367,20 @@ class TestMarginsCommand:
         assert len(rows) == 30
 
 
+class TestTimingCommand:
+    def test_small_timing_run(self, capsys):
+        code = main(["timing", "--n-configs", "10", "--horizon", "10", "--seed", "1"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert any(line.startswith("Speedup: ") for line in out.split("\n"))
+
+    def test_too_few_configurations_exit_2(self, capsys):
+        code = main(["timing", "--n-configs", "5"])
+        err = capsys.readouterr().err.strip().split("\n")
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error:"), err
+
+
 class TestSeedEnvironment:
     def test_env_var_overrides_default_seed(self, monkeypatch):
         monkeypatch.setenv("HDSF_SEED", "424242")
