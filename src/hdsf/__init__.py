@@ -11,11 +11,11 @@ scenario in :mod:`hdsf.drone` exercises the whole pipeline end to end.
 
 from .config import Configuration, ConfigSpace
 from .condensation import (CondensedSystem, LinearSystem, Partition, condense,
-                           condensed_drone_descent, reassemble,
-                           reconstruct_internal, solve_condensed)
+                           reassemble, reconstruct_internal, solve_condensed)
 from .drone import (ControllerVariant, DroneParams, build_full_system,
-                    build_surrogate_system, conformance_check,
-                    emergency_deploy_decision, timing_comparison)
+                    build_surrogate_system, builtin_phi, conformance_check,
+                    condensed_drone_descent, emergency_deploy_decision,
+                    timing_comparison)
 from .errors import HdsfError
 from .falsify import (CampaignSummary, ViolationRecord, campaign, generate, mutate,
                       run_trial)
@@ -25,7 +25,6 @@ from .margins import MarginPoint, compute_margins
 from .reduction import (ReducedSystem, RelevanceReport, build_surrogate,
                         relevant_modes, relevant_signals)
 from .stl import (Atom, Eventually, Globally, Implies, Not, Or, And, Until,
-                  Outcome, StlFormula, Verdict, builtin_phi, evaluate, parse,
-                  pretty_print)
+                  Outcome, StlFormula, Verdict, evaluate, parse, pretty_print)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

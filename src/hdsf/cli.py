@@ -31,8 +31,8 @@ from .drone import (ControllerVariant, DroneParams, build_full_system,
                     default_config_space, default_configuration, phi_for,
                     timing_comparison)
 from .errors import ConfigurationError, HdsfError
-from .falsify import campaign, generate, run_trial, trial_rng, write_margins_csv
-from .margins import compute_margins, decision_index
+from .falsify import campaign, generate, run_trial, trial_rng
+from .margins import compute_margins, decision_index, write_margins_csv
 from .stl import Outcome
 
 

@@ -9,23 +9,19 @@ freedom by eliminating the internal block through the Schur complement:
 
 The internal-block factorization is computed once and reused for both
 the condensation and the reconstruction of internal state.  Storage is
-dense and solves are direct; the systems this package condenses are
-small by construction.
+dense and solves are direct; the block models clients condense (see the
+case study's descent dynamics) are small by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
 
 from .errors import CondensationError, ConfigurationError, SolveError
-from .hybrid import StateExpr
-
-if TYPE_CHECKING:
-    from .drone import DroneParams
 
 
 @dataclass
@@ -154,65 +150,3 @@ def reassemble(partition: Partition, u_p: np.ndarray, u_i: np.ndarray) -> np.nda
     full[list(partition.internal_indices)] = u_i
     return full
 
-
-# ---------------------------------------------------------------------------
-# Condensed drone descent dynamics
-# ---------------------------------------------------------------------------
-
-# Steady-state block model coupling the (battery rate, altitude rate)
-# interface to two internal states (motor thermal deviation, ESC load
-# deviation).  Couplings and internal stiffness are powers of two so the
-# Schur path introduces no avoidable rounding.
-_COUPLING = 0.25
-_INTERNAL_STIFFNESS = 2.0
-
-
-def drone_block_system(mode: str, params: "DroneParams") -> LinearSystem:
-    """Per-mode linear block model whose interface solution is the
-    (battery rate, altitude rate) pair for that mode."""
-    if mode == "GOTO":
-        target = np.array([-params.cruise_drain, 0.0, 0.0, 0.0])
-    elif mode == "PARACHUTE":
-        target = np.array([0.0, -params.descent_rate, 0.0, 0.0])
-    else:
-        raise ConfigurationError(f"no block model for mode {mode!r}")
-    c, d = _COUPLING, _INTERNAL_STIFFNESS
-    K = np.array([
-        [1.0, 0.0, c, 0.0],
-        [0.0, 1.0, 0.0, c],
-        [c, 0.0, d, 0.0],
-        [0.0, c, 0.0, d],
-    ])
-    return LinearSystem(K, K @ target)
-
-
-DRONE_INTERFACE_PARTITION = Partition(interface_indices=(0, 1),
-                                      internal_indices=(2, 3))
-
-
-def clamped_rate(level: float, rate: float) -> float:
-    """Cut a draining rate to zero once its level is exhausted.
-
-    Shared by the condensed surrogate dynamics and the full drone model so
-    both sides integrate identically.
-    """
-    return rate if level > 0.0 else (rate if rate > 0.0 else 0.0)
-
-
-def condensed_drone_descent(params: "DroneParams",
-                            mode: str = "PARACHUTE") -> dict[str, StateExpr]:
-    """Two-variable (battery, altitude) rates for one surrogate mode,
-    obtained by condensing the block physical model onto the interface.
-
-    Battery stops draining at empty; altitude stops falling at ground.
-    """
-    cs = condense(drone_block_system(mode, params), DRONE_INTERFACE_PARTITION)
-    battery_rate, altitude_rate = (float(v) for v in solve_condensed(cs))
-    return {
-        "battery": StateExpr(
-            lambda s, p, r=battery_rate: clamped_rate(s["battery"], r),
-            reads=frozenset({"battery"})),
-        "altitude": StateExpr(
-            lambda s, p, r=altitude_rate: clamped_rate(s["altitude"], r),
-            reads=frozenset({"altitude"})),
-    }

@@ -1,10 +1,12 @@
 """Search the reduced parameter space for property-violating configurations.
 
 The campaign loop interleaves fresh constraint-preserving generation
-with boundary-seeking mutation of previously seen near-boundary
-configurations, runs each candidate on the surrogate, evaluates the
-property oracle on the trace, and deduplicates violations by a
-quantized signature so only non-equivalent counterexamples are logged.
+with mutation of earlier near-boundary configurations, runs each
+candidate on the surrogate, evaluates the property oracle on the trace,
+and deduplicates violations by a quantized signature so only
+non-equivalent counterexamples are logged.  Each run's margin point
+(:mod:`hdsf.margins`) decides pool membership, steering and the
+signature's side, so this module names no parameter of its own.
 
 Every trial draws its randomness from a stream derived from the
 campaign seed and the trial index, so a campaign is reproducible
@@ -13,7 +15,6 @@ bit-for-bit given (seed, run-count budget).
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import time
@@ -25,19 +26,13 @@ import numpy as np
 
 from .config import Configuration, ConfigSpace
 from .errors import SimulationFault, SpaceError, TrialFault
-from .hybrid import HybridSystem, Trace, project_trace, simulate, write_trace_jsonl
-from .margins import MarginPoint, compute_margins
+from .hybrid import HybridSystem, Trace, simulate, write_trace_jsonl
+from .margins import MarginPoint, compute_margins, write_margins_csv
 from .stl import (Atom, Eventually, Globally, Implies, And, Not, Or, Until,
                   StlFormula, Verdict, evaluate)
 
 FormulaLike = Union[StlFormula, Callable[[Configuration], StlFormula]]
 
-# A configuration is worth mutating when its run decided this close to a
-# boundary (battery in percent points, altitude in meters).
-BATTERY_SEEK_WINDOW = 5.0
-ALTITUDE_SEEK_WINDOW = 10.0
-_BATTERY_SEEK_SIGMA = 0.25
-_ALTITUDE_SEEK_SIGMA = 1.0
 _MAX_REPAIR_ROUNDS = 100
 # Share of trials that mutate a pooled near-boundary configuration (once
 # the pool is nonempty), and the faulted share of trials that aborts a
@@ -109,35 +104,14 @@ def _clip(value: float, lo: float, hi: float) -> float:
 def mutate(config: Configuration, space: ConfigSpace,
            feedback: Optional[MarginPoint], rng: np.random.Generator) -> Configuration:
     """Perturb a random subset of parameters, steered toward decision
-    boundaries when the margins of the configuration's run are small."""
+    boundaries when the margins of the configuration's run are small: each
+    parameter that ``feedback.steering`` names is drawn around its target."""
     values = config.as_dict()
-    seeking: set[str] = set()
-
-    if feedback is not None:
-        if ("battery_init" in values and "battery_init" in space.bounds
-                and abs(feedback.battery_margin) < BATTERY_SEEK_WINDOW):
-            seeking.add("battery_init")
-            target = values["battery_init"] - feedback.battery_margin
-            lo, hi = space.feasible_bounds["battery_init"]
-            values["battery_init"] = _clip(
-                target + rng.normal(0.0, _BATTERY_SEEK_SIGMA), lo, hi)
-        if ("altitude_init" in values and "altitude_init" in space.bounds
-                and abs(feedback.altitude_margin) < ALTITUDE_SEEK_WINDOW):
-            seeking.add("altitude_init")
-            if feedback.in_band:
-                # nudge toward the nearer band edge to probe outside it
-                lo_edge = values.get("min_deploy_alt")
-                hi_edge = values.get("max_deploy_alt")
-                alt = values["altitude_init"]
-                if lo_edge is not None and hi_edge is not None:
-                    target = lo_edge if alt - lo_edge <= hi_edge - alt else hi_edge
-                else:
-                    target = alt
-            else:
-                target = values["altitude_init"] - feedback.altitude_margin
-            lo, hi = space.feasible_bounds["altitude_init"]
-            values["altitude_init"] = _clip(
-                target + rng.normal(0.0, _ALTITUDE_SEEK_SIGMA), lo, hi)
+    steer = feedback.steering(values) if feedback is not None else {}
+    seeking = [name for name in steer if name in space.bounds]
+    for name in seeking:
+        target, sigma = steer[name]
+        values[name] = _clip(target + rng.normal(0.0, sigma), *space.feasible_bounds[name])
 
     for name, (lo, hi) in space.feasible_bounds.items():
         if name in seeking or name not in values:
@@ -175,8 +149,7 @@ def formula_horizon(formula: StlFormula) -> float:
 
 
 def run_trial(surrogate, config: Configuration, formula: FormulaLike,
-              dt: float, horizon: float,
-              project_to: Optional[list[str]] = None) -> tuple[Verdict, Trace]:
+              dt: float, horizon: float) -> tuple[Verdict, Trace]:
     """Simulate one configuration and evaluate the property on its trace.
 
     If the verdict is pessimistically Violated only because an obligation
@@ -186,16 +159,12 @@ def run_trial(surrogate, config: Configuration, formula: FormulaLike,
 
     ``formula`` may be a fixed formula or a callable building one from the
     configuration (for properties parameterized by sampled thresholds).
-    With ``project_to``, the trace is projected to those signals before
-    evaluation and the projected trace is returned.
     """
     system: HybridSystem = getattr(surrogate, "system", surrogate)
     phi = formula(config) if callable(formula) else formula
 
     def one_run(h: float) -> tuple[Verdict, Trace]:
         tr = simulate(system, None, config, dt, h)
-        if project_to is not None:
-            tr = project_trace(tr, project_to)
         return evaluate(phi, tr), tr
 
     try:
@@ -217,13 +186,9 @@ def _quantize(value: float) -> int:
 
 
 def violation_signature(config: Configuration, margins: MarginPoint) -> str:
-    """Deduplication key: altitude side of the band plus the quantized configuration."""
-    if margins.in_band:
-        side = "in_band"
-    else:
-        side = "above" if margins.altitude_margin > 0 else "below"
+    """Deduplication key: the margin point's side plus the quantized configuration."""
     quantized = ";".join(f"{k}={_quantize(v)}" for k, v in sorted(config.items()))
-    return f"{side}|{quantized}"
+    return f"{margins.side}|{quantized}"
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +242,7 @@ def campaign(surrogate, formula: FormulaLike, space: ConfigSpace,
 
         point = compute_margins(trace, config, verdict=verdict.outcome)
         rows.append((trial, config, point))
-        if (abs(point.battery_margin) <= BATTERY_SEEK_WINDOW
-                or (not point.in_band and abs(point.altitude_margin) <= ALTITUDE_SEEK_WINDOW)):
+        if point.near_boundary:
             pool.append((config, point))
 
         if verdict.violated:
@@ -345,19 +309,3 @@ def write_campaign_outputs(out_dir: Path, summary: CampaignSummary,
         }, sort_keys=True, indent=2) + "\n")
 
     write_margins_csv(out_dir / "margins.csv", rows, space)
-
-
-def write_margins_csv(path, rows: list[tuple[int, Configuration, MarginPoint]],
-                      space: ConfigSpace) -> None:
-    """One line per ``(trial, config, point)`` row; ``point`` carries the verdict."""
-    config_fields = sorted(space.bounds)
-    header = ["trial", "battery_margin", "altitude_margin", "in_band",
-              "verdict", "quadrant"] + config_fields
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for trial, config, point in rows:
-            writer.writerow(
-                [trial, point.battery_margin, point.altitude_margin,
-                 point.in_band, point.verdict.value, point.quadrant]
-                + [config[name] for name in config_fields])

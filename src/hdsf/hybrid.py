@@ -8,12 +8,12 @@ predicate over the named state that names its target mode and its reset;
 when it fires, the reset rewrites selected signals and the mode switches
 to the target.
 
-Dynamics, guards, and resets declare the signals they read; guards also
-declare the parameters they read.  The declarations make the models
-statically analyzable: the property-guided reduction works purely on
-these declared dependency sets, never by introspecting the callables.
-A system checks when it is built that every declared read names one of
-its signals, so no system, reduced or not, reads a signal it lacks.
+Dynamics, guards, and resets declare the signals they read.  The
+declarations make the models statically analyzable: the property-guided
+reduction works purely on these declared dependency sets, never by
+introspecting the callables.  A system checks when it is built that
+every declared read names one of its signals, so no system, reduced or
+not, reads a signal it lacks.
 
 Integration is explicit forward Euler with a fixed step; every rate
 reads the pre-step state.  Guards are evaluated on every recorded
@@ -61,7 +61,7 @@ class Guard:
 
     ``reset`` maps signal names to new-value expressions, which read the
     pre-transition state; signals without an entry carry over unchanged.
-    ``reads`` and ``param_reads`` declare what ``predicate`` consults.
+    ``reads`` declares the signals ``predicate`` consults.
     """
 
     label: str
@@ -69,7 +69,6 @@ class Guard:
     target: str
     reset: Mapping[str, StateExpr] = field(default_factory=dict)
     reads: frozenset[str] = frozenset()
-    param_reads: frozenset[str] = frozenset()
 
 
 @dataclass
@@ -160,7 +159,6 @@ class HybridSystem:
             "guards": {
                 name: [
                     {"label": g.label, "reads": sorted(g.reads),
-                     "params": sorted(g.param_reads),
                      "target": g.target, "reset_writes": sorted(g.reset)}
                     for g in guards
                 ]
@@ -244,7 +242,8 @@ def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
     holds on the recorded state, in declaration order, apply its reset
     and switch to its target; stop at the horizon; otherwise take one
     forward-Euler step in which every rate reads the pre-step state.  The
-    trace always holds ``round(horizon / dt) + 1`` samples.
+    trace always holds ``round(horizon / dt) + 1`` samples; too many to
+    hold raise :class:`ConfigurationError`.
 
     A step that fires no guard and leaves every signal bit-identical (a
     ``-0.0`` that becomes ``0.0`` counts as a change) reaches a fixed
@@ -283,8 +282,13 @@ def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
                     for i, name in enumerate(names) if name in dyn]
              for mode, dyn in system.dynamics.items()}
 
-    n_steps = int(round(horizon / dt))
-    data = np.empty((n_steps + 1, len(names)))
+    steps = horizon / dt
+    try:
+        n_steps = int(round(steps))
+        data = np.empty((n_steps + 1, len(names)))
+    except (OverflowError, ValueError, MemoryError):
+        raise ConfigurationError(
+            f"horizon {horizon} over dt {dt} is {steps:g} steps, too many to hold") from None
     modes: list[str] = []
     events: list[TraceEvent] = []
     mode = system.initial_mode

@@ -9,19 +9,33 @@ altitude margin is the signed distance to the nearest allowed deployment
 altitude limit at that same sample: positive above the maximum, negative
 below the minimum, and zero (with ``in_band`` set) anywhere inside the
 band, including contact with a limit.
+
+A point also carries the falsifier's boundary rule, so the search loop
+knows no drone parameter: ``near_boundary`` (pool membership),
+``steering`` (mutation targets) and ``side`` (signature prefix).
 """
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
-from typing import Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
+from .config import Configuration, ConfigSpace
 from .errors import EvaluationError
 from .stl import Outcome
 
 AIRBORNE_MIN_ALTITUDE = 0.5
+
+# A configuration is worth mutating when its run decided this close to a
+# boundary (battery in percent points, altitude in meters); a steered
+# parameter is drawn around its target with these spreads.
+BATTERY_SEEK_WINDOW = 5.0
+ALTITUDE_SEEK_WINDOW = 10.0
+BATTERY_SEEK_SIGMA = 0.25
+ALTITUDE_SEEK_SIGMA = 1.0
 
 
 def quadrant_for(battery_margin: float, altitude_margin: float) -> str:
@@ -45,6 +59,37 @@ class MarginPoint:
     in_band: bool
     verdict: Optional[Outcome]
     quadrant: str
+
+    @property
+    def near_boundary(self) -> bool:
+        """Whether the run decided within a seek window of a boundary."""
+        return (abs(self.battery_margin) <= BATTERY_SEEK_WINDOW
+                or (not self.in_band and abs(self.altitude_margin) <= ALTITUDE_SEEK_WINDOW))
+
+    @property
+    def side(self) -> str:
+        """Where the decision altitude lies: in_band, above or below the band."""
+        if self.in_band:
+            return "in_band"
+        return "above" if self.altitude_margin > 0 else "below"
+
+    def steering(self, values: Mapping[str, float]) -> dict[str, tuple[float, float]]:
+        """``{parameter: (target, sigma)}`` toward the boundaries the run of
+        ``values`` decided near: the initial battery by its margin onto the
+        threshold, the initial altitude by its margin onto the band, or from
+        inside it to the nearer band edge (the lower on a tie)."""
+        steer = {}
+        if "battery_init" in values and abs(self.battery_margin) < BATTERY_SEEK_WINDOW:
+            steer["battery_init"] = (values["battery_init"] - self.battery_margin,
+                                     BATTERY_SEEK_SIGMA)
+        if "altitude_init" in values and abs(self.altitude_margin) < ALTITUDE_SEEK_WINDOW:
+            alt = values["altitude_init"]
+            target = alt - self.altitude_margin
+            if self.in_band and {"min_deploy_alt", "max_deploy_alt"} <= values.keys():
+                lo, hi = values["min_deploy_alt"], values["max_deploy_alt"]
+                target = lo if alt - lo <= hi - alt else hi
+            steer["altitude_init"] = (target, ALTITUDE_SEEK_SIGMA)
+        return steer
 
 
 def decision_index(trace, threshold: float) -> int:
@@ -88,3 +133,19 @@ def compute_margins(trace, config, verdict: Optional[Outcome] = None) -> MarginP
         verdict=verdict,
         quadrant=quadrant_for(battery_margin, altitude_margin),
     )
+
+
+def write_margins_csv(path, rows: list[tuple[int, Configuration, MarginPoint]],
+                      space: ConfigSpace) -> None:
+    """One line per ``(trial, config, point)`` row; ``point`` carries the verdict."""
+    config_fields = sorted(space.bounds)
+    header = ["trial", "battery_margin", "altitude_margin", "in_band",
+              "verdict", "quadrant"] + config_fields
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for trial, config, point in rows:
+            writer.writerow(
+                [trial, point.battery_margin, point.altitude_margin,
+                 point.in_band, point.verdict.value, point.quadrant]
+                + [config[name] for name in config_fields])

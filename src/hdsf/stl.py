@@ -32,7 +32,8 @@ naive evaluator used in the test suite:
   value(f U[a,b] g, i)  = OR over j in [i+ia, i+ib] of
                             AND( value(g, j), AND over k in [i, j) of value(f, k) )
 
-where ia, ib are the rounded index bounds.
+where ia, ib are the rounded index bounds, each capped at n: every index
+from n on is Unknown, so the cap changes no value.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import EvaluationError, ParseError, SpecificationError
+from .errors import EvaluationError, ParseError
 
 # Three-valued encoding ordered so that kleene AND = min and OR = max.
 FALSE = 0
@@ -186,17 +187,13 @@ class Verdict:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def _index_bound(seconds: float, dt: float) -> int:
-    # round to nearest sample, ties up
-    return int(math.floor(seconds / dt + 0.5))
+def _index_bound(seconds: float, dt: float, n: int) -> int:
+    # round to nearest sample, ties up; capped at n, as every index from n on is Unknown
+    index = seconds / dt + 0.5
+    return n if index >= n else math.floor(index)
 
 
 def _atom_values(atom: Atom, trace) -> np.ndarray:
-    if atom.signal not in trace.signals:
-        raise EvaluationError(
-            f"formula references signal '{atom.signal}' not present in trace; "
-            f"available: {sorted(trace.signals)}"
-        )
     sig = trace.signals[atom.signal]
     if atom.op is None:
         truth = sig >= BOOL_THRESHOLD
@@ -250,16 +247,16 @@ def _values(formula: StlFormula, trace, dt: float) -> np.ndarray:
         if formula.interval is None:
             # unbounded: suffix conjunction over the recorded trace only
             return np.minimum.accumulate(child[::-1])[::-1]
-        lo, hi = (_index_bound(b, dt) for b in formula.interval)
+        lo, hi = (_index_bound(b, dt, n) for b in formula.interval)
         return _window_fold(child, lo, hi, "min")
     if isinstance(formula, Eventually):
         child = _values(formula.child, trace, dt)
-        lo, hi = (_index_bound(b, dt) for b in formula.interval)
+        lo, hi = (_index_bound(b, dt, n) for b in formula.interval)
         return _window_fold(child, lo, hi, "max")
     if isinstance(formula, Until):
         left = _values(formula.left, trace, dt)
         right = _values(formula.right, trace, dt)
-        lo, hi = (_index_bound(b, dt) for b in formula.interval)
+        lo, hi = (_index_bound(b, dt, n) for b in formula.interval)
         lpad = np.concatenate([left, np.full(hi, UNKNOWN, dtype=np.int8)])
         rpad = np.concatenate([right, np.full(hi, UNKNOWN, dtype=np.int8)])
         acc = np.full(n, FALSE, dtype=np.int8)
@@ -303,39 +300,18 @@ def evaluate(formula: StlFormula, trace) -> Verdict:
     witness = None
     if isinstance(formula, Globally):
         body = _values(formula.child, trace, dt)
+        n = len(body)
         if formula.interval is None:
-            lo, hi = 0, len(body) - 1
+            lo, hi = 0, n - 1
         else:
-            lo, hi = (_index_bound(b, dt) for b in formula.interval)
-            hi = min(hi, len(body) - 1)
+            lo, hi = (_index_bound(b, dt, n) for b in formula.interval)
+            hi = min(hi, n - 1)
         for i in range(lo, hi + 1):
             if body[i] != TRUE:
                 witness = float(trace.times[i])
                 break
     return Verdict(Outcome.VIOLATED, witness_time=witness,
                    window_truncated=(root == UNKNOWN))
-
-
-# ---------------------------------------------------------------------------
-# Built-in safety property
-# ---------------------------------------------------------------------------
-
-def builtin_phi(delta: float, battery_threshold: float = 10.0,
-                airborne_min_altitude: float = 0.5) -> StlFormula:
-    """Low battery while airborne must be followed by deployment within ``delta`` seconds.
-
-    G( (battery <= battery_threshold and altitude > airborne_min_altitude)
-       -> F[0, delta] deployed_flag >= 0.5 )
-    """
-    if delta <= 0:
-        raise SpecificationError(f"delta must be positive, got {delta}")
-    antecedent = And(
-        Atom("battery", "<=", float(battery_threshold)),
-        Atom("altitude", ">", float(airborne_min_altitude)),
-    )
-    consequent = Eventually(Atom("deployed_flag", ">=", BOOL_THRESHOLD),
-                            interval=(0.0, float(delta)))
-    return Globally(Implies(antecedent, consequent))
 
 
 # ---------------------------------------------------------------------------

@@ -185,8 +185,9 @@ def naive_trace_to_jsonl(trace: Trace) -> str:
 TRACE_SIGNALS = ("a", "b", "c")
 
 
-def random_formula(rng: np.random.Generator, depth: int, dt: float):
-    """Random AST of at most the given depth over TRACE_SIGNALS."""
+def random_formula(rng: np.random.Generator, depth: int, dt: float, reach: int = 8):
+    """Random AST of at most the given depth over TRACE_SIGNALS; a window
+    starts below ``reach // 2`` samples and is below ``reach`` samples wide."""
     if depth == 0 or rng.random() < 0.25:
         signal = TRACE_SIGNALS[rng.integers(len(TRACE_SIGNALS))]
         if rng.random() < 0.3:
@@ -195,30 +196,30 @@ def random_formula(rng: np.random.Generator, depth: int, dt: float):
         return stl.Atom(signal, op, round(float(rng.uniform(-2.0, 2.0)), 2))
 
     def interval():
-        lo = float(rng.integers(0, 4)) * dt
-        hi = lo + float(rng.integers(0, 8)) * dt
+        lo = float(rng.integers(0, reach // 2)) * dt
+        hi = lo + float(rng.integers(0, reach)) * dt
         return (lo, hi)
 
     kind = rng.integers(8)
     if kind == 0:
-        return stl.Not(random_formula(rng, depth - 1, dt))
+        return stl.Not(random_formula(rng, depth - 1, dt, reach))
     if kind == 1:
-        return stl.And(random_formula(rng, depth - 1, dt),
-                       random_formula(rng, depth - 1, dt))
+        return stl.And(random_formula(rng, depth - 1, dt, reach),
+                       random_formula(rng, depth - 1, dt, reach))
     if kind == 2:
-        return stl.Or(random_formula(rng, depth - 1, dt),
-                      random_formula(rng, depth - 1, dt))
+        return stl.Or(random_formula(rng, depth - 1, dt, reach),
+                      random_formula(rng, depth - 1, dt, reach))
     if kind == 3:
-        return stl.Implies(random_formula(rng, depth - 1, dt),
-                           random_formula(rng, depth - 1, dt))
+        return stl.Implies(random_formula(rng, depth - 1, dt, reach),
+                           random_formula(rng, depth - 1, dt, reach))
     if kind == 4:
-        return stl.Globally(random_formula(rng, depth - 1, dt))
+        return stl.Globally(random_formula(rng, depth - 1, dt, reach))
     if kind == 5:
-        return stl.Globally(random_formula(rng, depth - 1, dt), interval=interval())
+        return stl.Globally(random_formula(rng, depth - 1, dt, reach), interval=interval())
     if kind == 6:
-        return stl.Eventually(random_formula(rng, depth - 1, dt), interval=interval())
-    return stl.Until(random_formula(rng, depth - 1, dt),
-                     random_formula(rng, depth - 1, dt), interval=interval())
+        return stl.Eventually(random_formula(rng, depth - 1, dt, reach), interval=interval())
+    return stl.Until(random_formula(rng, depth - 1, dt, reach),
+                     random_formula(rng, depth - 1, dt, reach), interval=interval())
 
 
 def random_trace(rng: np.random.Generator, max_len: int = 50) -> Trace:

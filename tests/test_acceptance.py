@@ -12,11 +12,11 @@ from hdsf.cli import main
 from hdsf.condensation import (LinearSystem, Partition, condense, reassemble,
                                reconstruct_internal, solve_condensed)
 from hdsf.drone import (ControllerVariant, DroneParams, build_full_system,
-                        build_surrogate_system, conformance_check,
+                        build_surrogate_system, builtin_phi, conformance_check,
                         default_config_space, phi_for, timing_comparison)
 from hdsf.falsify import campaign, generate, run_trial
 from hdsf.reduction import build_surrogate, relevant_modes, relevant_signals
-from hdsf.stl import builtin_phi, _values
+from hdsf.stl import _values
 
 from oracles import (buggy_violation_predicate, naive_verdict, random_formula,
                      random_trace)
@@ -179,7 +179,7 @@ def test_c6_stl_oracle_equivalence(capsys):
 def test_c7_reduction_structure(capsys):
     params = DroneParams()
     full = build_full_system(params, BUGGY)
-    phi = builtin_phi(2.0, 10.0, 0.5)
+    phi = builtin_phi(2.0, 10.0)
 
     signals = relevant_signals(phi, full)
     assert signals == {"battery", "altitude", "deployed_flag"}

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from hdsf.condensation import (DRONE_INTERFACE_PARTITION, CondensedSystem,
-                               LinearSystem, Partition, clamped_rate, condense,
-                               condensed_drone_descent, drone_block_system,
+from hdsf.condensation import (CondensedSystem, LinearSystem, Partition, condense,
                                reassemble, reconstruct_internal, solve_condensed)
-from hdsf.drone import ControllerVariant, DroneParams, build_full_system
+from hdsf.drone import (DRONE_INTERFACE_PARTITION, ControllerVariant, DroneParams,
+                        build_full_system, clamped_rate, condensed_drone_descent,
+                        drone_block_system)
 from hdsf.errors import CondensationError, ConfigurationError
 
 

@@ -6,11 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from hdsf.condensation import condensed_drone_descent
 from hdsf.config import ConfigSpace
 from hdsf.drone import (ControllerVariant, DroneParams, build_full_system,
                         build_surrogate_system, check_space_band, conformance_check,
-                        default_config_space, default_configuration,
+                        condensed_drone_descent, default_config_space, default_configuration,
                         emergency_deploy_decision, mean_trial_seconds, phi_for,
                         timing_comparison)
 from hdsf.errors import ConfigurationError
@@ -249,8 +248,7 @@ class TestConformance:
         outcomes = set()
         for config in [generate(space, rng) for _ in range(10)]:
             fine, trace = run_trial(full, config, phi_for, params.full_model_dt,
-                                    params.horizon,
-                                    project_to=list(surrogate.system.signal_names))
+                                    params.horizon)
             coarse, _ = run_trial(surrogate, config, phi_for, params.dt, params.horizon)
             assert trace.dt == params.full_model_dt
             assert fine.outcome is coarse.outcome, config

@@ -117,6 +117,29 @@ class TestMutate:
             for _ in range(1000))
         assert near >= 900
 
+    @pytest.mark.parametrize("altitude, edge", [(65.0, 60.0), (75.0, 80.0), (70.0, 60.0)])
+    def test_boundary_seeking_altitude_in_band(self, altitude, edge):
+        # inside the 60-80 m band: toward the nearer edge, the lower one on a tie
+        space = default_config_space(DroneParams())
+        config = default_configuration(battery_init=80.0, altitude_init=altitude)
+        feedback = margin_point(battery_margin=30.0, altitude_margin=0.0, in_band=True)
+        rng = rng_for(5)
+        near = sum(abs(mutate(config, space, feedback, rng)["altitude_init"] - edge) <= 2.0
+                   for _ in range(1000))
+        assert near >= 900
+
+    @pytest.mark.parametrize("altitude, margin", [(50.0, -4.0), (90.0, 6.0)])
+    def test_boundary_seeking_altitude_off_band(self, altitude, margin):
+        # below or above the band: back by the margin the run decided at
+        space = default_config_space(DroneParams())
+        config = default_configuration(battery_init=80.0, altitude_init=altitude)
+        feedback = margin_point(battery_margin=30.0, altitude_margin=margin, in_band=False)
+        rng = rng_for(9)
+        target = altitude - margin
+        near = sum(abs(mutate(config, space, feedback, rng)["altitude_init"] - target) <= 2.0
+                   for _ in range(1000))
+        assert near >= 900
+
     def test_constraints_never_violated(self):
         space = default_config_space(DroneParams())
         rng = rng_for(6)

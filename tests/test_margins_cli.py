@@ -200,6 +200,18 @@ class TestInputErrors:
     def test_nonfinite_step_or_horizon(self, capsys, flag, value):
         assert "finite" in self.usage_error(capsys, ["run", flag, value])
 
+    @pytest.mark.parametrize("flags", [["--horizon", "1e308"], ["--dt", "1e-320"],
+                                       ["--altitude", "20", "--delta", "1e300"]])
+    def test_step_count_too_large(self, capsys, flags):
+        # the last one only overflows when the truncated verdict re-simulates
+        # over a horizon extended by the delay
+        assert "too many" in self.usage_error(capsys, ["run", *flags])
+
+    def test_huge_delay_is_judged(self, capsys):
+        # a window far past the trace end is as Unknown as one just past it
+        assert main(["run", "--delta", "1e308"]) == 0
+        assert "Status: DEPLOYED" in capsys.readouterr().out
+
     @pytest.mark.parametrize("command, flag", [("fuzz", "--runs"),
                                                ("conformance", "--n-configs"),
                                                ("margins", "--runs")])

@@ -6,14 +6,15 @@ import pytest
 from hdsf import stl
 from hdsf.errors import EvaluationError, ParseError, SpecificationError
 from hdsf.hybrid import Trace
+from hdsf.drone import builtin_phi
 from hdsf.stl import (Atom, And, Eventually, Globally, Implies, Not, Or, Until,
-                      Outcome, builtin_phi, evaluate, parse, pretty_print)
+                      Outcome, evaluate, parse, pretty_print)
 
 from oracles import naive_value, naive_verdict, random_formula, random_trace
 
 
 def phi_default():
-    return builtin_phi(2.0, battery_threshold=10.0, airborne_min_altitude=0.5)
+    return builtin_phi(2.0, battery_threshold=10.0)
 
 
 class TestBuiltinPhi:
@@ -129,6 +130,21 @@ class TestNaiveEquivalence:
             memo = {}
             for i in range(len(trace)):
                 assert int(fast[i]) == naive_value(formula, trace, i, memo)
+
+    def test_agreement_with_windows_past_the_trace_end(self):
+        # window bounds up to five trace lengths, capped at the trace length
+        # by the evaluator: the cap must change no value
+        rng = np.random.default_rng(31)
+        for _ in range(60):
+            trace = random_trace(rng, max_len=20)
+            formula = random_formula(rng, 3, trace.dt, reach=5 * len(trace) + 2)
+            fast = stl._values(formula, trace, trace.dt)
+            memo = {}
+            for i in range(len(trace)):
+                assert int(fast[i]) == naive_value(formula, trace, i, memo)
+        huge = Eventually(Atom("a"), interval=(0.0, 1e308))
+        far = Eventually(Atom("a"), interval=(0.0, len(trace) * trace.dt))
+        assert evaluate(huge, trace) == evaluate(far, trace)
 
 
 class TestDualityAndMonotonicity:
