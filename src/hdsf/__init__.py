@@ -25,6 +25,6 @@ from .margins import MarginPoint, compute_margins
 from .reduction import (ReducedSystem, RelevanceReport, build_surrogate,
                         relevant_modes, relevant_signals)
 from .stl import (Atom, Eventually, Globally, Implies, Not, Or, And, Until,
-                  Outcome, StlFormula, Verdict, evaluate, parse, pretty_print)
+                  Outcome, StlFormula, Verdict, evaluate)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

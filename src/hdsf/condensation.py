@@ -23,6 +23,9 @@ import scipy.linalg
 
 from .errors import CondensationError, ConfigurationError, SolveError
 
+# Largest condition estimate of the internal block that condense accepts.
+COND_THRESHOLD = 1e12
+
 
 @dataclass
 class LinearSystem:
@@ -83,12 +86,11 @@ class CondensedSystem:
         return len(self.partition.interface_indices)
 
 
-def condense(system: LinearSystem, partition: Partition,
-             cond_threshold: float = 1e12) -> CondensedSystem:
+def condense(system: LinearSystem, partition: Partition) -> CondensedSystem:
     """Eliminate the internal block of ``system`` under ``partition``.
 
     Raises CondensationError when the internal block is singular or its
-    condition estimate exceeds ``cond_threshold``.
+    condition estimate exceeds ``COND_THRESHOLD``.
     """
     if partition.size != system.size:
         raise ConfigurationError(
@@ -103,10 +105,10 @@ def condense(system: LinearSystem, partition: Partition,
     K_ip = system.K[np.ix_(i, p)]
     K_ii = system.K[np.ix_(i, i)]
     cond = np.linalg.cond(K_ii)
-    if not np.isfinite(cond) or cond > cond_threshold:
+    if not np.isfinite(cond) or cond > COND_THRESHOLD:
         raise CondensationError(
             f"internal block K_ii ({len(i)}x{len(i)}) is singular or ill-conditioned "
-            f"(condition estimate {cond:.3e} > {cond_threshold:.3e})")
+            f"(condition estimate {cond:.3e} > {COND_THRESHOLD:.3e})")
     lu = scipy.linalg.lu_factor(K_ii)
     k_tilde = K_pp - K_pi @ scipy.linalg.lu_solve(lu, K_ip)
     f_tilde = system.F[p] - K_pi @ scipy.linalg.lu_solve(lu, system.F[i])

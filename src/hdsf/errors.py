@@ -69,13 +69,5 @@ class EvaluationError(HdsfError):
     """A trace cannot be evaluated against a formula (missing signal, bad sampling)."""
 
 
-class ParseError(HdsfError):
-    """Syntax error in a property string."""
-
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
-        self.position = position
-
-
 class SpaceError(HdsfError):
     """A configuration space is empty, inconsistent, or cyclic."""

@@ -25,11 +25,10 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .config import Configuration, ConfigSpace
-from .errors import SimulationFault, SpaceError, TrialFault
+from .errors import ConfigurationError, SimulationFault, SpaceError, TrialFault
 from .hybrid import HybridSystem, Trace, simulate, write_trace_jsonl
 from .margins import MarginPoint, compute_margins, write_margins_csv
-from .stl import (Atom, Eventually, Globally, Implies, And, Not, Or, Until,
-                  StlFormula, Verdict, evaluate)
+from .stl import StlFormula, Verdict, evaluate, formula_horizon
 
 FormulaLike = Union[StlFormula, Callable[[Configuration], StlFormula]]
 
@@ -129,25 +128,6 @@ def mutate(config: Configuration, space: ConfigSpace,
 # Trial execution
 # ---------------------------------------------------------------------------
 
-def formula_horizon(formula: StlFormula) -> float:
-    """Worst-case look-ahead (seconds) the formula needs beyond a sample."""
-    if isinstance(formula, Atom):
-        return 0.0
-    if isinstance(formula, Not):
-        return formula_horizon(formula.child)
-    if isinstance(formula, (And, Or, Implies)):
-        return max(formula_horizon(formula.left), formula_horizon(formula.right))
-    if isinstance(formula, Globally):
-        inner = formula_horizon(formula.child)
-        return inner if formula.interval is None else formula.interval[1] + inner
-    if isinstance(formula, Eventually):
-        return formula.interval[1] + formula_horizon(formula.child)
-    if isinstance(formula, Until):
-        return formula.interval[1] + max(formula_horizon(formula.left),
-                                         formula_horizon(formula.right))
-    raise TypeError(f"not a formula node: {formula!r}")
-
-
 def run_trial(surrogate, config: Configuration, formula: FormulaLike,
               dt: float, horizon: float) -> tuple[Verdict, Trace]:
     """Simulate one configuration and evaluate the property on its trace.
@@ -170,7 +150,14 @@ def run_trial(surrogate, config: Configuration, formula: FormulaLike,
     try:
         verdict, trace = one_run(horizon)
         if verdict.violated and verdict.window_truncated:
-            verdict, trace = one_run(horizon + formula_horizon(phi) + 10.0 * dt)
+            ahead = formula_horizon(phi)
+            try:
+                verdict, trace = one_run(horizon + ahead + 10.0 * dt)
+            except ConfigurationError:
+                raise ConfigurationError(
+                    f"the property's look-ahead of {ahead:g} s past the {horizon:g} s "
+                    f"horizon is too many steps at dt {dt:g} to re-simulate a "
+                    f"truncated verdict") from None
     except SimulationFault as exc:
         raise TrialFault(exc, config) from exc
     return verdict, trace

@@ -195,13 +195,6 @@ class Trace:
     def __len__(self) -> int:
         return len(self.times)
 
-    def sample(self, i: int) -> tuple[float, str, dict[str, float]]:
-        return (float(self.times[i]), self.modes[i],
-                {k: float(v[i]) for k, v in self.signals.items()})
-
-    def signal_names(self) -> list[str]:
-        return list(self.signals)
-
 
 def project_trace(trace: Trace, signals: Sequence[str]) -> Trace:
     """Restrict the signal map to ``signals``; times, modes, events unchanged."""
@@ -371,20 +364,3 @@ def trace_to_jsonl(trace: Trace) -> str:
 def write_trace_jsonl(trace: Trace, path) -> None:
     with open(path, "w") as fh:
         fh.write(trace_to_jsonl(trace))
-
-
-def read_trace_jsonl(path) -> Trace:
-    with open(path) as fh:
-        lines = [json.loads(line) for line in fh if line.strip()]
-    header = lines[0]
-    samples = [rec for rec in lines[1:] if "event" not in rec]
-    events = [rec["event"] for rec in lines[1:] if "event" in rec]
-    times = np.array([rec["t"] for rec in samples])
-    modes = [rec["mode"] for rec in samples]
-    signals = {name: np.array([rec["signals"][name] for rec in samples])
-               for name in header["signals"]}
-    return Trace(
-        times=times, modes=modes, signals=signals,
-        events=[TraceEvent(ev["t"], ev["guard"], ev["from"], ev["to"]) for ev in events],
-        dt=header["dt"],
-    )

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
@@ -57,7 +57,7 @@ class MarginPoint:
     battery_margin: float
     altitude_margin: float
     in_band: bool
-    verdict: Optional[Outcome]
+    verdict: Outcome
     quadrant: str
 
     @property
@@ -106,7 +106,7 @@ def decision_index(trace, threshold: float) -> int:
     return int(hits[0]) if hits.size else len(battery) - 1
 
 
-def compute_margins(trace, config, verdict: Optional[Outcome] = None) -> MarginPoint:
+def compute_margins(trace, config, verdict: Outcome) -> MarginPoint:
     """Margin-space coordinates of one run at its decision point."""
     threshold = config["low_batt_threshold"]
     lo = config["min_deploy_alt"]

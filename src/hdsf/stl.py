@@ -1,11 +1,11 @@
 """Bounded signal temporal logic over finite, uniformly sampled traces.
 
-Formulas are ASTs over comparisons between named signals and constants,
-boolean connectives, and the time-bounded operators G (globally),
-F (eventually) and U (until).  Intervals are given in seconds and are
-converted to sample-index windows by rounding each bound to the nearest
-sample, ties rounding up.  G without an interval is unbounded and ranges
-over the remainder of the trace.
+Formulas are ASTs, built in Python, over comparisons between named
+signals and constants, boolean connectives, and the time-bounded
+operators G (globally), F (eventually) and U (until).  Intervals are
+given in seconds and are converted to sample-index windows by rounding
+each bound to the nearest sample, ties rounding up.  G without an
+interval is unbounded and ranges over the remainder of the trace.
 
 Semantics are pointwise over sample indices with a three-valued
 (Kleene) treatment of the trace end: a sample index beyond the last
@@ -39,14 +39,13 @@ from n on is Unknown, so the cap changes no value.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
 
 import numpy as np
 
-from .errors import EvaluationError, ParseError
+from .errors import EvaluationError
 
 # Three-valued encoding ordered so that kleene AND = min and OR = max.
 FALSE = 0
@@ -151,6 +150,31 @@ def atom_signals(formula: StlFormula) -> frozenset[str]:
         return atom_signals(formula.left) | atom_signals(formula.right)
     if isinstance(formula, (Globally, Eventually)):
         return atom_signals(formula.child)
+    raise TypeError(f"not a formula node: {formula!r}")
+
+
+def formula_horizon(formula: StlFormula) -> float:
+    """Worst-case look-ahead (seconds) the formula needs beyond a sample.
+
+    An unbounded G adds only its body's look-ahead: it ranges over the
+    recorded trace, so no extension of the trace decides it.  When that
+    body is still Unknown at the end of the trace, the verdict stays
+    truncated however long the run, and is judged pessimistically.
+    """
+    if isinstance(formula, Atom):
+        return 0.0
+    if isinstance(formula, Not):
+        return formula_horizon(formula.child)
+    if isinstance(formula, (And, Or, Implies)):
+        return max(formula_horizon(formula.left), formula_horizon(formula.right))
+    if isinstance(formula, Globally):
+        inner = formula_horizon(formula.child)
+        return inner if formula.interval is None else formula.interval[1] + inner
+    if isinstance(formula, Eventually):
+        return formula.interval[1] + formula_horizon(formula.child)
+    if isinstance(formula, Until):
+        return formula.interval[1] + max(formula_horizon(formula.left),
+                                         formula_horizon(formula.right))
     raise TypeError(f"not a formula node: {formula!r}")
 
 
@@ -312,181 +336,3 @@ def evaluate(formula: StlFormula, trace) -> Verdict:
                 break
     return Verdict(Outcome.VIOLATED, witness_time=witness,
                    window_truncated=(root == UNKNOWN))
-
-
-# ---------------------------------------------------------------------------
-# Parser / pretty-printer
-# ---------------------------------------------------------------------------
-
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<sym><=|>=|==|->|[<>()\[\],]))"
-)
-
-_KEYWORDS = {"and", "or", "not", "G", "F", "U"}
-
-
-class _Tokens:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens: list[tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if m is None or m.end() == pos:
-                stripped = text[pos:].lstrip()
-                if not stripped:
-                    break
-                raise ParseError(f"unexpected character {stripped[0]!r}", pos)
-            if m.lastgroup is not None:
-                self.tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
-            pos = m.end()
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, len(self.text))
-
-    def next(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
-
-    def expect(self, value: str):
-        kind, val, pos = self.next()
-        if val != value:
-            raise ParseError(f"expected {value!r}, found {val!r}", pos)
-
-    def done(self) -> bool:
-        return self.i >= len(self.tokens)
-
-
-def parse(text: str) -> StlFormula:
-    """Parse a property string into an AST.
-
-    Grammar (lowest to highest precedence):
-      implies := or ('->' implies)?
-      or      := and ('or' and)*
-      and     := until ('and' until)*
-      until   := unary ('U' '[' num ',' num ']' unary)?
-      unary   := 'not' unary | 'G' interval? unary | 'F' interval unary | primary
-      primary := '(' implies ')' | NAME (cmp NUM)?
-    """
-    toks = _Tokens(text)
-    formula = _parse_implies(toks)
-    if not toks.done():
-        kind, val, pos = toks.peek()
-        raise ParseError(f"unexpected trailing token {val!r}", pos)
-    return formula
-
-
-def _parse_implies(toks: _Tokens) -> StlFormula:
-    left = _parse_or(toks)
-    if toks.peek()[1] == "->":
-        toks.next()
-        return Implies(left, _parse_implies(toks))
-    return left
-
-
-def _parse_or(toks: _Tokens) -> StlFormula:
-    node = _parse_and(toks)
-    while toks.peek()[1] == "or":
-        toks.next()
-        node = Or(node, _parse_and(toks))
-    return node
-
-
-def _parse_and(toks: _Tokens) -> StlFormula:
-    node = _parse_until(toks)
-    while toks.peek()[1] == "and":
-        toks.next()
-        node = And(node, _parse_until(toks))
-    return node
-
-
-def _parse_until(toks: _Tokens) -> StlFormula:
-    node = _parse_unary(toks)
-    if toks.peek()[1] == "U":
-        toks.next()
-        interval = _parse_interval(toks)
-        return Until(node, _parse_unary(toks), interval=interval)
-    return node
-
-
-def _parse_interval(toks: _Tokens) -> tuple[float, float]:
-    toks.expect("[")
-    lo = _parse_number(toks)
-    toks.expect(",")
-    hi = _parse_number(toks)
-    toks.expect("]")
-    kind, val, pos = toks.peek()
-    if not (0 <= lo <= hi):
-        raise ParseError(f"bad interval [{lo},{hi}]", pos)
-    return (lo, hi)
-
-
-def _parse_number(toks: _Tokens) -> float:
-    kind, val, pos = toks.next()
-    if kind != "num":
-        raise ParseError(f"expected a number, found {val!r}", pos)
-    return float(val)
-
-
-def _parse_unary(toks: _Tokens) -> StlFormula:
-    kind, val, pos = toks.peek()
-    if val == "not":
-        toks.next()
-        return Not(_parse_unary(toks))
-    if val == "G":
-        toks.next()
-        interval = _parse_interval(toks) if toks.peek()[1] == "[" else None
-        return Globally(_parse_unary(toks), interval=interval)
-    if val == "F":
-        toks.next()
-        interval = _parse_interval(toks)
-        return Eventually(_parse_unary(toks), interval=interval)
-    return _parse_primary(toks)
-
-
-def _parse_primary(toks: _Tokens) -> StlFormula:
-    kind, val, pos = toks.next()
-    if val == "(":
-        node = _parse_implies(toks)
-        toks.expect(")")
-        return node
-    if kind == "name" and val not in _KEYWORDS:
-        nkind, nval, npos = toks.peek()
-        if nval in _COMPARATORS:
-            toks.next()
-            return Atom(val, nval, _parse_number(toks))
-        return Atom(val)
-    raise ParseError(f"expected a signal name or '(', found {val!r}", pos)
-
-
-def pretty_print(formula: StlFormula) -> str:
-    """Canonical text form; ``parse(pretty_print(f))`` reproduces ``f``."""
-    if isinstance(formula, Atom):
-        if formula.op is None:
-            return formula.signal
-        return f"{formula.signal} {formula.op} {formula.value!r}"
-    if isinstance(formula, Not):
-        return f"not ({pretty_print(formula.child)})"
-    if isinstance(formula, And):
-        return f"({pretty_print(formula.left)} and {pretty_print(formula.right)})"
-    if isinstance(formula, Or):
-        return f"({pretty_print(formula.left)} or {pretty_print(formula.right)})"
-    if isinstance(formula, Implies):
-        return f"({pretty_print(formula.left)} -> {pretty_print(formula.right)})"
-    if isinstance(formula, Globally):
-        body = f"({pretty_print(formula.child)})"
-        if formula.interval is None:
-            return f"G {body}"
-        lo, hi = formula.interval
-        return f"G[{lo!r},{hi!r}] {body}"
-    if isinstance(formula, Eventually):
-        lo, hi = formula.interval
-        return f"F[{lo!r},{hi!r}] ({pretty_print(formula.child)})"
-    if isinstance(formula, Until):
-        lo, hi = formula.interval
-        return f"({pretty_print(formula.left)}) U[{lo!r},{hi!r}] ({pretty_print(formula.right)})"
-    raise TypeError(f"not a formula node: {formula!r}")

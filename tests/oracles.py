@@ -185,9 +185,11 @@ def naive_trace_to_jsonl(trace: Trace) -> str:
 TRACE_SIGNALS = ("a", "b", "c")
 
 
-def random_formula(rng: np.random.Generator, depth: int, dt: float, reach: int = 8):
+def random_formula(rng: np.random.Generator, depth: int, dt: float, reach: int = 8,
+                   unbounded_g: bool = True):
     """Random AST of at most the given depth over TRACE_SIGNALS; a window
-    starts below ``reach // 2`` samples and is below ``reach`` samples wide."""
+    starts below ``reach // 2`` samples and is below ``reach`` samples wide.
+    Without ``unbounded_g`` every G gets an interval."""
     if depth == 0 or rng.random() < 0.25:
         signal = TRACE_SIGNALS[rng.integers(len(TRACE_SIGNALS))]
         if rng.random() < 0.3:
@@ -200,31 +202,34 @@ def random_formula(rng: np.random.Generator, depth: int, dt: float, reach: int =
         hi = lo + float(rng.integers(0, reach)) * dt
         return (lo, hi)
 
+    def child():
+        return random_formula(rng, depth - 1, dt, reach, unbounded_g)
+
     kind = rng.integers(8)
     if kind == 0:
-        return stl.Not(random_formula(rng, depth - 1, dt, reach))
+        return stl.Not(child())
     if kind == 1:
-        return stl.And(random_formula(rng, depth - 1, dt, reach),
-                       random_formula(rng, depth - 1, dt, reach))
+        return stl.And(child(), child())
     if kind == 2:
-        return stl.Or(random_formula(rng, depth - 1, dt, reach),
-                      random_formula(rng, depth - 1, dt, reach))
+        return stl.Or(child(), child())
     if kind == 3:
-        return stl.Implies(random_formula(rng, depth - 1, dt, reach),
-                           random_formula(rng, depth - 1, dt, reach))
-    if kind == 4:
-        return stl.Globally(random_formula(rng, depth - 1, dt, reach))
-    if kind == 5:
-        return stl.Globally(random_formula(rng, depth - 1, dt, reach), interval=interval())
+        return stl.Implies(child(), child())
+    if kind == 4 and unbounded_g:
+        return stl.Globally(child())
+    if kind in (4, 5):
+        return stl.Globally(child(), interval=interval())
     if kind == 6:
-        return stl.Eventually(random_formula(rng, depth - 1, dt, reach), interval=interval())
-    return stl.Until(random_formula(rng, depth - 1, dt, reach),
-                     random_formula(rng, depth - 1, dt, reach), interval=interval())
+        return stl.Eventually(child(), interval=interval())
+    return stl.Until(child(), child(), interval=interval())
 
 
-def random_trace(rng: np.random.Generator, max_len: int = 50) -> Trace:
-    n = int(rng.integers(1, max_len + 1))
-    dt = float(rng.choice([0.1, 0.5, 1.0]))
+def random_trace(rng: np.random.Generator, max_len: int = 50,
+                 n: int | None = None, dt: float | None = None) -> Trace:
+    """Random trace over TRACE_SIGNALS; ``n`` and ``dt`` are drawn unless given."""
+    if n is None:
+        n = int(rng.integers(1, max_len + 1))
+    if dt is None:
+        dt = float(rng.choice([0.1, 0.5, 1.0]))
     signals = {}
     for name in TRACE_SIGNALS:
         if rng.random() < 0.4:

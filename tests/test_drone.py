@@ -155,7 +155,7 @@ class TestFullSystem:
         config = default_configuration(10.0, 20.0)
         trace = simulate(system, None, config, params.dt, 10.0)
         projected = project_trace(trace, ["battery", "altitude"])
-        assert projected.signal_names() == ["battery", "altitude"]
+        assert list(projected.signals) == ["battery", "altitude"]
         assert projected.events == trace.events
         assert [e.guard for e in projected.events] == ["battery_critical"]
 

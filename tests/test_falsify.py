@@ -15,7 +15,7 @@ from hdsf.errors import SpaceError
 from hdsf.falsify import campaign, generate, mutate, run_trial, violation_signature
 from hdsf.hybrid import HybridSystem, StateExpr
 from hdsf.margins import MarginPoint, quadrant_for
-from hdsf.stl import Atom, Globally, Outcome, evaluate, parse
+from hdsf.stl import Atom, Globally, Outcome, evaluate
 
 from oracles import buggy_violation_predicate
 
@@ -208,7 +208,8 @@ class TestRunTrial:
         # the whole [0, 5] window is observed and satisfied
         system = HybridSystem(signal_names=("x",), dynamics={"M": {}},
                               guards={}, initial_mode="M", initials={"x": 1.0})
-        verdict, trace = run_trial(system, {}, parse("G[0,5] x >= 0.5"), 0.1, 10.0)
+        phi = Globally(Atom("x", ">=", 0.5), interval=(0.0, 5.0))
+        verdict, trace = run_trial(system, {}, phi, 0.1, 10.0)
         assert verdict.outcome is Outcome.SATISFIED
         assert len(trace) == 101
 

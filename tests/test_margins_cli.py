@@ -13,6 +13,7 @@ from hdsf.drone import (ControllerVariant, DroneParams, build_surrogate_system,
 from hdsf.errors import EvaluationError
 from hdsf.falsify import run_trial
 from hdsf.margins import compute_margins, quadrant_for
+from hdsf.stl import Outcome
 
 
 def surrogate_trace(battery_init, altitude_init, variant=ControllerVariant.BUGGY,
@@ -26,33 +27,33 @@ def surrogate_trace(battery_init, altitude_init, variant=ControllerVariant.BUGGY
 
 class TestComputeMargins:
     def test_battery_exactly_at_threshold_gives_zero_margin(self):
-        trace, config, _ = surrogate_trace(10.0, 20.0)
-        point = compute_margins(trace, config)
+        trace, config, verdict = surrogate_trace(10.0, 20.0)
+        point = compute_margins(trace, config, verdict.outcome)
         assert point.battery_margin == 0.0
 
     def test_plain_arithmetic_above_threshold(self):
         # battery never crosses within a short trace: margins at trace end
         params = DroneParams(horizon=5.0)
-        trace, config, _ = surrogate_trace(19.0, 70.0, params=params)
-        point = compute_margins(trace, config)
+        trace, config, verdict = surrogate_trace(19.0, 70.0, params=params)
+        point = compute_margins(trace, config, verdict.outcome)
         assert point.battery_margin == pytest.approx(19.0 - 0.8 * 5.0 - 10.0, abs=1e-9)
         assert point.in_band
 
     def test_below_band_directed_margin(self):
-        trace, config, _ = surrogate_trace(10.0, 20.0)
-        point = compute_margins(trace, config)
+        trace, config, verdict = surrogate_trace(10.0, 20.0)
+        point = compute_margins(trace, config, verdict.outcome)
         assert point.altitude_margin == pytest.approx(-40.0)
         assert not point.in_band
 
     def test_above_band_directed_margin(self):
-        trace, config, _ = surrogate_trace(10.0, 100.0)
-        point = compute_margins(trace, config)
+        trace, config, verdict = surrogate_trace(10.0, 100.0)
+        point = compute_margins(trace, config, verdict.outcome)
         assert point.altitude_margin == pytest.approx(20.0)
         assert not point.in_band
 
     def test_in_band_zero_with_flag(self):
-        trace, config, _ = surrogate_trace(10.0, 70.0)
-        point = compute_margins(trace, config)
+        trace, config, verdict = surrogate_trace(10.0, 70.0)
+        point = compute_margins(trace, config, verdict.outcome)
         assert point.altitude_margin == 0.0
         assert point.in_band
 
@@ -61,7 +62,7 @@ class TestComputeMargins:
         config = Configuration({"low_batt_threshold": 10.0,
                                 "min_deploy_alt": 60.0, "max_deploy_alt": 80.0})
         with pytest.raises(EvaluationError):
-            compute_margins(trace, config)
+            compute_margins(trace, config, Outcome.SATISFIED)
 
 
 class TestQuadrants:
@@ -206,6 +207,12 @@ class TestInputErrors:
         # the last one only overflows when the truncated verdict re-simulates
         # over a horizon extended by the delay
         assert "too many" in self.usage_error(capsys, ["run", *flags])
+
+    def test_resimulation_names_the_look_ahead(self, capsys):
+        # the user's horizon is fine; the property's look-ahead past it is not
+        message = self.usage_error(capsys, ["run", "--altitude", "20", "--delta", "1e300"])
+        assert "look-ahead of 1e+300 s past the 120 s horizon" in message
+        assert "horizon 1e+300" not in message
 
     def test_huge_delay_is_judged(self, capsys):
         # a window far past the trace end is as Unknown as one just past it
