@@ -31,7 +31,7 @@ from .drone import (ControllerVariant, DroneParams, build_full_system,
                     default_config_space, default_configuration, phi_for,
                     timing_comparison)
 from .errors import ConfigurationError, HdsfError
-from .falsify import campaign, generate, run_trial, trial_rng
+from .falsify import campaign, generate, map_trials, run_trial, trial_rng
 from .margins import compute_margins, decision_index, write_margins_csv
 from .stl import Outcome
 
@@ -236,14 +236,16 @@ def _cmd_margins(args) -> int:
     surrogate = build_surrogate_system(params, ControllerVariant(args.variant),
                                        rng_seed=args.seed)
     space = surrogate.parameter_space
-    rows = []
-    counts: dict[str, int] = {}
-    for trial in range(args.runs):
+
+    def margin_row(trial: int):
         config = generate(space, trial_rng(args.seed, trial))
         verdict, trace = run_trial(surrogate, config, phi_for, params.dt, params.horizon)
-        point = compute_margins(trace, config, verdict=verdict.outcome)
-        rows.append((trial, config, point))
-        key = f"{point.quadrant}/{verdict.outcome.value}"
+        return trial, config, compute_margins(trace, config, verdict=verdict.outcome)
+
+    rows = map_trials(margin_row, range(args.runs))
+    counts: dict[str, int] = {}
+    for _, _, point in rows:
+        key = f"{point.quadrant}/{point.verdict.value}"
         counts[key] = counts.get(key, 0) + 1
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

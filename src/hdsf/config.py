@@ -46,6 +46,9 @@ class Configuration(Mapping[str, float]):
     def __setattr__(self, name, value):
         raise AttributeError("Configuration is immutable")
 
+    def __reduce__(self):
+        return Configuration, (self._values,)
+
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}={v!r}" for k, v in sorted(self._values.items()))
         return f"Configuration({inner})"

@@ -37,7 +37,7 @@ from .config import Configuration, ConfigSpace
 from .errors import ConfigurationError, SpecificationError, TrialFault
 from .hybrid import Guard, HybridSystem, StateExpr
 from .margins import AIRBORNE_MIN_ALTITUDE
-from .falsify import run_trial
+from .falsify import map_trials, run_trial
 from .reduction import ReducedSystem, build_surrogate
 from .stl import (BOOL_THRESHOLD, And, Atom, Eventually, Globally, Implies, Outcome,
                   StlFormula)
@@ -408,20 +408,27 @@ def conformance_check(params: DroneParams, variant: ControllerVariant,
     property reads only signals both systems have.
 
     Configurations that fault in either system are excluded from the
-    agreement denominator and reported separately.
+    agreement denominator and reported separately.  The configurations are
+    checked by ``map_trials``, one forked worker per usable CPU.
     """
     full = build_full_system(params, variant).with_entry("GOTO")
     surrogate = build_surrogate_system(params, variant)
-    pairs = []
-    faults = []
-    for config in configs:
+
+    def check(config: Configuration):
         try:
             full_verdict, _ = run_trial(full, config, phi_for, dt, horizon)
             surr_verdict, _ = run_trial(surrogate, config, phi_for, dt, horizon)
         except TrialFault as exc:
-            faults.append((config, str(exc)))
-            continue
-        pairs.append(ConformancePair(config, full_verdict.outcome, surr_verdict.outcome))
+            return str(exc)
+        return full_verdict.outcome, surr_verdict.outcome
+
+    pairs = []
+    faults = []
+    for config, checked in zip(configs, map_trials(check, configs)):
+        if isinstance(checked, str):
+            faults.append((config, checked))
+        else:
+            pairs.append(ConformancePair(config, *checked))
     return ConformanceReport(pairs=pairs, faults=faults)
 
 

@@ -35,6 +35,9 @@ class SimulationFault(HdsfError):
         self.signal = signal
         self.value = value
 
+    def __reduce__(self):
+        return type(self), (self.time, self.signal, self.value)
+
 
 class TrialFault(HdsfError):
     """A simulation fault with the offending configuration attached."""
@@ -43,6 +46,9 @@ class TrialFault(HdsfError):
         super().__init__(f"{cause} (config: {config})")
         self.cause = cause
         self.config = config
+
+    def __reduce__(self):
+        return type(self), (self.cause, self.config)
 
 
 class ProjectionError(HdsfError):

@@ -10,17 +10,23 @@ signature's side, so this module names no parameter of its own.
 
 Every trial draws its randomness from a stream derived from the
 campaign seed and the trial index, so a campaign is reproducible
-bit-for-bit given (seed, run-count budget).
+bit-for-bit given (seed, run-count budget).  A campaign runs its trials
+in order, because mutation reads the pool of earlier trials; callers
+whose trials are independent spread them over forked workers with
+:func:`map_trials`.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import pickle
+import signal
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Callable, NoReturn, Optional, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -31,6 +37,8 @@ from .margins import MarginPoint, compute_margins, write_margins_csv
 from .stl import StlFormula, Verdict, evaluate, formula_horizon
 
 FormulaLike = Union[StlFormula, Callable[[Configuration], StlFormula]]
+T = TypeVar("T")
+R = TypeVar("R")
 
 _MAX_REPAIR_ROUNDS = 100
 # Share of trials that mutate a pooled near-boundary configuration (once
@@ -161,6 +169,98 @@ def run_trial(surrogate, config: Configuration, formula: FormulaLike,
     except SimulationFault as exc:
         raise TrialFault(exc, config) from exc
     return verdict, trace
+
+
+def map_trials(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
+    """``[fn(x) for x in items]``, with the items dealt round-robin to this
+    process and to one forked worker per further CPU it may run on.
+
+    Each worker pickles its results, or its first exception with the
+    item's index, into a pipe, and this process re-raises the exception of
+    the lowest index, as the serial loop would.  So results and exceptions
+    must pickle, and what ``fn`` changes in a worker stays there.  A fork
+    copies only the calling thread, so ``fn`` must not wait on another.
+    Runs in this process alone with one CPU, fewer than two items, or no
+    ``fork``.
+    """
+    items = list(items)
+    forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    workers = min(len(os.sched_getaffinity(0)) if forks else 1, len(items))
+    if workers < 2:
+        return [fn(x) for x in items]
+    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
+    shares = []
+    statuses = []
+    try:
+        for first in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                os.close(read_fd)
+                _worker(fn, items, first, workers, write_fd)
+            os.close(write_fd)
+            children.append((pid, read_fd))
+        shares.append(_run_share(fn, items, 0, workers))
+        for _, read_fd in children:
+            with open(read_fd, "rb", closefd=False) as pipe:
+                payload = pipe.read()
+            shares.append(pickle.loads(payload) if payload else None)
+    finally:
+        unread = len(shares) < workers
+        for pid, read_fd in children:
+            os.close(read_fd)
+            if unread:
+                os.kill(pid, signal.SIGKILL)
+            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for (pid, _), share, status in zip(children, shares[1:], statuses):
+        if share is None:
+            raise RuntimeError(f"trial worker {pid} exited with status {status} "
+                               "before sending its results")
+    errors = [error for _, error in shares if error is not None]
+    if errors:
+        raise min(errors, key=lambda error: error[0])[1]
+    results: list = [None] * len(items)
+    for first, (share, _) in enumerate(shares):
+        results[first::workers] = share
+    return results
+
+
+def _run_share(fn, items: list, first: int, step: int):
+    """``fn`` over ``items[first::step]``: the results up to the first
+    exception, and that exception with its item's index (or None)."""
+    results = []
+    for index in range(first, len(items), step):
+        try:
+            results.append(fn(items[index]))
+        except Exception as exc:
+            return results, (index, exc)
+    return results, None
+
+
+def _worker(fn, items: list, first: int, step: int, write_fd: int) -> NoReturn:
+    """A forked worker: run its share, send it, and end the process, so
+    that it never returns into the caller's stack."""
+    status = 1
+    try:
+        results, error = _run_share(fn, items, first, step)
+        try:
+            payload = pickle.dumps((results, error))
+            if error is not None:
+                pickle.loads(payload)  # an exception must also rebuild
+        except Exception as exc:
+            index = first if error is None else error[0]
+            payload = pickle.dumps(([], (index, TypeError(
+                f"item {index}: a trial worker cannot send its result back: {exc!r}"))))
+        with open(write_fd, "wb") as pipe:
+            pipe.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 # ---------------------------------------------------------------------------

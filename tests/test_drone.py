@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -301,3 +302,108 @@ class TestCondensedInterplay:
         altitude = trace.signals["altitude"]
         assert altitude[-1] <= 0.5
         assert altitude.min() > -params.descent_rate * params.dt - 1e-12
+
+
+class RecordingState(Mapping):
+    """A named state that records which signals are read from it."""
+
+    def __init__(self, values):
+        self.values = values
+        self.read = set()
+
+    def __getitem__(self, name):
+        self.read.add(name)
+        return self.values[name]
+
+    def __iter__(self):
+        return iter(self.values)
+
+    def __len__(self):
+        return len(self.values)
+
+
+def declared_callables(system):
+    """(where, declared reads, callable) of every rate, guard predicate and reset."""
+    for mode, rates in system.dynamics.items():
+        for signal, expr in rates.items():
+            yield f"rate of {signal} in {mode}", expr.reads, expr.func
+        for guard in system.guards[mode]:
+            yield f"guard {guard.label} of {mode}", guard.reads, guard.predicate
+            for signal, expr in guard.reset.items():
+                yield f"reset of {signal} by {guard.label} of {mode}", expr.reads, expr.func
+
+
+def audit_reads(system, samples):
+    """{where: (declared, read)}: what each callable of ``system`` read over
+    ``samples``, a list of (state dict, configuration) pairs."""
+    seen = {}
+    for where, declared, func in declared_callables(system):
+        read = set()
+        for state, config in samples:
+            recording = RecordingState(state)
+            func(recording, config)
+            read |= recording.read
+        seen[where] = (declared, read)
+    return seen
+
+
+def sampled_states(system, configs, every=20):
+    """Every ``every``-th state of each configuration's trace at the trace step."""
+    params = DroneParams()
+    samples = []
+    for config in configs:
+        trace = simulate(system, None, config, params.dt, params.horizon)
+        names = list(trace.signals)
+        for k in range(0, len(trace), every):
+            samples.append(({n: float(trace.signals[n][k]) for n in names}, config))
+    return samples
+
+
+class TestDeclaredReads:
+    """The reduction trusts declared reads; each callable reads only those."""
+
+    @pytest.fixture(scope="class")
+    def configs(self):
+        space = default_config_space(DroneParams())
+        rng = np.random.default_rng(61)
+        return [generate(space, rng) for _ in range(10)]
+
+    def full_samples(self, variant, configs):
+        system = build_full_system(DroneParams(), variant)
+        # mid-mission from GOTO, and the whole mission from the ground
+        missions = [c.replacing(altitude_init=0.0, mission_start=1.0) for c in configs]
+        return (sampled_states(system.with_entry("GOTO"), configs)
+                + sampled_states(system, missions))
+
+    @pytest.mark.parametrize("variant", [BUGGY, PATCHED])
+    def test_full_model_reads_only_what_it_declares(self, variant, configs):
+        system = build_full_system(DroneParams(), variant)
+        seen = audit_reads(system, self.full_samples(variant, configs))
+        assert len(seen) == 30
+        assert {where.rsplit(" ", 1)[1] for where in seen} == set(system.dynamics)
+        assert {w: read - declared for w, (declared, read) in seen.items()
+                if not read <= declared} == {}
+        # and the sampled states reach every declared read
+        assert {w: declared - read for w, (declared, read) in seen.items()
+                if declared != read} == {}
+
+    @pytest.mark.parametrize("variant", [BUGGY, PATCHED])
+    def test_surrogate_reads_only_what_it_declares(self, variant, configs):
+        surrogate = build_surrogate_system(DroneParams(), variant).system
+        seen = audit_reads(surrogate, sampled_states(surrogate, configs))
+        assert {w for w in seen} == {
+            "rate of battery in GOTO", "rate of altitude in GOTO",
+            "rate of battery in PARACHUTE", "rate of altitude in PARACHUTE",
+            "guard battery_critical of GOTO",
+            "reset of deployed_flag by battery_critical of GOTO"}
+        assert all(declared == read for declared, read in seen.values()), seen
+
+    def test_a_wrong_declaration_is_caught(self, configs):
+        system = build_full_system(DroneParams(), BUGGY)
+        goto = tuple(dataclasses.replace(g, reads=frozenset({"battery"}))
+                     if g.label == "battery_critical" else g
+                     for g in system.guards["GOTO"])
+        wrong = dataclasses.replace(system, guards={**system.guards, "GOTO": goto})
+        seen = audit_reads(wrong, self.full_samples(BUGGY, configs))
+        assert {w: read - declared for w, (declared, read) in seen.items()
+                if not read <= declared} == {"guard battery_critical of GOTO": {"altitude"}}

@@ -1,7 +1,9 @@
 """Constraint-preserving generation, boundary-seeking mutation, violation
-signatures, campaigns."""
+signatures, campaigns, forked trial workers."""
 
 import json
+import os
+import time
 
 import numpy as np
 import pytest
@@ -11,8 +13,9 @@ from hypothesis import given, settings, strategies as st
 from hdsf.config import Configuration, ConfigSpace
 from hdsf.drone import (ControllerVariant, DroneParams, build_surrogate_system,
                         default_config_space, default_configuration, phi_for)
-from hdsf.errors import SpaceError
-from hdsf.falsify import campaign, generate, mutate, run_trial, violation_signature
+from hdsf.errors import SpaceError, TrialFault
+from hdsf.falsify import (campaign, generate, map_trials, mutate, run_trial,
+                          violation_signature)
 from hdsf.hybrid import HybridSystem, StateExpr
 from hdsf.margins import MarginPoint, quadrant_for
 from hdsf.stl import Atom, Globally, Outcome, evaluate
@@ -344,3 +347,137 @@ class TestCampaign:
         with pytest.raises(SpaceError, match="aborted"):
             campaign(system, Globally(Atom("battery", ">", 0.0)), space, 50,
                      dt=0.1, horizon=5.0, seed=1)
+
+
+class Boom(Exception):
+    pass
+
+
+class TwoArgumentError(Exception):
+    """Pickles, but cannot be rebuilt from its args."""
+
+    def __init__(self, first, second):
+        super().__init__(f"{first} {second}")
+
+
+def squares_except(bad):
+    def fn(x):
+        if x in bad:
+            raise Boom(f"item {x}")
+        return x * 0.1, f"item {x}"
+    return fn
+
+
+@pytest.fixture
+def force_cpus(monkeypatch):
+    def force(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    return force
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestMapTrials:
+    @pytest.mark.parametrize("n_items", [0, 1, 2, 3, 7])
+    @pytest.mark.parametrize("n_cpus", [1, 2, 3, 4])
+    def test_equals_the_serial_loop(self, force_cpus, n_cpus, n_items):
+        force_cpus(n_cpus)
+        fn = squares_except(())
+        items = list(range(n_items))
+        assert map_trials(fn, items) == [fn(x) for x in items]
+        assert_no_child_left()
+        # item i runs in worker i % workers; worker 0 is this process
+        pids = map_trials(lambda x: os.getpid(), items)
+        workers = min(n_cpus, n_items)
+        assert [pid == os.getpid() for pid in pids] == [i % workers == 0 for i in items]
+        assert len(set(pids)) == workers
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("lower_in_worker", [True, False])
+    @pytest.mark.parametrize("n_cpus", [2, 3, 4])
+    def test_reraises_the_lowest_index(self, force_cpus, n_cpus, lower_in_worker):
+        force_cpus(n_cpus)
+        # with 7 items, indices n_cpus - 1 and n_cpus go to the last worker
+        # and to this process, n_cpus and n_cpus + 1 to this process and the first
+        bad = {n_cpus - 1, n_cpus} if lower_in_worker else {n_cpus, n_cpus + 1}
+        fn = squares_except(bad)
+        with pytest.raises(Boom) as serial:
+            [fn(x) for x in range(7)]
+        with pytest.raises(Boom) as forked:
+            map_trials(fn, range(7))
+        assert type(forked.value) is Boom
+        assert str(forked.value) == str(serial.value) == f"item {min(bad)}"
+        assert_no_child_left()
+
+    def test_trial_fault_arrives_from_a_worker(self, force_cpus):
+        force_cpus(2)
+        exploding = {"x": StateExpr(lambda s, p: s["x"] * s["x"] * 1e300,
+                                    reads=frozenset({"x"}))}
+        system = HybridSystem(signal_names=("x",), dynamics={"M": exploding},
+                              guards={"M": ()}, initial_mode="M", initials={"x": "x0"})
+        configs = [Configuration({"x0": x0}) for x0 in (0.0, 1e10, 0.0)]
+
+        def fn(config):
+            return run_trial(system, config, Globally(Atom("x", ">=", 0.0)), 0.1, 1.0)[0]
+
+        with pytest.raises(TrialFault) as serial:
+            [fn(c) for c in configs]
+        with pytest.raises(TrialFault) as forked:
+            map_trials(fn, configs)
+        assert str(forked.value) == str(serial.value)
+        assert forked.value.config == configs[1]
+        assert vars(forked.value.cause) == vars(serial.value.cause)
+        assert_no_child_left()
+
+    def test_an_exception_that_cannot_rebuild_is_named(self, force_cpus):
+        force_cpus(2)
+
+        def fn(x):
+            if x == 1:
+                raise TwoArgumentError("a", "b")
+            return x
+
+        with pytest.raises(TypeError, match="item 1: a trial worker cannot send"):
+            map_trials(fn, range(4))
+        assert_no_child_left()
+
+    def test_a_worker_never_returns_into_the_caller(self, force_cpus):
+        force_cpus(2)
+        parent = os.getpid()
+        read_fd, write_fd = os.pipe()
+
+        def fn(x):
+            if os.getpid() != parent:
+                raise SystemExit(0)  # not an Exception, so no worker catches it
+            return x
+
+        try:
+            with pytest.raises(RuntimeError, match="before sending its results"):
+                map_trials(fn, range(4))
+        finally:
+            if os.getpid() != parent:
+                # a worker got back here; it must not go on running the tests
+                os.write(write_fd, b"escaped")
+                os._exit(0)
+        os.close(write_fd)
+        with open(read_fd, "rb") as pipe:
+            assert pipe.read() == b""
+        assert_no_child_left()
+
+    def test_an_interrupted_caller_stops_its_workers(self, force_cpus):
+        force_cpus(3)
+        parent = os.getpid()
+
+        def fn(x):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        started = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            map_trials(fn, range(3))
+        assert time.perf_counter() - started < 30
+        assert_no_child_left()
