@@ -118,6 +118,18 @@ def _load_scenario(path: str) -> dict:
     return values
 
 
+def _make_out_dir(path: str) -> Path:
+    """Create the output directory before any trial runs, so a path that
+    cannot hold one is a usage error, not a failure after the work."""
+    out_dir = Path(path)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(
+            f"cannot create output directory {path}: {exc.strerror or exc}") from None
+    return out_dir
+
+
 def _resolve_params(args) -> DroneParams:
     """Defaults, overridden by the scenario file, overridden by those of the
     command's flags that name a DroneParams field (--dt and --horizon)."""
@@ -201,9 +213,10 @@ def _cmd_fuzz(args) -> int:
         check_space_band(space)
     else:
         space = surrogate.parameter_space
+    out_dir = _make_out_dir(args.out_dir)
     summary, violations = campaign(
         surrogate, phi_for, space, args.runs,
-        dt=params.dt, horizon=params.horizon, seed=args.seed, out_dir=args.out_dir)
+        dt=params.dt, horizon=params.horizon, seed=args.seed, out_dir=out_dir)
     print(f"Total Runs: {summary.total_runs}")
     print(f"Unique Violations: {summary.unique_violations}")
     print(f"Violation Rate: {100.0 * summary.violation_rate:.1f}%")
@@ -236,6 +249,7 @@ def _cmd_margins(args) -> int:
     surrogate = build_surrogate_system(params, ControllerVariant(args.variant),
                                        rng_seed=args.seed)
     space = surrogate.parameter_space
+    out_dir = _make_out_dir(args.out_dir)
 
     def margin_row(trial: int):
         config = generate(space, trial_rng(args.seed, trial))
@@ -247,8 +261,6 @@ def _cmd_margins(args) -> int:
     for _, _, point in rows:
         key = f"{point.quadrant}/{point.verdict.value}"
         counts[key] = counts.get(key, 0) + 1
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_margins_csv(out_dir / "margins.csv", rows, space)
     print(f"Margin rows written to {out_dir / 'margins.csv'}")
     for key in sorted(counts):

@@ -13,7 +13,8 @@ campaign seed and the trial index, so a campaign is reproducible
 bit-for-bit given (seed, run-count budget).  A campaign runs its trials
 in order, because mutation reads the pool of earlier trials; callers
 whose trials are independent spread them over forked workers with
-:func:`map_trials`.
+:func:`map_trials`, and a campaign writes its independent trace files
+the same way.
 """
 
 from __future__ import annotations
@@ -173,7 +174,9 @@ def run_trial(surrogate, config: Configuration, formula: FormulaLike,
 
 def map_trials(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
     """``[fn(x) for x in items]``, with the items dealt round-robin to this
-    process and to one forked worker per further CPU it may run on.
+    process and to one forked worker per further CPU it may run on.  The
+    items are independent trials, or independent writes whose result is
+    None; a worker reads the items it inherits copy-on-write.
 
     Each worker pickles its results, or its first exception with the
     item's index, into a pipe, and this process re-raises the exception of
@@ -372,9 +375,10 @@ def write_campaign_outputs(out_dir: Path, summary: CampaignSummary,
     traces_dir.mkdir(exist_ok=True)
 
     for record in violations:
-        rel = f"traces/trial_{record.trial:05d}.jsonl"
-        write_trace_jsonl(record.trace, out_dir / rel)
-        record.trace_ref = rel
+        record.trace_ref = f"traces/trial_{record.trial:05d}.jsonl"
+    # each trace file is independent: workers write their share and send None
+    map_trials(lambda record: write_trace_jsonl(record.trace, out_dir / record.trace_ref),
+               violations)
 
     with open(out_dir / "violations.jsonl", "w") as fh:
         for record in violations:

@@ -32,6 +32,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from itertools import chain, repeat
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -325,8 +326,21 @@ def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
 # ---------------------------------------------------------------------------
 
 def _json_floats(values) -> list[str]:
-    """JSON text of each value, exactly as ``json.dumps`` writes a float."""
-    return json.dumps(np.asarray(values, dtype=float).tolist())[1:-1].split(", ")
+    """JSON text of each value, exactly as ``json.dumps`` writes a float.
+
+    Held signals and stationary tails repeat one value for long runs, so
+    each run of bit-equal consecutive values is formatted once and its
+    text repeated; comparing bits, not values, keeps ``-0.0`` apart from
+    ``0.0``.  An empty column gives ``[]``.
+    """
+    column = np.asarray(values, dtype=float)
+    if not column.size:
+        return []
+    bits = column.view(np.int64)
+    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    counts = np.diff(starts, append=column.size).tolist()
+    heads = json.dumps(column[starts].tolist())[1:-1].split(", ")
+    return list(chain.from_iterable(map(repeat, heads, counts)))
 
 
 def trace_to_jsonl(trace: Trace) -> str:

@@ -1,5 +1,5 @@
 """Constraint-preserving generation, boundary-seeking mutation, violation
-signatures, campaigns, forked trial workers."""
+signatures, campaigns, forked trial and trace-writing workers."""
 
 import json
 import os
@@ -480,4 +480,41 @@ class TestMapTrials:
         with pytest.raises(KeyboardInterrupt):
             map_trials(fn, range(3))
         assert time.perf_counter() - started < 30
+        assert_no_child_left()
+
+
+class TestForkedTraceWrites:
+    """A campaign's trace files are written by forked workers, one share each,
+    and are the same files one process writes."""
+
+    @staticmethod
+    def buggy_campaign(out_dir=None):
+        params = DroneParams()
+        surrogate = build_surrogate_system(params, ControllerVariant.BUGGY)
+        return campaign(surrogate, phi_for, surrogate.parameter_space, 60,
+                        dt=params.dt, horizon=params.horizon, seed=7, out_dir=out_dir)
+
+    def test_same_files_on_one_cpu_and_on_three(self, force_cpus, tmp_path):
+        written = {}
+        for n_cpus in (1, 3):
+            force_cpus(n_cpus)
+            out_dir = tmp_path / f"cpus-{n_cpus}"
+            _, violations = self.buggy_campaign(out_dir)
+            assert_no_child_left()
+            written[n_cpus] = {str(path.relative_to(out_dir)): path.read_bytes()
+                               for path in out_dir.rglob("*") if path.is_file()}
+        assert len(violations) >= 3  # every worker writes at least one file
+        assert set(written[1]) == {"summary.json", "violations.jsonl", "margins.csv",
+                                   *(record.trace_ref for record in violations)}
+        assert written[1] == written[3]
+
+    def test_a_write_error_in_a_worker_reaches_the_caller(self, force_cpus, tmp_path):
+        force_cpus(3)
+        _, violations = self.buggy_campaign()
+        # the second trace goes to the first forked worker
+        blocked = tmp_path / "traces" / f"trial_{violations[1].trial:05d}.jsonl"
+        blocked.mkdir(parents=True)
+        with pytest.raises(IsADirectoryError) as err:
+            self.buggy_campaign(tmp_path)
+        assert err.value.filename == str(blocked)
         assert_no_child_left()

@@ -1,5 +1,6 @@
 """Simulation semantics: integration, guards, events, projection, serialization."""
 
+import json
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from hdsf.drone import (ControllerVariant, DroneParams, build_full_system,
                         build_surrogate_system, default_config_space)
 from hdsf.errors import ConfigurationError, ProjectionError, SimulationFault
 from hdsf.hybrid import (Guard, HybridSystem, StateExpr, Trace, TraceEvent,
-                         project_trace, simulate,
+                         _json_floats, project_trace, simulate,
                          trace_to_jsonl, write_trace_jsonl)
 
 from oracles import naive_simulate, naive_trace_to_jsonl
@@ -504,7 +505,6 @@ class TestSerialization:
         system = two_mode_system(lambda s, p: s["x"] >= 0.55)
         trace = simulate(system, [0.0, 0.0], {}, dt=0.5, horizon=1.0)
         lines = trace_to_jsonl(trace).strip().split("\n")
-        import json
         header = json.loads(lines[0])
         assert set(header) == {"dt", "signals", "modes"}
         sample = json.loads(lines[1])
@@ -535,6 +535,28 @@ def hand_built_traces(draw):
         dt=draw(VALUES))
 
 
+# (value, run length) pairs: held signals and stationary tails
+RUNS = st.lists(st.tuples(st.sampled_from(SPECIAL_FLOATS), st.integers(1, 50)),
+                min_size=1, max_size=6)
+
+
+def run_column(runs, n=None) -> np.ndarray:
+    """The column of ``runs``, repeated or cut to ``n`` samples if given."""
+    column = np.repeat([value for value, _ in runs], [length for _, length in runs])
+    return column if n is None else np.resize(column, n)
+
+
+@st.composite
+def traces_with_runs(draw):
+    """Times and up to four signals, each a column of runs of special floats."""
+    times = run_column(draw(RUNS))
+    n = len(times)
+    names = draw(st.lists(NAMES, unique=True, max_size=4))
+    return Trace(times=times, modes=["M"] * n,
+                 signals={name: run_column(draw(RUNS), n) for name in names},
+                 events=[], dt=0.05)
+
+
 class TestSerializerOracle:
     """``trace_to_jsonl`` writes the same bytes as ``naive_trace_to_jsonl``."""
 
@@ -542,6 +564,31 @@ class TestSerializerOracle:
     @given(trace=hand_built_traces())
     def test_hand_built_traces(self, trace):
         assert trace_to_jsonl(trace) == naive_trace_to_jsonl(trace)
+
+    @ORACLE_SETTINGS
+    @given(trace=traces_with_runs())
+    def test_traces_with_runs(self, trace):
+        assert trace_to_jsonl(trace) == naive_trace_to_jsonl(trace)
+
+    @ORACLE_SETTINGS
+    @given(runs=RUNS)
+    def test_runs_formatted_once_read_as_every_value(self, runs):
+        column = run_column(runs)
+        assert _json_floats(column) == [json.dumps(v) for v in column.tolist()]
+
+    def test_adjacent_runs_of_special_floats(self):
+        nan, inf = float("nan"), float("inf")
+        column = run_column([(0.0, 3), (-0.0, 2), (0.0, 1), (nan, 4), (inf, 2),
+                             (-inf, 3), (-0.0, 1), (1e-7, 1)])
+        assert _json_floats(column) == (["0.0"] * 3 + ["-0.0"] * 2 + ["0.0"]
+                                        + ["NaN"] * 4 + ["Infinity"] * 2
+                                        + ["-Infinity"] * 3 + ["-0.0", "1e-07"])
+        trace = Trace(times=np.arange(len(column)) * 0.5, modes=["M"] * len(column),
+                      signals={"x": column, "y": column[::-1]}, events=[], dt=0.5)
+        assert trace_to_jsonl(trace) == naive_trace_to_jsonl(trace)
+
+    def test_empty_column(self):
+        assert _json_floats(np.array([])) == []
 
     def test_special_floats_one_sample_no_events(self):
         for value in SPECIAL_FLOATS:

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from hdsf import falsify
 from hdsf.cli import build_parser, main
 from hdsf.config import Configuration
 from hdsf.drone import (ControllerVariant, DroneParams, build_surrogate_system,
@@ -279,6 +280,23 @@ class TestInputErrors:
         message = self.run_space_file(capsys, tmp_path, space_file)
         assert message == "error: min_deploy_alt 90.0 must be below max_deploy_alt 10.0"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["fuzz", "margins"])
+    @pytest.mark.parametrize("below", [False, True])
+    def test_out_dir_that_cannot_be_made(self, capsys, tmp_path, monkeypatch,
+                                         command, below):
+        # a regular file where the directory, or one of its parents, would go
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(falsify, "simulate", no_trial)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out_dir = taken / "out" if below else taken
+        message = self.usage_error(capsys, [command, "--runs", "20", "--seed", "7",
+                                            "--out-dir", str(out_dir)])
+        assert message.startswith(f"error: cannot create output directory {out_dir}: ")
+        assert taken.read_text() == ""
 
     def test_non_integer_seed_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("HDSF_SEED", "seven")
