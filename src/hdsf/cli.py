@@ -19,6 +19,7 @@ import argparse
 import dataclasses
 import inspect
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -65,14 +66,14 @@ def _add_trial_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_seed_flag(parser: argparse.ArgumentParser) -> None:
-    # a string default goes through type=int, so a bad HDSF_SEED is a usage error
-    parser.add_argument("--seed", type=int,
+    # a string default goes through the type, so a bad HDSF_SEED is a usage error
+    parser.add_argument("--seed", type=_count,
                         default=os.environ.get("HDSF_SEED", "0"),
                         help="random seed (HDSF_SEED overrides the default)")
 
 
 def _count(text: str) -> int:
-    """The argparse type of --runs and --n-configs."""
+    """The argparse type of --runs, --n-configs and --seed."""
     if not text.strip().isdecimal():
         raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
     return int(text)
@@ -85,8 +86,8 @@ def _add_batch_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _like(default, value, where: str):
-    """``value`` checked against the shape of ``default``: a number, or a
-    tuple of a fixed length (given as a JSON list) of such values."""
+    """``value`` checked against the shape of ``default``: a finite number,
+    or a tuple of a fixed length (given as a JSON list) of such values."""
     if isinstance(default, tuple):
         if not isinstance(value, list) or len(value) != len(default):
             raise ConfigurationError(
@@ -94,6 +95,8 @@ def _like(default, value, where: str):
         return tuple(_like(d, v, where) for d, v in zip(default, value))
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigurationError(f"{where} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigurationError(f"{where} must be a finite number, got {value!r}")
     return value
 
 

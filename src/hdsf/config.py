@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from graphlib import CycleError, TopologicalSorter
 from typing import Iterator, Mapping
 
 from .errors import ConfigurationError, MissingParameterError, SpaceError
@@ -76,10 +77,12 @@ class ConfigSpace:
 
     ``orderings`` lists (low, high) parameter-name pairs that every
     configuration must satisfy as low < high.  The constraint graph must
-    be acyclic and the feasible region nonempty.  ``feasible_bounds``
-    holds the bounds tightened along the orderings: lower bounds pushed
-    forward and upper bounds backward, so every configuration in the
-    space lies inside them.
+    be acyclic, and a cycle raises :class:`SpaceError` naming it, as in
+    ``b < c < a < b``.  The feasible region must be nonempty.
+    ``feasible_bounds`` holds the bounds tightened along the orderings in
+    one topological pass each way: lower bounds pushed forward and upper
+    bounds backward, so every configuration in the space lies inside
+    them.
     """
 
     bounds: Mapping[str, tuple[float, float]]
@@ -94,49 +97,31 @@ class ConfigSpace:
         for name, (lo, hi) in self.bounds.items():
             if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
                 raise SpaceError(f"parameter {name!r} has empty or unbounded interval [{lo}, {hi}]")
+        graph = TopologicalSorter()
         for a, b in self.orderings:
             if a not in self.bounds or b not in self.bounds:
                 raise SpaceError(f"ordering {a} < {b} references unknown parameters")
-        self._check_acyclic()
-        object.__setattr__(self, "feasible_bounds", self._propagate_bounds())
-
-    def _check_acyclic(self):
-        succ: dict[str, list[str]] = {}
-        for a, b in self.orderings:
-            succ.setdefault(a, []).append(b)
-        state: dict[str, int] = {}
-
-        def visit(node):
-            state[node] = 1
-            for nxt in succ.get(node, []):
-                if state.get(nxt) == 1:
-                    raise SpaceError(f"ordering constraints contain a cycle through {nxt!r}")
-                if state.get(nxt) is None:
-                    visit(nxt)
-            state[node] = 2
-
-        for node in list(succ):
-            if state.get(node) is None:
-                visit(node)
-
-    def _propagate_bounds(self) -> dict[str, tuple[float, float]]:
-        # propagate lower bounds forward and upper bounds backward along the
-        # ordering DAG; then each strict a < b is feasible iff lo_a < hi_b
+            graph.add(b, a)
+        try:
+            rank = {name: i for i, name in enumerate(graph.static_order())}
+        except CycleError as exc:
+            raise SpaceError("ordering constraints contain a cycle: "
+                             + " < ".join(exc.args[1])) from None
+        # one pass pushes lower bounds forward along the orderings, taking
+        # each edge after every edge into its source; one pass pushes upper
+        # bounds backward; then each strict a < b is feasible iff lo_a < hi_b
         lo = {name: bound[0] for name, bound in self.bounds.items()}
         hi = {name: bound[1] for name, bound in self.bounds.items()}
-        changed = True
-        while changed:
-            changed = False
-            for a, b in self.orderings:
-                if lo[a] > lo[b]:
-                    lo[b], changed = lo[a], True
-                if hi[b] < hi[a]:
-                    hi[a], changed = hi[b], True
+        for a, b in sorted(self.orderings, key=lambda pair: rank[pair[0]]):
+            lo[b] = max(lo[b], lo[a])
+        for a, b in sorted(self.orderings, key=lambda pair: rank[pair[1]], reverse=True):
+            hi[a] = min(hi[a], hi[b])
         for a, b in self.orderings:
             if not lo[a] < hi[b]:
                 raise SpaceError(f"constraint {a} < {b} infeasible: along the "
                                  f"orderings {a} >= {lo[a]} but {b} <= {hi[b]}")
-        return {name: (lo[name], hi[name]) for name in self.bounds}
+        object.__setattr__(self, "feasible_bounds",
+                           {name: (lo[name], hi[name]) for name in self.bounds})
 
     def contains(self, config: Configuration) -> bool:
         for name, (lo, hi) in self.bounds.items():

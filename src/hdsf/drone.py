@@ -65,8 +65,7 @@ class DroneParams:
     hover_drain: float = 0.4         # percent/s while landing
     descent_rate: float = 3.0        # m/s under parachute
     waypoint: tuple[float, float, float] = (1000.0, 0.0, 70.0)
-    pid_gains: tuple[tuple[float, float, float], ...] = (
-        (0.5, 0.0, 0.0), (0.5, 0.0, 0.0), (0.8, 0.0, 0.0))
+    kp: tuple[float, float, float] = (0.5, 0.5, 0.8)  # guidance gain per x, y, z axis
     dt: float = 0.05                 # s, surrogate / trace step
     horizon: float = 120.0           # s
     full_model_dt: float = 0.005     # s, fidelity step for the full model
@@ -78,8 +77,8 @@ class DroneParams:
             raise ConfigurationError("descent_rate must be positive")
         if len(self.waypoint) != 3:
             raise ConfigurationError("waypoint must be a 3-vector")
-        if len(self.pid_gains) != 3:
-            raise ConfigurationError("pid_gains must give (kp, ki, kd) per axis")
+        if len(self.kp) != 3:
+            raise ConfigurationError("kp must give one gain per axis")
 
 
 def emergency_deploy_decision(variant: ControllerVariant, battery: float,
@@ -128,7 +127,7 @@ def build_full_system(params: DroneParams,
     """The full mission controller with guidance, actuator lags, and the
     emergency override."""
     wx, wy, wz = params.waypoint
-    kp_x, kp_y, kp_z = (g[0] for g in params.pid_gains)
+    kp_x, kp_y, kp_z = params.kp
     cruise, hover = params.cruise_drain, params.hover_drain
     tau = ACTUATOR_TAU
 
@@ -258,8 +257,7 @@ def clamped_rate(level: float, rate: float) -> float:
     return rate if level > 0.0 else (rate if rate > 0.0 else 0.0)
 
 
-def condensed_drone_descent(params: DroneParams,
-                            mode: str = "PARACHUTE") -> dict[str, StateExpr]:
+def condensed_drone_descent(params: DroneParams, mode: str) -> dict[str, StateExpr]:
     """Two-variable (battery, altitude) rates for one surrogate mode,
     obtained by condensing the block physical model onto the interface.
 
@@ -361,10 +359,7 @@ def build_surrogate_system(params: DroneParams,
     condensed per-mode physical dynamics and the six-parameter search space."""
     full = build_full_system(params, variant)
     phi = phi_for(default_configuration(10.0, 20.0))  # reduction reads its signals only
-    condensed = {
-        "GOTO": condensed_drone_descent(params, "GOTO"),
-        "PARACHUTE": condensed_drone_descent(params, "PARACHUTE"),
-    }
+    condensed = {mode: condensed_drone_descent(params, mode) for mode in ("GOTO", "PARACHUTE")}
     reduced = build_surrogate(full, phi, condensed_dynamics=condensed, entry_mode="GOTO")
     # the property's delay bound is a searched parameter even though the
     # formula carries it as a literal and no part of the reduced system

@@ -13,19 +13,25 @@ dependency sets declared by dynamics, guards, and resets:
   * whatever a reset expression writing a relevant signal reads is
     relevant, and so is whatever the guard triggering that reset reads.
 
-Mode pruning then keeps the modes reachable from the analysis entry mode
-through guards that only read relevant signals, provided they write a
-relevant signal, guard on one, or lie on an execution path toward a mode
-that does.  This is one conservative instantiation of property
-relevance; the resulting reduced system is validated against the full
-system empirically (per-configuration verdict agreement), not by proof.
+Mode pruning walks the mode graph whose edges are the guards that only
+read relevant signals.  Its anchors are the modes that write a relevant
+signal or guard on one, and it keeps
+
+    reachable from the entry mode  ∩  can reach an anchor,
+
+so a kept mode either is an anchor or lies on an execution path toward
+one.  Both sets are one reachability search each, forward from the entry
+and backward from the anchors.  This is one conservative instantiation
+of property relevance; the resulting reduced system is validated against
+the full system empirically (per-configuration verdict agreement), not
+by proof.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .config import ConfigSpace
 from .errors import ReductionError, SpecificationError
@@ -64,6 +70,18 @@ class ReducedSystem:
     parameter_space: Optional[ConfigSpace] = None
 
 
+def _reach(start: Iterable[str], step: Mapping[str, Iterable[str]]) -> set[str]:
+    """``start`` and every node reachable from it along ``step``'s edges."""
+    seen = set(start)
+    frontier = list(seen)
+    while frontier:
+        for nxt in step[frontier.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return seen
+
+
 def relevant_signals(formula: StlFormula, system: HybridSystem) -> frozenset[str]:
     """Dependency closure of the signals the property references."""
     atoms = atom_signals(formula)
@@ -72,23 +90,14 @@ def relevant_signals(formula: StlFormula, system: HybridSystem) -> frozenset[str
         raise SpecificationError(
             f"property references unknown signals {sorted(unknown)}; "
             f"system signals: {list(system.signal_names)}")
-    closure = set(atoms)
-    changed = True
-    while changed:
-        changed = False
-        for mode, rates in system.dynamics.items():
-            for sig, expr in rates.items():
-                if sig in closure and not expr.reads <= closure:
-                    closure |= expr.reads
-                    changed = True
-            for g in system.guards[mode]:
-                written = [expr for sig, expr in g.reset.items() if sig in closure]
-                if written:
-                    reads = g.reads.union(*(expr.reads for expr in written))
-                    if not reads <= closure:
-                        closure |= reads
-                        changed = True
-    return frozenset(closure)
+    reads_of: dict[str, set[str]] = {sig: set() for sig in system.signal_names}
+    for mode, rates in system.dynamics.items():
+        for sig, expr in rates.items():
+            reads_of[sig] |= expr.reads
+        for g in system.guards[mode]:
+            for sig, expr in g.reset.items():
+                reads_of[sig] |= expr.reads | g.reads
+    return frozenset(_reach(atoms, reads_of))
 
 
 def relevant_modes(system: HybridSystem, signals: frozenset[str],
@@ -101,48 +110,26 @@ def relevant_modes(system: HybridSystem, signals: frozenset[str],
     if entry not in names:
         raise ReductionError(f"entry mode {entry!r} is not a mode of the system")
 
-    def ok_guards(mode: str):
-        return [g for g in system.guards[mode] if g.reads <= signals]
+    # the edges of the pruned mode graph: guards that read only relevant signals
+    edges = {m: [g for g in system.guards[m] if g.reads <= signals] for m in names}
+    targets = {m: [g.target for g in guards] for m, guards in edges.items()}
+    predecessors = {m: [p for p in names if m in targets[p]] for m in names}
 
-    # reachability from the entry over guards that survive the signal filter
-    reachable: set[str] = set()
-    frontier = [entry]
-    while frontier:
-        mode = frontier.pop()
-        if mode in reachable:
-            continue
-        reachable.add(mode)
-        for g in ok_guards(mode):
-            frontier.append(g.target)
+    def why(mode: str) -> list[str]:
+        """What makes ``mode`` an anchor of the reduction; empty if nothing."""
+        because = []
+        if (signals.intersection(system.dynamics[mode])
+                or any(signals.intersection(g.reset) for g in system.guards[mode])):
+            because.append("writes a relevant signal")
+        if any(g.reads & signals for g in edges[mode]):
+            because.append("guards on a relevant signal")
+        return because
 
-    def writes_kept(mode: str) -> bool:
-        if any(sig in signals for sig in system.dynamics[mode]):
-            return True
-        return any(set(g.reset) & signals for g in system.guards[mode])
-
-    def guards_on_kept(mode: str) -> bool:
-        return any(g.reads & signals for g in ok_guards(mode))
-
-    anchors = {m for m in reachable if writes_kept(m) or guards_on_kept(m)}
-
-    # every reachable mode lies on a path from the entry; keep it when an
-    # anchor is still ahead of it, so execution paths toward the property's
-    # modes stay intact while irrelevant tails fall away
-    pred: dict[str, list[str]] = {m: [] for m in reachable}
-    for m in reachable:
-        for g in ok_guards(m):
-            if g.target in pred:
-                pred[g.target].append(m)
-    can_reach_anchor = set(anchors)
-    frontier = list(anchors)
-    while frontier:
-        mode = frontier.pop()
-        for prev in pred[mode]:
-            if prev not in can_reach_anchor:
-                can_reach_anchor.add(prev)
-                frontier.append(prev)
-
-    kept = anchors | can_reach_anchor
+    # keep a reachable mode when an anchor is still ahead of it, so execution
+    # paths toward the property's modes stay intact while irrelevant tails
+    # fall away
+    reachable = _reach([entry], targets)
+    kept = reachable & _reach([m for m in reachable if why(m)], predecessors)
     if entry not in kept:
         raise ReductionError(
             f"reduction would drop the entry mode {entry!r}; "
@@ -151,34 +138,22 @@ def relevant_modes(system: HybridSystem, signals: frozenset[str],
     guards_kept = {}
     reasons: dict[str, str] = {}
     for mode in names:
-        if mode in kept:
-            labels = tuple(g.label for g in ok_guards(mode) if g.target in kept)
-            guards_kept[mode] = labels
-            why = []
-            if writes_kept(mode):
-                why.append("writes a relevant signal")
-            if guards_on_kept(mode):
-                why.append("guards on a relevant signal")
-            if not why:
-                why.append("lies on an execution path to a relevant mode")
-            reasons[f"mode:{mode}"] = "kept: " + ", ".join(why)
-        else:
-            if mode not in reachable:
-                reasons[f"mode:{mode}"] = ("dropped: unreachable from entry "
-                                           "over relevant guards")
-            else:
-                reasons[f"mode:{mode}"] = ("dropped: touches no relevant signal and "
-                                           "is not between relevant modes")
+        if mode not in reachable:
+            reasons[f"mode:{mode}"] = "dropped: unreachable from entry over relevant guards"
+            continue
+        if mode not in kept:
+            reasons[f"mode:{mode}"] = ("dropped: touches no relevant signal and "
+                                       "is not between relevant modes")
+            continue
+        guards_kept[mode] = tuple(g.label for g in edges[mode] if g.target in kept)
+        because = why(mode) or ["lies on an execution path to a relevant mode"]
+        reasons[f"mode:{mode}"] = "kept: " + ", ".join(because)
         for g in system.guards[mode]:
-            if mode not in kept:
-                continue
-            if g.label not in guards_kept[mode]:
-                if not g.reads <= signals:
-                    reasons[f"guard:{mode}:{g.label}"] = (
-                        f"dropped: reads irrelevant signals {sorted(g.reads - signals)}")
-                else:
-                    reasons[f"guard:{mode}:{g.label}"] = (
-                        f"dropped: target {g.target} was dropped")
+            if not g.reads <= signals:
+                reasons[f"guard:{mode}:{g.label}"] = (
+                    f"dropped: reads irrelevant signals {sorted(g.reads - signals)}")
+            elif g.target not in kept:
+                reasons[f"guard:{mode}:{g.label}"] = f"dropped: target {g.target} was dropped"
 
     return RelevanceReport(
         modes_kept=frozenset(kept),

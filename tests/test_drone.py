@@ -99,7 +99,7 @@ class TestDroneParams:
 
     def test_fields_are_the_model_and_run_settings(self):
         assert [f.name for f in dataclasses.fields(DroneParams)] == [
-            "cruise_drain", "hover_drain", "descent_rate", "waypoint", "pid_gains",
+            "cruise_drain", "hover_drain", "descent_rate", "waypoint", "kp",
             "dt", "horizon", "full_model_dt"]
 
     def test_negative_drain_rejected(self):

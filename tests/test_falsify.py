@@ -91,6 +91,20 @@ class TestGenerate:
             ConfigSpace(bounds={"a": (0.0, 1.0), "b": (0.0, 1.0)},
                         orderings=(("a", "b"), ("b", "a")))
 
+    @pytest.mark.parametrize("orderings", [(("a", "b"), ("b", "c"), ("c", "a")),
+                                           (("a", "b"), ("c", "c"))])
+    def test_cycle_message_lists_the_cycle(self, orderings):
+        # the message is a chain of orderings that ends where it starts
+        with pytest.raises(SpaceError) as err:
+            ConfigSpace(bounds={"a": (0.0, 1.0), "b": (0.0, 1.0), "c": (0.0, 1.0)},
+                        orderings=orderings)
+        prefix = "ordering constraints contain a cycle: "
+        assert str(err.value).startswith(prefix)
+        chain = str(err.value)[len(prefix):].split(" < ")
+        assert len(chain) >= 2 and chain[0] == chain[-1]
+        assert set(zip(chain, chain[1:])) <= set(orderings)
+        assert len(chain) == (4 if len(orderings) == 3 else 2)
+
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(space=chain_spaces(), seed=st.integers(0, 2**32 - 1))
     def test_chain_spaces_generate_and_mutate_inside(self, space, seed):

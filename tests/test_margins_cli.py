@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import dataclasses
 import json
 
 import pytest
@@ -141,6 +142,35 @@ class TestRunCommand:
         assert "IDLE -> TAKE_OFF" in out
         assert code == 0
 
+    def test_scenario_kp_changes_run_full_trace(self, capsys, tmp_path):
+        # the last metres of the climb are unsaturated, so the z gain sets
+        # when TAKE_OFF ends; the default gains give the default run
+        def transitions(kp=None):
+            argv = ["run-full", "--entry", "idle"]
+            if kp is not None:
+                scenario = tmp_path / "scenario.json"
+                scenario.write_text(json.dumps({"kp": kp}))
+                argv += ["--scenario", str(scenario)]
+            assert main(argv) == 0
+            return [line.strip() for line in capsys.readouterr().out.splitlines()
+                    if "->" in line]
+
+        default = transitions()
+        assert "t=   14.600s  TAKE_OFF -> GOTO  (cruise_altitude_reached)" in default
+        assert transitions([0.5, 0.5, 0.8]) == default
+        assert "t=   23.350s  TAKE_OFF -> GOTO  (cruise_altitude_reached)" in transitions(
+            [0.5, 0.5, 0.2])
+
+
+def numeric_slots():
+    """(key, index) of every number a scenario can set; index is None for a
+    plain number and the position within a tuple field otherwise."""
+    defaults = DroneParams()
+    for f in dataclasses.fields(DroneParams):
+        value = getattr(defaults, f.name)
+        for index in (range(len(value)) if isinstance(value, tuple) else [None]):
+            yield f.name, index
+
 
 class TestInputErrors:
     """Bad input exits 2 with a one-line ``error:`` message, never a traceback."""
@@ -159,6 +189,35 @@ class TestInputErrors:
         scenario = tmp_path / "scenario.json"
         scenario.write_text(json.dumps({"no_such_key": 1.0}))
         assert "no_such_key" in self.run_scenario(capsys, scenario)
+
+    def test_scenario_former_pid_gains_key(self, capsys, tmp_path):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"pid_gains": [[0.5, 0.0, 0.0]] * 3}))
+        assert "unknown key 'pid_gains'" in self.run_scenario(capsys, scenario)
+
+    @pytest.mark.parametrize("key, index", list(numeric_slots()))
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_scenario_nonfinite_number(self, capsys, tmp_path, key, index, bad):
+        # json.dumps writes these as NaN, Infinity and -Infinity
+        value = bad
+        if index is not None:
+            value = list(getattr(DroneParams(), key))
+            value[index] = bad
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({key: value}))
+        message = self.run_scenario(capsys, scenario)
+        assert message.startswith(f"error: scenario {scenario}: {key} must be a finite number")
+
+    @pytest.mark.parametrize("command", ["run", "run-full", "fuzz", "conformance",
+                                         "margins", "timing"])
+    def test_scenario_nan_on_every_command(self, capsys, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)  # where fuzz and margins would write
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text('{"cruise_drain": NaN}')
+        message = self.usage_error(capsys, [command, "--scenario", str(scenario)])
+        assert message == (f"error: scenario {scenario}: cruise_drain must be a "
+                           "finite number, got nan")
+        assert not (tmp_path / "hdsf-out").exists()
 
     def test_scenario_malformed_json(self, capsys, tmp_path):
         scenario = tmp_path / "scenario.json"
@@ -305,6 +364,29 @@ class TestInputErrors:
         assert err.value.code == 2
         assert capsys.readouterr().err.strip().split("\n")[-1].startswith(
             "hdsf fuzz: error: argument --seed")
+
+    @pytest.mark.parametrize("command", ["fuzz", "conformance", "margins", "timing"])
+    @pytest.mark.parametrize("from_env", [False, True])
+    def test_negative_seed_exits_2(self, capsys, tmp_path, monkeypatch, command, from_env):
+        # a seed sequence takes no negative entropy, so the parser turns it away
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(falsify, "simulate", no_trial)
+        monkeypatch.chdir(tmp_path)
+        argv = [command] + (["--out-dir", "out"] if command in ("fuzz", "margins") else [])
+        if from_env:
+            monkeypatch.setenv("HDSF_SEED", "-1")
+        else:
+            monkeypatch.delenv("HDSF_SEED", raising=False)
+            argv += ["--seed", "-1"]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert capsys.readouterr().err.strip().split("\n")[-1] == (
+            f"hdsf {command}: error: argument --seed: expected a nonnegative integer, "
+            "got '-1'")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestFuzzCommand:
