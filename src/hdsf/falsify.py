@@ -10,11 +10,14 @@ signature's side, so this module names no parameter of its own.
 
 Every trial draws its randomness from a stream derived from the
 campaign seed and the trial index, so a campaign is reproducible
-bit-for-bit given (seed, run-count budget).  A campaign runs its trials
-in order, because mutation reads the pool of earlier trials; callers
-whose trials are independent spread them over forked workers with
-:func:`map_trials`, and a campaign writes its independent trace files
-the same way.
+bit-for-bit given (seed, run-count budget).  Only a mutated trial reads
+the pool of earlier trials, and once the pool is nonempty a trial's own
+stream alone decides whether it mutates and, if not, what it generates.
+So a campaign hands its later generated trials to forked workers
+(:class:`TrialStream`) and takes their results in trial order while it
+mutates.  Callers whose trials are independent spread them over forked
+workers with :func:`map_trials`, a client of the same stream, and a
+campaign writes its independent trace files the same way.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import signal
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NoReturn, Optional, Sequence, TypeVar, Union
+from typing import BinaryIO, Callable, NoReturn, Optional, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -172,98 +175,175 @@ def run_trial(surrogate, config: Configuration, formula: FormulaLike,
     return verdict, trace
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on, or 1 where it cannot fork."""
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
+_PIPE_BYTES = 1 << 20
+
+
+class TrialStream:
+    """``fn`` over ``keys`` on ``workers`` forked processes, read back in
+    key order.
+
+    The workers fork when the stream is created.  Key ``i`` goes to worker
+    ``i % workers``, which runs its keys in order and sends each result
+    into its pipe as soon as it has it, or its first exception, after which
+    it stops.  Each ``next()`` returns the result of the next key, waiting
+    for it if need be, or raises its exception, as the serial loop would.
+    Results and exceptions must pickle, and what ``fn`` changes in a worker
+    stays there.  A fork copies only the calling thread, so ``fn`` must not
+    wait on another.
+
+    Each pipe is widened to 1 MiB where the system allows, so a worker
+    runs ahead of a busy reader by many results, traces included, instead
+    of stalling on a full pipe.  ``close()`` (or leaving a ``with`` block)
+    kills and reaps the workers, whatever they still had to send.
+    """
+
+    def __init__(self, fn: Callable[[T], R], keys: Sequence[T], workers: int):
+        self._keys = len(keys)
+        self._sent = 0
+        self._children: list[tuple[int, BinaryIO]] = []  # (pid, its pipe)
+        self._statuses: dict[int, int] = {}  # pid -> exit code, once reaped
+        try:
+            for first in range(workers):
+                read_fd, write_fd = os.pipe()
+                try:
+                    _widen(write_fd)
+                    pid = os.fork()
+                except OSError:
+                    os.close(read_fd)
+                    os.close(write_fd)
+                    raise
+                if pid == 0:
+                    os.close(read_fd)
+                    for _, pipe in self._children:
+                        os.close(pipe.fileno())
+                    _serve(fn, keys[first::workers], write_fd)
+                os.close(write_fd)
+                self._children.append((pid, open(read_fd, "rb")))
+        except BaseException:
+            self.close()
+            raise
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        if self._sent == self._keys:
+            raise StopIteration
+        pid, pipe = self._children[self._sent % len(self._children)]
+        self._sent += 1
+        header = pipe.read(8)
+        size = int.from_bytes(header, "little")
+        payload = pipe.read(size) if len(header) == 8 else b""
+        if not payload or len(payload) < size:
+            self.close()
+            status = self._statuses[pid]
+            raise RuntimeError(f"trial worker {pid} exited with status {status} "
+                               "before sending its results")
+        result, error = pickle.loads(payload)
+        if error is not None:
+            raise error
+        return result
+
+    def close(self) -> None:
+        for pid, pipe in self._children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            self._statuses[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        self._children = []
+
+    def __enter__(self) -> "TrialStream":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+def _widen(fd: int) -> None:
+    """Raise the pipe's capacity to ``_PIPE_BYTES``, or keep the default
+    where the system has no such setting or refuses it."""
+    try:
+        import fcntl
+        fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+    except (ImportError, AttributeError, OSError):
+        pass
+
+
+def _serve(fn, keys: Sequence, write_fd: int) -> NoReturn:
+    """A forked worker: send ``fn(key)`` for each key, each as a length and
+    a pickle, up to its first exception, and end the process, so that it
+    never returns into the caller's stack."""
+    status = 1
+    try:
+        with open(write_fd, "wb") as pipe:
+            for key in keys:
+                try:
+                    message = fn(key), None
+                except Exception as exc:
+                    message = None, exc
+                payload = _pickled(message, key)
+                pipe.write(len(payload).to_bytes(8, "little") + payload)
+                pipe.flush()
+                if message[1] is not None:
+                    break
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _pickled(message: tuple, key) -> bytes:
+    """The pickle of ``(result, exception)``, or of a TypeError naming
+    ``key`` when it will not pickle or the exception will not rebuild."""
+    try:
+        payload = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+        if message[1] is not None:
+            pickle.loads(payload)  # an exception must also rebuild
+        return payload
+    except Exception as exc:
+        return pickle.dumps((None, TypeError(
+            f"item {key}: a trial worker cannot send its result back: {exc!r}")))
+
+
 def map_trials(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
     """``[fn(x) for x in items]``, with the items dealt round-robin to this
     process and to one forked worker per further CPU it may run on.  The
     items are independent trials, or independent writes whose result is
     None; a worker reads the items it inherits copy-on-write.
 
-    Each worker pickles its results, or its first exception with the
-    item's index, into a pipe, and this process re-raises the exception of
-    the lowest index, as the serial loop would.  So results and exceptions
-    must pickle, and what ``fn`` changes in a worker stays there.  A fork
-    copies only the calling thread, so ``fn`` must not wait on another.
+    The workers are a :class:`TrialStream` over the items this process
+    does not run.  This process runs its own share first, then takes the
+    results in item order, so the exception of the lowest index is the one
+    raised, as in the serial loop; the stream's rules for ``fn`` hold.
     Runs in this process alone with one CPU, fewer than two items, or no
     ``fork``.
     """
     items = list(items)
-    forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-    workers = min(len(os.sched_getaffinity(0)) if forks else 1, len(items))
+    workers = min(_cpus(), len(items))
     if workers < 2:
         return [fn(x) for x in items]
-    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
-    shares = []
-    statuses = []
-    try:
-        for first in range(1, workers):
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
-            if pid == 0:
-                os.close(read_fd)
-                _worker(fn, items, first, workers, write_fd)
-            os.close(write_fd)
-            children.append((pid, read_fd))
-        shares.append(_run_share(fn, items, 0, workers))
-        for _, read_fd in children:
-            with open(read_fd, "rb", closefd=False) as pipe:
-                payload = pipe.read()
-            shares.append(pickle.loads(payload) if payload else None)
-    finally:
-        unread = len(shares) < workers
-        for pid, read_fd in children:
-            os.close(read_fd)
-            if unread:
-                os.kill(pid, signal.SIGKILL)
-            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-    for (pid, _), share, status in zip(children, shares[1:], statuses):
-        if share is None:
-            raise RuntimeError(f"trial worker {pid} exited with status {status} "
-                               "before sending its results")
-    errors = [error for _, error in shares if error is not None]
-    if errors:
-        raise min(errors, key=lambda error: error[0])[1]
-    results: list = [None] * len(items)
-    for first, (share, _) in enumerate(shares):
-        results[first::workers] = share
-    return results
-
-
-def _run_share(fn, items: list, first: int, step: int):
-    """``fn`` over ``items[first::step]``: the results up to the first
-    exception, and that exception with its item's index (or None)."""
-    results = []
-    for index in range(first, len(items), step):
+    theirs = [i for i in range(len(items)) if i % workers]
+    with TrialStream(lambda i: fn(items[i]), theirs, workers - 1) as stream:
+        mine = []  # the results of items 0, workers, 2 * workers, ...
         try:
-            results.append(fn(items[index]))
+            for index in range(0, len(items), workers):
+                mine.append(fn(items[index]))
         except Exception as exc:
-            return results, (index, exc)
-    return results, None
-
-
-def _worker(fn, items: list, first: int, step: int, write_fd: int) -> NoReturn:
-    """A forked worker: run its share, send it, and end the process, so
-    that it never returns into the caller's stack."""
-    status = 1
-    try:
-        results, error = _run_share(fn, items, first, step)
-        try:
-            payload = pickle.dumps((results, error))
-            if error is not None:
-                pickle.loads(payload)  # an exception must also rebuild
-        except Exception as exc:
-            index = first if error is None else error[0]
-            payload = pickle.dumps(([], (index, TypeError(
-                f"item {index}: a trial worker cannot send its result back: {exc!r}"))))
-        with open(write_fd, "wb") as pipe:
-            pipe.write(payload)
-        status = 0
-    finally:
-        os._exit(status)
+            error = exc  # raised when its item's turn comes
+        results = []
+        for index in range(len(items)):
+            if index % workers:
+                results.append(next(stream))
+            elif index // workers < len(mine):
+                results.append(mine[index // workers])
+            else:
+                raise error
+        return results
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +379,18 @@ def campaign(surrogate, formula: FormulaLike, space: ConfigSpace,
     With ``out_dir`` set, writes summary.json, violations.jsonl,
     margins.csv, and one trace file per unique violation.  Aborts when
     more than ``MAX_FAULT_FRACTION`` of trials fault.
+
+    Until the mutation pool first fills, every trial generates.  From
+    then on a trial's own random stream decides whether it mutates, so
+    when the pool fills the trials that will generate are known, and a
+    :class:`TrialStream` runs them (generation, simulation, margins) on
+    one forked worker per further CPU, each sending its trace back only
+    if the trial violates.  This process mutates and runs the other
+    trials and takes each generated trial's result when its turn comes,
+    so the pool, the rows, deduplication, fault counting and the abort
+    rule see every trial in order, and the results and artifacts are
+    those of one process.  With one CPU, fewer than two generated trials
+    left, or a pool that never fills, nothing forks.
     """
     if budget < 0:
         raise SpaceError(f"budget must be nonnegative, got {budget}")
@@ -311,41 +403,74 @@ def campaign(surrogate, formula: FormulaLike, space: ConfigSpace,
     rows: list[tuple[int, Configuration, MarginPoint]] = []
     faults: list[tuple[int, str]] = []
 
-    for trial in range(budget):
-        rng = trial_rng(campaign_seed, trial)
-        if pool and rng.random() < MUTATION_FRACTION:
-            base_config, base_point = pool[int(rng.integers(len(pool)))]
-            config = mutate(base_config, space, base_point, rng)
-        else:
-            config = generate(space, rng)
-
+    def judged(config: Configuration):
+        """(config, verdict, margin point, trace) of a run, or its TrialFault."""
         try:
             verdict, trace = run_trial(surrogate, config, formula, dt, horizon)
         except TrialFault as exc:
-            faults.append((trial, str(exc)))
-            completed = trial + 1
-            if completed >= 10 and len(faults) > MAX_FAULT_FRACTION * completed:
-                raise SpaceError(
-                    f"campaign aborted: {len(faults)}/{completed} trials faulted; "
-                    f"first fault: {faults[0][1]}") from exc
-            continue
+            return exc
+        return config, verdict, compute_margins(trace, config, verdict=verdict.outcome), trace
 
-        point = compute_margins(trace, config, verdict=verdict.outcome)
-        rows.append((trial, config, point))
-        if point.near_boundary:
-            pool.append((config, point))
+    def generated(trial: int):
+        """A trial that the pool was nonempty for and that generates, run in a
+        worker; its trace is sent back only for a violation."""
+        rng = trial_rng(campaign_seed, trial)
+        rng.random()  # its draw against MUTATION_FRACTION
+        outcome = judged(generate(space, rng))
+        if isinstance(outcome, TrialFault) or outcome[1].violated:
+            return outcome
+        return outcome[:3] + (None,)
 
-        if verdict.violated:
-            signature = violation_signature(config, point)
-            if signature not in seen:
-                seen.add(signature)
-                violations.append(ViolationRecord(
-                    trial=trial,
-                    config=config,
-                    witness_time=verdict.witness_time,
-                    signature=signature,
-                    trace=trace,
-                ))
+    ahead: Optional[TrialStream] = None  # the generated trials after the pool fills
+    ahead_trials: set[int] = set()
+    try:
+        for trial in range(budget):
+            if trial in ahead_trials:
+                outcome = next(ahead)
+            else:
+                rng = trial_rng(campaign_seed, trial)
+                if pool and rng.random() < MUTATION_FRACTION:
+                    base_config, base_point = pool[int(rng.integers(len(pool)))]
+                    config = mutate(base_config, space, base_point, rng)
+                else:
+                    config = generate(space, rng)
+                outcome = judged(config)
+
+            if isinstance(outcome, TrialFault):
+                faults.append((trial, str(outcome)))
+                completed = trial + 1
+                if completed >= 10 and len(faults) > MAX_FAULT_FRACTION * completed:
+                    raise SpaceError(
+                        f"campaign aborted: {len(faults)}/{completed} trials faulted; "
+                        f"first fault: {faults[0][1]}") from outcome
+                continue
+
+            config, verdict, point, trace = outcome
+            rows.append((trial, config, point))
+            if point.near_boundary:
+                pool.append((config, point))
+                workers = _cpus() - 1 if len(pool) == 1 else 0
+                if workers:
+                    later = [t for t in range(trial + 1, budget)
+                             if trial_rng(campaign_seed, t).random() >= MUTATION_FRACTION]
+                    if len(later) >= 2:
+                        ahead = TrialStream(generated, later, min(workers, len(later)))
+                        ahead_trials = set(later)
+
+            if verdict.violated:
+                signature = violation_signature(config, point)
+                if signature not in seen:
+                    seen.add(signature)
+                    violations.append(ViolationRecord(
+                        trial=trial,
+                        config=config,
+                        witness_time=verdict.witness_time,
+                        signature=signature,
+                        trace=trace,
+                    ))
+    finally:
+        if ahead is not None:
+            ahead.close()
 
     summary = CampaignSummary(
         total_runs=budget,

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass, field, replace
 from itertools import chain, repeat
 from typing import Callable, Mapping, Optional, Sequence, Union
@@ -279,46 +280,55 @@ def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
     steps = horizon / dt
     try:
         n_steps = int(round(steps))
-        data = np.empty((n_steps + 1, len(names)))
+        data = np.empty((len(names), n_steps + 1))  # one row per signal
     except (OverflowError, ValueError, MemoryError):
         raise ConfigurationError(
             f"horizon {horizon} over dt {dt} is {steps:g} steps, too many to hold") from None
-    modes: list[str] = []
+    samples = array("d")  # the recorded states, one after another
+    record = samples.extend
     events: list[TraceEvent] = []
     mode = system.initial_mode
+    mode_runs = [(mode, 0)]  # (mode, its first sample)
+    guards, mode_rates = system.guards[mode], rates[mode]
+    copysign, isfinite = math.copysign, math.isfinite
     for k in range(n_steps + 1):
-        t = k * dt
         named = dict(zip(names, state))
-        data[k] = state
-        modes.append(mode)
+        record(state)
         fixed = True
-        for guard in system.guards[mode]:
+        for guard in guards:
             if guard.predicate(named, parameters):
+                t = k * dt
                 events.append(TraceEvent(t, guard.label, mode, guard.target))
                 state = _apply_reset(system, guard, named, parameters, t)
                 named = dict(zip(names, state))
                 mode = guard.target
+                mode_runs.append((mode, k + 1))
+                guards, mode_rates = system.guards[mode], rates[mode]
                 fixed = False
                 break
         if k == n_steps:
             break
-        for i, name, f in rates[mode]:
+        for i, name, f in mode_rates:
             old = state[i]
             value = old + dt * f(named, parameters)
-            if not math.isfinite(value):
+            if not isfinite(value):
                 raise SimulationFault((k + 1) * dt, name, value)
-            if value != old or (value == 0.0 and
-                                math.copysign(1.0, value) != math.copysign(1.0, old)):
+            if fixed and (value != old or (value == 0.0 and
+                                           copysign(1.0, value) != copysign(1.0, old))):
                 fixed = False
             state[i] = value
         if fixed:
             # pure, time-invariant callables: every later step repeats this one
-            data[k + 1:] = state
-            modes.extend([mode] * (n_steps - k))
             break
 
+    recorded = k + 1
+    data[:, :recorded] = np.frombuffer(samples, dtype=float).reshape(recorded, len(names)).T
+    data[:, recorded:] = np.array(state)[:, None]
+    ends = [first for _, first in mode_runs[1:]] + [n_steps + 1]
+    modes = list(chain.from_iterable(repeat(m, end - first)
+                                     for (m, first), end in zip(mode_runs, ends)))
     times = np.arange(n_steps + 1) * dt
-    signals = {name: data[:, i].copy() for i, name in enumerate(names)}
+    signals = dict(zip(names, data))
     return Trace(times=times, modes=modes, signals=signals, events=events, dt=dt)
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 """Constraint-preserving generation, boundary-seeking mutation, violation
 signatures, campaigns, forked trial and trace-writing workers."""
 
+import csv
 import json
+import math
 import os
+import select
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,8 +18,8 @@ from hdsf.config import Configuration, ConfigSpace
 from hdsf.drone import (ControllerVariant, DroneParams, build_surrogate_system,
                         default_config_space, default_configuration, phi_for)
 from hdsf.errors import SpaceError, TrialFault
-from hdsf.falsify import (campaign, generate, map_trials, mutate, run_trial,
-                          violation_signature)
+from hdsf.falsify import (MUTATION_FRACTION, TrialStream, campaign, generate, map_trials,
+                          mutate, run_trial, trial_rng, violation_signature)
 from hdsf.hybrid import HybridSystem, StateExpr
 from hdsf.margins import MarginPoint, quadrant_for
 from hdsf.stl import Atom, Globally, Outcome, evaluate
@@ -497,6 +501,49 @@ class TestMapTrials:
         assert_no_child_left()
 
 
+class TestTrialStream:
+    def test_workers_run_before_the_first_result_is_asked(self):
+        read_fd, write_fd = os.pipe()
+        try:
+            def fn(key):
+                os.write(write_fd, b"%d," % key)
+                return key
+
+            with TrialStream(fn, [1, 2, 3], 2) as stream:
+                # each worker's first key runs with no next() called yet
+                ready, _, _ = select.select([read_fd], [], [], 30)
+                assert ready
+                started = b""
+                while started.count(b",") < 2:
+                    select.select([read_fd], [], [], 30)
+                    started += os.read(read_fd, 64)
+                assert {int(k) for k in started.split(b",")[:2]} <= {1, 2, 3}
+                assert list(stream) == [1, 2, 3]
+        finally:
+            os.close(read_fd)
+            os.close(write_fd)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_results_larger_than_a_pipe_arrive_in_order(self, workers):
+        def fn(key):
+            return bytes([key]) * 200_000
+
+        keys = list(range(20))
+        with TrialStream(fn, keys, workers) as stream:
+            time.sleep(0.2)  # let the workers fill their pipes first
+            assert list(stream) == [fn(k) for k in keys]
+        assert_no_child_left()
+
+    def test_an_exception_ends_the_worker_at_its_key(self):
+        fn = squares_except({3})
+        with TrialStream(fn, list(range(6)), 2) as stream:
+            assert [next(stream) for _ in range(3)] == [fn(k) for k in range(3)]
+            with pytest.raises(Boom, match="item 3"):
+                next(stream)
+        assert_no_child_left()
+
+
 class TestForkedTraceWrites:
     """A campaign's trace files are written by forked workers, one share each,
     and are the same files one process writes."""
@@ -531,4 +578,194 @@ class TestForkedTraceWrites:
         with pytest.raises(IsADirectoryError) as err:
             self.buggy_campaign(tmp_path)
         assert err.value.filename == str(blocked)
+        assert_no_child_left()
+
+
+LATE_FILL_SPACE = Path(__file__).parent / "spaces" / "late-fill.json"
+
+
+def files_under(out_dir: Path) -> dict[str, bytes]:
+    return {str(path.relative_to(out_dir)): path.read_bytes()
+            for path in out_dir.rglob("*") if path.is_file()}
+
+
+def near_boundary_trials(out_dir: Path) -> list[int]:
+    """The trials whose rows in margins.csv join the mutation pool."""
+    with open(out_dir / "margins.csv", newline="") as fh:
+        return [int(row["trial"]) for row in csv.DictReader(fh)
+                if MarginPoint(float(row["battery_margin"]), float(row["altitude_margin"]),
+                               row["in_band"] == "True", Outcome(row["verdict"]),
+                               row["quadrant"]).near_boundary]
+
+
+def generates(seed: int, trial: int) -> bool:
+    """Whether a trial generates once the pool is nonempty."""
+    return trial_rng(seed, trial).random() >= MUTATION_FRACTION
+
+
+@pytest.fixture
+def count_forks(monkeypatch):
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def faulty_system(above: float) -> HybridSystem:
+    """The battery drains at 1/s and the altitude holds; a run whose
+    battery starts above ``above`` faults on its first step."""
+    def drain(state, params):
+        return math.inf if params["battery_init"] > above else -1.0
+
+    return HybridSystem(signal_names=("battery", "altitude"),
+                        dynamics={"M": {"battery": StateExpr(drain)}}, guards={},
+                        initial_mode="M",
+                        initials={"battery": "battery_init", "altitude": "altitude_init"})
+
+
+FAULTY_SPACE = ConfigSpace(bounds={"battery_init": (0.0, 100.0),
+                                   "altitude_init": (10.0, 20.0),
+                                   "min_deploy_alt": (10.0, 20.0),
+                                   "max_deploy_alt": (30.0, 40.0),
+                                   "low_batt_threshold": (5.0, 6.0)},
+                           orderings=(("min_deploy_alt", "max_deploy_alt"),))
+
+
+class TestCampaignOnWorkers:
+    """Once the pool fills, a campaign's generated trials run on forked
+    workers; results and artifacts are those of one process."""
+
+    params = DroneParams()
+
+    def drone_campaign(self, variant, space=None, *, runs=60, seed=1, formula=phi_for,
+                       out_dir=None):
+        surrogate = build_surrogate_system(self.params, variant)
+        return campaign(surrogate, formula, space or surrogate.parameter_space, runs,
+                        dt=self.params.dt, horizon=self.params.horizon, seed=seed,
+                        out_dir=out_dir)
+
+    @staticmethod
+    def comparable(result):
+        summary, violations = result
+        summary = {k: v for k, v in vars(summary).items() if k != "wall_time"}
+        records = []
+        for record in violations:
+            fields = {k: v for k, v in vars(record).items() if k != "trace"}
+            trace = record.trace
+            fields["trace"] = (trace.times.tobytes(), trace.modes, trace.events, trace.dt,
+                               {name: column.tobytes()
+                                for name, column in trace.signals.items()})
+            records.append(fields)
+        return summary, records
+
+    @pytest.mark.parametrize("late_fill", [False, True])
+    @pytest.mark.parametrize("variant", list(ControllerVariant))
+    def test_same_results_on_one_two_and_three_cpus(self, force_cpus, count_forks,
+                                                    tmp_path, variant, late_fill):
+        space = (ConfigSpace.from_json(LATE_FILL_SPACE.read_text()) if late_fill
+                 else None)
+        results, written = {}, {}
+        for n_cpus in (1, 2, 3):
+            force_cpus(n_cpus)
+            out_dir = tmp_path / f"cpus-{n_cpus}"
+            forks_before = len(count_forks)
+            results[n_cpus] = self.comparable(
+                self.drone_campaign(variant, space, out_dir=out_dir))
+            assert_no_child_left()
+            written[n_cpus] = files_under(out_dir)
+            if n_cpus > 1:
+                assert len(count_forks) > forks_before  # the workers ran trials
+        if late_fill and variant is ControllerVariant.BUGGY:
+            assert near_boundary_trials(tmp_path / "cpus-1")[0] == 21
+        assert results[1] == results[2] == results[3]
+        assert written[1] == written[2] == written[3]
+
+    def test_trial_faults_in_generated_trials(self, force_cpus, count_forks, tmp_path):
+        phi = Globally(Atom("battery", ">", 3.0))
+        written, aborts = {}, {}
+        for n_cpus in (1, 2, 3):
+            force_cpus(n_cpus)
+            out_dir = tmp_path / f"cpus-{n_cpus}"
+            summary, _ = campaign(faulty_system(90.0), phi, FAULTY_SPACE, 60,
+                                  dt=0.1, horizon=5.0, seed=1, out_dir=out_dir)
+            assert_no_child_left()
+            written[n_cpus] = files_under(out_dir)
+            with pytest.raises(SpaceError, match="campaign aborted") as err:
+                campaign(faulty_system(90.0), phi, FAULTY_SPACE, 60,
+                         dt=0.1, horizon=5.0, seed=0)
+            assert_no_child_left()
+            aborts[n_cpus] = str(err.value), str(err.value.__cause__)
+        # seed 1 faults without aborting, and the faulted trials have no row
+        rows = written[1]["margins.csv"].decode().splitlines()
+        assert summary.unique_violations > 0 and 1 < len(rows) < 61
+        assert written[1] == written[2] == written[3]
+        # seed 0 aborts at a generated trial, 4 faults in 34 trials
+        assert aborts[1][0].startswith("campaign aborted: 4/34 trials faulted")
+        assert generates(0, 33)
+        assert aborts[1] == aborts[2] == aborts[3]
+        assert count_forks
+
+    def test_an_error_in_a_generated_trial_reaches_the_caller(self, force_cpus, count_forks,
+                                                             tmp_path):
+        seed = 7
+        force_cpus(1)
+        self.drone_campaign(ControllerVariant.BUGGY, seed=seed, out_dir=tmp_path / "clean")
+        fills = near_boundary_trials(tmp_path / "clean")[0]
+        # the fourth trial after the pool fills that generates: with three
+        # CPUs, the second worker runs it
+        trial = [t for t in range(fills + 1, 60) if generates(seed, t)][3]
+        rng = trial_rng(seed, trial)
+        rng.random()
+        target = generate(default_config_space(self.params), rng)
+
+        def formula(config):
+            if config == target:
+                raise Boom(f"config {dict(config)}")
+            return phi_for(config)
+
+        messages = {}
+        for n_cpus in (1, 2, 3):
+            force_cpus(n_cpus)
+            out_dir = tmp_path / f"cpus-{n_cpus}"
+            forks_before = len(count_forks)
+            with pytest.raises(Boom) as err:
+                self.drone_campaign(ControllerVariant.BUGGY, seed=seed, formula=formula,
+                                    out_dir=out_dir)
+            assert_no_child_left()
+            assert not out_dir.exists()
+            assert (len(count_forks) > forks_before) == (n_cpus > 1)
+            messages[n_cpus] = str(err.value)
+        assert messages[1] == messages[2] == messages[3] == f"config {dict(target)}"
+
+    def test_an_interrupted_caller_stops_its_workers(self, force_cpus, count_forks):
+        force_cpus(3)
+        parent = os.getpid()
+        judged = []
+
+        def formula(config):
+            if os.getpid() == parent:
+                judged.append(None)
+                if len(judged) == 20:
+                    raise KeyboardInterrupt
+            return phi_for(config)
+
+        with pytest.raises(KeyboardInterrupt):
+            self.drone_campaign(ControllerVariant.BUGGY, seed=3, formula=formula)
+        assert count_forks
+        assert_no_child_left()
+
+    def test_a_pool_that_never_fills_forks_nothing(self, force_cpus, count_forks):
+        force_cpus(3)
+        space = default_config_space(self.params)
+        bounds = {**space.bounds, "battery_init": (0.0, 1.0), "altitude_init": (0.0, 5.0),
+                  "low_batt_threshold": (20.0, 30.0)}
+        summary, _ = self.drone_campaign(
+            ControllerVariant.BUGGY, ConfigSpace(bounds=bounds, orderings=space.orderings))
+        assert summary.unique_violations > 0
+        assert count_forks == []
         assert_no_child_left()
