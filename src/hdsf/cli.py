@@ -28,9 +28,9 @@ import numpy as np
 
 from .config import Configuration, ConfigSpace
 from .drone import (ControllerVariant, DroneParams, build_full_system,
-                    build_surrogate_system, check_space_band, conformance_check,
-                    default_config_space, default_configuration, phi_for,
-                    timing_comparison)
+                    build_surrogate_system, check_space_band, check_space_names,
+                    conformance_check, default_config_space, default_configuration,
+                    phi_for, timing_comparison)
 from .errors import ConfigurationError, HdsfError
 from .falsify import campaign, generate, map_trials, run_trial, trial_rng
 from .margins import compute_margins, decision_index, write_margins_csv
@@ -213,6 +213,7 @@ def _cmd_fuzz(args) -> int:
             raise ConfigurationError(
                 f"cannot read space file {args.space_file}: {exc}") from None
         space = ConfigSpace.from_json(text)
+        check_space_names(space, params)
         check_space_band(space)
     else:
         space = surrogate.parameter_space

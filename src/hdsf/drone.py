@@ -38,7 +38,7 @@ from .errors import ConfigurationError, SpecificationError, TrialFault
 from .hybrid import Guard, HybridSystem, StateExpr
 from .margins import AIRBORNE_MIN_ALTITUDE
 from .falsify import map_trials, run_trial
-from .reduction import ReducedSystem, build_surrogate
+from .reduction import ReducedSystem, build_surrogate, reach
 from .stl import (BOOL_THRESHOLD, And, Atom, Eventually, Globally, Implies, Outcome,
                   StlFormula)
 
@@ -54,6 +54,11 @@ CLIMB_FRACTION = 0.98     # fraction of cruise altitude ending TAKE_OFF
 class ControllerVariant(Enum):
     BUGGY = "buggy"
     PATCHED = "patched"
+
+
+# bound once: looking a member up through its Enum class is slow, and the
+# decision runs on every sample at or under the battery threshold
+_PATCHED = ControllerVariant.PATCHED
 
 
 @dataclass(frozen=True)
@@ -91,7 +96,7 @@ def emergency_deploy_decision(variant: ControllerVariant, battery: float,
     """
     if battery > config["low_batt_threshold"]:
         return False
-    if variant is ControllerVariant.PATCHED:
+    if variant is _PATCHED:
         return True
     return config["min_deploy_alt"] <= altitude <= config["max_deploy_alt"]
 
@@ -328,11 +333,25 @@ def check_space_band(space: ConfigSpace) -> None:
     """The band rule for all of ``space``: unless its orderings chain the band,
     the highest min_deploy_alt it allows must lie below the lowest maximum."""
     bounds = space.feasible_bounds
-    above = {"min_deploy_alt"}
-    for _ in space.orderings:
-        above |= {b for a, b in space.orderings if a in above}
-    if "max_deploy_alt" not in above and {"min_deploy_alt", "max_deploy_alt"} <= bounds.keys():
+    if not {"min_deploy_alt", "max_deploy_alt"} <= bounds.keys():
+        return
+    later = {name: [] for name in bounds}
+    for a, b in space.orderings:
+        later[a].append(b)
+    if "max_deploy_alt" not in reach(["min_deploy_alt"], later):
         check_band(bounds["min_deploy_alt"][1], bounds["max_deploy_alt"][0])
+
+
+def check_space_names(space: ConfigSpace, params: DroneParams) -> None:
+    """A searched space bounds exactly the surrogate's parameters: a name it
+    never reads would be a dead search dimension, and a missing one would
+    fail the first trial."""
+    known = default_config_space(params).bounds.keys()
+    unknown, missing = sorted(space.bounds.keys() - known), sorted(known - space.bounds.keys())
+    if unknown or missing:
+        raise ConfigurationError(
+            f"space must bound exactly the parameters {sorted(known)}; "
+            f"unknown: {unknown}, missing: {missing}")
 
 
 def default_configuration(battery_init: float, altitude_init: float,

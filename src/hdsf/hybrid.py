@@ -24,7 +24,9 @@ state the guard actually tested.  Every run ends at the horizon; a mode
 with no guards and no rates holds its state until then.  Dynamics, guard
 and reset callables are pure functions of ``(state, params)`` and may be
 called any number of times; once a step changes nothing, the rest of the
-run repeats it without calling them again.
+run repeats it without calling them again.  A callable must not change
+the state mapping it is given: that mapping is the recorded sample,
+shared by every guard and rate of that sample.
 """
 
 from __future__ import annotations
@@ -214,18 +216,20 @@ def project_trace(trace: Trace, signals: Sequence[str]) -> Trace:
 
 
 def _apply_reset(system: HybridSystem, guard: Guard, named: StateMap,
-                 parameters: Params, time: float) -> list[float]:
-    new = []
+                 parameters: Params, time: float) -> dict[str, float]:
+    new = dict(named)
     for name in system.signal_names:
         expr = guard.reset.get(name)
         if expr is None:
-            new.append(named[name])
             continue
         value = float(expr.func(named, parameters))
         if not math.isfinite(value):
             raise SimulationFault(time, name, value)
-        new.append(value)
+        new[name] = value
     return new
+
+
+_BLOCK = 256  # recorded samples held as dicts before they move into the flat array
 
 
 def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
@@ -254,7 +258,10 @@ def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
     ``StateExpr`` and ``Guard`` callables must be pure functions of
     ``(state, params)``: the simulator may call them any number of times,
     or not at all past a fixed point, and their results may depend on
-    nothing else, time included.
+    nothing else, time included.  A callable must not change the state
+    mapping it is given: that mapping is the recorded sample, shared by
+    every guard and rate of that sample (at an event, the rates share
+    the reset state instead).
     """
     if not (math.isfinite(dt) and math.isfinite(horizon)):
         raise ConfigurationError(f"dt {dt} and horizon {horizon} must be finite")
@@ -273,9 +280,10 @@ def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
     for name, value in zip(names, state):
         if not math.isfinite(value):
             raise SimulationFault(0.0, name, value)
-    rates = {mode: [(i, name, dyn[name].func)
-                    for i, name in enumerate(names) if name in dyn]
+    rates = {mode: [(name, dyn[name].func) for name in names if name in dyn]
              for mode, dyn in system.dynamics.items()}
+    edges = {mode: [(guard, guard.predicate) for guard in guards]
+             for mode, guards in system.guards.items()}
 
     steps = horizon / dt
     try:
@@ -285,45 +293,53 @@ def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
         raise ConfigurationError(
             f"horizon {horizon} over dt {dt} is {steps:g} steps, too many to hold") from None
     samples = array("d")  # the recorded states, one after another
-    record = samples.extend
+    block: list[dict[str, float]] = []  # the latest recorded states, not yet in samples
+    record = block.append
     events: list[TraceEvent] = []
     mode = system.initial_mode
     mode_runs = [(mode, 0)]  # (mode, its first sample)
-    guards, mode_rates = system.guards[mode], rates[mode]
+    mode_edges, mode_rates = edges[mode], rates[mode]
     copysign, isfinite = math.copysign, math.isfinite
+    named = dict(zip(names, state))
+    pause = min(_BLOCK, n_steps)  # the next sample at which a block moves, or the last
     for k in range(n_steps + 1):
-        named = dict(zip(names, state))
-        record(state)
+        record(named)
         fixed = True
-        for guard in guards:
-            if guard.predicate(named, parameters):
+        for guard, predicate in mode_edges:
+            if predicate(named, parameters):
                 t = k * dt
                 events.append(TraceEvent(t, guard.label, mode, guard.target))
-                state = _apply_reset(system, guard, named, parameters, t)
-                named = dict(zip(names, state))
+                named = _apply_reset(system, guard, named, parameters, t)
                 mode = guard.target
                 mode_runs.append((mode, k + 1))
-                guards, mode_rates = system.guards[mode], rates[mode]
+                mode_edges, mode_rates = edges[mode], rates[mode]
                 fixed = False
                 break
-        if k == n_steps:
-            break
-        for i, name, f in mode_rates:
-            old = state[i]
+        if k == pause:
+            if k == n_steps:
+                break
+            samples.extend(chain.from_iterable(map(dict.values, block)))
+            block.clear()
+            pause = min(k + _BLOCK, n_steps)
+        stepped = named.copy()
+        for name, f in mode_rates:
+            old = named[name]
             value = old + dt * f(named, parameters)
             if not isfinite(value):
                 raise SimulationFault((k + 1) * dt, name, value)
             if fixed and (value != old or (value == 0.0 and
                                            copysign(1.0, value) != copysign(1.0, old))):
                 fixed = False
-            state[i] = value
+            stepped[name] = value
+        named = stepped
         if fixed:
             # pure, time-invariant callables: every later step repeats this one
             break
 
+    samples.extend(chain.from_iterable(map(dict.values, block)))
     recorded = k + 1
     data[:, :recorded] = np.frombuffer(samples, dtype=float).reshape(recorded, len(names)).T
-    data[:, recorded:] = np.array(state)[:, None]
+    data[:, recorded:] = np.array(list(named.values()))[:, None]
     ends = [first for _, first in mode_runs[1:]] + [n_steps + 1]
     modes = list(chain.from_iterable(repeat(m, end - first)
                                      for (m, first), end in zip(mode_runs, ends)))

@@ -70,7 +70,7 @@ class ReducedSystem:
     parameter_space: Optional[ConfigSpace] = None
 
 
-def _reach(start: Iterable[str], step: Mapping[str, Iterable[str]]) -> set[str]:
+def reach(start: Iterable[str], step: Mapping[str, Iterable[str]]) -> set[str]:
     """``start`` and every node reachable from it along ``step``'s edges."""
     seen = set(start)
     frontier = list(seen)
@@ -97,7 +97,7 @@ def relevant_signals(formula: StlFormula, system: HybridSystem) -> frozenset[str
         for g in system.guards[mode]:
             for sig, expr in g.reset.items():
                 reads_of[sig] |= expr.reads | g.reads
-    return frozenset(_reach(atoms, reads_of))
+    return frozenset(reach(atoms, reads_of))
 
 
 def relevant_modes(system: HybridSystem, signals: frozenset[str],
@@ -128,8 +128,8 @@ def relevant_modes(system: HybridSystem, signals: frozenset[str],
     # keep a reachable mode when an anchor is still ahead of it, so execution
     # paths toward the property's modes stay intact while irrelevant tails
     # fall away
-    reachable = _reach([entry], targets)
-    kept = reachable & _reach([m for m in reachable if why(m)], predecessors)
+    reachable = reach([entry], targets)
+    kept = reachable & reach([m for m in reachable if why(m)], predecessors)
     if entry not in kept:
         raise ReductionError(
             f"reduction would drop the entry mode {entry!r}; "

@@ -23,6 +23,7 @@ from hdsf.stl import Outcome
 BUGGY = ControllerVariant.BUGGY
 PATCHED = ControllerVariant.PATCHED
 BAND = ("min_deploy_alt", "max_deploy_alt")
+CHAIN = [f"c{i}" for i in range(500)]  # links the band ends through 500 names
 
 
 def trace_scan_violated(trace, config) -> bool:
@@ -86,7 +87,10 @@ class TestDroneParams:
         ({"min_deploy_alt": (20, 40), "max_deploy_alt": (40, 120)}, [], False),
         ({"min_deploy_alt": (20, 90), "max_deploy_alt": (40, 120), "mid": (0, 200)},
          [("min_deploy_alt", "mid"), ("mid", "max_deploy_alt")], True),
-        ({"battery_init": (0, 100)}, [], True)])
+        ({"battery_init": (0, 100)}, [], True),
+        ({"min_deploy_alt": (20, 90), "max_deploy_alt": (40, 120),
+          **{f"c{i}": (0, 200) for i in range(500)}},
+         list(zip(["min_deploy_alt", *CHAIN], [*CHAIN, "max_deploy_alt"])), True)])
     def test_space_band(self, bounds, orderings, ok):
         # a space passes when its orderings chain the band or when no
         # minimum it allows reaches a maximum it allows

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -401,6 +402,77 @@ class TestFixedPoint:
     def test_random_fixed_points(self, case):
         system, initial, dt, horizon = case
         assert_matches_naive(system, initial, {}, dt, horizon)
+
+
+def logging_system(system):
+    """``system`` with every rate and guard predicate wrapped to log, per
+    call, ``(kind, mode, name, mapping, snapshot)``: the mapping it was
+    given and a ``dict`` copy of it taken at the call."""
+    log = []
+
+    def logged(kind, mode, name, func):
+        def call(s, p):
+            log.append((kind, mode, name, s, dict(s)))
+            return func(s, p)
+        return call
+
+    dynamics = {mode: {sig: replace(expr, func=logged("rate", mode, sig, expr.func))
+                       for sig, expr in rates.items()}
+                for mode, rates in system.dynamics.items()}
+    guards = {mode: tuple(replace(g, predicate=logged("guard", mode, g.label, g.predicate))
+                          for g in edges)
+              for mode, edges in system.guards.items()}
+    return replace(system, dynamics=dynamics, guards=guards), log
+
+
+def _bits(state):
+    # hex tells -0.0 from 0.0 where == does not
+    return {name: float(value).hex() for name, value in state.items()}
+
+
+class TestStateContract:
+    """No callable sees its state mapping change, every guard at sample k
+    reads recorded sample k, and all rates of the step after it read one
+    state: sample k, or the reset state when a guard fired."""
+
+    @ORACLE_SETTINGS
+    @given(case=small_systems())
+    def test_callables_read_the_recorded_sample(self, case):
+        system, initial, dt, horizon = case
+        logged, log = logging_system(system)
+        trace = simulate(logged, initial, {}, dt, horizon)
+        for kind, mode, name, mapping, snapshot in log:
+            assert _bits(mapping) == _bits(snapshot), (kind, mode, name)
+        fired = {round(e.time / dt): e for e in trace.events}
+        i = 0  # the next log entry
+        for k, mode in enumerate(trace.modes):
+            if i == len(log):  # past a fixed point nothing is called
+                break
+            sample = {n: float(trace.signals[n][k]) for n in system.signal_names}
+            guards = system.guards[mode]
+            event = fired.get(k)
+            tried = [g.label for g in guards]
+            if event is not None:
+                tried = tried[:tried.index(event.guard) + 1]
+            for label in tried:
+                assert log[i][:3] == ("guard", mode, label)
+                assert _bits(log[i][4]) == _bits(sample), (k, label)
+                i += 1
+            if k == len(trace) - 1:
+                break
+            state = sample
+            if event is not None:
+                reset = guards[len(tried) - 1].reset
+                state = {n: float(reset[n].func(sample, {})) if n in reset else v
+                         for n, v in sample.items()}
+                mode = event.target
+            step = log[i:i + len(system.dynamics[mode])]
+            assert sorted(entry[:3] for entry in step) == [
+                ("rate", mode, sig) for sig in sorted(system.dynamics[mode])]
+            for entry in step:
+                assert _bits(entry[4]) == _bits(state), (k, entry[2])
+            i += len(step)
+        assert i == len(log)
 
 
 class TestProjection:

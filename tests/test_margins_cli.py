@@ -329,6 +329,28 @@ class TestInputErrors:
         assert f"unknown keys [{key!r}]" in message
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("extra, dropped, named", [
+        ({"extra": [0.0, 1.0]}, None, "unknown: ['extra'], missing: []"),
+        ({}, "delta", "unknown: [], missing: ['delta']")])
+    def test_space_file_other_parameters(self, capsys, tmp_path, monkeypatch,
+                                         extra, dropped, named):
+        # a name the surrogate never reads would be a dead search dimension,
+        # and a missing one would fail only once trials run
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(falsify, "simulate", no_trial)
+        bounds = {name: list(bound) for name, bound
+                  in default_config_space(DroneParams()).bounds.items() if name != dropped}
+        space_file = tmp_path / "space.json"
+        space_file.write_text(json.dumps({
+            "bounds": {**bounds, **extra},
+            "orderings": [["min_deploy_alt", "max_deploy_alt"]]}))
+        message = self.run_space_file(capsys, tmp_path, space_file)
+        assert message.startswith("error: space must bound exactly the parameters [")
+        assert message.endswith(named)
+        assert not (tmp_path / "out").exists()
+
     def test_space_file_inverted_band(self, capsys, tmp_path):
         # without the band ordering these bounds only draw inverted bands
         space_file = tmp_path / "space.json"
