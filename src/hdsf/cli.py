@@ -279,9 +279,9 @@ def _cmd_timing(args) -> int:
     configs = [generate(space, rng) for _ in range(args.n_configs)]
     report = timing_comparison(params, configs, params.dt, params.horizon,
                                ControllerVariant(args.variant))
-    print(f"Mean full-model trial:  {1000.0 * report.mean_full_seconds:8.2f} ms "
+    print(f"Median full-model trial:  {1000.0 * report.full_seconds:8.2f} ms "
           f"(dt={params.full_model_dt})")
-    print(f"Mean surrogate trial:   {1000.0 * report.mean_surrogate_seconds:8.2f} ms "
+    print(f"Median surrogate trial:   {1000.0 * report.surrogate_seconds:8.2f} ms "
           f"(dt={params.dt})")
     print(f"Speedup: {report.speedup:.1f}x")
     return 0

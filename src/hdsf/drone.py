@@ -25,6 +25,7 @@ surrogate's rates live here too, so the generic layers know no drone;
 
 from __future__ import annotations
 
+import statistics
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -448,21 +449,31 @@ def conformance_check(params: DroneParams, variant: ControllerVariant,
 
 @dataclass
 class TimingReport:
-    mean_full_seconds: float
-    mean_surrogate_seconds: float
+    """Median wall-clock seconds of one trial on each model."""
+
+    full_seconds: float
+    surrogate_seconds: float
 
     @property
     def speedup(self) -> float:
-        return self.mean_full_seconds / self.mean_surrogate_seconds
+        return self.full_seconds / self.surrogate_seconds
 
 
-def mean_trial_seconds(system_like, configs: Sequence[Configuration], dt: float,
-                       horizon: float) -> float:
-    """Mean wall-clock time of one simulate-and-evaluate trial."""
-    started = time.perf_counter()
+def trial_seconds(system_like, configs: Sequence[Configuration], dt: float,
+                  horizon: float) -> float:
+    """Median wall-clock time of one simulate-and-evaluate trial.
+
+    One untimed trial on the first configuration warms up first; then
+    each configuration's trial is timed on its own.  The median keeps a
+    slow stretch of the host from moving the result.
+    """
+    run_trial(system_like, configs[0], phi_for, dt, horizon)
+    seconds = []
     for config in configs:
+        started = time.perf_counter()
         run_trial(system_like, config, phi_for, dt, horizon)
-    return (time.perf_counter() - started) / len(configs)
+        seconds.append(time.perf_counter() - started)
+    return statistics.median(seconds)
 
 
 def timing_comparison(params: DroneParams, configs: Sequence[Configuration],
@@ -477,6 +488,6 @@ def timing_comparison(params: DroneParams, configs: Sequence[Configuration],
         raise ConfigurationError("timing comparison needs at least 10 configurations")
     full = build_full_system(params, variant).with_entry("GOTO")
     surrogate = build_surrogate_system(params, variant)
-    mean_full = mean_trial_seconds(full, configs, params.full_model_dt, horizon)
-    mean_surr = mean_trial_seconds(surrogate, configs, dt, horizon)
-    return TimingReport(mean_full_seconds=mean_full, mean_surrogate_seconds=mean_surr)
+    return TimingReport(
+        full_seconds=trial_seconds(full, configs, params.full_model_dt, horizon),
+        surrogate_seconds=trial_seconds(surrogate, configs, dt, horizon))

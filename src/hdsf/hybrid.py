@@ -35,6 +35,7 @@ import json
 import math
 from array import array
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from itertools import chain, repeat
 from typing import Callable, Mapping, Optional, Sequence, Union
 
@@ -369,6 +370,19 @@ def _json_floats(values) -> list[str]:
     return list(chain.from_iterable(map(repeat, heads, counts)))
 
 
+@lru_cache(maxsize=1)
+def _time_texts(column: bytes) -> tuple[str, ...]:
+    """The text that ends each sample line, from ``"t"`` on, for a time
+    column given as its float64 bytes.
+
+    A campaign's traces share one time column, so this one-entry memo
+    formats it once per run of bit-identical columns; keying on the bytes
+    keeps ``-0.0`` apart from ``0.0`` and one NaN payload from another.
+    """
+    return tuple('}, "t": ' + text + "}\n"
+                 for text in _json_floats(np.frombuffer(column, dtype=float)))
+
+
 def trace_to_jsonl(trace: Trace) -> str:
     """Serialize: a header line, one line per sample, then one per event.
 
@@ -381,24 +395,37 @@ def trace_to_jsonl(trace: Trace) -> str:
     Floats are written as Python's ``repr`` (``NaN``/``Infinity`` if not
     finite), so equal traces give byte-identical text.
 
-    Sample lines come from one template filled column by column, which
-    writes the same bytes as one ``json.dumps`` per sample.
+    Sample lines are pieces of one list, joined once with the header and
+    the event lines: each column's texts go into every ``stride``-th
+    slot, between the fixed text of the keys.  The time column's text is
+    reused while consecutive traces have bit-identical time columns.
+    This writes the same bytes as one ``json.dumps`` per sample.
     """
     seen = list(dict.fromkeys(trace.modes))
     header = json.dumps({"dt": trace.dt, "signals": list(trace.signals),
                          "modes": seen}, sort_keys=True)
+    n = len(trace.times)
     names = sorted(trace.signals)
-    # keys are escaped for %-formatting; values are filled in as text
-    fields = ", ".join(json.dumps(n).replace("%", "%%") + ": %s" for n in names)
-    template = '{"mode": %s, "signals": {' + fields + '}, "t": %s}'
-    mode_json = {m: json.dumps(m) for m in seen}
-    columns = [_json_floats(trace.signals[n]) for n in names]
-    samples = map(template.__mod__, zip(map(mode_json.__getitem__, trace.modes),
-                                        *columns, _json_floats(trace.times)))
-    events = (json.dumps({"event": {
+    keys = [json.dumps(name) + ": " for name in names]
+    opening = ', "signals": {' + (keys[0] if keys else "")
+    mode_text = {m: '{"mode": ' + json.dumps(m) + opening for m in seen}
+    # a sample line's pieces in order: its mode and the first key, then
+    # each value with the next key between values, then the time
+    columns = [list(map(mode_text.__getitem__, trace.modes))]
+    for i, name in enumerate(names):
+        if i:
+            columns.append([", " + keys[i]] * n)
+        columns.append(_json_floats(trace.signals[name]))
+    columns.append(_time_texts(np.asarray(trace.times, dtype=float).tobytes()))
+    stride = len(columns)
+    parts = [None] * (1 + n * stride)
+    parts[0] = header + "\n"
+    for j, column in enumerate(columns):
+        parts[1 + j::stride] = column
+    parts.extend(json.dumps({"event": {
         "t": ev.time, "guard": ev.guard, "from": ev.source, "to": ev.target,
-    }}, sort_keys=True) for ev in trace.events)
-    return "\n".join([header, *samples, *events]) + "\n"
+    }}, sort_keys=True) + "\n" for ev in trace.events)
+    return "".join(parts)
 
 
 def write_trace_jsonl(trace: Trace, path) -> None:

@@ -252,6 +252,17 @@ def _window_fold(vals: np.ndarray, lo: int, hi: int, fold: str) -> np.ndarray:
 _NOT_LUT = np.array([TRUE, UNKNOWN, FALSE], dtype=np.int8)
 
 
+def _globally(formula: Globally, body: np.ndarray, dt: float) -> np.ndarray:
+    """Three-valued truth of ``formula`` at every sample index, given its
+    body's truth ``body``."""
+    if formula.interval is None:
+        # unbounded: suffix conjunction over the recorded trace only
+        return np.minimum.accumulate(body[::-1])[::-1]
+    n = len(body)
+    lo, hi = (_index_bound(b, dt, n) for b in formula.interval)
+    return _window_fold(body, lo, hi, "min")
+
+
 def _values(formula: StlFormula, trace, dt: float) -> np.ndarray:
     """Three-valued truth of ``formula`` at every sample index."""
     n = len(trace.times)
@@ -267,12 +278,7 @@ def _values(formula: StlFormula, trace, dt: float) -> np.ndarray:
         lhs = _NOT_LUT[_values(formula.left, trace, dt)]
         return np.maximum(lhs, _values(formula.right, trace, dt))
     if isinstance(formula, Globally):
-        child = _values(formula.child, trace, dt)
-        if formula.interval is None:
-            # unbounded: suffix conjunction over the recorded trace only
-            return np.minimum.accumulate(child[::-1])[::-1]
-        lo, hi = (_index_bound(b, dt, n) for b in formula.interval)
-        return _window_fold(child, lo, hi, "min")
+        return _globally(formula, _values(formula.child, trace, dt), dt)
     if isinstance(formula, Eventually):
         child = _values(formula.child, trace, dt)
         lo, hi = (_index_bound(b, dt, n) for b in formula.interval)
@@ -314,25 +320,27 @@ def evaluate(formula: StlFormula, trace) -> Verdict:
 
     Returns a :class:`Verdict`.  An undetermined result (a deciding window
     ran past the end of the trace) is pessimistically Violated with
-    ``window_truncated`` set.
+    ``window_truncated`` set.  A top-level G's body is evaluated once: its
+    fold gives the verdict, and the first sample of the window where the
+    body is not True gives the witness time.
     """
     dt = _check_trace(formula, trace)
-    vals = _values(formula, trace, dt)
-    root = int(vals[0])
+    if isinstance(formula, Globally):
+        body = _values(formula.child, trace, dt)
+        root = int(_globally(formula, body, dt)[0])
+    else:
+        root = int(_values(formula, trace, dt)[0])
     if root == TRUE:
         return Verdict(Outcome.SATISFIED)
     witness = None
     if isinstance(formula, Globally):
-        body = _values(formula.child, trace, dt)
         n = len(body)
         if formula.interval is None:
             lo, hi = 0, n - 1
         else:
             lo, hi = (_index_bound(b, dt, n) for b in formula.interval)
-            hi = min(hi, n - 1)
-        for i in range(lo, hi + 1):
-            if body[i] != TRUE:
-                witness = float(trace.times[i])
-                break
+        misses = np.flatnonzero(body[lo:hi + 1] != TRUE)
+        if misses.size:
+            witness = float(trace.times[lo + misses[0]])
     return Verdict(Outcome.VIOLATED, witness_time=witness,
                    window_truncated=(root == UNKNOWN))

@@ -3,16 +3,18 @@
 import dataclasses
 import math
 from collections.abc import Mapping
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from hdsf import drone
 from hdsf.config import ConfigSpace
 from hdsf.drone import (ControllerVariant, DroneParams, build_full_system,
                         build_surrogate_system, check_space_band, conformance_check,
                         condensed_drone_descent, default_config_space, default_configuration,
-                        emergency_deploy_decision, mean_trial_seconds, phi_for,
-                        timing_comparison)
+                        emergency_deploy_decision, phi_for, timing_comparison,
+                        trial_seconds)
 from hdsf.errors import ConfigurationError
 from hdsf.falsify import generate, run_trial
 from hdsf.hybrid import simulate
@@ -276,9 +278,20 @@ class TestTiming:
         surrogate = build_surrogate_system(params, BUGGY)
         rng = np.random.default_rng(47)
         configs = [generate(surrogate.parameter_space, rng) for _ in range(15)]
-        first = mean_trial_seconds(surrogate, configs, params.dt, params.horizon)
-        second = mean_trial_seconds(surrogate, configs, params.dt, params.horizon)
+        first = trial_seconds(surrogate, configs, params.dt, params.horizon)
+        second = trial_seconds(surrogate, configs, params.dt, params.horizon)
         assert 0.25 <= first / second <= 4.0
+
+    def test_untimed_warm_up_then_median(self, monkeypatch):
+        configs = [default_configuration(50, 70 + i) for i in range(5)]
+        runs = []
+        monkeypatch.setattr(drone, "run_trial",
+                            lambda system, config, *rest: runs.append(config))
+        # each trial reads the clock before and after it: 1, 9, 2, 3 and 50 s
+        clock = iter([0, 1, 10, 19, 20, 22, 30, 33, 40, 90])
+        monkeypatch.setattr(drone, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+        assert trial_seconds(None, configs, 0.05, 1.0) == 3
+        assert runs == [configs[0], *configs]
 
     def test_surrogate_faster_than_full(self):
         params = DroneParams()

@@ -1,5 +1,6 @@
 """Simulation semantics: integration, guards, events, projection, serialization."""
 
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -629,8 +630,37 @@ def traces_with_runs(draw):
                  events=[], dt=0.05)
 
 
+def with_bits(column: np.ndarray, i: int, flip: int) -> np.ndarray:
+    """A copy of ``column`` with the bits ``flip`` of entry ``i`` flipped."""
+    out = column.copy()
+    out.view(np.int64)[i] ^= flip
+    return out
+
+
+@st.composite
+def near_time_columns(draw):
+    """A time column, the same column twice, and columns that differ from it
+    in one bit (the sign: 0.0 vs -0.0; the lowest: one ulp or another NaN
+    payload) or in length."""
+    column = np.array(draw(st.lists(VALUES, min_size=1, max_size=20)))
+    i = draw(st.integers(0, len(column) - 1))
+    return [column, column.copy(), with_bits(column, i, np.int64(-2 ** 63)),
+            with_bits(column, i, 1), column[:-1], np.append(column, column[-1])]
+
+
 class TestSerializerOracle:
     """``trace_to_jsonl`` writes the same bytes as ``naive_trace_to_jsonl``."""
+
+    @ORACLE_SETTINGS
+    @given(columns=near_time_columns())
+    def test_time_column_text_reused_only_for_equal_bits(self, columns):
+        # every ordered pair of columns is serialized one after the other
+        for pair in itertools.product(columns, repeat=2):
+            for times in pair:
+                n = len(times)
+                trace = Trace(times=times, modes=["M"] * n,
+                              signals={"x": np.arange(n) * 0.5}, events=[], dt=0.5)
+                assert trace_to_jsonl(trace) == naive_trace_to_jsonl(trace)
 
     @ORACLE_SETTINGS
     @given(trace=hand_built_traces())

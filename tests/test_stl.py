@@ -146,6 +146,41 @@ class TestNaiveEquivalence:
         assert evaluate(huge, trace) == evaluate(far, trace)
 
 
+def g_window(kind: str, n: int, rng) -> tuple[int, int]:
+    """Sample-index bounds of a G window over an n-sample trace: inside it,
+    running past its end, or starting at or past its end, so that capping
+    leaves no recorded sample in it."""
+    if kind == "inside":
+        first = int(rng.integers(n))
+        return first, int(rng.integers(first, n))
+    if kind == "past_the_end":
+        return int(rng.integers(n)), int(rng.integers(n, 2 * n + 3))
+    first = int(rng.integers(n, 2 * n + 3))
+    return first, first + int(rng.integers(4))
+
+
+class TestWitness:
+    @pytest.mark.parametrize("seed, kind", enumerate(
+        ["unbounded", "inside", "past_the_end", "empty"]))
+    def test_first_body_sample_of_the_window_not_true(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        for _ in range(200):
+            trace = random_trace(rng, max_len=20)
+            n, dt = len(trace), trace.dt
+            body = random_formula(rng, 3, dt)
+            if kind == "unbounded":
+                formula, (first, last) = Globally(body), (0, n - 1)
+            else:
+                first, last = g_window(kind, n, rng)
+                formula = Globally(body, interval=(first * dt, last * dt))
+            memo = {}
+            expected = next((float(trace.times[j]) for j in range(first, min(last, n - 1) + 1)
+                             if naive_value(body, trace, j, memo) != stl.TRUE), None)
+            verdict = evaluate(formula, trace)
+            assert verdict.witness_time == expected, formula
+            assert verdict.violated == (naive_verdict(formula, trace) != stl.TRUE)
+
+
 class TestDualityAndMonotonicity:
     def test_de_morgan_globally_eventually(self):
         rng = np.random.default_rng(11)
