@@ -7,10 +7,11 @@ freedom by eliminating the internal block through the Schur complement:
     F~ = F_p  - K_pi K_ii^-1 F_i
     U_i = K_ii^-1 (F_i - K_ip U_p)
 
-The internal-block factorization is computed once and reused for both
-the condensation and the reconstruction of internal state.  Storage is
-dense and solves are direct; the block models clients condense (see the
-case study's descent dynamics) are small by construction.
+The condensation solves K_ii against K_ip and F_i together, in one LU
+solve; the internal block is kept, and the reconstruction of internal
+state solves with it again.  Storage is dense and solves are direct;
+the block models clients condense (see the case study's descent
+dynamics) are small by construction.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import CondensationError, ConfigurationError, SolveError
 
@@ -74,12 +74,14 @@ class Partition:
 
 @dataclass
 class CondensedSystem:
-    """Interface-reduced operators plus the reusable internal factorization."""
+    """Interface-reduced operators plus the internal block K_ii, which
+    ``reconstruct_internal`` solves with (None when there is no internal
+    set)."""
 
     k_tilde: np.ndarray
     f_tilde: np.ndarray
     partition: Partition
-    internal_factorization: Optional[tuple] = None
+    internal_block: Optional[np.ndarray] = None
 
     @property
     def interface_size(self) -> int:
@@ -109,10 +111,10 @@ def condense(system: LinearSystem, partition: Partition) -> CondensedSystem:
         raise CondensationError(
             f"internal block K_ii ({len(i)}x{len(i)}) is singular or ill-conditioned "
             f"(condition estimate {cond:.3e} > {COND_THRESHOLD:.3e})")
-    lu = scipy.linalg.lu_factor(K_ii)
-    k_tilde = K_pp - K_pi @ scipy.linalg.lu_solve(lu, K_ip)
-    f_tilde = system.F[p] - K_pi @ scipy.linalg.lu_solve(lu, system.F[i])
-    return CondensedSystem(k_tilde, f_tilde, partition, internal_factorization=lu)
+    solved = np.linalg.solve(K_ii, np.column_stack((K_ip, system.F[i])))
+    k_tilde = K_pp - K_pi @ solved[:, :-1]
+    f_tilde = system.F[p] - K_pi @ solved[:, -1]
+    return CondensedSystem(k_tilde, f_tilde, partition, internal_block=K_ii)
 
 
 def solve_condensed(cs: CondensedSystem) -> np.ndarray:
@@ -142,7 +144,7 @@ def reconstruct_internal(cs: CondensedSystem, system: LinearSystem,
     if not i:
         return np.zeros(0)
     K_ip = system.K[np.ix_(i, p)]
-    return scipy.linalg.lu_solve(cs.internal_factorization, system.F[i] - K_ip @ u_p)
+    return np.linalg.solve(cs.internal_block, system.F[i] - K_ip @ u_p)
 
 
 def reassemble(partition: Partition, u_p: np.ndarray, u_i: np.ndarray) -> np.ndarray:

@@ -459,21 +459,26 @@ class TimingReport:
         return self.full_seconds / self.surrogate_seconds
 
 
-def trial_seconds(system_like, configs: Sequence[Configuration], dt: float,
-                  horizon: float) -> float:
-    """Median wall-clock time of one simulate-and-evaluate trial.
+def paired_trial_seconds(first: tuple, second: tuple, configs: Sequence[Configuration],
+                         horizon: float) -> tuple[float, float]:
+    """Median wall-clock time of one simulate-and-evaluate trial on each of
+    two ``(system, dt)`` models.
 
-    One untimed trial on the first configuration warms up first; then
-    each configuration's trial is timed on its own.  The median keeps a
-    slow stretch of the host from moving the result.
+    Each model warms up with one untimed trial on the first configuration.
+    Then, configuration by configuration, the first model's trial and the
+    second's are timed back to back, so a slow stretch of the host slows
+    both alike, and the medians keep such a stretch from moving either.
     """
-    run_trial(system_like, configs[0], phi_for, dt, horizon)
-    seconds = []
+    models = (first, second)
+    for system_like, dt in models:
+        run_trial(system_like, configs[0], phi_for, dt, horizon)
+    seconds = ([], [])
     for config in configs:
-        started = time.perf_counter()
-        run_trial(system_like, config, phi_for, dt, horizon)
-        seconds.append(time.perf_counter() - started)
-    return statistics.median(seconds)
+        for (system_like, dt), timed in zip(models, seconds):
+            started = time.perf_counter()
+            run_trial(system_like, config, phi_for, dt, horizon)
+            timed.append(time.perf_counter() - started)
+    return statistics.median(seconds[0]), statistics.median(seconds[1])
 
 
 def timing_comparison(params: DroneParams, configs: Sequence[Configuration],
@@ -488,6 +493,5 @@ def timing_comparison(params: DroneParams, configs: Sequence[Configuration],
         raise ConfigurationError("timing comparison needs at least 10 configurations")
     full = build_full_system(params, variant).with_entry("GOTO")
     surrogate = build_surrogate_system(params, variant)
-    return TimingReport(
-        full_seconds=trial_seconds(full, configs, params.full_model_dt, horizon),
-        surrogate_seconds=trial_seconds(surrogate, configs, dt, horizon))
+    return TimingReport(*paired_trial_seconds((full, params.full_model_dt),
+                                              (surrogate, dt), configs, horizon))

@@ -4,8 +4,9 @@ These deliberately share no evaluation code with the package: the STL
 oracle here is a direct quantifier expansion of the documented semantics,
 the simulation oracle steps a plain dict through the documented hybrid
 semantics, the trace serializer makes one ``json.dumps`` call per
-sample, and the drone violation predicate is the closed-form behavior
-of the buggy controller.
+sample, the condensation oracle factors the internal block once with
+scipy's LU, and the drone violation predicate is the closed-form
+behavior of the buggy controller.
 """
 
 from __future__ import annotations
@@ -176,6 +177,31 @@ def naive_trace_to_jsonl(trace: Trace) -> str:
             "t": ev.time, "guard": ev.guard, "from": ev.source, "to": ev.target,
         }}, sort_keys=True))
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Static condensation with a once-factored LU of the internal block
+# ---------------------------------------------------------------------------
+
+def lu_condensation(K: np.ndarray, F: np.ndarray, interface, internal):
+    """``(k_tilde, f_tilde, reconstruct)`` of K U = F condensed onto
+    ``interface``, where ``reconstruct(u_p)`` returns the internal unknowns.
+
+    K_ii is factored once by ``scipy.linalg.lu_factor``, and every solve
+    reuses that factorization through ``lu_solve``.
+    """
+    # imported here, so that loading the other oracles (perfbench does)
+    # does not load scipy.linalg
+    import scipy.linalg
+
+    p, i = list(interface), list(internal)
+    if not i:
+        return K[np.ix_(p, p)].copy(), F[p].copy(), lambda u_p: np.zeros(0)
+    K_pi, K_ip = K[np.ix_(p, i)], K[np.ix_(i, p)]
+    lu = scipy.linalg.lu_factor(K[np.ix_(i, i)])
+    k_tilde = K[np.ix_(p, p)] - K_pi @ scipy.linalg.lu_solve(lu, K_ip)
+    f_tilde = F[p] - K_pi @ scipy.linalg.lu_solve(lu, F[i])
+    return k_tilde, f_tilde, lambda u_p: scipy.linalg.lu_solve(lu, F[i] - K_ip @ u_p)
 
 
 # ---------------------------------------------------------------------------

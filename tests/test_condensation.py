@@ -9,6 +9,7 @@ from hdsf.drone import (DRONE_INTERFACE_PARTITION, ControllerVariant, DroneParam
                         build_full_system, clamped_rate, condensed_drone_descent,
                         drone_block_system)
 from hdsf.errors import CondensationError, ConfigurationError
+from oracles import lu_condensation
 
 
 def random_spd_system(rng, n):
@@ -18,8 +19,16 @@ def random_spd_system(rng, n):
     return LinearSystem(K, F)
 
 
-def random_partition(rng, n):
-    k = int(rng.integers(0, n + 1))
+def random_nonsymmetric_system(rng, n):
+    """Nonsymmetric and strictly diagonally dominant, so well conditioned."""
+    K = rng.standard_normal((n, n))
+    K += np.diag(np.abs(K).sum(axis=1) + 1.0) * rng.choice((-1.0, 1.0), n)
+    return LinearSystem(K, rng.standard_normal(n))
+
+
+def random_partition(rng, n, k=None):
+    if k is None:
+        k = int(rng.integers(0, n + 1))
     perm = rng.permutation(n)
     return Partition(tuple(int(v) for v in perm[:k]),
                      tuple(int(v) for v in perm[k:]))
@@ -99,6 +108,47 @@ class TestDenseSolveOracle:
             rebuilt = reassemble(partition, u_p, u_i)
             full = np.linalg.solve(system.K, system.F)
             assert np.linalg.norm(rebuilt - full) <= 1e-8 * max(1.0, np.linalg.norm(full))
+
+
+def relative_error(actual, expected):
+    return np.linalg.norm(actual - expected) / max(np.linalg.norm(expected), 1e-300)
+
+
+class TestLuReference:
+    """condense and reconstruct_internal against the once-factored LU of
+    K_ii (``oracles.lu_condensation``), the path they replaced."""
+
+    @pytest.mark.parametrize("make_system", [random_spd_system, random_nonsymmetric_system])
+    def test_random_systems_and_partitions(self, make_system):
+        rng = np.random.default_rng(31)
+        for trial in range(300):
+            n = int(rng.integers(1, 41))
+            # every tenth trial has no interface, every tenth no internal set
+            k = {0: 0, 1: n}.get(trial % 10)
+            system = make_system(rng, n)
+            partition = random_partition(rng, n, k)
+            k_ref, f_ref, reconstruct_ref = lu_condensation(
+                system.K, system.F, partition.interface_indices, partition.internal_indices)
+            cs = condense(system, partition)
+            assert cs.k_tilde.shape == k_ref.shape and cs.f_tilde.shape == f_ref.shape
+            assert relative_error(cs.k_tilde, k_ref) <= 1e-12
+            assert relative_error(cs.f_tilde, f_ref) <= 1e-12
+            u_p = rng.standard_normal(len(partition.interface_indices))
+            u_i_ref = reconstruct_ref(u_p)
+            u_i = reconstruct_internal(cs, system, u_p)
+            assert u_i.shape == u_i_ref.shape
+            assert relative_error(u_i, u_i_ref) <= 1e-12
+
+    def test_condensed_drone_rates_bits(self):
+        """The surrogate's rates, bit for bit as the LU path produced them."""
+        params = DroneParams(cruise_drain=0.73, descent_rate=2.9)
+        state = {"altitude": 50.0, "battery": 80.0}
+        expected = {"GOTO": ("-0x1.75c28f5c28f5cp-1", "0x0.0p+0"),
+                    "PARACHUTE": ("0x0.0p+0", "-0x1.7333333333333p+1")}
+        for mode, bits in expected.items():
+            dyn = condensed_drone_descent(params, mode)
+            rates = tuple(dyn[sig].func(state, {}).hex() for sig in ("battery", "altitude"))
+            assert rates == bits, mode
 
 
 class TestStructuralProperties:

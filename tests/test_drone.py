@@ -13,8 +13,8 @@ from hdsf.config import ConfigSpace
 from hdsf.drone import (ControllerVariant, DroneParams, build_full_system,
                         build_surrogate_system, check_space_band, conformance_check,
                         condensed_drone_descent, default_config_space, default_configuration,
-                        emergency_deploy_decision, phi_for, timing_comparison,
-                        trial_seconds)
+                        emergency_deploy_decision, paired_trial_seconds, phi_for,
+                        timing_comparison)
 from hdsf.errors import ConfigurationError
 from hdsf.falsify import generate, run_trial
 from hdsf.hybrid import simulate
@@ -278,20 +278,37 @@ class TestTiming:
         surrogate = build_surrogate_system(params, BUGGY)
         rng = np.random.default_rng(47)
         configs = [generate(surrogate.parameter_space, rng) for _ in range(15)]
-        first = trial_seconds(surrogate, configs, params.dt, params.horizon)
-        second = trial_seconds(surrogate, configs, params.dt, params.horizon)
+        model = (surrogate, params.dt)
+        first, second = paired_trial_seconds(model, model, configs, params.horizon)
         assert 0.25 <= first / second <= 4.0
 
     def test_untimed_warm_up_then_median(self, monkeypatch):
-        configs = [default_configuration(50, 70 + i) for i in range(5)]
+        params = DroneParams()
+        configs = [default_configuration(50, 70 + i) for i in range(10)]
+        monkeypatch.setattr(drone, "build_full_system",
+                            lambda params, variant: SimpleNamespace(with_entry=lambda _: "full"))
+        monkeypatch.setattr(drone, "build_surrogate_system", lambda params, variant: "surrogate")
         runs = []
         monkeypatch.setattr(drone, "run_trial",
-                            lambda system, config, *rest: runs.append(config))
-        # each trial reads the clock before and after it: 1, 9, 2, 3 and 50 s
-        clock = iter([0, 1, 10, 19, 20, 22, 30, 33, 40, 90])
+                            lambda system, config, phi, dt, horizon:
+                            runs.append((system, dt, config)))
+        # each trial reads the clock before and after it; full and surrogate
+        # alternate: full 1, 9, 2, 3, 50, 4, 4, 6, 5, 7 s (median 4.5) and
+        # surrogate 2, 1, 3, 8, 1, 3, 2, 6, 1, 9 s (median 2.5)
+        durations = [1, 2, 9, 1, 2, 3, 3, 8, 50, 1, 4, 3, 4, 2, 6, 6, 5, 1, 7, 9]
+        readings = []
+        for seconds in durations:
+            start = readings[-1] + 1 if readings else 0
+            readings += [start, start + seconds]
+        clock = iter(readings)
         monkeypatch.setattr(drone, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
-        assert trial_seconds(None, configs, 0.05, 1.0) == 3
-        assert runs == [configs[0], *configs]
+        report = timing_comparison(params, configs, params.dt, params.horizon)
+        assert (report.full_seconds, report.surrogate_seconds) == (4.5, 2.5)
+        full, surrogate = ("full", params.full_model_dt), ("surrogate", params.dt)
+        assert runs == [(*full, configs[0]), (*surrogate, configs[0]),
+                        *((*model, config) for config in configs
+                          for model in (full, surrogate))]
+        assert next(clock, None) is None
 
     def test_surrogate_faster_than_full(self):
         params = DroneParams()

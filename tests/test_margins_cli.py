@@ -4,9 +4,14 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hdsf
 from hdsf import falsify
 from hdsf.cli import build_parser, main
 from hdsf.config import Configuration
@@ -520,6 +525,38 @@ class TestTimingCommand:
         err = capsys.readouterr().err.strip().split("\n")
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error:"), err
+
+
+def run_python(code: str, cwd: Path) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports hdsf from this checkout."""
+    paths = [str(Path(hdsf.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+class TestStartUp:
+    """hdsf never loads scipy, so a process starts without its import time."""
+
+    def test_cli_import_loads_no_scipy(self, tmp_path):
+        done = run_python(
+            "import sys\n"
+            "import hdsf.cli\n"
+            "loaded = [name for name, module in sys.modules.items()\n"
+            "          if module is not None and name.split('.')[0] == 'scipy']\n"
+            "assert not loaded, loaded\n", tmp_path)
+        assert done.returncode == 0, done.stderr
+
+    def test_commands_run_without_scipy(self, tmp_path):
+        done = run_python(
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from hdsf.cli import main\n"
+            "assert main(['run', '--battery', '10', '--altitude', '20']) == 1\n"
+            "assert main(['fuzz', '--runs', '20', '--seed', '3', '--out-dir', 'out']) == 0\n",
+            tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "out" / "summary.json").is_file()
 
 
 class TestSeedEnvironment:
