@@ -21,12 +21,20 @@ sample, the initial one included, in declaration order; the first guard
 whose predicate holds fires.  The recorded sample at an event time
 carries the pre-transition state and mode, so a trace always shows the
 state the guard actually tested.  Every run ends at the horizon; a mode
-with no guards and no rates holds its state until then.  Dynamics, guard
-and reset callables are pure functions of ``(state, params)`` and may be
-called any number of times; once a step changes nothing, the rest of the
-run repeats it without calling them again.  A callable must not change
-the state mapping it is given: that mapping is the recorded sample,
-shared by every guard and rate of that sample.
+with no guards and no rates holds its state until then.
+
+Dynamics, guard and reset callables are pure functions of ``(state,
+params)`` that read only the signals they declare, and may be called any
+number of times or not at all.  A signal settles in a step that fires no
+guard when the step leaves it bit-identical and every signal it reads
+has settled too; a signal the mode does not rate has settled.  A settled
+signal keeps its value without its rate being called, and a guard that
+reads only settled signals is not called either, until the next event
+starts a new mode run.  Once every signal has settled, the rest of the
+run repeats the last sample.  So a callable that reads a signal it does
+not declare may be skipped while that signal moves.  A callable must not
+change the state mapping it is given: that mapping is the recorded
+sample, shared by every guard and rate of that sample.
 """
 
 from __future__ import annotations
@@ -51,8 +59,9 @@ Params = Mapping[str, float]
 class StateExpr:
     """A scalar function of the named state and configuration.
 
-    ``reads`` declares exactly which signals ``func`` consults; the
-    reduction machinery trusts this declaration.
+    ``reads`` declares exactly which signals ``func`` consults.  The
+    reduction machinery trusts this declaration, and so does the
+    simulator: it stops calling ``func`` once those signals have settled.
     """
 
     func: Callable[[StateMap, Params], float]
@@ -230,6 +239,25 @@ def _apply_reset(system: HybridSystem, guard: Guard, named: StateMap,
     return new
 
 
+def _settle(rates: list, edges: list, held: list[str]) -> tuple[list, list]:
+    """The rates and guards still to call after a step that fired no guard.
+
+    ``rates`` and ``edges`` are the ``(name, func, reads)`` and ``(guard,
+    predicate, reads)`` entries still called in this mode run, and ``held``
+    names the signals whose rate the step called and that stayed
+    bit-identical.  A signal moves if its rate was called and it changed,
+    or if it reads a signal that moves; every other signal has settled.
+    A guard stays only while it reads a signal that moves.
+    """
+    moving = {name for name, _, _ in rates}.difference(held)
+    waiting = [(name, reads) for name, _, reads in rates if name not in moving]
+    while stuck := {name for name, reads in waiting if not reads.isdisjoint(moving)}:
+        moving |= stuck
+        waiting = [entry for entry in waiting if entry[0] not in stuck]
+    return ([entry for entry in rates if entry[0] in moving],
+            [entry for entry in edges if not entry[2].isdisjoint(moving)])
+
+
 _BLOCK = 256  # recorded samples held as dicts before they move into the flat array
 
 
@@ -245,11 +273,17 @@ def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
     trace always holds ``round(horizon / dt) + 1`` samples; too many to
     hold raise :class:`ConfigurationError`.
 
-    A step that fires no guard and leaves every signal bit-identical (a
-    ``-0.0`` that becomes ``0.0`` counts as a change) reaches a fixed
-    point: every remaining sample repeats it in the same mode, with no
-    further event, so they are filled in at once and no callable is
-    called again.
+    After a step that fires no guard, a rated signal has settled when the
+    step left it bit-identical (a ``-0.0`` that becomes ``0.0`` counts as
+    a change) and every signal it declares it reads has settled too: the
+    greatest such set over the mode's read graph, in which a signal the
+    mode does not rate has settled.  A settled signal stays bit-identical
+    at every later step of the mode run, so it keeps its value and its
+    rate is not called again; a guard whose declared reads have all
+    settled was false on the same inputs, so it is not called again
+    either.  Both are called again from the next event on.  Once every
+    signal has settled, every remaining sample repeats the last one in
+    the same mode, with no further event, so they are filled in at once.
 
     ``initial_state`` may be None, in which case it is built from the
     system's declared initials and the configuration.  A non-finite value
@@ -257,12 +291,14 @@ def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
     :class:`SimulationFault`, so a trace holds finite values only.
 
     ``StateExpr`` and ``Guard`` callables must be pure functions of
-    ``(state, params)``: the simulator may call them any number of times,
-    or not at all past a fixed point, and their results may depend on
-    nothing else, time included.  A callable must not change the state
-    mapping it is given: that mapping is the recorded sample, shared by
-    every guard and rate of that sample (at an event, the rates share
-    the reset state instead).
+    ``(state, params)`` that read only the signals they declare: the
+    simulator may call them any number of times, or not at all once those
+    signals have settled, and their results may depend on nothing else,
+    time included.  A callable that reads a signal it does not declare
+    may be skipped while that signal moves.  A callable must not change
+    the state mapping it is given: that mapping is the recorded sample,
+    shared by every guard and rate of that sample (at an event, the rates
+    share the reset state instead).
     """
     if not (math.isfinite(dt) and math.isfinite(horizon)):
         raise ConfigurationError(f"dt {dt} and horizon {horizon} must be finite")
@@ -281,9 +317,9 @@ def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
     for name, value in zip(names, state):
         if not math.isfinite(value):
             raise SimulationFault(0.0, name, value)
-    rates = {mode: [(name, dyn[name].func) for name in names if name in dyn]
+    rates = {mode: [(name, dyn[name].func, dyn[name].reads) for name in names if name in dyn]
              for mode, dyn in system.dynamics.items()}
-    edges = {mode: [(guard, guard.predicate) for guard in guards]
+    edges = {mode: [(guard, guard.predicate, guard.reads) for guard in guards]
              for mode, guards in system.guards.items()}
 
     steps = horizon / dt
@@ -299,14 +335,16 @@ def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
     events: list[TraceEvent] = []
     mode = system.initial_mode
     mode_runs = [(mode, 0)]  # (mode, its first sample)
+    # the rates and guards of the mode still called: those of signals not settled
     mode_edges, mode_rates = edges[mode], rates[mode]
+    last = None  # what the last settling saw held; None until one in this mode run
     copysign, isfinite = math.copysign, math.isfinite
     named = dict(zip(names, state))
     pause = min(_BLOCK, n_steps)  # the next sample at which a block moves, or the last
     for k in range(n_steps + 1):
         record(named)
-        fixed = True
-        for guard, predicate in mode_edges:
+        fired = False
+        for guard, predicate, _ in mode_edges:
             if predicate(named, parameters):
                 t = k * dt
                 events.append(TraceEvent(t, guard.label, mode, guard.target))
@@ -314,7 +352,7 @@ def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
                 mode = guard.target
                 mode_runs.append((mode, k + 1))
                 mode_edges, mode_rates = edges[mode], rates[mode]
-                fixed = False
+                fired, last = True, None
                 break
         if k == pause:
             if k == n_steps:
@@ -323,19 +361,25 @@ def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
             block.clear()
             pause = min(k + _BLOCK, n_steps)
         stepped = named.copy()
-        for name, f in mode_rates:
+        held = []  # the rated signals this step left bit-identical
+        for name, f, _ in mode_rates:
             old = named[name]
             value = old + dt * f(named, parameters)
             if not isfinite(value):
                 raise SimulationFault((k + 1) * dt, name, value)
-            if fixed and (value != old or (value == 0.0 and
-                                           copysign(1.0, value) != copysign(1.0, old))):
-                fixed = False
+            if value == old and (value != 0.0 or copysign(1.0, value) == copysign(1.0, old)):
+                held.append(name)
             stepped[name] = value
         named = stepped
-        if fixed:
-            # pure, time-invariant callables: every later step repeats this one
-            break
+        # when the same signals held at the last settling, it settled none
+        # of them, and none settles now either
+        if not fired and held != last:
+            last = held
+            mode_rates, mode_edges = _settle(mode_rates, mode_edges, held)
+            if not mode_rates:
+                # every signal has settled and no guard is left: every
+                # later sample repeats this one
+                break
 
     samples.extend(chain.from_iterable(map(dict.values, block)))
     recorded = k + 1

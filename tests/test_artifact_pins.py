@@ -11,9 +11,11 @@ import hashlib
 
 import numpy as np
 
-from hdsf.drone import (ControllerVariant, DroneParams, build_surrogate_system,
-                        conformance_check, default_config_space, phi_for)
+from hdsf.drone import (ControllerVariant, DroneParams, build_full_system,
+                        build_surrogate_system, conformance_check, default_config_space,
+                        phi_for)
 from hdsf.falsify import campaign, generate
+from hdsf.hybrid import simulate, trace_to_jsonl
 
 CAMPAIGN_DIGESTS = {
     "summary.json": "c16ad77be7a5a34e7151770348f59a6a38ea5746d6201acf261cac4cdbc1ee98",
@@ -28,6 +30,24 @@ CONFORMANCE_DIGESTS = {
         "51f2d5a122b2cdbae96a919ec870d6d46f1ac206748415e671f4ac024c82c46d",
     ControllerVariant.PATCHED:
         "1259df7da0dbd6eb821f748b4bed02d14a9c76ad1536b9098a6956f6f9699a44",
+}
+# full-model traces at the trace step, each hashed as index, NUL, bytes:
+# entered in GOTO, the whole mission from IDLE (the first configuration
+# never starts it), and GOTO with a waypoint 100 m away, so LAND is reached;
+# recorded before simulate settled signals one by one
+FULL_TRACE_DIGESTS = {
+    (ControllerVariant.BUGGY, "goto"):
+        "cae374aa60e36927f91f5952e4527e7c95bbe29f864f29b59089556cde3c15d4",
+    (ControllerVariant.BUGGY, "idle"):
+        "f8d4ea5189fca458514c381b2bd38851c4ed4f8894989ec017643ecf73c8e538",
+    (ControllerVariant.BUGGY, "land"):
+        "10e1fd3890760eb94bff87f742e7feae3c02a5c24ba65c82ad684477731622df",
+    (ControllerVariant.PATCHED, "goto"):
+        "20f84299bc83f85c7e8582b5b2102e8261e95adc26b7a97a0b8a4bf707a6fb05",
+    (ControllerVariant.PATCHED, "idle"):
+        "55eacefe4bc60278ed410da4205ff1a2374906cc48b7730d33577dcee50df0fe",
+    (ControllerVariant.PATCHED, "land"):
+        "38cfb5a967e973601ddbcd0e9cd3f7e4b4e09b6c4d717fa9f5b1e25fa5eb3b0b",
 }
 
 
@@ -59,3 +79,24 @@ def test_conformance_verdicts_pinned():
         assert report.faults == []
         text = "".join(f"{p.full.value} {p.surrogate.value}\n" for p in report.pairs)
         assert sha256(text.encode()) == digest, variant
+
+
+def full_model_traces(variant, scenario):
+    params = DroneParams(waypoint=(100.0, 0.0, 70.0)) if scenario == "land" else DroneParams()
+    system = build_full_system(params, variant)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=5))
+    configs = [generate(default_config_space(params), rng) for _ in range(8)]
+    if scenario == "idle":
+        configs = [configs[0]] + [c.replacing(altitude_init=0.0, mission_start=1.0)
+                                  for c in configs[1:]]
+    else:
+        system = system.with_entry("GOTO")
+    return [simulate(system, None, c, params.dt, params.horizon) for c in configs]
+
+
+def test_full_model_traces_pinned():
+    for (variant, scenario), digest in FULL_TRACE_DIGESTS.items():
+        traces = full_model_traces(variant, scenario)
+        joined = b"".join(f"{i}".encode() + b"\0" + trace_to_jsonl(t).encode()
+                          for i, t in enumerate(traces))
+        assert sha256(joined) == digest, (variant, scenario)

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import Phase, assume, given, settings, strategies as st
+from hypothesis import Phase, assume, example, given, settings, strategies as st
 
 from hdsf.config import Configuration
 from hdsf.drone import (ControllerVariant, DroneParams, build_full_system,
@@ -314,23 +314,38 @@ class TestNaiveOracle:
 
 @st.composite
 def fixed_point_systems(draw):
-    """Up to two modes over up to two signals whose runs tend to settle:
-    clamped (``r if level > 0 else 0``) or exactly zero rates, constant
-    resets, and signed zeros as initial values, rates and reset values.
-    Every mode rates a signal and has a guard, half of them a sign test,
-    so a ``-0.0`` that a zero rate turns into ``0.0`` is often seen."""
-    signals = ("x", "y")[:draw(st.integers(1, 2))]
+    """Up to two modes over up to three signals whose runs tend to settle:
+    clamped (``r if level > t else 0``, ``r`` nonzero) or exactly zero
+    rates, constant resets, and signed zeros as initial values, rates and
+    reset values.  A rate may also keep its signal moving (a nonzero
+    constant, or an affine rate of any signal), so a mode can rate a
+    signal that settles next to one that moves, and a clamped rate can
+    hold while the signal it reads moves.  Every mode rates a signal and
+    has a guard, which reads any one signal: half of the guards are a
+    sign test, so a ``-0.0`` that a zero rate turns into ``0.0`` is often
+    seen, and the others a threshold from either side."""
+    signals = ("x", "y", "z")[:draw(st.integers(1, 3))]
     modes = [f"M{i}" for i in range(draw(st.integers(1, 2)))]
     value = st.one_of(st.sampled_from([-0.0, 0.0]), st.floats(-2.0, 2.0))
     rest = st.sampled_from([0.0, -0.0])
+    nonzero = st.builds(math.copysign, st.floats(0.1, 1.0), st.sampled_from([-1.0, 1.0]))
     signal = st.sampled_from(signals)
 
     def rate():
-        if draw(st.booleans()):
+        kind = draw(st.sampled_from(["rest", "clamped", "constant", "affine"]))
+        if kind == "rest":
             c = draw(rest)
             return StateExpr(lambda s, p, c=c: c)
-        level, r, c = draw(signal), draw(st.floats(-1.0, 1.0)), draw(rest)
-        return StateExpr(lambda s, p, level=level, r=r, c=c: r if s[level] > 0 else c,
+        if kind == "constant":
+            c = draw(nonzero)
+            return StateExpr(lambda s, p, c=c: c)
+        level = draw(signal)
+        if kind == "affine":
+            a, b = draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))
+            return StateExpr(lambda s, p, level=level, a=a, b=b: a * s[level] + b,
+                             reads=frozenset({level}))
+        r, c, t = draw(nonzero), draw(rest), draw(value)
+        return StateExpr(lambda s, p, level=level, r=r, c=c, t=t: r if s[level] > t else c,
                          reads=frozenset({level}))
 
     dynamics, guards = {}, {}
@@ -343,7 +358,8 @@ def fixed_point_systems(draw):
             if draw(st.booleans()):
                 predicate = lambda s, p, src=src: math.copysign(1.0, s[src]) > 0
             else:
-                predicate = lambda s, p, src=src, c=bound: s[src] <= c
+                below = draw(st.booleans())
+                predicate = lambda s, p, src=src, c=bound, below=below: (s[src] <= c) == below
             written = draw(st.lists(signal, unique=True, max_size=2))
             reset = {n: StateExpr(lambda s, p, c=draw(value): c) for n in written}
             guards[mode].append(Guard(f"g{j}", predicate, draw(st.sampled_from(modes)),
@@ -357,9 +373,18 @@ def fixed_point_systems(draw):
     return system, initial, dt, dt * draw(st.integers(1, 40))
 
 
+def held_while_its_read_moves():
+    """y holds while x rises to 0, then moves: it must not settle early."""
+    rates = {"x": StateExpr(lambda s, p: 1.0),
+             "y": StateExpr(lambda s, p: 0.5 if s["x"] > 0 else 0.0, reads=frozenset({"x"}))}
+    never = Guard("never", lambda s, p: s["y"] <= -1.0, "M", reads=frozenset({"y"}))
+    return single_mode_system(rates, ("x", "y"), [never]), [-1.0, 1.0], 0.5, 5.0
+
+
 class TestFixedPoint:
-    """A step that changes nothing and fires no guard ends the work: the
-    rest of the trace repeats it, exactly as ``naive_simulate`` computes."""
+    """A step that changes nothing and fires no guard settles every signal
+    and ends the work: the rest of the trace repeats it, exactly as
+    ``naive_simulate`` computes."""
 
     def test_signed_zero_is_a_change(self):
         # -0.0 + dt * 0.0 is 0.0: equal under ==, but the guard tells them apart
@@ -400,9 +425,55 @@ class TestFixedPoint:
 
     @ORACLE_SETTINGS
     @given(case=fixed_point_systems())
+    @example(case=held_while_its_read_moves())
     def test_random_fixed_points(self, case):
         system, initial, dt, horizon = case
         assert_matches_naive(system, initial, {}, dt, horizon)
+
+
+class TestSettledSignals:
+    """A rated signal that a step leaves bit-identical, and whose reads
+    have settled too, keeps its value without its rate being called, and
+    a guard that reads only settled signals is not called: until the next
+    event starts a new mode run."""
+
+    def test_settled_callables_skipped_until_the_next_event(self):
+        log = []  # each callable logs its name, then returns its value
+        # x moves and wraps at 4.0; y rests; z holds at 0.0 but reads x
+        rates = {
+            "x": StateExpr(lambda s, p: log.append("x") or 1.0),
+            "y": StateExpr(lambda s, p: log.append("y") or 0.0, reads=frozenset({"y"})),
+            "z": StateExpr(lambda s, p: log.append("z") or 0.0 * s["x"],
+                           reads=frozenset({"x"})),
+        }
+        on_y = Guard("on_y", lambda s, p: log.append("on_y") or s["y"] > 5.0, "M",
+                     reads=frozenset({"y"}))
+        wrap = Guard("wrap", lambda s, p: log.append("wrap") or s["x"] >= 4.0, "M",
+                     {"x": StateExpr(lambda s, p: 0.0)}, reads=frozenset({"x"}))
+        system = single_mode_system(rates, signals=("x", "y", "z"), guards=[on_y, wrap])
+        trace = simulate(system, [0.0, 0.0, 0.0], {}, dt=0.5, horizon=10.0)
+        assert [e.time for e in trace.events] == [4.0, 8.0]  # samples 8 and 16
+        every = ["on_y", "wrap", "x", "y", "z"]  # the first sample of a mode run
+        moving = ["wrap", "x", "z"]  # once y has settled
+        fired = ["wrap", "x", "y", "z"]  # y has settled, but the event unsettles it
+        expected = (every + moving * 7 + fired + every + moving * 6 + fired + every
+                    + moving * 2 + ["wrap"])
+        assert log == expected
+        assert_matches_naive(system, [0.0, 0.0, 0.0], {}, 0.5, 10.0)
+
+    def test_guard_of_an_unrated_signal_skipped_after_each_event(self):
+        # no rated signal ever holds: only the mode's rates decide what settles
+        log = []
+        on_w = Guard("on_w", lambda s, p: log.append("on_w") or s["w"] > 5.0, "M",
+                     reads=frozenset({"w"}))
+        wrap = Guard("wrap", lambda s, p: log.append("wrap") or s["x"] >= 1.0, "M",
+                     {"x": StateExpr(lambda s, p: 0.0)}, reads=frozenset({"x"}))
+        system = single_mode_system({"x": StateExpr(lambda s, p: 1.0)},
+                                    signals=("x", "w"), guards=[on_w, wrap])
+        trace = simulate(system, [0.0, 0.0], {}, dt=0.5, horizon=5.0)
+        assert [e.time for e in trace.events] == [1.0, 2.0, 3.0, 4.0, 5.0]
+        # samples 0, 1 and 2, then each event starts a run of two samples
+        assert log == ["on_w", "wrap", "wrap", "wrap"] + ["on_w", "wrap", "wrap"] * 4
 
 
 def logging_system(system):
@@ -431,49 +502,72 @@ def _bits(state):
     return {name: float(value).hex() for name, value in state.items()}
 
 
+def assert_calls_follow_the_contract(system, initial, dt, horizon):
+    """Simulate ``system`` with every call logged, and check each call
+    against the state contract and the settling rule."""
+    logged, log = logging_system(system)
+    trace = simulate(logged, initial, {}, dt, horizon)
+    for kind, mode, name, mapping, snapshot in log:
+        assert _bits(mapping) == _bits(snapshot), (kind, mode, name)
+    fired = {round(e.time / dt): e for e in trace.events}
+    mode = trace.modes[0]
+    # the signals whose rate is still called, and the guards still called
+    rated, watched = set(system.dynamics[mode]), list(system.guards[mode])
+    i = 0  # the next log entry
+    for k, mode in enumerate(trace.modes):
+        sample = {n: float(trace.signals[n][k]) for n in system.signal_names}
+        event = fired.get(k)
+        tried = [g.label for g in watched]
+        if event is not None:
+            tried = tried[:tried.index(event.guard) + 1]
+        for label in tried:
+            assert log[i][:3] == ("guard", mode, label)
+            assert _bits(log[i][4]) == _bits(sample), (k, label)
+            i += 1
+        if k == len(trace) - 1:
+            break
+        state = sample
+        if event is not None:
+            reset = watched[len(tried) - 1].reset
+            state = {n: float(reset[n].func(sample, {})) if n in reset else v
+                     for n, v in sample.items()}
+            mode = event.target
+            rated, watched = set(system.dynamics[mode]), list(system.guards[mode])
+        step = log[i:i + len(rated)]
+        assert sorted(entry[:3] for entry in step) == [
+            ("rate", mode, sig) for sig in sorted(rated)]
+        for entry in step:
+            assert _bits(entry[4]) == _bits(state), (k, entry[2])
+        i += len(step)
+        if event is None:
+            # a rated signal moves if the step changed its bits or it reads
+            # a signal that moves; every other signal has settled
+            after = {n: float(trace.signals[n][k + 1]) for n in rated}
+            moving = {n for n in rated if after[n].hex() != sample[n].hex()}
+            while more := {n for n in rated - moving
+                           if system.dynamics[mode][n].reads & moving}:
+                moving |= more
+            rated = moving
+            watched = [g for g in watched if g.reads & moving]
+    assert i == len(log)
+
+
 class TestStateContract:
-    """No callable sees its state mapping change, every guard at sample k
-    reads recorded sample k, and all rates of the step after it read one
-    state: sample k, or the reset state when a guard fired."""
+    """No callable sees its state mapping change, every guard called at
+    sample k reads recorded sample k, and all rates of the step after it
+    read one state: sample k, or the reset state when a guard fired.
+    Exactly the rates of signals not settled are called, and exactly the
+    guards that read a signal not settled."""
 
     @ORACLE_SETTINGS
     @given(case=small_systems())
     def test_callables_read_the_recorded_sample(self, case):
-        system, initial, dt, horizon = case
-        logged, log = logging_system(system)
-        trace = simulate(logged, initial, {}, dt, horizon)
-        for kind, mode, name, mapping, snapshot in log:
-            assert _bits(mapping) == _bits(snapshot), (kind, mode, name)
-        fired = {round(e.time / dt): e for e in trace.events}
-        i = 0  # the next log entry
-        for k, mode in enumerate(trace.modes):
-            if i == len(log):  # past a fixed point nothing is called
-                break
-            sample = {n: float(trace.signals[n][k]) for n in system.signal_names}
-            guards = system.guards[mode]
-            event = fired.get(k)
-            tried = [g.label for g in guards]
-            if event is not None:
-                tried = tried[:tried.index(event.guard) + 1]
-            for label in tried:
-                assert log[i][:3] == ("guard", mode, label)
-                assert _bits(log[i][4]) == _bits(sample), (k, label)
-                i += 1
-            if k == len(trace) - 1:
-                break
-            state = sample
-            if event is not None:
-                reset = guards[len(tried) - 1].reset
-                state = {n: float(reset[n].func(sample, {})) if n in reset else v
-                         for n, v in sample.items()}
-                mode = event.target
-            step = log[i:i + len(system.dynamics[mode])]
-            assert sorted(entry[:3] for entry in step) == [
-                ("rate", mode, sig) for sig in sorted(system.dynamics[mode])]
-            for entry in step:
-                assert _bits(entry[4]) == _bits(state), (k, entry[2])
-            i += len(step)
-        assert i == len(log)
+        assert_calls_follow_the_contract(*case)
+
+    @ORACLE_SETTINGS
+    @given(case=fixed_point_systems())
+    def test_settled_callables_are_not_called(self, case):
+        assert_calls_follow_the_contract(*case)
 
 
 class TestProjection:
