@@ -283,7 +283,7 @@ def _cmd_timing(args) -> int:
           f"(dt={params.full_model_dt})")
     print(f"Median surrogate trial:   {1000.0 * report.surrogate_seconds:8.2f} ms "
           f"(dt={params.dt})")
-    print(f"Speedup: {report.speedup:.1f}x")
+    print(f"Speedup: {report.speedup:.1f}x (median of the per-configuration ratios)")
     return 0
 
 

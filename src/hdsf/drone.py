@@ -57,11 +57,6 @@ class ControllerVariant(Enum):
     PATCHED = "patched"
 
 
-# bound once: looking a member up through its Enum class is slow, and the
-# decision runs on every sample at or under the battery threshold
-_PATCHED = ControllerVariant.PATCHED
-
-
 @dataclass(frozen=True)
 class DroneParams:
     """The model and the run settings; defaults reproduce the reference run.
@@ -87,34 +82,41 @@ class DroneParams:
             raise ConfigurationError("kp must give one gain per axis")
 
 
+def _deploy_predicate(variant: ControllerVariant):
+    """The predicate of the emergency guard over ``(state, config)``: the
+    decision ``emergency_deploy_decision`` documents.  Both variants read
+    the altitude, as the guard declares."""
+    patched = variant is ControllerVariant.PATCHED
+
+    def deploys(s, cfg):
+        altitude = s["altitude"]
+        return s["battery"] <= cfg["low_batt_threshold"] and (
+            patched or cfg["min_deploy_alt"] <= altitude <= cfg["max_deploy_alt"])
+
+    return deploys
+
+
+_DEPLOYS = {variant: _deploy_predicate(variant) for variant in ControllerVariant}
+
+
 def emergency_deploy_decision(variant: ControllerVariant, battery: float,
                               altitude: float, config: Configuration) -> bool:
-    """Deployment decision of the emergency controller.
+    """Deployment decision of the emergency controller, made by the
+    predicate of its guard.
 
     Buggy: deploy only when the battery is critical AND the altitude lies
     inside the configured deployment band.  Patched: deploy whenever the
     battery is critical.
     """
-    if battery > config["low_batt_threshold"]:
-        return False
-    if variant is _PATCHED:
-        return True
-    return config["min_deploy_alt"] <= altitude <= config["max_deploy_alt"]
+    return _DEPLOYS[variant]({"battery": battery, "altitude": altitude}, config)
 
 
 # ---------------------------------------------------------------------------
 # Full five-mode model
 # ---------------------------------------------------------------------------
 
-def _saturated(command: float) -> float:
-    return -MAX_SPEED if command < -MAX_SPEED else MAX_SPEED if command > MAX_SPEED else command
-
-
 def _emergency_guard(variant: ControllerVariant, params: DroneParams) -> Guard:
-    def predicate(s, cfg):
-        return emergency_deploy_decision(variant, s["battery"], s["altitude"], cfg)
-
-    return Guard("battery_critical", predicate, "PARACHUTE", _parachute_reset(params),
+    return Guard("battery_critical", _DEPLOYS[variant], "PARACHUTE", _parachute_reset(params),
                  reads=frozenset({"battery", "altitude"}))
 
 
@@ -128,78 +130,88 @@ def _parachute_reset(params: DroneParams) -> dict[str, StateExpr]:
     }
 
 
+def _guidance(signal: str, gain: float, target: float) -> StateExpr:
+    """The rate of ``signal`` under proportional guidance toward ``target``,
+    saturated at MAX_SPEED."""
+    top = MAX_SPEED
+
+    def rate(s, p):
+        command = gain * (target - s[signal])
+        return -top if command < -top else top if command > top else command
+
+    return StateExpr(rate, reads=frozenset({signal}))
+
+
+def _lag(velocity: str, signal: str, gain: float, target: float) -> StateExpr:
+    """The first-order lag of ``velocity`` toward the command that
+    ``_guidance(signal, gain, target)`` gives."""
+    top, tau = MAX_SPEED, ACTUATOR_TAU
+
+    def rate(s, p):
+        command = gain * (target - s[signal])
+        command = -top if command < -top else top if command > top else command
+        return (command - s[velocity]) / tau
+
+    return StateExpr(rate, reads=frozenset({velocity, signal}))
+
+
+def _lag_to_rest(velocity: str) -> StateExpr:
+    """The first-order lag of ``velocity`` toward a zero command."""
+    tau = ACTUATOR_TAU
+    return StateExpr(lambda s, p: (0.0 - s[velocity]) / tau, reads=frozenset({velocity}))
+
+
 def build_full_system(params: DroneParams,
                       variant: ControllerVariant = ControllerVariant.BUGGY) -> HybridSystem:
     """The full mission controller with guidance, actuator lags, and the
     emergency override."""
     wx, wy, wz = params.waypoint
     kp_x, kp_y, kp_z = params.kp
-    cruise, hover = params.cruise_drain, params.hover_drain
-    tau = ACTUATOR_TAU
+    top = MAX_SPEED
 
-    def vx_cmd(s):
-        return _saturated(kp_x * (wx - s["x"]))
-
-    def vy_cmd(s):
-        return _saturated(kp_y * (wy - s["y"]))
-
-    def climb_cmd(s):
-        return _saturated(kp_z * (wz - s["altitude"]))
-
-    def land_cmd(s):
-        return _saturated(kp_z * (0.0 - s["altitude"]))
-
-    cruise_battery = StateExpr(lambda s, p: clamped_rate(s["battery"], -cruise),
-                               reads=frozenset({"battery"}))
-    hover_battery = StateExpr(lambda s, p: clamped_rate(s["battery"], -hover),
-                              reads=frozenset({"battery"}))
-
-    def lag(cmd, vname, extra_reads=()):
-        return StateExpr(lambda s, p: (cmd(s) - s[vname]) / tau,
-                         reads=frozenset({vname, *extra_reads}))
-
-    zero_cmd = lambda s: 0.0
+    def land_altitude(s, p):
+        # _guidance toward the ground, cut to zero there as clamped_rate cuts it
+        altitude = s["altitude"]
+        command = kp_z * (0.0 - altitude)
+        command = -top if command < -top else top if command > top else command
+        return command if altitude > 0.0 or command > 0.0 else 0.0
 
     take_off = {
-        "altitude": StateExpr(lambda s, p: climb_cmd(s), reads=frozenset({"altitude"})),
-        "vx": lag(zero_cmd, "vx"),
-        "vy": lag(zero_cmd, "vy"),
-        "vz": lag(climb_cmd, "vz", extra_reads=("altitude",)),
-        "battery": cruise_battery,
+        "altitude": _guidance("altitude", kp_z, wz),
+        "vx": _lag_to_rest("vx"),
+        "vy": _lag_to_rest("vy"),
+        "vz": _lag("vz", "altitude", kp_z, wz),
+        "battery": _clamped("battery", -params.cruise_drain),
     }
     goto = {
-        "x": StateExpr(lambda s, p: vx_cmd(s), reads=frozenset({"x"})),
-        "y": StateExpr(lambda s, p: vy_cmd(s), reads=frozenset({"y"})),
-        "vx": lag(vx_cmd, "vx", extra_reads=("x",)),
-        "vy": lag(vy_cmd, "vy", extra_reads=("y",)),
-        "vz": lag(zero_cmd, "vz"),
-        "battery": cruise_battery,
+        "x": _guidance("x", kp_x, wx),
+        "y": _guidance("y", kp_y, wy),
+        "vx": _lag("vx", "x", kp_x, wx),
+        "vy": _lag("vy", "y", kp_y, wy),
+        "vz": _lag_to_rest("vz"),
+        "battery": _clamped("battery", -params.cruise_drain),
     }
     land = {
-        "altitude": StateExpr(lambda s, p: clamped_rate(s["altitude"], land_cmd(s)),
-                              reads=frozenset({"altitude"})),
-        "vx": lag(zero_cmd, "vx"),
-        "vy": lag(zero_cmd, "vy"),
-        "vz": lag(land_cmd, "vz", extra_reads=("altitude",)),
-        "battery": hover_battery,
+        "altitude": StateExpr(land_altitude, reads=frozenset({"altitude"})),
+        "vx": _lag_to_rest("vx"),
+        "vy": _lag_to_rest("vy"),
+        "vz": _lag("vz", "altitude", kp_z, 0.0),
+        "battery": _clamped("battery", -params.hover_drain),
     }
-    parachute = {
-        "altitude": StateExpr(
-            lambda s, p, r=params.descent_rate: clamped_rate(s["altitude"], -r),
-            reads=frozenset({"altitude"})),
-    }
+    parachute = {"altitude": _clamped("altitude", -params.descent_rate)}
 
     emergency = _emergency_guard(variant, params)
     mission_start = Guard(
         "mission_start",
         lambda s, cfg: cfg.get("mission_start", 0.0) >= 0.5, "TAKE_OFF")
+    cruise = CLIMB_FRACTION * wz
     cruise_reached = Guard(
-        "cruise_altitude_reached",
-        lambda s, cfg: s["altitude"] >= CLIMB_FRACTION * wz, "GOTO",
+        "cruise_altitude_reached", lambda s, cfg: s["altitude"] >= cruise, "GOTO",
         reads=frozenset({"altitude"}))
+    radius = WAYPOINT_RADIUS ** 2
     waypoint_reached = Guard(
         "waypoint_reached",
-        lambda s, cfg: (s["x"] - wx) ** 2 + (s["y"] - wy) ** 2 <= WAYPOINT_RADIUS ** 2,
+        lambda s, cfg: (s["x"] - wx) ** 2 + (s["y"] - wy) ** 2 <= radius,
         "LAND", reads=frozenset({"x", "y"}))
 
     return HybridSystem(
@@ -255,12 +267,20 @@ DRONE_INTERFACE_PARTITION = condensation.Partition(interface_indices=(0, 1),
 
 
 def clamped_rate(level: float, rate: float) -> float:
-    """Cut a draining rate to zero once its level is exhausted.
+    """Cut a draining rate to zero once its level is exhausted."""
+    return rate if level > 0.0 else (rate if rate > 0.0 else 0.0)
+
+
+def _clamped(signal: str, rate: float) -> StateExpr:
+    """The constant ``rate`` of ``signal``, cut by ``clamped_rate`` at the
+    signal's level.
 
     Shared by the condensed surrogate dynamics and the full model so both
     sides integrate identically.
     """
-    return rate if level > 0.0 else (rate if rate > 0.0 else 0.0)
+    exhausted = clamped_rate(0.0, rate)
+    return StateExpr(lambda s, p: rate if s[signal] > 0.0 else exhausted,
+                     reads=frozenset({signal}))
 
 
 def condensed_drone_descent(params: DroneParams, mode: str) -> dict[str, StateExpr]:
@@ -271,14 +291,8 @@ def condensed_drone_descent(params: DroneParams, mode: str) -> dict[str, StateEx
     """
     cs = condensation.condense(drone_block_system(mode, params), DRONE_INTERFACE_PARTITION)
     battery_rate, altitude_rate = (float(v) for v in condensation.solve_condensed(cs))
-    return {
-        "battery": StateExpr(
-            lambda s, p, r=battery_rate: clamped_rate(s["battery"], r),
-            reads=frozenset({"battery"})),
-        "altitude": StateExpr(
-            lambda s, p, r=altitude_rate: clamped_rate(s["altitude"], r),
-            reads=frozenset({"altitude"})),
-    }
+    return {"battery": _clamped("battery", battery_rate),
+            "altitude": _clamped("altitude", altitude_rate)}
 
 
 # ---------------------------------------------------------------------------
@@ -449,25 +463,38 @@ def conformance_check(params: DroneParams, variant: ControllerVariant,
 
 @dataclass
 class TimingReport:
-    """Median wall-clock seconds of one trial on each model."""
+    """Wall-clock seconds of one trial on each model, per configuration:
+    ``full_times[i]`` and ``surrogate_times[i]`` were timed back to back."""
 
-    full_seconds: float
-    surrogate_seconds: float
+    full_times: list[float]
+    surrogate_times: list[float]
+
+    @property
+    def full_seconds(self) -> float:
+        return statistics.median(self.full_times)
+
+    @property
+    def surrogate_seconds(self) -> float:
+        return statistics.median(self.surrogate_times)
 
     @property
     def speedup(self) -> float:
-        return self.full_seconds / self.surrogate_seconds
+        """Median over configurations of the full trial's time over the
+        surrogate trial's timed next to it: a slow stretch of the host
+        slows both trials of a pair alike, so it moves their ratio less
+        than it moves either median."""
+        return statistics.median(f / s for f, s in zip(self.full_times, self.surrogate_times))
 
 
-def paired_trial_seconds(first: tuple, second: tuple, configs: Sequence[Configuration],
-                         horizon: float) -> tuple[float, float]:
-    """Median wall-clock time of one simulate-and-evaluate trial on each of
-    two ``(system, dt)`` models.
+def paired_trial_times(first: tuple, second: tuple, configs: Sequence[Configuration],
+                       horizon: float) -> tuple[list[float], list[float]]:
+    """Wall-clock time of one simulate-and-evaluate trial on each of two
+    ``(system, dt)`` models, per configuration.
 
     Each model warms up with one untimed trial on the first configuration.
     Then, configuration by configuration, the first model's trial and the
     second's are timed back to back, so a slow stretch of the host slows
-    both alike, and the medians keep such a stretch from moving either.
+    both alike.
     """
     models = (first, second)
     for system_like, dt in models:
@@ -478,7 +505,7 @@ def paired_trial_seconds(first: tuple, second: tuple, configs: Sequence[Configur
             started = time.perf_counter()
             run_trial(system_like, config, phi_for, dt, horizon)
             timed.append(time.perf_counter() - started)
-    return statistics.median(seconds[0]), statistics.median(seconds[1])
+    return seconds
 
 
 def timing_comparison(params: DroneParams, configs: Sequence[Configuration],
@@ -493,5 +520,5 @@ def timing_comparison(params: DroneParams, configs: Sequence[Configuration],
         raise ConfigurationError("timing comparison needs at least 10 configurations")
     full = build_full_system(params, variant).with_entry("GOTO")
     surrogate = build_surrogate_system(params, variant)
-    return TimingReport(*paired_trial_seconds((full, params.full_model_dt),
-                                              (surrogate, dt), configs, horizon))
+    return TimingReport(*paired_trial_times((full, params.full_model_dt),
+                                            (surrogate, dt), configs, horizon))

@@ -386,7 +386,8 @@ def campaign(surrogate, formula: FormulaLike, space: ConfigSpace,
     :class:`TrialStream` runs them (generation, simulation, margins) on
     one forked worker per further CPU, each sending its trace back only
     if the trial violates.  This process mutates and runs the other
-    trials and takes each generated trial's result when its turn comes,
+    trials, each from the generator that drew its coin when the pool
+    filled, and takes each generated trial's result when its turn comes,
     so the pool, the rows, deduplication, fault counting and the abort
     rule see every trial in order, and the results and artifacts are
     those of one process.  With one CPU, fewer than two generated trials
@@ -423,13 +424,18 @@ def campaign(surrogate, formula: FormulaLike, space: ConfigSpace,
 
     ahead: Optional[TrialStream] = None  # the generated trials after the pool fills
     ahead_trials: set[int] = set()
+    mutating: dict[int, np.random.Generator] = {}  # later mutated trials, coin drawn
     try:
         for trial in range(budget):
             if trial in ahead_trials:
                 outcome = next(ahead)
             else:
-                rng = trial_rng(campaign_seed, trial)
-                if pool and rng.random() < MUTATION_FRACTION:
+                rng = mutating.pop(trial, None)
+                mutates = rng is not None
+                if not mutates:
+                    rng = trial_rng(campaign_seed, trial)
+                    mutates = bool(pool) and rng.random() < MUTATION_FRACTION
+                if mutates:
                     base_config, base_point = pool[int(rng.integers(len(pool)))]
                     config = mutate(base_config, space, base_point, rng)
                 else:
@@ -451,8 +457,13 @@ def campaign(surrogate, formula: FormulaLike, space: ConfigSpace,
                 pool.append((config, point))
                 workers = _cpus() - 1 if len(pool) == 1 else 0
                 if workers:
-                    later = [t for t in range(trial + 1, budget)
-                             if trial_rng(campaign_seed, t).random() >= MUTATION_FRACTION]
+                    later = []
+                    for t in range(trial + 1, budget):
+                        rng = trial_rng(campaign_seed, t)
+                        if rng.random() < MUTATION_FRACTION:
+                            mutating[t] = rng
+                        else:
+                            later.append(t)
                     if len(later) >= 2:
                         ahead = TrialStream(generated, later, min(workers, len(later)))
                         ahead_trials = set(later)

@@ -239,7 +239,7 @@ def _apply_reset(system: HybridSystem, guard: Guard, named: StateMap,
     return new
 
 
-def _settle(rates: list, edges: list, held: list[str]) -> tuple[list, list]:
+def _settle(rates: list, edges: list, held: tuple[str, ...]) -> tuple[list, list]:
     """The rates and guards still to call after a step that fired no guard.
 
     ``rates`` and ``edges`` are the ``(name, func, reads)`` and ``(guard,
@@ -361,14 +361,16 @@ def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
             block.clear()
             pause = min(k + _BLOCK, n_steps)
         stepped = named.copy()
-        held = []  # the rated signals this step left bit-identical
+        held = ()  # the rated signals this step left bit-identical
         for name, f, _ in mode_rates:
             old = named[name]
             value = old + dt * f(named, parameters)
-            if not isfinite(value):
-                raise SimulationFault((k + 1) * dt, name, value)
-            if value == old and (value != 0.0 or copysign(1.0, value) == copysign(1.0, old)):
-                held.append(name)
+            # false, as in most steps, exactly when the value moved and is finite
+            if value == old or value - value:
+                if not isfinite(value):
+                    raise SimulationFault((k + 1) * dt, name, value)
+                if value != 0.0 or copysign(1.0, value) == copysign(1.0, old):
+                    held += (name,)
             stepped[name] = value
         named = stepped
         # when the same signals held at the last settling, it settled none

@@ -34,6 +34,16 @@ naive evaluator used in the test suite:
 
 where ia, ib are the rounded index bounds, each capped at n: every index
 from n on is Unknown, so the cap changes no value.
+
+The evaluator computes each subformula at every sample index at once,
+in O(n) on an n-sample trace whatever the window widths.  In the order
+False < Unknown < True a window's AND is False iff the window holds a
+False, and otherwise Unknown iff it holds an Unknown or reaches index
+n; OR is the same with True in place of False.  So G[a,b] and F[a,b]
+need only the first index at or after i + ia where the body takes each
+value, and U[a,b] the first such index of each operand (see
+``_until``).  One backward running minimum over the marked indices
+gives every sample's first index at once.
 """
 
 from __future__ import annotations
@@ -231,25 +241,76 @@ def _atom_values(atom: Atom, trace) -> np.ndarray:
         truth = sig > atom.value
     else:
         truth = sig == atom.value
-    return np.where(truth, TRUE, FALSE).astype(np.int8)
+    return truth.view(np.int8) * TRUE  # FALSE is 0
 
 
-def _window_fold(vals: np.ndarray, lo: int, hi: int, fold: str) -> np.ndarray:
-    """Fold (min or max) over the window [i+lo, i+hi] for every index i.
+def _first_from(marked: np.ndarray, lo: int, none: int) -> np.ndarray:
+    """For every sample i, the first index j >= i + lo with ``marked[j]``,
+    or ``none`` where the trace holds no such index.
 
-    Indices beyond the end of ``vals`` contribute UNKNOWN, which is what the
-    padding provides.
+    One reversed running minimum over the marked indices, shifted by
+    ``lo``: O(n) whatever ``lo``.  Passing ``none = n`` counts the first
+    index past the trace end, which is Unknown, as marked.
+    """
+    n = len(marked)
+    if not marked.any():
+        return np.full(n, none)
+    first = np.minimum.accumulate(np.where(marked, np.arange(n), none)[::-1])[::-1]
+    if lo:
+        first = np.concatenate([first[lo:], np.full(lo, none)])
+    return first
+
+
+def _window_holds(marked: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """For every sample i, whether ``marked[j]`` for some index j of the
+    trace in the window [i+lo, i+hi]."""
+    n = len(marked)
+    if not marked.any():
+        return marked
+    return _first_from(marked, lo, 2 * n) <= np.arange(n) + hi
+
+
+def _window_fold(vals: np.ndarray, lo: int, hi: int, decisive: int) -> np.ndarray:
+    """Fold over the window [i+lo, i+hi] for every index i, in O(n)
+    whatever the width: min when ``decisive`` is FALSE, max when it is TRUE.
+
+    In the three-valued order the fold is ``decisive`` iff the window
+    holds it.  Otherwise it is UNKNOWN iff the window holds an UNKNOWN or
+    reaches past the end of ``vals``, and the other value if not.
     """
     n = len(vals)
-    padded = np.concatenate([vals, np.full(hi, UNKNOWN, dtype=np.int8)])
-    width = hi - lo + 1
-    windows = np.lib.stride_tricks.sliding_window_view(padded[lo:], width)[:n]
-    if fold == "min":
-        return windows.min(axis=1).astype(np.int8)
-    return windows.max(axis=1).astype(np.int8)
+    decided = _window_holds(vals == decisive, lo, hi)
+    undecided = decided | _window_holds(vals == UNKNOWN, lo, hi)
+    undecided[max(n - hi, 0):] = True  # these windows reach past the end
+    moved = undecided.view(np.int8) + decided.view(np.int8)
+    if decisive == FALSE:
+        return TRUE - moved
+    return FALSE + moved
 
 
-_NOT_LUT = np.array([TRUE, UNKNOWN, FALSE], dtype=np.int8)
+def _until(left: np.ndarray, right: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """``left U[lo, hi] right`` at every index i, in O(n) whatever the width.
+
+    The candidate j = i + lo, ..., i + hi is True when ``right[j]`` is and
+    ``left`` is True on [i, j), and False when ``right[j]`` is or ``left``
+    is False somewhere on [i, j).  So the result is True iff the first True
+    of ``right`` from i + lo on comes no later than i + hi and no later
+    than the first non-True of ``left`` from i on, and False iff the first
+    non-False of ``right`` from i + lo on comes later than i + hi and later
+    than the first False of ``left`` from i on.  Every index from n on is
+    Unknown.  A non-True is a False or an Unknown, so each input takes a
+    pass for its Unknowns only if it holds one.
+    """
+    n = len(left)
+    last = np.arange(n) + hi
+    left_false = _first_from(left == FALSE, 0, 2 * n)
+    false_by = np.minimum(last, left_false)
+    true_by = np.minimum(false_by, _first_from(left == UNKNOWN, 0, n))
+    right_true = _first_from(right == TRUE, lo, 2 * n)
+    right_unknown = _first_from(right == UNKNOWN, lo, n)
+    holds = (right_true <= true_by).view(np.int8)
+    fails = ((right_true > false_by) & (right_unknown > false_by)).view(np.int8)
+    return UNKNOWN + holds - fails
 
 
 def _globally(formula: Globally, body: np.ndarray, dt: float) -> np.ndarray:
@@ -260,7 +321,7 @@ def _globally(formula: Globally, body: np.ndarray, dt: float) -> np.ndarray:
         return np.minimum.accumulate(body[::-1])[::-1]
     n = len(body)
     lo, hi = (_index_bound(b, dt, n) for b in formula.interval)
-    return _window_fold(body, lo, hi, "min")
+    return _window_fold(body, lo, hi, FALSE)
 
 
 def _values(formula: StlFormula, trace, dt: float) -> np.ndarray:
@@ -269,33 +330,25 @@ def _values(formula: StlFormula, trace, dt: float) -> np.ndarray:
     if isinstance(formula, Atom):
         return _atom_values(formula, trace)
     if isinstance(formula, Not):
-        return _NOT_LUT[_values(formula.child, trace, dt)]
+        return TRUE - _values(formula.child, trace, dt)
     if isinstance(formula, And):
         return np.minimum(_values(formula.left, trace, dt), _values(formula.right, trace, dt))
     if isinstance(formula, Or):
         return np.maximum(_values(formula.left, trace, dt), _values(formula.right, trace, dt))
     if isinstance(formula, Implies):
-        lhs = _NOT_LUT[_values(formula.left, trace, dt)]
+        lhs = TRUE - _values(formula.left, trace, dt)
         return np.maximum(lhs, _values(formula.right, trace, dt))
     if isinstance(formula, Globally):
         return _globally(formula, _values(formula.child, trace, dt), dt)
     if isinstance(formula, Eventually):
         child = _values(formula.child, trace, dt)
         lo, hi = (_index_bound(b, dt, n) for b in formula.interval)
-        return _window_fold(child, lo, hi, "max")
+        return _window_fold(child, lo, hi, TRUE)
     if isinstance(formula, Until):
         left = _values(formula.left, trace, dt)
         right = _values(formula.right, trace, dt)
         lo, hi = (_index_bound(b, dt, n) for b in formula.interval)
-        lpad = np.concatenate([left, np.full(hi, UNKNOWN, dtype=np.int8)])
-        rpad = np.concatenate([right, np.full(hi, UNKNOWN, dtype=np.int8)])
-        acc = np.full(n, FALSE, dtype=np.int8)
-        prefix = np.full(n, TRUE, dtype=np.int8)  # AND of left over [i, i+o)
-        for o in range(hi + 1):
-            if o >= lo:
-                acc = np.maximum(acc, np.minimum(rpad[o:o + n], prefix))
-            prefix = np.minimum(prefix, lpad[o:o + n])
-        return acc
+        return _until(left, right, lo, hi)
     raise TypeError(f"not a formula node: {formula!r}")
 
 
@@ -305,7 +358,9 @@ def _check_trace(formula: StlFormula, trace) -> float:
         raise EvaluationError("cannot evaluate a formula on an empty trace")
     dt = trace.dt
     expected = np.arange(len(times)) * dt
-    if not np.allclose(times, expected, rtol=0.0, atol=1e-9 * max(dt, 1.0)):
+    # a simulated trace's times are exactly this; others get the tolerance
+    if not ((times == expected).all()
+            or np.allclose(times, expected, rtol=0.0, atol=1e-9 * max(dt, 1.0))):
         raise EvaluationError("trace is not uniformly sampled at its declared dt")
     missing = sorted(atom_signals(formula) - set(trace.signals))
     if missing:

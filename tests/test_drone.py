@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import statistics
 from collections.abc import Mapping
 from types import SimpleNamespace
 
@@ -13,7 +14,7 @@ from hdsf.config import ConfigSpace
 from hdsf.drone import (ControllerVariant, DroneParams, build_full_system,
                         build_surrogate_system, check_space_band, conformance_check,
                         condensed_drone_descent, default_config_space, default_configuration,
-                        emergency_deploy_decision, paired_trial_seconds, phi_for,
+                        emergency_deploy_decision, paired_trial_times, phi_for,
                         timing_comparison)
 from hdsf.errors import ConfigurationError
 from hdsf.falsify import generate, run_trial
@@ -279,7 +280,8 @@ class TestTiming:
         rng = np.random.default_rng(47)
         configs = [generate(surrogate.parameter_space, rng) for _ in range(15)]
         model = (surrogate, params.dt)
-        first, second = paired_trial_seconds(model, model, configs, params.horizon)
+        first, second = map(statistics.median,
+                            paired_trial_times(model, model, configs, params.horizon))
         assert 0.25 <= first / second <= 4.0
 
     def test_untimed_warm_up_then_median(self, monkeypatch):
@@ -304,6 +306,9 @@ class TestTiming:
         monkeypatch.setattr(drone, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
         report = timing_comparison(params, configs, params.dt, params.horizon)
         assert (report.full_seconds, report.surrogate_seconds) == (4.5, 2.5)
+        # the speedup is the median of the paired ratios 1/2, 9, 2/3, 3/8,
+        # 50, 4/3, 2, 1, 5 and 7/9, not the ratio 4.5 / 2.5 of the medians
+        assert report.speedup == pytest.approx((1 + 4 / 3) / 2)
         full, surrogate = ("full", params.full_model_dt), ("surrogate", params.dt)
         assert runs == [(*full, configs[0]), (*surrogate, configs[0]),
                         *((*model, config) for config in configs

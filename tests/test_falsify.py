@@ -14,6 +14,7 @@ import pytest
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
+from hdsf import falsify
 from hdsf.config import Configuration, ConfigSpace
 from hdsf.drone import (ControllerVariant, DroneParams, build_surrogate_system,
                         default_config_space, default_configuration, phi_for)
@@ -758,6 +759,25 @@ class TestCampaignOnWorkers:
             self.drone_campaign(ControllerVariant.BUGGY, seed=3, formula=formula)
         assert count_forks
         assert_no_child_left()
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_this_process_builds_each_trial_stream_once(self, force_cpus, count_forks,
+                                                         monkeypatch, n_cpus):
+        # once the pool fills, the coins of all later trials are drawn; the
+        # mutated trials go on from those generators, and only the workers
+        # build the streams of the generated ones again
+        force_cpus(n_cpus)
+        built = []
+        monkeypatch.setattr(falsify, "trial_rng",
+                            lambda seed, trial: built.append(trial) or trial_rng(seed, trial))
+        result = self.comparable(self.drone_campaign(ControllerVariant.PATCHED, runs=50))
+        assert_no_child_left()
+        assert sorted(built) == list(range(50))
+        assert len(count_forks) == (n_cpus > 1)  # one worker, once the pool filled
+        monkeypatch.undo()
+        force_cpus(1)
+        assert result == self.comparable(
+            self.drone_campaign(ControllerVariant.PATCHED, runs=50))
 
     def test_a_pool_that_never_fills_forks_nothing(self, force_cpus, count_forks):
         force_cpus(3)

@@ -89,6 +89,22 @@ class TestSimulate:
         assert err.value.time > 0
 
     @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_the_first_nonfinite_step_raises(self, value):
+        # x moves by 0.1 a step until its rate turns non-finite at x = 0.3,
+        # so the step to t = 0.4 is the first to leave x non-finite; y keeps
+        # moving, so no step holds a value
+        rates = {"x": StateExpr(lambda s, p: 1.0 if s["x"] < 0.25 else value,
+                                reads=frozenset({"x"})),
+                 "y": StateExpr(lambda s, p: 1.0)}
+        system = single_mode_system(rates, signals=("x", "y"))
+        faults = []
+        for run in (simulate, naive_simulate):
+            with pytest.raises(SimulationFault) as err:
+                run(system, [0.0, 0.0], {}, 0.1, 1.0)
+            faults.append((err.value.time, err.value.signal, repr(err.value.value)))
+        assert faults == [(4 * 0.1, "x", repr(value))] * 2
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
     def test_nonfinite_initial_state_raises_simulation_fault(self, value):
         with pytest.raises(SimulationFault) as err:
             simulate(drain_system(), [value], {}, dt=0.1, horizon=1.0)

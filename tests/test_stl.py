@@ -7,7 +7,7 @@ from hdsf import stl
 from hdsf.errors import EvaluationError, SpecificationError
 from hdsf.hybrid import Trace
 from hdsf.drone import builtin_phi
-from hdsf.stl import Atom, Eventually, Globally, Implies, Not, Outcome, evaluate
+from hdsf.stl import Atom, Eventually, Globally, Implies, Not, Outcome, Until, evaluate
 
 from oracles import naive_value, naive_verdict, random_formula, random_trace
 
@@ -78,6 +78,33 @@ class TestEvaluateBasics:
         with pytest.raises(EvaluationError, match="uniform"):
             evaluate(Atom("a", ">=", 0.0), trace)
 
+    @staticmethod
+    def jittered(dt: float, offsets: dict[int, float]) -> Trace:
+        """A 50-sample trace at ``dt`` whose sample k is ``offsets[k]``
+        times the tolerance ``1e-9 * max(dt, 1)`` off its time k * dt."""
+        times = np.arange(50) * dt
+        for k, share in offsets.items():
+            times[k] += share * 1e-9 * max(dt, 1.0)
+        return Trace(times=times, modes=["M"] * 50, signals={"a": np.ones(50)},
+                     events=[], dt=dt)
+
+    @pytest.mark.parametrize("dt", [0.05, 0.1, 2.5])
+    def test_times_within_the_tolerance_still_evaluate(self, dt):
+        trace = self.jittered(dt, {1: 0.5, 17: -0.9, 49: 0.9})
+        assert not (trace.times == np.arange(50) * dt).all()
+        assert evaluate(Globally(Atom("a")), trace).outcome is Outcome.SATISFIED
+
+    @pytest.mark.parametrize("dt", [0.05, 0.1, 2.5])
+    def test_an_offset_beyond_the_tolerance_raises(self, dt):
+        with pytest.raises(EvaluationError, match="uniform"):
+            evaluate(Atom("a"), self.jittered(dt, {1: 0.5, 17: -2.0}))
+
+    def test_times_at_another_step_raise(self):
+        trace = self.jittered(0.1, {})
+        trace.times = np.arange(50) * 0.1000001
+        with pytest.raises(EvaluationError, match="uniform"):
+            evaluate(Atom("a"), trace)
+
     def test_empty_trace_raises(self):
         trace = Trace(times=np.zeros(0), modes=[], signals={"a": np.zeros(0)},
                       events=[], dt=0.1)
@@ -144,6 +171,72 @@ class TestNaiveEquivalence:
         huge = Eventually(Atom("a"), interval=(0.0, 1e308))
         far = Eventually(Atom("a"), interval=(0.0, len(trace) * trace.dt))
         assert evaluate(huge, trace) == evaluate(far, trace)
+
+
+def windowed(lo: int, hi: int, dt: float) -> list:
+    """G, F and U on the sample window [lo, hi], over operands that are
+    atoms and windows of their own, which are Unknown near the trace end."""
+    interval = (lo * dt, hi * dt)
+    near = Eventually(Atom("c"), interval=(0.0, 2 * dt))
+    return [Globally(Atom("a", ">", -1.0), interval), Globally(near, interval),
+            Eventually(Atom("b"), interval), Eventually(Not(near), interval),
+            Until(Atom("a", ">", -1.5), Atom("b"), interval),
+            Until(near, Atom("c", "<", 0.5), interval),
+            Until(Atom("b", "<", 1.0), near, interval)]
+
+
+def assert_naive_at_every_index(formula, trace):
+    fast = stl._values(formula, trace, trace.dt)
+    memo = {}
+    assert [int(v) for v in fast] == [naive_value(formula, trace, i, memo)
+                                      for i in range(len(trace))], formula
+
+
+class TestWindowEdges:
+    """The O(n) folds of G, F and U against the naive expansion at every
+    index, on the windows where an index bound goes wrong first."""
+
+    @staticmethod
+    def windows(kind: str, n: int) -> list[tuple[int, int]]:
+        if kind == "wider_than_the_trace":
+            return [(0, n), (0, n + 3), (1, 2 * n), (n - 1, 3 * n)]
+        if kind == "lo_equals_hi":
+            return [(k, k) for k in range(1, n)]
+        if kind == "one_sample":
+            return [(0, 0)]
+        return [(n, n), (n, n + 2), (n + 1, n + 5)]  # starting at or past the end
+
+    @pytest.mark.parametrize("seed, kind", enumerate(
+        ["wider_than_the_trace", "lo_equals_hi", "one_sample", "at_or_past_the_end"]))
+    def test_agreement_at_every_index(self, seed, kind):
+        rng = np.random.default_rng(100 + seed)
+        for _ in range(25):
+            trace = random_trace(rng, max_len=16)
+            for lo, hi in self.windows(kind, len(trace)):
+                for formula in windowed(lo, hi, trace.dt):
+                    assert_naive_at_every_index(formula, trace)
+
+    def test_one_sample_traces(self):
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            trace = random_trace(rng, n=1)
+            for lo, hi in [(0, 0), (0, 1), (1, 1), (0, 5), (2, 7)]:
+                for formula in windowed(lo, hi, trace.dt):
+                    assert_naive_at_every_index(formula, trace)
+
+    def test_drone_length_trace_at_the_property_widths(self):
+        # 2,401 samples are 120 s at dt 0.05; delta reaches 5 s, 100 samples.
+        # The naive U costs its width squared per index, so its widest
+        # window here has lo == hi.
+        trace = random_trace(np.random.default_rng(12), n=2401, dt=0.05)
+        body = Atom("a", ">", 0.0)
+        formulas = [Globally(body, interval=(0.0, 0.5)), Globally(body, interval=(0.0, 5.0)),
+                    Eventually(Atom("b"), interval=(0.0, 0.5)),
+                    Eventually(Atom("b"), interval=(0.0, 5.0)),
+                    Until(body, Atom("b"), interval=(0.0, 0.5)),
+                    Until(body, Atom("b"), interval=(5.0, 5.0))]
+        for formula in formulas:
+            assert_naive_at_every_index(formula, trace)
 
 
 def g_window(kind: str, n: int, rng) -> tuple[int, int]:
