@@ -28,9 +28,9 @@ import numpy as np
 
 from .config import Configuration, ConfigSpace
 from .drone import (ControllerVariant, DroneParams, build_full_system,
-                    build_surrogate_system, check_space_band, check_space_names,
-                    conformance_check, default_config_space, default_configuration,
-                    phi_for, timing_comparison)
+                    build_surrogate_system, check_space, conformance_check,
+                    default_config_space, default_configuration, phi_for,
+                    timing_comparison)
 from .errors import ConfigurationError, HdsfError
 from .falsify import campaign, generate, map_trials, run_trial, trial_rng
 from .margins import compute_margins, decision_index, write_margins_csv
@@ -204,8 +204,7 @@ def _cmd_run_full(args) -> int:
 
 def _cmd_fuzz(args) -> int:
     params = _resolve_params(args)
-    surrogate = build_surrogate_system(params, ControllerVariant(args.variant),
-                                       rng_seed=args.seed)
+    surrogate = build_surrogate_system(params, ControllerVariant(args.variant))
     if args.space_file:
         try:
             text = Path(args.space_file).read_text()
@@ -213,8 +212,7 @@ def _cmd_fuzz(args) -> int:
             raise ConfigurationError(
                 f"cannot read space file {args.space_file}: {exc}") from None
         space = ConfigSpace.from_json(text)
-        check_space_names(space, params)
-        check_space_band(space)
+        check_space(space, params)
     else:
         space = surrogate.parameter_space
     out_dir = _make_out_dir(args.out_dir)
@@ -231,7 +229,7 @@ def _cmd_fuzz(args) -> int:
 
 def _cmd_conformance(args) -> int:
     params = _resolve_params(args)
-    space = default_config_space(params, rng_seed=args.seed)
+    space = default_config_space(params)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=args.seed))
     configs = [generate(space, rng) for _ in range(args.n_configs)]
     report = conformance_check(params, ControllerVariant(args.variant), configs,
@@ -250,8 +248,7 @@ def _cmd_conformance(args) -> int:
 
 def _cmd_margins(args) -> int:
     params = _resolve_params(args)
-    surrogate = build_surrogate_system(params, ControllerVariant(args.variant),
-                                       rng_seed=args.seed)
+    surrogate = build_surrogate_system(params, ControllerVariant(args.variant))
     space = surrogate.parameter_space
     out_dir = _make_out_dir(args.out_dir)
 
@@ -274,7 +271,7 @@ def _cmd_margins(args) -> int:
 
 def _cmd_timing(args) -> int:
     params = _resolve_params(args)
-    space = default_config_space(params, rng_seed=args.seed)
+    space = default_config_space(params)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=args.seed))
     configs = [generate(space, rng) for _ in range(args.n_configs)]
     report = timing_comparison(params, configs, params.dt, params.horizon,

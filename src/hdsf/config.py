@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from graphlib import CycleError, TopologicalSorter
 from typing import Iterator, Mapping
@@ -134,10 +135,12 @@ class ConfigSpace:
     @classmethod
     def from_json(cls, text: str) -> "ConfigSpace":
         """Space from a JSON object with two keys: ``bounds`` maps each
-        name to a ``[low, high]`` pair, and the optional ``orderings`` is a
-        list of ``[low, high]`` name pairs.  Any other key, malformed or
-        wrongly shaped input raises :class:`SpaceError`.  A campaign takes
-        its seed from its caller, so a space file holds none.
+        name to a ``[low, high]`` pair of finite JSON numbers, and the
+        optional ``orderings`` is a list of ``[low, high]`` name pairs.  Any
+        other key, a bound that is a boolean, a string, NaN or out of the
+        float range, and malformed or wrongly shaped input raise
+        :class:`SpaceError`.  A campaign takes its seed
+        from its caller, so a space file holds none.
         """
         try:
             data = json.loads(text)
@@ -149,9 +152,16 @@ class ConfigSpace:
         if unknown:
             raise SpaceError(f"space has unknown keys {unknown}; "
                              "known keys: ['bounds', 'orderings']")
+        for name, pair in data["bounds"].items():
+            # float() would take a boolean or a string as a number, and
+            # overflow on an integer past the float range
+            if not (isinstance(pair, list) and len(pair) == 2 and all(
+                    type(v) in (int, float) and abs(v) <= sys.float_info.max for v in pair)):
+                raise SpaceError(f"bounds of {name!r} must be a [low, high] pair of "
+                                 f"finite numbers, got {json.dumps(pair)}")
         try:
             return cls(
-                bounds={k: tuple(v) for k, v in data["bounds"].items()},
+                bounds=data["bounds"],
                 orderings=tuple(tuple(pair) for pair in data.get("orderings", [])),
             )
         except (TypeError, ValueError) as exc:

@@ -344,29 +344,32 @@ def check_band(min_deploy_alt: float, max_deploy_alt: float) -> None:
                                  f"max_deploy_alt {max_deploy_alt}")
 
 
-def check_space_band(space: ConfigSpace) -> None:
-    """The band rule for all of ``space``: unless its orderings chain the band,
-    the highest min_deploy_alt it allows must lie below the lowest maximum."""
-    bounds = space.feasible_bounds
-    if not {"min_deploy_alt", "max_deploy_alt"} <= bounds.keys():
-        return
-    later = {name: [] for name in bounds}
-    for a, b in space.orderings:
-        later[a].append(b)
-    if "max_deploy_alt" not in reach(["min_deploy_alt"], later):
-        check_band(bounds["min_deploy_alt"][1], bounds["max_deploy_alt"][0])
+def check_space(space: ConfigSpace, params: DroneParams) -> None:
+    """Reject, before any trial runs, a searched space that some trial of
+    it would fail.
 
-
-def check_space_names(space: ConfigSpace, params: DroneParams) -> None:
-    """A searched space bounds exactly the surrogate's parameters: a name it
-    never reads would be a dead search dimension, and a missing one would
-    fail the first trial."""
+    The space bounds exactly the surrogate's parameters: a name it never
+    reads would be a dead search dimension, and a missing one would fail
+    the first trial.  Unless its orderings chain the band, the highest
+    min_deploy_alt it allows must lie below the lowest maximum.  Its
+    feasible lower bound of delta must be positive, since a mutation
+    clipped to that bound gives exactly it.
+    """
     known = default_config_space(params).bounds.keys()
     unknown, missing = sorted(space.bounds.keys() - known), sorted(known - space.bounds.keys())
     if unknown or missing:
         raise ConfigurationError(
             f"space must bound exactly the parameters {sorted(known)}; "
             f"unknown: {unknown}, missing: {missing}")
+    bounds = space.feasible_bounds
+    later = {name: [] for name in bounds}
+    for a, b in space.orderings:
+        later[a].append(b)
+    if "max_deploy_alt" not in reach(["min_deploy_alt"], later):
+        check_band(bounds["min_deploy_alt"][1], bounds["max_deploy_alt"][0])
+    if bounds["delta"][0] <= 0:
+        raise ConfigurationError(
+            f"delta must be positive, but the space allows delta = {bounds['delta'][0]}")
 
 
 def default_configuration(battery_init: float, altitude_init: float,

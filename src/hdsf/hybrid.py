@@ -15,13 +15,14 @@ introspecting the callables.  A system checks when it is built that
 every declared read names one of its signals, so no system, reduced or
 not, reads a signal it lacks.
 
-Integration is explicit forward Euler with a fixed step; every rate
-reads the pre-step state.  Guards are evaluated on every recorded
-sample, the initial one included, in declaration order; the first guard
-whose predicate holds fires.  The recorded sample at an event time
-carries the pre-transition state and mode, so a trace always shows the
-state the guard actually tested.  Every run ends at the horizon; a mode
-with no guards and no rates holds its state until then.
+Integration is explicit forward Euler with a fixed step ``dt``, and a
+trace's sample k is at ``k * dt``; every rate reads the pre-step state.
+Guards are evaluated on every recorded sample, the initial one included,
+in declaration order; the first guard whose predicate holds fires.  The
+recorded sample at an event time carries the pre-transition state and
+mode, so a trace always shows the state the guard actually tested.
+Every run ends at the horizon; a mode with no guards and no rates holds
+its state until then.
 
 Dynamics, guard and reset callables are pure functions of ``(state,
 params)`` that read only the signals they declare, and may be called any
@@ -194,35 +195,26 @@ class TraceEvent:
     target: str
 
 
+@dataclass(eq=False)
 class Trace:
-    """Uniformly sampled execution: times, per-sample mode, named signal arrays."""
+    """Uniformly sampled execution: per-sample modes and signal arrays; sample k is at k * dt."""
 
-    def __init__(self, times: np.ndarray, modes: list[str],
-                 signals: dict[str, np.ndarray], events: list[TraceEvent],
-                 dt: float):
-        self.times = times
-        self.modes = modes
-        self.signals = signals
-        self.events = events
-        self.dt = dt
+    modes: list[str]
+    signals: dict[str, np.ndarray]
+    events: list[TraceEvent]
+    dt: float
 
     def __len__(self) -> int:
-        return len(self.times)
+        return len(self.modes)
 
 
 def project_trace(trace: Trace, signals: Sequence[str]) -> Trace:
-    """Restrict the signal map to ``signals``; times, modes, events unchanged."""
+    """Restrict the signal map to ``signals``; modes, events, dt unchanged."""
     missing = [s for s in signals if s not in trace.signals]
     if missing:
         raise ProjectionError(
             f"unknown signals {missing}; available: {sorted(trace.signals)}")
-    return Trace(
-        times=trace.times,
-        modes=trace.modes,
-        signals={s: trace.signals[s] for s in signals},
-        events=trace.events,
-        dt=trace.dt,
-    )
+    return replace(trace, signals={s: trace.signals[s] for s in signals})
 
 
 def _apply_reset(system: HybridSystem, guard: Guard, named: StateMap,
@@ -390,9 +382,7 @@ def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
     ends = [first for _, first in mode_runs[1:]] + [n_steps + 1]
     modes = list(chain.from_iterable(repeat(m, end - first)
                                      for (m, first), end in zip(mode_runs, ends)))
-    times = np.arange(n_steps + 1) * dt
-    signals = dict(zip(names, data))
-    return Trace(times=times, modes=modes, signals=signals, events=events, dt=dt)
+    return Trace(modes=modes, signals=dict(zip(names, data)), events=events, dt=dt)
 
 # ---------------------------------------------------------------------------
 # Trace serialization (JSON lines)
@@ -417,16 +407,12 @@ def _json_floats(values) -> list[str]:
 
 
 @lru_cache(maxsize=1)
-def _time_texts(column: bytes) -> tuple[str, ...]:
-    """The text that ends each sample line, from ``"t"`` on, for a time
-    column given as its float64 bytes.
-
-    A campaign's traces share one time column, so this one-entry memo
-    formats it once per run of bit-identical columns; keying on the bytes
-    keeps ``-0.0`` apart from ``0.0`` and one NaN payload from another.
-    """
+def _time_texts(n: int, dt_hex: str) -> tuple[str, ...]:
+    """The text that ends each of ``n`` sample lines, from ``"t"`` on, at
+    the step whose ``float.hex`` is ``dt_hex``; a campaign's traces share
+    both, and the hex key keeps ``-0.0`` apart from ``0.0``."""
     return tuple('}, "t": ' + text + "}\n"
-                 for text in _json_floats(np.frombuffer(column, dtype=float)))
+                 for text in _json_floats(np.arange(n) * float.fromhex(dt_hex)))
 
 
 def trace_to_jsonl(trace: Trace) -> str:
@@ -443,14 +429,14 @@ def trace_to_jsonl(trace: Trace) -> str:
 
     Sample lines are pieces of one list, joined once with the header and
     the event lines: each column's texts go into every ``stride``-th
-    slot, between the fixed text of the keys.  The time column's text is
-    reused while consecutive traces have bit-identical time columns.
+    slot, between the fixed text of the keys.  The time texts are reused
+    while consecutive traces have the same length and bits of ``dt``.
     This writes the same bytes as one ``json.dumps`` per sample.
     """
     seen = list(dict.fromkeys(trace.modes))
     header = json.dumps({"dt": trace.dt, "signals": list(trace.signals),
                          "modes": seen}, sort_keys=True)
-    n = len(trace.times)
+    n = len(trace)
     names = sorted(trace.signals)
     keys = [json.dumps(name) + ": " for name in names]
     opening = ', "signals": {' + (keys[0] if keys else "")
@@ -462,7 +448,7 @@ def trace_to_jsonl(trace: Trace) -> str:
         if i:
             columns.append([", " + keys[i]] * n)
         columns.append(_json_floats(trace.signals[name]))
-    columns.append(_time_texts(np.asarray(trace.times, dtype=float).tobytes()))
+    columns.append(_time_texts(n, float(trace.dt).hex()))
     stride = len(columns)
     parts = [None] * (1 + n * stride)
     parts[0] = header + "\n"

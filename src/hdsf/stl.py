@@ -2,10 +2,11 @@
 
 Formulas are ASTs, built in Python, over comparisons between named
 signals and constants, boolean connectives, and the time-bounded
-operators G (globally), F (eventually) and U (until).  Intervals are
-given in seconds and are converted to sample-index windows by rounding
-each bound to the nearest sample, ties rounding up.  G without an
-interval is unbounded and ranges over the remainder of the trace.
+operators G (globally), F (eventually) and U (until).  A trace's sample
+k is at time ``k * dt``.  Intervals are given in seconds and are
+converted to sample-index windows by rounding each bound to the nearest
+sample, ties rounding up.  G without an interval is unbounded and ranges
+over the remainder of the trace.
 
 Semantics are pointwise over sample indices with a three-valued
 (Kleene) treatment of the trace end: a sample index beyond the last
@@ -326,7 +327,7 @@ def _globally(formula: Globally, body: np.ndarray, dt: float) -> np.ndarray:
 
 def _values(formula: StlFormula, trace, dt: float) -> np.ndarray:
     """Three-valued truth of ``formula`` at every sample index."""
-    n = len(trace.times)
+    n = len(trace)
     if isinstance(formula, Atom):
         return _atom_values(formula, trace)
     if isinstance(formula, Not):
@@ -353,21 +354,14 @@ def _values(formula: StlFormula, trace, dt: float) -> np.ndarray:
 
 
 def _check_trace(formula: StlFormula, trace) -> float:
-    times = trace.times
-    if len(times) == 0:
+    if len(trace) == 0:
         raise EvaluationError("cannot evaluate a formula on an empty trace")
-    dt = trace.dt
-    expected = np.arange(len(times)) * dt
-    # a simulated trace's times are exactly this; others get the tolerance
-    if not ((times == expected).all()
-            or np.allclose(times, expected, rtol=0.0, atol=1e-9 * max(dt, 1.0))):
-        raise EvaluationError("trace is not uniformly sampled at its declared dt")
     missing = sorted(atom_signals(formula) - set(trace.signals))
     if missing:
         raise EvaluationError(
             f"formula references signals {missing} not present in trace; "
             f"available: {sorted(trace.signals)}")
-    return dt
+    return trace.dt
 
 
 def evaluate(formula: StlFormula, trace) -> Verdict:
@@ -396,6 +390,6 @@ def evaluate(formula: StlFormula, trace) -> Verdict:
             lo, hi = (_index_bound(b, dt, n) for b in formula.interval)
         misses = np.flatnonzero(body[lo:hi + 1] != TRUE)
         if misses.size:
-            witness = float(trace.times[lo + misses[0]])
+            witness = float((lo + misses[0]) * dt)
     return Verdict(Outcome.VIOLATED, witness_time=witness,
                    window_truncated=(root == UNKNOWN))

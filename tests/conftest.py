@@ -18,7 +18,6 @@ def make_trace():
         assert len(lengths) == 1
         n = lengths.pop()
         return Trace(
-            times=np.arange(n) * dt,
             modes=["M"] * n,
             signals={k: np.asarray(v, dtype=float) for k, v in signals.items()},
             events=[],

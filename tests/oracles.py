@@ -38,7 +38,7 @@ def naive_value(formula, trace: Trace, i: int, memo=None) -> int:
     key = (id(formula), i)
     if key in memo:
         return memo[key]
-    n = len(trace.times)
+    n = len(trace)
     dt = trace.dt
     if i >= n:
         return stl.UNKNOWN
@@ -168,7 +168,7 @@ def naive_trace_to_jsonl(trace: Trace) -> str:
     names = list(trace.signals)
     for i in range(len(trace)):
         lines.append(json.dumps({
-            "t": float(trace.times[i]),
+            "t": float(i * trace.dt),
             "mode": trace.modes[i],
             "signals": {n: float(trace.signals[n][i]) for n in names},
         }, sort_keys=True))
@@ -263,8 +263,7 @@ def random_trace(rng: np.random.Generator, max_len: int = 50,
         else:
             values = np.round(rng.uniform(-2.0, 2.0, size=n), 2)
         signals[name] = values
-    return Trace(times=np.arange(n) * dt, modes=["M"] * n, signals=signals,
-                 events=[], dt=dt)
+    return Trace(modes=["M"] * n, signals=signals, events=[], dt=dt)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 from hdsf import drone
 from hdsf.config import ConfigSpace
 from hdsf.drone import (ControllerVariant, DroneParams, build_full_system,
-                        build_surrogate_system, check_space_band, conformance_check,
+                        build_surrogate_system, check_space, conformance_check,
                         condensed_drone_descent, default_config_space, default_configuration,
                         emergency_deploy_decision, paired_trial_times, phi_for,
                         timing_comparison)
@@ -26,7 +26,6 @@ from hdsf.stl import Outcome
 BUGGY = ControllerVariant.BUGGY
 PATCHED = ControllerVariant.PATCHED
 BAND = ("min_deploy_alt", "max_deploy_alt")
-CHAIN = [f"c{i}" for i in range(500)]  # links the band ends through 500 names
 
 
 def trace_scan_violated(trace, config) -> bool:
@@ -84,25 +83,45 @@ class TestDroneParams:
             with pytest.raises(ConfigurationError, match="min_deploy_alt"):
                 default_configuration(10.0, 20.0, min_deploy_alt=low, max_deploy_alt=high)
 
+    @staticmethod
+    def space(bounds, orderings) -> ConfigSpace:
+        """The default space with some ``bounds`` replaced, under ``orderings``."""
+        default = default_config_space(DroneParams()).bounds
+        return ConfigSpace(bounds={**default, **bounds}, orderings=tuple(orderings))
+
     @pytest.mark.parametrize("bounds, orderings, ok", [
-        ({"min_deploy_alt": (20, 90), "max_deploy_alt": (40, 120)}, [BAND], True),
-        ({"min_deploy_alt": (20, 39), "max_deploy_alt": (40, 120)}, [], True),
-        ({"min_deploy_alt": (20, 40), "max_deploy_alt": (40, 120)}, [], False),
-        ({"min_deploy_alt": (20, 90), "max_deploy_alt": (40, 120), "mid": (0, 200)},
-         [("min_deploy_alt", "mid"), ("mid", "max_deploy_alt")], True),
-        ({"battery_init": (0, 100)}, [], True),
-        ({"min_deploy_alt": (20, 90), "max_deploy_alt": (40, 120),
-          **{f"c{i}": (0, 200) for i in range(500)}},
-         list(zip(["min_deploy_alt", *CHAIN], [*CHAIN, "max_deploy_alt"])), True)])
+        ({}, [BAND], True),
+        ({"min_deploy_alt": (20, 39)}, [], True),
+        ({"min_deploy_alt": (20, 40)}, [], False),
+        ({}, [("min_deploy_alt", "altitude_init"), ("altitude_init", "max_deploy_alt")], True),
+        ({}, [("battery_init", "max_deploy_alt"), ("altitude_init", "battery_init"),
+              ("min_deploy_alt", "altitude_init")], True),
+        ({}, [("min_deploy_alt", "low_batt_threshold"),
+              ("low_batt_threshold", "altitude_init"), ("altitude_init", "max_deploy_alt")],
+         True)])
     def test_space_band(self, bounds, orderings, ok):
-        # a space passes when its orderings chain the band or when no
-        # minimum it allows reaches a maximum it allows
-        space = ConfigSpace(bounds=bounds, orderings=tuple(orderings))
+        # a space passes when its orderings chain the band, in any order and
+        # through any parameters, or when no minimum it allows reaches a
+        # maximum it allows
+        space = self.space(bounds, orderings)
         if ok:
-            check_space_band(space)
+            check_space(space, DroneParams())
         else:
             with pytest.raises(ConfigurationError, match="40.0 must be below"):
-                check_space_band(space)
+                check_space(space, DroneParams())
+
+    @pytest.mark.parametrize("delta, orderings, lowest", [
+        ((0.0, 5.0), [BAND], 0.0), ((-1.0, 5.0), [BAND], -1.0), ((0.5, 5.0), [BAND], None),
+        ((0.0, 40.0), [BAND, ("low_batt_threshold", "delta")], None)])
+    def test_space_delta(self, delta, orderings, lowest):
+        # the feasible lower bound decides: an ordering can lift it above 0
+        space = self.space({"delta": delta}, orderings)
+        if lowest is None:
+            check_space(space, DroneParams())
+        else:
+            with pytest.raises(ConfigurationError,
+                               match=f"delta must be positive.*delta = {lowest}$"):
+                check_space(space, DroneParams())
 
     def test_fields_are_the_model_and_run_settings(self):
         assert [f.name for f in dataclasses.fields(DroneParams)] == [

@@ -261,6 +261,26 @@ class TestInputErrors:
         space_file.write_text(json.dumps({"bounds": {"battery_init": 50.0}}))
         self.run_space_file(capsys, tmp_path, space_file)
 
+    @pytest.mark.parametrize("bound", [[False, 100], ["0", "150"], [True, 5], [0, 1, 2],
+                                       [None, 1], [0, 10 ** 400], [float("nan"), 1]])
+    def test_space_file_bound_not_two_numbers(self, capsys, tmp_path, monkeypatch, bound):
+        # float() would read a boolean or a string as a number, and overflow
+        # on an integer past the float range
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(falsify, "simulate", no_trial)
+        bounds = {name: list(b) for name, b
+                  in default_config_space(DroneParams()).bounds.items()}
+        space_file = tmp_path / "space.json"
+        space_file.write_text(json.dumps({
+            "bounds": {**bounds, "battery_init": bound},
+            "orderings": [["min_deploy_alt", "max_deploy_alt"]]}))
+        message = self.run_space_file(capsys, tmp_path, space_file)
+        assert message == ("error: bounds of 'battery_init' must be a [low, high] pair "
+                           f"of finite numbers, got {json.dumps(bound)}")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("flag, value", [("--dt", "nan"), ("--horizon", "nan"),
                                              ("--horizon", "inf")])
     def test_nonfinite_step_or_horizon(self, capsys, flag, value):
@@ -313,14 +333,23 @@ class TestInputErrors:
     def test_invalid_trial_flags(self, capsys, flags, message):
         assert message in self.usage_error(capsys, ["run", *flags])
 
-    def test_space_file_nonpositive_delta(self, capsys, tmp_path):
+    def test_space_file_nonpositive_delta(self, capsys, tmp_path, monkeypatch):
+        # a mutation clipped to a lower bound of 0 gives a delta of exactly 0
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(falsify, "simulate", no_trial)
         space_file = tmp_path / "space.json"
         bounds = {name: list(bound) for name, bound
                   in default_config_space(DroneParams()).bounds.items()}
-        space_file.write_text(json.dumps({
-            "bounds": {**bounds, "delta": [-1.0, -0.5]},
-            "orderings": [["min_deploy_alt", "max_deploy_alt"]]}))
-        assert "delta must be positive" in self.run_space_file(capsys, tmp_path, space_file)
+        for delta in ([-1.0, -0.5], [0.0, 0.2]):
+            space_file.write_text(json.dumps({
+                "bounds": {**bounds, "delta": delta},
+                "orderings": [["min_deploy_alt", "max_deploy_alt"]]}))
+            message = self.run_space_file(capsys, tmp_path, space_file)
+            assert message == ("error: delta must be positive, but the space allows "
+                               f"delta = {delta[0]}")
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key", ["ordering", "rng_seed"])
     def test_space_file_unknown_key(self, capsys, tmp_path, key):
