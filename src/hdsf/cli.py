@@ -19,7 +19,6 @@ import argparse
 import dataclasses
 import inspect
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -95,7 +94,8 @@ def _like(default, value, where: str):
         return tuple(_like(d, v, where) for d, v in zip(default, value))
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigurationError(f"{where} must be a number, got {value!r}")
-    if not math.isfinite(value):
+    # math.isfinite would overflow on an integer past the float range
+    if not abs(value) <= sys.float_info.max:
         raise ConfigurationError(f"{where} must be a finite number, got {value!r}")
     return value
 
@@ -191,7 +191,7 @@ def _cmd_run_full(args) -> int:
         system = system.with_entry("GOTO")
     else:
         # whole mission from the ground: start grounded and trigger takeoff
-        config = config.replacing(altitude_init=0.0, mission_start=1.0)
+        config = Configuration(config, altitude_init=0.0, mission_start=1.0)
     dt = params.full_model_dt if args.full_dt else params.dt
     verdict, trace = run_trial(system, config, phi_for, dt, params.horizon)
     _print_run_report(trace, config, verdict)

@@ -1,6 +1,6 @@
 """Configurations and the constrained parameter spaces they are drawn from.
 
-A configuration is an immutable mapping of named real parameters; a
+A configuration is a read-only dict of named finite real parameters; a
 configuration space gives closed bounds per parameter plus strict
 ordering constraints between parameter pairs.
 """
@@ -12,64 +12,45 @@ import math
 import sys
 from dataclasses import dataclass, field
 from graphlib import CycleError, TopologicalSorter
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .errors import ConfigurationError, MissingParameterError, SpaceError
 
 
-class Configuration(Mapping[str, float]):
-    """Immutable named real-valued parameter vector."""
+def _read_only(self, *args, **kwargs):
+    raise TypeError("Configuration is read-only")
 
-    __slots__ = ("_values",)
 
-    def __init__(self, values: Mapping[str, float]):
+class Configuration(dict[str, float]):
+    """Named finite real parameters: a read-only dict, so looking up a present
+    name runs in C.  ``Configuration(values, **updates)`` merges as ``dict``
+    does and coerces each value with ``float``; a missing name raises
+    :class:`MissingParameterError`."""
+
+    __slots__ = ()
+
+    def __init__(self, values: Mapping[str, float] = {}, /, **updates: float):
         clean = {}
-        for name, value in values.items():
+        for name, value in dict(values, **updates).items():
             v = float(value)
             if not math.isfinite(v):
                 raise ConfigurationError(f"parameter {name!r} is not finite: {value!r}")
             clean[name] = v
-        object.__setattr__(self, "_values", clean)
+        super().__init__(clean)
 
-    def __getitem__(self, name: str) -> float:
-        try:
-            return self._values[name]
-        except KeyError:
-            raise MissingParameterError(
-                f"configuration has no parameter {name!r}; "
-                f"available: {sorted(self._values)}") from None
+    def __missing__(self, name: str):
+        raise MissingParameterError(
+            f"configuration has no parameter {name!r}; available: {sorted(self)}")
 
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._values)
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Configuration is immutable")
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
 
     def __reduce__(self):
-        return Configuration, (self._values,)
+        return Configuration, (dict(self),)
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{k}={v!r}" for k, v in sorted(self._values.items()))
+        inner = ", ".join(f"{k}={v!r}" for k, v in sorted(self.items()))
         return f"Configuration({inner})"
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Configuration):
-            return self._values == other._values
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(tuple(sorted(self._values.items())))
-
-    def replacing(self, **updates: float) -> "Configuration":
-        merged = dict(self._values)
-        merged.update(updates)
-        return Configuration(merged)
-
-    def as_dict(self) -> dict[str, float]:
-        return dict(self._values)
 
 
 @dataclass(frozen=True)

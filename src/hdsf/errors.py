@@ -16,11 +16,8 @@ class ConfigurationError(HdsfError):
 
 
 class MissingParameterError(ConfigurationError, KeyError):
-    """A configuration lookup failed.
-
-    Also a KeyError so Mapping.get and ``except KeyError`` treat a
-    Configuration like a plain dict.
-    """
+    """A configuration has no parameter of the looked-up name.  Also a
+    KeyError, so ``except KeyError`` catches it as it would a dict's."""
 
     def __str__(self):
         return Exception.__str__(self)
@@ -72,7 +69,7 @@ class ReductionError(HdsfError):
 
 
 class EvaluationError(HdsfError):
-    """A trace cannot be evaluated against a formula (missing signal, bad sampling)."""
+    """A trace cannot be evaluated (an empty trace, or a signal it lacks)."""
 
 
 class SpaceError(HdsfError):

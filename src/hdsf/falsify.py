@@ -117,7 +117,7 @@ def mutate(config: Configuration, space: ConfigSpace,
     """Perturb a random subset of parameters, steered toward decision
     boundaries when the margins of the configuration's run are small: each
     parameter that ``feedback.steering`` names is drawn around its target."""
-    values = config.as_dict()
+    values = dict(config)
     steer = feedback.steering(values) if feedback is not None else {}
     seeking = [name for name in steer if name in space.bounds]
     for name in seeking:
@@ -520,7 +520,7 @@ def write_campaign_outputs(out_dir: Path, summary: CampaignSummary,
         for record in violations:
             fh.write(json.dumps({
                 "trial": record.trial,
-                "config": record.config.as_dict(),
+                "config": record.config,
                 "witness_t": record.witness_time,
                 "signature": record.signature,
                 "trace_file": record.trace_ref,

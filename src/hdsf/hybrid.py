@@ -25,7 +25,8 @@ Every run ends at the horizon; a mode with no guards and no rates holds
 its state until then.
 
 Dynamics, guard and reset callables are pure functions of ``(state,
-params)`` that read only the signals they declare, and may be called any
+params)``, where ``params`` is the trial's configuration, a read-only
+dict.  They read only the signals they declare, and may be called any
 number of times or not at all.  A signal settles in a step that fires no
 guard when the step leaves it bit-identical and every signal it reads
 has settled too; a signal the mode does not rate has settled.  A settled

@@ -11,6 +11,7 @@ import hashlib
 
 import numpy as np
 
+from hdsf.config import Configuration
 from hdsf.drone import (ControllerVariant, DroneParams, build_full_system,
                         build_surrogate_system, conformance_check, default_config_space,
                         phi_for)
@@ -87,7 +88,7 @@ def full_model_traces(variant, scenario):
     rng = np.random.default_rng(np.random.SeedSequence(entropy=5))
     configs = [generate(default_config_space(params), rng) for _ in range(8)]
     if scenario == "idle":
-        configs = [configs[0]] + [c.replacing(altitude_init=0.0, mission_start=1.0)
+        configs = [configs[0]] + [Configuration(c, altitude_init=0.0, mission_start=1.0)
                                   for c in configs[1:]]
     else:
         system = system.with_entry("GOTO")

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from hdsf import drone
-from hdsf.config import ConfigSpace
+from hdsf.config import Configuration, ConfigSpace
 from hdsf.drone import (ControllerVariant, DroneParams, build_full_system,
                         build_surrogate_system, check_space, conformance_check,
                         condensed_drone_descent, default_config_space, default_configuration,
@@ -161,7 +161,7 @@ class TestFullSystem:
         # a near waypoint so the mission takes off, cruises, and lands
         params = DroneParams(waypoint=(40.0, 0.0, 70.0))
         system = build_full_system(params, BUGGY)
-        config = default_configuration(100.0, 0.0).replacing(mission_start=1.0)
+        config = Configuration(default_configuration(100.0, 0.0), mission_start=1.0)
         trace = simulate(system, None, config, params.dt, params.horizon)
         visited = list(dict.fromkeys(trace.modes))
         assert visited[:3] == ["IDLE", "TAKE_OFF", "GOTO"]
@@ -429,7 +429,7 @@ class TestDeclaredReads:
     def full_samples(self, variant, configs):
         system = build_full_system(DroneParams(), variant)
         # mid-mission from GOTO, and the whole mission from the ground
-        missions = [c.replacing(altitude_init=0.0, mission_start=1.0) for c in configs]
+        missions = [Configuration(c, altitude_init=0.0, mission_start=1.0) for c in configs]
         return (sampled_states(system.with_entry("GOTO"), configs)
                 + sampled_states(system, missions))
 

@@ -55,7 +55,7 @@ class TestGenerate:
     def test_degenerate_point_space(self):
         space = ConfigSpace(bounds={"a": (3.0, 3.0), "b": (7.0, 7.0)})
         config = generate(space, rng_for(2))
-        assert config.as_dict() == {"a": 3.0, "b": 7.0}
+        assert dict(config) == {"a": 3.0, "b": 7.0}
 
     def test_marginals_uniform_by_ks(self):
         bounds = {

@@ -324,7 +324,7 @@ class TestNaiveOracle:
            entry=st.sampled_from(["goto", "idle"]))
     def test_drone_full_model(self, config, variant, entry):
         if entry == "idle":
-            config = config.replacing(altitude_init=0.0, mission_start=1.0)
+            config = Configuration(config, altitude_init=0.0, mission_start=1.0)
         assert_matches_naive(_SYSTEMS[entry, variant], None, config,
                              _PARAMS.dt, _PARAMS.horizon)
 
@@ -845,7 +845,7 @@ class TestSerializerOracle:
            kind=st.sampled_from(["surrogate", "goto", "idle"]))
     def test_drone_traces(self, config, variant, kind):
         if kind == "idle":
-            config = config.replacing(altitude_init=0.0, mission_start=1.0)
+            config = Configuration(config, altitude_init=0.0, mission_start=1.0)
         trace = simulate(_SYSTEMS[kind, variant], None, config,
                          _PARAMS.dt, _PARAMS.horizon)
         assert trace_to_jsonl(trace) == naive_trace_to_jsonl(trace)

@@ -201,9 +201,12 @@ class TestInputErrors:
         assert "unknown key 'pid_gains'" in self.run_scenario(capsys, scenario)
 
     @pytest.mark.parametrize("key, index", list(numeric_slots()))
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"),
+                                     pytest.param(10 ** 400, id="past-float-range"),
+                                     pytest.param(-10 ** 400, id="-past-float-range")])
     def test_scenario_nonfinite_number(self, capsys, tmp_path, key, index, bad):
-        # json.dumps writes these as NaN, Infinity and -Infinity
+        # json.dumps writes these as NaN, Infinity, -Infinity and integers
+        # that float() would overflow on
         value = bad
         if index is not None:
             value = list(getattr(DroneParams(), key))
