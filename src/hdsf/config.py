@@ -77,7 +77,8 @@ class ConfigSpace:
         object.__setattr__(self, "bounds",
                            {k: (float(lo), float(hi)) for k, (lo, hi) in self.bounds.items()})
         for name, (lo, hi) in self.bounds.items():
-            if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
+            # a width past the float range is unbounded too: no draw can span it
+            if not math.isfinite(hi - lo) or lo > hi:
                 raise SpaceError(f"parameter {name!r} has empty or unbounded interval [{lo}, {hi}]")
         graph = TopologicalSorter()
         for a, b in self.orderings:

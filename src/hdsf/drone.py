@@ -209,10 +209,14 @@ def build_full_system(params: DroneParams,
         "cruise_altitude_reached", lambda s, cfg: s["altitude"] >= cruise, "GOTO",
         reads=frozenset({"altitude"}))
     radius = WAYPOINT_RADIUS ** 2
-    waypoint_reached = Guard(
-        "waypoint_reached",
-        lambda s, cfg: (s["x"] - wx) ** 2 + (s["y"] - wy) ** 2 <= radius,
-        "LAND", reads=frozenset({"x", "y"}))
+
+    def near_waypoint(s, cfg):
+        # products overflow to inf where ** raises, so a far waypoint is never reached
+        dx, dy = s["x"] - wx, s["y"] - wy
+        return dx * dx + dy * dy <= radius
+
+    waypoint_reached = Guard("waypoint_reached", near_waypoint, "LAND",
+                             reads=frozenset({"x", "y"}))
 
     return HybridSystem(
         signal_names=FULL_SIGNALS,

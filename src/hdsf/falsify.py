@@ -13,11 +13,12 @@ campaign seed and the trial index, so a campaign is reproducible
 bit-for-bit given (seed, run-count budget).  Only a mutated trial reads
 the pool of earlier trials, and once the pool is nonempty a trial's own
 stream alone decides whether it mutates and, if not, what it generates.
-So a campaign hands its later generated trials to forked workers
-(:class:`TrialStream`) and takes their results in trial order while it
-mutates.  Callers whose trials are independent spread them over forked
-workers with :func:`map_trials`, a client of the same stream, and a
-campaign writes its independent trace files the same way.
+So a campaign runs in two loops: it generates until the pool fills,
+then mutates in this process and takes every later generated trial, in
+trial order, from one :class:`TrialStream`, which runs them on forked
+workers where there are CPUs to spare and in this process otherwise.
+Callers whose trials are independent spread them the same way with
+:func:`map_trials`, and a campaign writes its trace files with it.
 """
 
 from __future__ import annotations
@@ -186,17 +187,18 @@ _PIPE_BYTES = 1 << 20
 
 
 class TrialStream:
-    """``fn`` over ``keys`` on ``workers`` forked processes, read back in
-    key order.
+    """``fn`` over ``keys``, read back in key order, on ``workers`` forked
+    processes or, with ``workers=0``, in this one.
 
-    The workers fork when the stream is created.  Key ``i`` goes to worker
-    ``i % workers``, which runs its keys in order and sends each result
-    into its pipe as soon as it has it, or its first exception, after which
-    it stops.  Each ``next()`` returns the result of the next key, waiting
-    for it if need be, or raises its exception, as the serial loop would.
-    Results and exceptions must pickle, and what ``fn`` changes in a worker
-    stays there.  A fork copies only the calling thread, so ``fn`` must not
-    wait on another.
+    Each ``next()`` returns the result of the next key, or raises its
+    exception, as the serial loop would.  With no workers it runs ``fn`` on
+    that key only then.  Otherwise the workers fork when the stream is
+    created.  Key ``i`` goes to worker ``i % workers``, which runs its keys
+    in order and sends each result into its pipe as soon as it has it, or
+    its first exception, after which it stops; ``next()`` waits for it if
+    need be.  Results and exceptions must pickle, and what ``fn`` changes in
+    a worker stays there.  A fork copies only the calling thread, so ``fn``
+    must not wait on another.
 
     Each pipe is widened to 1 MiB where the system allows, so a worker
     runs ahead of a busy reader by many results, traces included, instead
@@ -205,7 +207,7 @@ class TrialStream:
     """
 
     def __init__(self, fn: Callable[[T], R], keys: Sequence[T], workers: int):
-        self._keys = len(keys)
+        self._fn, self._keys, self._workers = fn, keys, workers
         self._sent = 0
         self._children: list[tuple[int, BinaryIO]] = []  # (pid, its pipe)
         self._statuses: dict[int, int] = {}  # pid -> exit code, once reaped
@@ -234,10 +236,13 @@ class TrialStream:
         return self
 
     def __next__(self):
-        if self._sent == self._keys:
+        index = self._sent
+        if index == len(self._keys):
             raise StopIteration
-        pid, pipe = self._children[self._sent % len(self._children)]
         self._sent += 1
+        if not self._workers:
+            return self._fn(self._keys[index])
+        pid, pipe = self._children[index % self._workers]
         header = pipe.read(8)
         size = int.from_bytes(header, "little")
         payload = pipe.read(size) if len(header) == 8 else b""
@@ -320,13 +325,11 @@ def map_trials(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
     does not run.  This process runs its own share first, then takes the
     results in item order, so the exception of the lowest index is the one
     raised, as in the serial loop; the stream's rules for ``fn`` hold.
-    Runs in this process alone with one CPU, fewer than two items, or no
-    ``fork``.
+    With one CPU, fewer than two items, or no ``fork``, this process's
+    share is every item and the stream is empty.
     """
     items = list(items)
-    workers = min(_cpus(), len(items))
-    if workers < 2:
-        return [fn(x) for x in items]
+    workers = max(1, min(_cpus(), len(items)))  # this process and the forked ones
     theirs = [i for i in range(len(items)) if i % workers]
     with TrialStream(lambda i: fn(items[i]), theirs, workers - 1) as stream:
         mine = []  # the results of items 0, workers, 2 * workers, ...
@@ -380,18 +383,16 @@ def campaign(surrogate, formula: FormulaLike, space: ConfigSpace,
     margins.csv, and one trace file per unique violation.  Aborts when
     more than ``MAX_FAULT_FRACTION`` of trials fault.
 
-    Until the mutation pool first fills, every trial generates.  From
-    then on a trial's own random stream decides whether it mutates, so
-    when the pool fills the trials that will generate are known, and a
-    :class:`TrialStream` runs them (generation, simulation, margins) on
-    one forked worker per further CPU, each sending its trace back only
-    if the trial violates.  This process mutates and runs the other
-    trials, each from the generator that drew its coin when the pool
-    filled, and takes each generated trial's result when its turn comes,
-    so the pool, the rows, deduplication, fault counting and the abort
-    rule see every trial in order, and the results and artifacts are
-    those of one process.  With one CPU, fewer than two generated trials
-    left, or a pool that never fills, nothing forks.
+    The first loop generates every trial until the mutation pool is
+    nonempty.  From then on a trial's own random stream decides whether it
+    mutates, so the coins of all later trials are drawn once, and the
+    second loop mutates in this process and takes each generated trial
+    (generation, simulation, margins) from one :class:`TrialStream`, which
+    sends a trace back only if the trial violates.  The stream forks one
+    worker per further CPU when two or more trials will generate, and runs
+    them in this process otherwise.  Either way every trial is recorded in
+    order, so the pool, the rows, deduplication, fault counting and the
+    abort rule, and so the results and artifacts, are those of one process.
     """
     if budget < 0:
         raise SpaceError(f"budget must be nonnegative, got {budget}")
@@ -412,76 +413,59 @@ def campaign(surrogate, formula: FormulaLike, space: ConfigSpace,
             return exc
         return config, verdict, compute_margins(trace, config, verdict=verdict.outcome), trace
 
-    def generated(trial: int):
-        """A trial that the pool was nonempty for and that generates, run in a
-        worker; its trace is sent back only for a violation."""
-        rng = trial_rng(campaign_seed, trial)
-        rng.random()  # its draw against MUTATION_FRACTION
-        outcome = judged(generate(space, rng))
+    def record(trial: int, outcome) -> None:
+        """Count a fault under the abort rule, or add the run's row, its pool
+        entry and its violation if the signature is new."""
+        if isinstance(outcome, TrialFault):
+            faults.append((trial, str(outcome)))
+            completed = trial + 1
+            if completed >= 10 and len(faults) > MAX_FAULT_FRACTION * completed:
+                raise SpaceError(
+                    f"campaign aborted: {len(faults)}/{completed} trials faulted; "
+                    f"first fault: {faults[0][1]}") from outcome
+            return
+        config, verdict, point, trace = outcome
+        rows.append((trial, config, point))
+        if point.near_boundary:
+            pool.append((config, point))
+        if verdict.violated:
+            signature = violation_signature(config, point)
+            if signature not in seen:
+                seen.add(signature)
+                violations.append(ViolationRecord(
+                    trial=trial,
+                    config=config,
+                    witness_time=verdict.witness_time,
+                    signature=signature,
+                    trace=trace,
+                ))
+
+    trial = 0
+    while trial < budget and not pool:
+        record(trial, judged(generate(space, trial_rng(campaign_seed, trial))))
+        trial += 1
+
+    coins = {}  # each later trial's stream, and whether it mutates
+    for t in range(trial, budget):
+        rng = trial_rng(campaign_seed, t)
+        coins[t] = rng, rng.random() < MUTATION_FRACTION
+
+    def generated(t: int):
+        """A later trial that generates; its trace is kept only for a violation."""
+        outcome = judged(generate(space, coins[t][0]))
         if isinstance(outcome, TrialFault) or outcome[1].violated:
             return outcome
         return outcome[:3] + (None,)
 
-    ahead: Optional[TrialStream] = None  # the generated trials after the pool fills
-    ahead_trials: set[int] = set()
-    mutating: dict[int, np.random.Generator] = {}  # later mutated trials, coin drawn
-    try:
-        for trial in range(budget):
-            if trial in ahead_trials:
-                outcome = next(ahead)
+    later = [t for t, (_, mutates) in coins.items() if not mutates]
+    workers = min(_cpus() - 1, len(later)) if len(later) >= 2 else 0
+    with TrialStream(generated, later, workers) as stream:
+        for t, (rng, mutates) in coins.items():
+            if mutates:
+                base_config, base_point = pool[int(rng.integers(len(pool)))]
+                record(t, judged(mutate(base_config, space, base_point, rng)))
             else:
-                rng = mutating.pop(trial, None)
-                mutates = rng is not None
-                if not mutates:
-                    rng = trial_rng(campaign_seed, trial)
-                    mutates = bool(pool) and rng.random() < MUTATION_FRACTION
-                if mutates:
-                    base_config, base_point = pool[int(rng.integers(len(pool)))]
-                    config = mutate(base_config, space, base_point, rng)
-                else:
-                    config = generate(space, rng)
-                outcome = judged(config)
-
-            if isinstance(outcome, TrialFault):
-                faults.append((trial, str(outcome)))
-                completed = trial + 1
-                if completed >= 10 and len(faults) > MAX_FAULT_FRACTION * completed:
-                    raise SpaceError(
-                        f"campaign aborted: {len(faults)}/{completed} trials faulted; "
-                        f"first fault: {faults[0][1]}") from outcome
-                continue
-
-            config, verdict, point, trace = outcome
-            rows.append((trial, config, point))
-            if point.near_boundary:
-                pool.append((config, point))
-                workers = _cpus() - 1 if len(pool) == 1 else 0
-                if workers:
-                    later = []
-                    for t in range(trial + 1, budget):
-                        rng = trial_rng(campaign_seed, t)
-                        if rng.random() < MUTATION_FRACTION:
-                            mutating[t] = rng
-                        else:
-                            later.append(t)
-                    if len(later) >= 2:
-                        ahead = TrialStream(generated, later, min(workers, len(later)))
-                        ahead_trials = set(later)
-
-            if verdict.violated:
-                signature = violation_signature(config, point)
-                if signature not in seen:
-                    seen.add(signature)
-                    violations.append(ViolationRecord(
-                        trial=trial,
-                        config=config,
-                        witness_time=verdict.witness_time,
-                        signature=signature,
-                        trace=trace,
-                    ))
-    finally:
-        if ahead is not None:
-            ahead.close()
+                record(t, next(stream))
 
     summary = CampaignSummary(
         total_runs=budget,

@@ -78,6 +78,12 @@ class TestGenerate:
             ConfigSpace(bounds={"lo": (10.0, 20.0), "hi": (0.0, 5.0)},
                         orderings=(("lo", "hi"),))
 
+    @pytest.mark.parametrize("bound", [(-1e308, 1e308), (-math.inf, 0.0), (0.0, math.nan)])
+    def test_unbounded_interval_rejected_at_construction(self, bound):
+        # the first has finite ends, but no uniform draw spans their distance
+        with pytest.raises(SpaceError, match="empty or unbounded interval"):
+            ConfigSpace(bounds={"a": bound})
+
     def test_infeasible_ordering_chain_rejected_at_construction(self):
         # each pair is feasible on its own, but a >= 10 and c <= 5 leave no
         # room for a < b < c
@@ -544,6 +550,22 @@ class TestTrialStream:
                 next(stream)
         assert_no_child_left()
 
+    def test_without_workers_each_key_runs_here_when_asked(self, count_forks):
+        fn = squares_except({3})
+        parent = os.getpid()
+        ran = []
+        with TrialStream(lambda key: ran.append((key, os.getpid())) or fn(key),
+                         list(range(5)), 0) as stream:
+            assert ran == []
+            for key in range(3):
+                assert next(stream) == fn(key)
+                assert ran == [(k, parent) for k in range(key + 1)]
+            with pytest.raises(Boom, match="item 3"):
+                next(stream)
+            assert len(ran) == 4
+        assert count_forks == []
+        assert_no_child_left()
+
 
 class TestForkedTraceWrites:
     """A campaign's trace files are written by forked workers, one share each,
@@ -686,6 +708,28 @@ class TestCampaignOnWorkers:
         assert results[1] == results[2] == results[3]
         assert written[1] == written[2] == written[3]
 
+    @pytest.mark.parametrize("runs, later_generated", [(22, 0), (24, 1), (25, 2)])
+    def test_forks_only_for_two_generated_trials(self, force_cpus, count_forks, tmp_path,
+                                                 runs, later_generated):
+        # with the late-fill space the buggy pool fills at trial 21
+        space = ConfigSpace.from_json(LATE_FILL_SPACE.read_text())
+        assert sum(generates(1, t) for t in range(22, runs)) == later_generated
+        results, written = {}, {}
+        for n_cpus in (1, 2, 3):
+            force_cpus(n_cpus)
+            forks_before = len(count_forks)
+            results[n_cpus] = self.comparable(
+                self.drone_campaign(ControllerVariant.BUGGY, space, runs=runs))
+            assert_no_child_left()
+            forked = len(count_forks) - forks_before
+            assert forked == (min(n_cpus - 1, later_generated) if later_generated >= 2 else 0)
+            out_dir = tmp_path / f"cpus-{n_cpus}"
+            self.drone_campaign(ControllerVariant.BUGGY, space, runs=runs, out_dir=out_dir)
+            written[n_cpus] = files_under(out_dir)
+        assert near_boundary_trials(tmp_path / "cpus-1")[0] == 21
+        assert results[1] == results[2] == results[3]
+        assert written[1] == written[2] == written[3]
+
     def test_trial_faults_in_generated_trials(self, force_cpus, count_forks, tmp_path):
         phi = Globally(Atom("battery", ">", 3.0))
         written, aborts = {}, {}
@@ -763,9 +807,9 @@ class TestCampaignOnWorkers:
     @pytest.mark.parametrize("n_cpus", [1, 2])
     def test_this_process_builds_each_trial_stream_once(self, force_cpus, count_forks,
                                                          monkeypatch, n_cpus):
-        # once the pool fills, the coins of all later trials are drawn; the
-        # mutated trials go on from those generators, and only the workers
-        # build the streams of the generated ones again
+        # once the pool fills, the streams of all later trials are built and
+        # their coins drawn; every later trial goes on from its generator,
+        # which a worker inherits, so no stream is built twice
         force_cpus(n_cpus)
         built = []
         monkeypatch.setattr(falsify, "trial_rng",

@@ -147,6 +147,21 @@ class TestRunCommand:
         assert "IDLE -> TAKE_OFF" in out
         assert code == 0
 
+    @pytest.mark.parametrize("argv", [["run-full", "--battery", "50", "--altitude", "70"],
+                                      ["conformance", "--n-configs", "4", "--seed", "1"],
+                                      ["timing", "--n-configs", "10", "--horizon", "10"]],
+                             ids=["run-full", "conformance", "timing"])
+    def test_far_waypoint_is_never_reached(self, capsys, tmp_path, argv):
+        # squaring a gap of 1e200 overflows; the full model flies on until
+        # its battery is critical, and run-full's verdict is Satisfied
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"waypoint": [1e200, 0.0, 70.0]}))
+        assert main([*argv, "--scenario", str(scenario)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        if argv[0] == "run-full":
+            assert "GOTO -> PARACHUTE  (battery_critical)" in out
+
     def test_scenario_kp_changes_run_full_trace(self, capsys, tmp_path):
         # the last metres of the climb are unsaturated, so the z gain sets
         # when TAKE_OFF ends; the default gains give the default run
@@ -282,6 +297,23 @@ class TestInputErrors:
         message = self.run_space_file(capsys, tmp_path, space_file)
         assert message == ("error: bounds of 'battery_init' must be a [low, high] pair "
                            f"of finite numbers, got {json.dumps(bound)}")
+        assert not (tmp_path / "out").exists()
+
+    def test_space_file_width_past_the_float_range(self, capsys, tmp_path, monkeypatch):
+        # each bound is a finite number, but no uniform draw spans their distance
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(falsify, "simulate", no_trial)
+        bounds = {name: list(b) for name, b
+                  in default_config_space(DroneParams()).bounds.items()}
+        space_file = tmp_path / "space.json"
+        space_file.write_text(json.dumps({
+            "bounds": {**bounds, "battery_init": [-1e308, 1e308]},
+            "orderings": [["min_deploy_alt", "max_deploy_alt"]]}))
+        message = self.run_space_file(capsys, tmp_path, space_file)
+        assert message == ("error: parameter 'battery_init' has empty or unbounded "
+                           "interval [-1e+308, 1e+308]")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flag, value", [("--dt", "nan"), ("--horizon", "nan"),
