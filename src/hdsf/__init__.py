@@ -19,7 +19,7 @@ from .drone import (ControllerVariant, DroneParams, build_full_system,
 from .errors import HdsfError
 from .falsify import (CampaignSummary, ViolationRecord, campaign, generate, mutate,
                       run_trial)
-from .hybrid import (Guard, HybridSystem, StateExpr, Trace, project_trace,
+from .hybrid import (Guard, HybridSystem, RateForm, StateExpr, Trace, project_trace,
                      simulate)
 from .margins import MarginPoint, compute_margins
 from .reduction import (ReducedSystem, RelevanceReport, build_surrogate,

@@ -36,12 +36,12 @@ import numpy as np
 from . import condensation
 from .config import Configuration, ConfigSpace
 from .errors import ConfigurationError, SpecificationError, TrialFault
-from .hybrid import Guard, HybridSystem, StateExpr
+from .hybrid import Guard, HybridSystem, RateForm, StateExpr
 from .margins import AIRBORNE_MIN_ALTITUDE
 from .falsify import map_trials, run_trial
 from .reduction import ReducedSystem, build_surrogate, reach
 from .stl import (BOOL_THRESHOLD, And, Atom, Eventually, Globally, Implies, Outcome,
-                  StlFormula)
+                  StlFormula, state_predicate)
 
 FULL_SIGNALS = ("x", "y", "altitude", "vx", "vy", "vz", "battery", "deployed_flag")
 
@@ -82,33 +82,27 @@ class DroneParams:
             raise ConfigurationError("kp must give one gain per axis")
 
 
-def _deploy_predicate(variant: ControllerVariant):
-    """The predicate of the emergency guard over ``(state, config)``: the
-    decision ``emergency_deploy_decision`` documents.  Both variants read
-    the altitude, as the guard declares."""
-    patched = variant is ControllerVariant.PATCHED
-
-    def deploys(s, cfg):
-        altitude = s["altitude"]
-        return s["battery"] <= cfg["low_batt_threshold"] and (
-            patched or cfg["min_deploy_alt"] <= altitude <= cfg["max_deploy_alt"])
-
-    return deploys
-
-
-_DEPLOYS = {variant: _deploy_predicate(variant) for variant in ControllerVariant}
+def _deploy_condition(variant: ControllerVariant) -> StlFormula:
+    """The condition of the emergency guard: the battery is critical and,
+    in the buggy variant, the altitude lies inside the deployment band."""
+    critical = Atom("battery", "<=", "low_batt_threshold")
+    if variant is ControllerVariant.PATCHED:
+        return critical
+    return And(critical, And(Atom("altitude", ">=", "min_deploy_alt"),
+                             Atom("altitude", "<=", "max_deploy_alt")))
 
 
 def emergency_deploy_decision(variant: ControllerVariant, battery: float,
                               altitude: float, config: Configuration) -> bool:
-    """Deployment decision of the emergency controller, made by the
-    predicate of its guard.
+    """Deployment decision of the emergency controller: the condition of
+    its guard on one state.
 
     Buggy: deploy only when the battery is critical AND the altitude lies
     inside the configured deployment band.  Patched: deploy whenever the
     battery is critical.
     """
-    return _DEPLOYS[variant]({"battery": battery, "altitude": altitude}, config)
+    return state_predicate(_deploy_condition(variant))(
+        {"battery": battery, "altitude": altitude}, config)
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +110,8 @@ def emergency_deploy_decision(variant: ControllerVariant, battery: float,
 # ---------------------------------------------------------------------------
 
 def _emergency_guard(variant: ControllerVariant, params: DroneParams) -> Guard:
-    return Guard("battery_critical", _DEPLOYS[variant], "PARACHUTE", _parachute_reset(params),
-                 reads=frozenset({"battery", "altitude"}))
+    return Guard("battery_critical", None, "PARACHUTE", _parachute_reset(params),
+                 condition=_deploy_condition(variant))
 
 
 def _parachute_reset(params: DroneParams) -> dict[str, StateExpr]:
@@ -282,9 +276,7 @@ def _clamped(signal: str, rate: float) -> StateExpr:
     Shared by the condensed surrogate dynamics and the full model so both
     sides integrate identically.
     """
-    exhausted = clamped_rate(0.0, rate)
-    return StateExpr(lambda s, p: rate if s[signal] > 0.0 else exhausted,
-                     reads=frozenset({signal}))
+    return StateExpr(form=RateForm(rate, signal, clamped_rate(0.0, rate)))
 
 
 def condensed_drone_descent(params: DroneParams, mode: str) -> dict[str, StateExpr]:

@@ -13,11 +13,9 @@ campaign seed and the trial index, so a campaign is reproducible
 bit-for-bit given (seed, run-count budget).  Only a mutated trial reads
 the pool of earlier trials, and once the pool is nonempty a trial's own
 stream alone decides whether it mutates and, if not, what it generates.
-So a campaign runs in two loops: it generates until the pool fills,
-then mutates in this process and takes every later generated trial, in
-trial order, from one :class:`TrialStream`, which runs them on forked
-workers where there are CPUs to spare and in this process otherwise.
-Callers whose trials are independent spread them the same way with
+A campaign runs its trials in this process, one after another: a trial
+costs less than forking a worker for it.  Callers whose trials are
+independent and costlier spread them over forked workers with
 :func:`map_trials`, and a campaign writes its trace files with it.
 """
 
@@ -188,12 +186,11 @@ _PIPE_BYTES = 1 << 20
 
 class TrialStream:
     """``fn`` over ``keys``, read back in key order, on ``workers`` forked
-    processes or, with ``workers=0``, in this one.
+    processes; with no keys, ``workers`` may be 0.
 
     Each ``next()`` returns the result of the next key, or raises its
-    exception, as the serial loop would.  With no workers it runs ``fn`` on
-    that key only then.  Otherwise the workers fork when the stream is
-    created.  Key ``i`` goes to worker ``i % workers``, which runs its keys
+    exception, as the serial loop would.  The workers fork when the stream
+    is created.  Key ``i`` goes to worker ``i % workers``, which runs its keys
     in order and sends each result into its pipe as soon as it has it, or
     its first exception, after which it stops; ``next()`` waits for it if
     need be.  Results and exceptions must pickle, and what ``fn`` changes in
@@ -207,7 +204,7 @@ class TrialStream:
     """
 
     def __init__(self, fn: Callable[[T], R], keys: Sequence[T], workers: int):
-        self._fn, self._keys, self._workers = fn, keys, workers
+        self._keys, self._workers = keys, workers
         self._sent = 0
         self._children: list[tuple[int, BinaryIO]] = []  # (pid, its pipe)
         self._statuses: dict[int, int] = {}  # pid -> exit code, once reaped
@@ -240,8 +237,6 @@ class TrialStream:
         if index == len(self._keys):
             raise StopIteration
         self._sent += 1
-        if not self._workers:
-            return self._fn(self._keys[index])
         pid, pipe = self._children[index % self._workers]
         header = pipe.read(8)
         size = int.from_bytes(header, "little")
@@ -383,16 +378,11 @@ def campaign(surrogate, formula: FormulaLike, space: ConfigSpace,
     margins.csv, and one trace file per unique violation.  Aborts when
     more than ``MAX_FAULT_FRACTION`` of trials fault.
 
-    The first loop generates every trial until the mutation pool is
-    nonempty.  From then on a trial's own random stream decides whether it
-    mutates, so the coins of all later trials are drawn once, and the
-    second loop mutates in this process and takes each generated trial
-    (generation, simulation, margins) from one :class:`TrialStream`, which
-    sends a trace back only if the trial violates.  The stream forks one
-    worker per further CPU when two or more trials will generate, and runs
-    them in this process otherwise.  Either way every trial is recorded in
-    order, so the pool, the rows, deduplication, fault counting and the
-    abort rule, and so the results and artifacts, are those of one process.
+    Each trial draws from its own stream: once the mutation pool is
+    nonempty, a coin decides whether it mutates a pooled configuration or
+    generates a fresh one, and before that it generates.  Every trial
+    runs in this process, in order, and only a new violation keeps its
+    trace, so a campaign holds one trial's stream and trace at a time.
     """
     if budget < 0:
         raise SpaceError(f"budget must be nonnegative, got {budget}")
@@ -405,26 +395,24 @@ def campaign(surrogate, formula: FormulaLike, space: ConfigSpace,
     rows: list[tuple[int, Configuration, MarginPoint]] = []
     faults: list[tuple[int, str]] = []
 
-    def judged(config: Configuration):
-        """(config, verdict, margin point, trace) of a run, or its TrialFault."""
+    for trial in range(budget):
+        rng = trial_rng(campaign_seed, trial)
+        if pool and rng.random() < MUTATION_FRACTION:
+            base_config, base_point = pool[int(rng.integers(len(pool)))]
+            config = mutate(base_config, space, base_point, rng)
+        else:
+            config = generate(space, rng)
         try:
             verdict, trace = run_trial(surrogate, config, formula, dt, horizon)
         except TrialFault as exc:
-            return exc
-        return config, verdict, compute_margins(trace, config, verdict=verdict.outcome), trace
-
-    def record(trial: int, outcome) -> None:
-        """Count a fault under the abort rule, or add the run's row, its pool
-        entry and its violation if the signature is new."""
-        if isinstance(outcome, TrialFault):
-            faults.append((trial, str(outcome)))
+            faults.append((trial, str(exc)))
             completed = trial + 1
             if completed >= 10 and len(faults) > MAX_FAULT_FRACTION * completed:
                 raise SpaceError(
                     f"campaign aborted: {len(faults)}/{completed} trials faulted; "
-                    f"first fault: {faults[0][1]}") from outcome
-            return
-        config, verdict, point, trace = outcome
+                    f"first fault: {faults[0][1]}") from exc
+            continue
+        point = compute_margins(trace, config, verdict=verdict.outcome)
         rows.append((trial, config, point))
         if point.near_boundary:
             pool.append((config, point))
@@ -439,33 +427,6 @@ def campaign(surrogate, formula: FormulaLike, space: ConfigSpace,
                     signature=signature,
                     trace=trace,
                 ))
-
-    trial = 0
-    while trial < budget and not pool:
-        record(trial, judged(generate(space, trial_rng(campaign_seed, trial))))
-        trial += 1
-
-    coins = {}  # each later trial's stream, and whether it mutates
-    for t in range(trial, budget):
-        rng = trial_rng(campaign_seed, t)
-        coins[t] = rng, rng.random() < MUTATION_FRACTION
-
-    def generated(t: int):
-        """A later trial that generates; its trace is kept only for a violation."""
-        outcome = judged(generate(space, coins[t][0]))
-        if isinstance(outcome, TrialFault) or outcome[1].violated:
-            return outcome
-        return outcome[:3] + (None,)
-
-    later = [t for t, (_, mutates) in coins.items() if not mutates]
-    workers = min(_cpus() - 1, len(later)) if len(later) >= 2 else 0
-    with TrialStream(generated, later, workers) as stream:
-        for t, (rng, mutates) in coins.items():
-            if mutates:
-                base_config, base_point = pool[int(rng.integers(len(pool)))]
-                record(t, judged(mutate(base_config, space, base_point, rng)))
-            else:
-                record(t, next(stream))
 
     summary = CampaignSummary(
         total_runs=budget,

@@ -13,7 +13,10 @@ declarations make the models statically analyzable: the property-guided
 reduction works purely on these declared dependency sets, never by
 introspecting the callables.  A system checks when it is built that
 every declared read names one of its signals, so no system, reduced or
-not, reads a signal it lacks.
+not, reads a signal it lacks.  A rate may declare its form, a constant
+or a constant clamped at its signal's level, and a guard may give a
+condition, a state formula of :mod:`hdsf.stl`; their callables and
+reads are then derived from what they declare.
 
 Integration is explicit forward Euler with a fixed step ``dt``, and a
 trace's sample k is at ``k * dt``; every rate reads the pre-step state.
@@ -22,21 +25,25 @@ in declaration order; the first guard whose predicate holds fires.  The
 recorded sample at an event time carries the pre-transition state and
 mode, so a trace always shows the state the guard actually tested.
 Every run ends at the horizon; a mode with no guards and no rates holds
-its state until then.
+its state until then.  A mode run whose rates all declare forms and
+whose guards all give conditions is filled in numpy passes, the same
+bits as the Python steps that fill every other run.
 
 Dynamics, guard and reset callables are pure functions of ``(state,
 params)``, where ``params`` is the trial's configuration, a read-only
 dict.  They read only the signals they declare, and may be called any
-number of times or not at all.  A signal settles in a step that fires no
-guard when the step leaves it bit-identical and every signal it reads
-has settled too; a signal the mode does not rate has settled.  A settled
-signal keeps its value without its rate being called, and a guard that
-reads only settled signals is not called either, until the next event
-starts a new mode run.  Once every signal has settled, the rest of the
-run repeats the last sample.  So a callable that reads a signal it does
-not declare may be skipped while that signal moves.  A callable must not
-change the state mapping it is given: that mapping is the recorded
-sample, shared by every guard and rate of that sample.
+number of times or not at all; a rate's callable derived from its form
+is never called in a declared mode run.  A signal settles in a step
+that fires no guard when the step leaves it bit-identical and every
+signal it reads has settled too; a signal the mode does not rate has
+settled.  A settled signal keeps its value without its rate being
+called, and a guard that reads only settled signals is not called
+either, until the next event starts a new mode run.  Once every signal
+has settled, the rest of the run repeats the last sample.  So a
+callable that reads a signal it does not declare may be skipped while
+that signal moves.  A callable must not change the state mapping it is
+given: that mapping is the recorded sample, shared by every guard and
+rate of that sample.
 """
 
 from __future__ import annotations
@@ -52,9 +59,25 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .errors import ConfigurationError, ProjectionError, SimulationFault
+from .stl import StlFormula, atom_signals, state_predicate, state_truth
 
 StateMap = Mapping[str, float]
 Params = Mapping[str, float]
+
+
+@dataclass(frozen=True)
+class RateForm:
+    """A rate declared by value: the constant ``rate``, or, with ``level``
+    naming the signal it rates, ``rate`` while that signal is > 0 and
+    ``exhausted`` while it is not."""
+
+    rate: float
+    level: Optional[str] = None
+    exhausted: float = 0.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "rate", float(self.rate))
+        object.__setattr__(self, "exhausted", float(self.exhausted))
 
 
 @dataclass(frozen=True)
@@ -64,10 +87,29 @@ class StateExpr:
     ``reads`` declares exactly which signals ``func`` consults.  The
     reduction machinery trusts this declaration, and so does the
     simulator: it stops calling ``func`` once those signals have settled.
+    A rate may declare its ``form`` instead; then ``func`` and ``reads``
+    are derived from the form, whatever is passed, and the simulator may
+    integrate a mode run from the forms without calling ``func`` at all.
     """
 
-    func: Callable[[StateMap, Params], float]
+    func: Optional[Callable[[StateMap, Params], float]] = None
     reads: frozenset[str] = frozenset()
+    form: Optional[RateForm] = None
+
+    def __post_init__(self):
+        form = self.form
+        if form is None:
+            if self.func is None:
+                raise ConfigurationError("a StateExpr needs a func or a form")
+            return
+        rate, level, exhausted = form.rate, form.level, form.exhausted
+        if level is None:
+            func, reads = (lambda s, p: rate), frozenset()
+        else:
+            func = lambda s, p: rate if s[level] > 0.0 else exhausted
+            reads = frozenset({level})
+        object.__setattr__(self, "func", func)
+        object.__setattr__(self, "reads", reads)
 
 
 @dataclass(frozen=True)
@@ -77,14 +119,27 @@ class Guard:
 
     ``reset`` maps signal names to new-value expressions, which read the
     pre-transition state; signals without an entry carry over unchanged.
-    ``reads`` declares the signals ``predicate`` consults.
+    ``reads`` declares the signals ``predicate`` consults.  A guard may
+    give a ``condition`` instead, a state formula of :mod:`hdsf.stl` whose
+    thresholds may name parameters; then ``predicate`` is
+    ``state_predicate(condition)`` and ``reads`` its atoms' signals,
+    whatever is passed.
     """
 
     label: str
-    predicate: Callable[[StateMap, Params], bool]
+    predicate: Optional[Callable[[StateMap, Params], bool]]
     target: str
     reset: Mapping[str, StateExpr] = field(default_factory=dict)
     reads: frozenset[str] = frozenset()
+    condition: Optional[StlFormula] = None
+
+    def __post_init__(self):
+        if self.condition is None:
+            if self.predicate is None:
+                raise ConfigurationError(f"guard {self.label!r} needs a predicate or a condition")
+            return
+        object.__setattr__(self, "predicate", state_predicate(self.condition))
+        object.__setattr__(self, "reads", atom_signals(self.condition))
 
 
 @dataclass
@@ -109,6 +164,8 @@ class HybridSystem:
     guards: dict[str, tuple[Guard, ...]]
     initial_mode: str
     initials: dict[str, Union[float, str]] = field(default_factory=dict)
+    # each mode's ``_declared`` plan, or None where it is stepped in Python
+    _plans: dict[str, Optional[tuple]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.signal_names = tuple(self.signal_names)
@@ -131,6 +188,9 @@ class HybridSystem:
             check(f"rates of mode {name} for", rates)
             for sig, expr in rates.items():
                 check(f"rate of {sig!r} in mode {name} reads", expr.reads)
+                if expr.form is not None and expr.form.level not in (None, sig):
+                    raise ConfigurationError(f"rate of {sig!r} in mode {name} switches at "
+                                             f"the level of {expr.form.level!r}, not its own")
         self.guards = {name: tuple(self.guards.get(name, ())) for name in self.dynamics}
         for name, guards in self.guards.items():
             labels = [g.label for g in guards]
@@ -146,6 +206,7 @@ class HybridSystem:
                     check(f"reset of {sig!r} by guard {g.label!r} of mode {name} reads",
                           expr.reads)
         check("initials for", self.initials)
+        self._plans = {name: _declared(self, name) for name in self.dynamics}
 
     def with_entry(self, mode_name: str) -> "HybridSystem":
         """Copy of the system starting in ``mode_name``."""
@@ -252,6 +313,151 @@ def _settle(rates: list, edges: list, held: tuple[str, ...]) -> tuple[list, list
 
 
 _BLOCK = 256  # recorded samples held as dicts before they move into the flat array
+_SPAN = 64  # the fewest samples a numpy pass of a declared mode run covers
+_SAFE = 1e300  # a pass whose values stay below this in magnitude cannot overflow
+
+
+def _declared(system: HybridSystem, mode: str):
+    """``(rated, forms, held, watched)`` of a mode whose every rate declares
+    a form and every guard gives a condition, or None if one does not.
+
+    ``rated`` lists the indices of the signals the mode rates, in signal
+    order, and ``forms`` their forms; ``held`` the indices of the signals
+    it does not rate, and ``watched`` those of them a condition reads.
+    """
+    rates, guards = system.dynamics[mode], system.guards[mode]
+    if (any(expr.form is None for expr in rates.values())
+            or any(guard.condition is None for guard in guards)):
+        return None
+    names = system.signal_names
+    read = set().union(*(guard.reads for guard in guards))
+    rated = [i for i, name in enumerate(names) if name in rates]
+    held = [i for i, name in enumerate(names) if name not in rates]
+    return (rated, [rates[names[i]].form for i in rated], held,
+            [i for i in held if names[i] in read])
+
+
+def _form_rate(form: RateForm, value: float) -> float:
+    """The rate ``form`` gives where its signal is at ``value``."""
+    return form.rate if form.level is None or value > 0.0 else form.exhausted
+
+
+def _fire(system: HybridSystem, guard: Guard, mode: str, named: StateMap, parameters: Params,
+          k: int, dt: float, events: list, mode_runs: list) -> dict[str, float]:
+    """Record the event of ``guard`` at sample ``k`` and the mode run it
+    starts at the next sample, and return the reset state."""
+    t = k * dt
+    events.append(TraceEvent(t, guard.label, mode, guard.target))
+    mode_runs.append((guard.target, k + 1))
+    return _apply_reset(system, guard, named, parameters, t)
+
+
+def _declared_run(plan: tuple, guards: tuple[Guard, ...], names: tuple[str, ...],
+                  named: dict, parameters: Params, dt: float, k: int, n_steps: int,
+                  stepping: bool, data: np.ndarray, span: int):
+    """Write samples ``k`` on of a mode run into ``data``, up to the first
+    sample at which one of its ``guards`` fires or the horizon, for a mode
+    whose ``_declared`` plan is ``plan``: in numpy passes, with no rate
+    callable called.  ``named`` is sample ``k`` or, with ``stepping``, the state
+    one step before it: the reset state of the event that entered the
+    mode.  Returns ``(last sample, its state, the guard that fired there
+    or None, the span to start the next run's passes with)``.
+
+    Between two switches of a clamp every rate is a constant ``r``, so a
+    signal's samples are ``np.add.accumulate`` over ``[v, dt*r, dt*r,
+    ...]``, which adds left to right exactly as the scalar step ``old +
+    dt * r`` does (with ``r`` zero, every sample after ``v`` is ``v +
+    dt*r``), and signals the mode does not rate hold.  A pass writes
+    ``span`` samples into ``data``, and each next pass twice as many,
+    until one finds what ends the stretch: the first sample at which a
+    clamped signal changes side, from which the next stretch goes on at
+    the rates that sample gives; the first sample at which a guard's
+    condition holds, ties going to the guard declared first; or the first
+    non-finite value, which raises :class:`SimulationFault` unless a guard
+    fired before it.  The guards' predicates check the first sample of a
+    stretch, so an event there costs no pass.  What a pass wrote past the
+    end of its run, a later run writes over.  A stretch's first pass
+    spans twice the last stretch, and at least ``_SPAN`` samples, so runs
+    of many short stretches cost passes of bounded length.
+    """
+    rated, forms, held, watched = plan
+    values = list(named.values())
+    if stepping:
+        # the step from the reset state into sample k, as the scalar loop takes it
+        for i, form in zip(rated, forms):
+            values[i] += dt * _form_rate(form, values[i])
+            if not math.isfinite(values[i]):
+                raise SimulationFault(k * dt, names[i], values[i])
+    base = k  # the sample a stretch or a pass starts at
+    while True:  # a stretch: every rate constant
+        # its first sample is checked here, so an event there needs no pass
+        state = dict(zip(names, values))
+        for guard in guards:
+            if guard.predicate(state, parameters):
+                data[:, base] = values
+                return base, state, guard, span
+        steps = [dt * _form_rate(form, values[i]) for i, form in zip(rated, forms)]
+        # a clamped signal that moves, and the side of its level it starts on
+        moving = [(names[i], values[i] > 0.0) for i, form, step in zip(rated, forms, steps)
+                  if form.level is not None and step]
+        safe = (max((abs(values[i]) for i in rated), default=0.0)
+                + (n_steps + 1) * max(map(abs, steps), default=0.0)) < _SAFE
+        stretch = base
+        while True:  # a pass over samples base to end, its elements 0 to size - 1; 0 is checked
+            end = min(base + span, n_steps)
+            size = end - base + 1
+            switch = fault = size  # the first element past a switch, and past a fault
+            columns = {}
+            for i, step in zip(rated, steps):
+                row = columns[names[i]] = data[i, base:end + 1]
+                if not step:
+                    row[0], row[1:] = values[i], values[i] + step
+                    continue
+                ramp = np.full(size, step)
+                ramp[0] = values[i]
+                if safe:
+                    np.add.accumulate(ramp, out=row)
+                    continue
+                with np.errstate(over="ignore", invalid="ignore"):
+                    np.add.accumulate(ramp, out=row)
+                bad = ~np.isfinite(row)
+                j = int(bad.argmax())
+                if bad[j] and j < fault:
+                    fault, faulted = j, i
+            for i in held:
+                data[i, base:end + 1] = values[i]
+            for name, positive in moving:
+                flips = (columns[name] > 0.0) != positive
+                j = int(flips.argmax())
+                if flips[j] and j < switch:
+                    switch = j
+            # the elements from hit on are left to a later pass or stretch
+            hit, fired = min(switch, fault), None
+            if guards and hit > 1:
+                for i in watched:
+                    columns[names[i]] = data[i, base:end + 1]
+                for guard in guards:
+                    truth = state_truth(guard.condition, columns, parameters)[1:hit]
+                    j = int(truth.argmax())
+                    if truth[j]:
+                        hit, fired = 1 + j, guard
+                        if hit == 1:
+                            break
+            if fired is None and fault < size and fault <= switch:
+                raise SimulationFault((base + fault) * dt, names[faulted],
+                                      float(data[faulted, base + fault]))
+            if fired is not None:
+                return (base + hit, dict(zip(names, data[:, base + hit].tolist())), fired,
+                        max(_SPAN, 2 * (base + hit - stretch)))
+            if switch < size:
+                base += switch
+                values = data[:, base].tolist()
+                span = max(_SPAN, 2 * (base - stretch))
+                break
+            values = data[:, end].tolist()
+            if end == n_steps:
+                return n_steps, dict(zip(names, values)), None, span
+            base, span = end, 2 * span
 
 
 def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
@@ -266,17 +472,27 @@ def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
     trace always holds ``round(horizon / dt) + 1`` samples; too many to
     hold raise :class:`ConfigurationError`.
 
-    After a step that fires no guard, a rated signal has settled when the
-    step left it bit-identical (a ``-0.0`` that becomes ``0.0`` counts as
-    a change) and every signal it declares it reads has settled too: the
-    greatest such set over the mode's read graph, in which a signal the
-    mode does not rate has settled.  A settled signal stays bit-identical
-    at every later step of the mode run, so it keeps its value and its
-    rate is not called again; a guard whose declared reads have all
-    settled was false on the same inputs, so it is not called again
-    either.  Both are called again from the next event on.  Once every
-    signal has settled, every remaining sample repeats the last one in
-    the same mode, with no further event, so they are filled in at once.
+    A mode run, from the sample that enters a mode to the next event or
+    the horizon, is computed one of two ways, chosen from what the mode
+    declares.  When every rate of the mode declares a form and every
+    guard gives a condition, the run is filled in numpy passes (see
+    ``_declared_run``): no rate callable is called, and a guard's
+    predicate only on the first sample of a stretch between clamp
+    switches.  Otherwise it is stepped in Python, one sample at a time.
+    Both write the same bits.
+
+    In a stepped run, after a step that fires no guard, a rated signal
+    has settled when the step left it bit-identical (a ``-0.0`` that
+    becomes ``0.0`` counts as a change) and every signal it declares it
+    reads has settled too: the greatest such set over the mode's read
+    graph, in which a signal the mode does not rate has settled.  A
+    settled signal stays bit-identical at every later step of the mode
+    run, so it keeps its value and its rate is not called again; a guard
+    whose declared reads have all settled was false on the same inputs,
+    so it is not called again either.  Both are called again from the
+    next event on.  Once every signal has settled, every remaining sample
+    repeats the last one in the same mode, with no further event, so they
+    are filled in at once.
 
     ``initial_state`` may be None, in which case it is built from the
     system's declared initials and the configuration.  A non-finite value
@@ -286,7 +502,8 @@ def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
     ``StateExpr`` and ``Guard`` callables must be pure functions of
     ``(state, params)`` that read only the signals they declare: the
     simulator may call them any number of times, or not at all once those
-    signals have settled, and their results may depend on nothing else,
+    signals have settled or when the mode run is filled from declared
+    forms and conditions, and their results may depend on nothing else,
     time included.  A callable that reads a signal it does not declare
     may be skipped while that signal moves.  A callable must not change
     the state mapping it is given: that mapping is the recorded sample,
@@ -310,6 +527,7 @@ def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
     for name, value in zip(names, state):
         if not math.isfinite(value):
             raise SimulationFault(0.0, name, value)
+    plans = system._plans
     rates = {mode: [(name, dyn[name].func, dyn[name].reads) for name in names if name in dyn]
              for mode, dyn in system.dynamics.items()}
     edges = {mode: [(guard, guard.predicate, guard.reads) for guard in guards]
@@ -322,64 +540,95 @@ def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
     except (OverflowError, ValueError, MemoryError):
         raise ConfigurationError(
             f"horizon {horizon} over dt {dt} is {steps:g} steps, too many to hold") from None
-    samples = array("d")  # the recorded states, one after another
-    block: list[dict[str, float]] = []  # the latest recorded states, not yet in samples
+    samples = array("d")  # the samples stepped in Python, one after another
+    block: list[dict[str, float]] = []  # the latest of them, not yet in samples
     record = block.append
+    stretches = []  # (first sample, count) of each stretch of samples stepped in Python
     events: list[TraceEvent] = []
     mode = system.initial_mode
     mode_runs = [(mode, 0)]  # (mode, its first sample)
-    # the rates and guards of the mode still called: those of signals not settled
-    mode_edges, mode_rates = edges[mode], rates[mode]
-    last = None  # what the last settling saw held; None until one in this mode run
     copysign, isfinite = math.copysign, math.isfinite
     named = dict(zip(names, state))
-    pause = min(_BLOCK, n_steps)  # the next sample at which a block moves, or the last
-    for k in range(n_steps + 1):
-        record(named)
-        fired = False
-        for guard, predicate, _ in mode_edges:
-            if predicate(named, parameters):
-                t = k * dt
-                events.append(TraceEvent(t, guard.label, mode, guard.target))
-                named = _apply_reset(system, guard, named, parameters, t)
-                mode = guard.target
-                mode_runs.append((mode, k + 1))
-                mode_edges, mode_rates = edges[mode], rates[mode]
-                fired, last = True, None
+    k, stepping = 0, False  # named is sample k, or with stepping the state one step before it
+    span = n_steps  # a declared run's first pass may cover the whole trace
+    while True:
+        if plans[mode] is not None:
+            k, named, fired, span = _declared_run(plans[mode], system.guards[mode], names,
+                                                  named, parameters, dt, k, n_steps,
+                                                  stepping, data, span)
+            if fired is None:
                 break
-        if k == pause:
+            named = _fire(system, fired, mode, named, parameters, k, dt, events, mode_runs)
+            mode = fired.target
             if k == n_steps:
                 break
-            samples.extend(chain.from_iterable(map(dict.values, block)))
-            block.clear()
-            pause = min(k + _BLOCK, n_steps)
-        stepped = named.copy()
-        held = ()  # the rated signals this step left bit-identical
-        for name, f, _ in mode_rates:
-            old = named[name]
-            value = old + dt * f(named, parameters)
-            # false, as in most steps, exactly when the value moved and is finite
-            if value == old or value - value:
-                if not isfinite(value):
-                    raise SimulationFault((k + 1) * dt, name, value)
-                if value != 0.0 or copysign(1.0, value) == copysign(1.0, old):
-                    held += (name,)
-            stepped[name] = value
-        named = stepped
-        # when the same signals held at the last settling, it settled none
-        # of them, and none settles now either
-        if not fired and held != last:
-            last = held
-            mode_rates, mode_edges = _settle(mode_rates, mode_edges, held)
-            if not mode_rates:
-                # every signal has settled and no guard is left: every
-                # later sample repeats this one
-                break
+            k, stepping = k + 1, True
+            continue
+        # stepped mode runs, up to the horizon or an event that enters a declared mode
+        first = end = k
+        mode_edges, mode_rates = edges[mode], rates[mode]
+        last = None  # what the last settling saw held; None until one in this mode run
+        settling = False  # whether the next step follows a sample that fired no guard
+        fired = None
+        pause = k + _BLOCK  # the next sample at which the block moves
+        for k in range(k, n_steps + 1):
+            if stepping:
+                stepped = named.copy()
+                held = ()  # the rated signals this step left bit-identical
+                for name, f, _ in mode_rates:
+                    old = named[name]
+                    value = old + dt * f(named, parameters)
+                    # false, as in most steps, exactly when the value moved and is finite
+                    if value == old or value - value:
+                        if not isfinite(value):
+                            raise SimulationFault(k * dt, name, value)
+                        if value != 0.0 or copysign(1.0, value) == copysign(1.0, old):
+                            held += (name,)
+                    stepped[name] = value
+                named = stepped
+                # when the same signals held at the last settling, it settled
+                # none of them, and none settles now either
+                if settling and held != last:
+                    last = held
+                    mode_rates, mode_edges = _settle(mode_rates, mode_edges, held)
+                    if not mode_rates:
+                        # every signal has settled and no guard is left: this
+                        # sample and every later one repeat the last
+                        data[:, k:] = np.array(list(named.values()))[:, None]
+                        break
+            record(named)
+            end = k + 1
+            for guard, predicate, _ in mode_edges:
+                if predicate(named, parameters):
+                    fired = guard
+                    break
+            if fired is not None:
+                named = _fire(system, fired, mode, named, parameters, k, dt, events, mode_runs)
+                mode = fired.target
+                if k == n_steps or plans[mode] is not None:
+                    break
+                mode_edges, mode_rates = edges[mode], rates[mode]
+                fired, last = None, None
+                settling = False
+            else:
+                settling = True
+            stepping = True
+            if k == pause:
+                samples.extend(chain.from_iterable(map(dict.values, block)))
+                block.clear()
+                pause = k + _BLOCK
+        stretches.append((first, end - first))
+        if fired is None or k == n_steps:
+            break
+        k, stepping = k + 1, True
 
     samples.extend(chain.from_iterable(map(dict.values, block)))
-    recorded = k + 1
-    data[:, :recorded] = np.frombuffer(samples, dtype=float).reshape(recorded, len(names)).T
-    data[:, recorded:] = np.array(list(named.values()))[:, None]
+    recorded = np.frombuffer(samples, dtype=float).reshape(
+        sum(count for _, count in stretches), len(names)).T
+    done = 0
+    for first, count in stretches:
+        data[:, first:first + count] = recorded[:, done:done + count]
+        done += count
     ends = [first for _, first in mode_runs[1:]] + [n_steps + 1]
     modes = list(chain.from_iterable(repeat(m, end - first)
                                      for (m, first), end in zip(mode_runs, ends)))

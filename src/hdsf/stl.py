@@ -19,6 +19,13 @@ with a longer horizon before accepting the outcome.
 Boolean signals are encoded as reals; a bare signal atom is true when
 the signal value is >= 0.5.
 
+An atom's threshold may instead name a configuration parameter.  Such an
+atom belongs in a state formula (atoms under Not, And and Or only), which
+a hybrid guard gives as its condition: :func:`state_predicate` decides it
+on one state and :func:`state_truth` on columns of states, both reading
+the named parameters from the configuration.  ``evaluate`` judges
+literal formulas only.
+
 Reference semantics, shared by this evaluator and the independent
 naive evaluator used in the test suite:
 
@@ -50,13 +57,14 @@ gives every sample's first index at once.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import Callable, Mapping, Optional, Union
 
 import numpy as np
 
-from .errors import EvaluationError
+from .errors import EvaluationError, SpecificationError
 
 # Three-valued encoding ordered so that kleene AND = min and OR = max.
 FALSE = 0
@@ -65,7 +73,8 @@ TRUE = 2
 
 BOOL_THRESHOLD = 0.5
 
-_COMPARATORS = ("<=", "<", ">=", ">", "==")
+_COMPARATORS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge,
+                ">": operator.gt, "==": operator.eq}
 
 
 # ---------------------------------------------------------------------------
@@ -74,11 +83,14 @@ _COMPARATORS = ("<=", "<", ">=", ">", "==")
 
 @dataclass(frozen=True)
 class Atom:
-    """``signal op constant`` comparison, or a bare boolean signal (op=None)."""
+    """``signal op threshold`` comparison, or a bare boolean signal (op=None).
+
+    The threshold is a constant, or the name of a configuration parameter
+    (in a state formula only)."""
 
     signal: str
     op: Optional[str] = None
-    value: Optional[float] = None
+    value: Union[float, str, None] = None
 
     def __post_init__(self):
         if (self.op is None) != (self.value is None):
@@ -189,6 +201,58 @@ def formula_horizon(formula: StlFormula) -> float:
     raise TypeError(f"not a formula node: {formula!r}")
 
 
+def state_predicate(formula: StlFormula) -> Callable[[Mapping, Mapping], bool]:
+    """``formula`` decided on one state: a predicate over ``(state, params)``
+    that reads each threshold naming a parameter from ``params``.
+
+    ``formula`` must be a state formula, atoms under Not, And and Or, or
+    :class:`SpecificationError` is raised.  And and Or short-circuit left
+    to right, as Python's ``and`` and ``or`` do.
+    """
+    if isinstance(formula, Atom):
+        signal = formula.signal
+        if formula.op is None:
+            return lambda s, p: s[signal] >= BOOL_THRESHOLD
+        compare, value = _COMPARATORS[formula.op], formula.value
+        if isinstance(value, str):
+            return lambda s, p: compare(s[signal], p[value])
+        return lambda s, p: compare(s[signal], value)
+    if isinstance(formula, Not):
+        child = state_predicate(formula.child)
+        return lambda s, p: not child(s, p)
+    if isinstance(formula, And):
+        left, right = state_predicate(formula.left), state_predicate(formula.right)
+        return lambda s, p: left(s, p) and right(s, p)
+    if isinstance(formula, Or):
+        left, right = state_predicate(formula.left), state_predicate(formula.right)
+        return lambda s, p: left(s, p) or right(s, p)
+    raise SpecificationError(f"not a state formula (atoms under Not, And, Or): {formula!r}")
+
+
+def state_truth(formula: StlFormula, columns: Mapping[str, np.ndarray],
+                params: Mapping) -> np.ndarray:
+    """The Boolean array of ``state_predicate(formula)`` at every index of
+    ``columns``, one equally long array per signal it reads; the same
+    IEEE comparisons, so the two agree at every value, ties and signed
+    zeros included."""
+    if isinstance(formula, Atom):
+        column = columns[formula.signal]
+        if formula.op is None:
+            return column >= BOOL_THRESHOLD
+        value = formula.value
+        return _COMPARATORS[formula.op](column, params[value] if isinstance(value, str)
+                                        else value)
+    if isinstance(formula, Not):
+        return ~state_truth(formula.child, columns, params)
+    if isinstance(formula, And):
+        return state_truth(formula.left, columns, params) & state_truth(
+            formula.right, columns, params)
+    if isinstance(formula, Or):
+        return state_truth(formula.left, columns, params) | state_truth(
+            formula.right, columns, params)
+    raise SpecificationError(f"not a state formula (atoms under Not, And, Or): {formula!r}")
+
+
 # ---------------------------------------------------------------------------
 # Verdict
 # ---------------------------------------------------------------------------
@@ -229,19 +293,14 @@ def _index_bound(seconds: float, dt: float, n: int) -> int:
 
 
 def _atom_values(atom: Atom, trace) -> np.ndarray:
+    if isinstance(atom.value, str):
+        raise EvaluationError(f"atom {atom} names a parameter; only a state formula "
+                              "(a guard's condition) may")
     sig = trace.signals[atom.signal]
     if atom.op is None:
         truth = sig >= BOOL_THRESHOLD
-    elif atom.op == "<=":
-        truth = sig <= atom.value
-    elif atom.op == "<":
-        truth = sig < atom.value
-    elif atom.op == ">=":
-        truth = sig >= atom.value
-    elif atom.op == ">":
-        truth = sig > atom.value
     else:
-        truth = sig == atom.value
+        truth = _COMPARATORS[atom.op](sig, atom.value)
     return truth.view(np.int8) * TRUE  # FALSE is 0
 
 

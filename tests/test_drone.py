@@ -20,7 +20,7 @@ from hdsf.errors import ConfigurationError
 from hdsf.falsify import generate, run_trial
 from hdsf.hybrid import simulate
 from hdsf.reduction import build_surrogate
-from hdsf.stl import Outcome
+from hdsf.stl import Outcome, state_truth
 
 
 BUGGY = ControllerVariant.BUGGY
@@ -70,6 +70,48 @@ class TestDeployDecision:
         assert emergency_deploy_decision(BUGGY, 25.0, 20.0, config) is True
         assert emergency_deploy_decision(BUGGY, 25.0, 26.0, config) is False
         assert emergency_deploy_decision(BUGGY, 31.0, 20.0, config) is False
+
+
+class TestDeployDecisionTies:
+    """The scalar decision and the guard's condition over arrays, which a
+    declared mode run evaluates, agree at every tie: the battery at the
+    threshold, the altitude at either band edge, signed zeros, and one
+    ulp to either side of each."""
+
+    CONFIGS = (default_configuration(0.0, 0.0),
+               Configuration(default_configuration(0.0, 0.0), low_batt_threshold=0.0,
+                             min_deploy_alt=-0.0, max_deploy_alt=0.0),
+               Configuration(default_configuration(0.0, 0.0), low_batt_threshold=-0.0,
+                             min_deploy_alt=0.0, max_deploy_alt=5e-324))
+
+    @staticmethod
+    def around(*values):
+        """Each value, both signed zeros, and one ulp to either side of each."""
+        points = set()
+        for v in values + (0.0, -0.0):
+            points.update((v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf)))
+        # a set keeps one of 0.0 and -0.0; put both back
+        return sorted(points) + [0.0, -0.0]
+
+    @pytest.mark.parametrize("variant", [BUGGY, PATCHED])
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_scalar_and_array_decisions_agree(self, variant, config):
+        batteries = self.around(config["low_batt_threshold"])
+        altitudes = self.around(config["min_deploy_alt"], config["max_deploy_alt"])
+        battery, altitude = (np.array(axis, dtype=float).ravel()
+                             for axis in np.meshgrid(batteries, altitudes))
+        guard = build_full_system(DroneParams(), variant).guards["GOTO"][0]
+        truth = state_truth(guard.condition, {"battery": battery, "altitude": altitude}, config)
+        scalar = [emergency_deploy_decision(variant, b, a, config)
+                  for b, a in zip(battery.tolist(), altitude.tolist())]
+        assert truth.tolist() == scalar
+        # the ties themselves: at the threshold the battery is critical, and
+        # the band is closed
+        threshold = config["low_batt_threshold"]
+        assert emergency_deploy_decision(variant, threshold, config["min_deploy_alt"], config)
+        assert emergency_deploy_decision(variant, threshold, config["max_deploy_alt"], config)
+        assert not emergency_deploy_decision(
+            variant, float(np.nextafter(threshold, np.inf)), config["min_deploy_alt"], config)
 
 
 class TestDroneParams:
@@ -457,11 +499,13 @@ class TestDeclaredReads:
         assert all(declared == read for declared, read in seen.values()), seen
 
     def test_a_wrong_declaration_is_caught(self, configs):
+        # a condition's reads are derived from it, so only an opaque
+        # predicate can declare them wrong
         system = build_full_system(DroneParams(), BUGGY)
-        goto = tuple(dataclasses.replace(g, reads=frozenset({"battery"}))
-                     if g.label == "battery_critical" else g
+        goto = tuple(dataclasses.replace(g, reads=frozenset({"x"}))
+                     if g.label == "waypoint_reached" else g
                      for g in system.guards["GOTO"])
         wrong = dataclasses.replace(system, guards={**system.guards, "GOTO": goto})
         seen = audit_reads(wrong, self.full_samples(BUGGY, configs))
         assert {w: read - declared for w, (declared, read) in seen.items()
-                if not read <= declared} == {"guard battery_critical of GOTO": {"altitude"}}
+                if not read <= declared} == {"guard waypoint_reached of GOTO": {"y"}}

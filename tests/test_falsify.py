@@ -7,6 +7,7 @@ import math
 import os
 import select
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -550,22 +551,6 @@ class TestTrialStream:
                 next(stream)
         assert_no_child_left()
 
-    def test_without_workers_each_key_runs_here_when_asked(self, count_forks):
-        fn = squares_except({3})
-        parent = os.getpid()
-        ran = []
-        with TrialStream(lambda key: ran.append((key, os.getpid())) or fn(key),
-                         list(range(5)), 0) as stream:
-            assert ran == []
-            for key in range(3):
-                assert next(stream) == fn(key)
-                assert ran == [(k, parent) for k in range(key + 1)]
-            with pytest.raises(Boom, match="item 3"):
-                next(stream)
-            assert len(ran) == 4
-        assert count_forks == []
-        assert_no_child_left()
-
 
 class TestForkedTraceWrites:
     """A campaign's trace files are written by forked workers, one share each,
@@ -660,8 +645,9 @@ FAULTY_SPACE = ConfigSpace(bounds={"battery_init": (0.0, 100.0),
 
 
 class TestCampaignOnWorkers:
-    """Once the pool fills, a campaign's generated trials run on forked
-    workers; results and artifacts are those of one process."""
+    """A campaign runs every trial in this process and forks workers only
+    to write its trace files; results and artifacts are the same on any
+    CPU count."""
 
     params = DroneParams()
 
@@ -701,32 +687,11 @@ class TestCampaignOnWorkers:
                 self.drone_campaign(variant, space, out_dir=out_dir))
             assert_no_child_left()
             written[n_cpus] = files_under(out_dir)
-            if n_cpus > 1:
-                assert len(count_forks) > forks_before  # the workers ran trials
+            # one trace-writing worker per further CPU, up to one per violation
+            traces = results[n_cpus][0]["unique_violations"]
+            assert len(count_forks) - forks_before == max(1, min(n_cpus, traces)) - 1
         if late_fill and variant is ControllerVariant.BUGGY:
             assert near_boundary_trials(tmp_path / "cpus-1")[0] == 21
-        assert results[1] == results[2] == results[3]
-        assert written[1] == written[2] == written[3]
-
-    @pytest.mark.parametrize("runs, later_generated", [(22, 0), (24, 1), (25, 2)])
-    def test_forks_only_for_two_generated_trials(self, force_cpus, count_forks, tmp_path,
-                                                 runs, later_generated):
-        # with the late-fill space the buggy pool fills at trial 21
-        space = ConfigSpace.from_json(LATE_FILL_SPACE.read_text())
-        assert sum(generates(1, t) for t in range(22, runs)) == later_generated
-        results, written = {}, {}
-        for n_cpus in (1, 2, 3):
-            force_cpus(n_cpus)
-            forks_before = len(count_forks)
-            results[n_cpus] = self.comparable(
-                self.drone_campaign(ControllerVariant.BUGGY, space, runs=runs))
-            assert_no_child_left()
-            forked = len(count_forks) - forks_before
-            assert forked == (min(n_cpus - 1, later_generated) if later_generated >= 2 else 0)
-            out_dir = tmp_path / f"cpus-{n_cpus}"
-            self.drone_campaign(ControllerVariant.BUGGY, space, runs=runs, out_dir=out_dir)
-            written[n_cpus] = files_under(out_dir)
-        assert near_boundary_trials(tmp_path / "cpus-1")[0] == 21
         assert results[1] == results[2] == results[3]
         assert written[1] == written[2] == written[3]
 
@@ -761,8 +726,7 @@ class TestCampaignOnWorkers:
         force_cpus(1)
         self.drone_campaign(ControllerVariant.BUGGY, seed=seed, out_dir=tmp_path / "clean")
         fills = near_boundary_trials(tmp_path / "clean")[0]
-        # the fourth trial after the pool fills that generates: with three
-        # CPUs, the second worker runs it
+        # the fourth trial after the pool fills that generates
         trial = [t for t in range(fills + 1, 60) if generates(seed, t)][3]
         rng = trial_rng(seed, trial)
         rng.random()
@@ -783,43 +747,60 @@ class TestCampaignOnWorkers:
                                     out_dir=out_dir)
             assert_no_child_left()
             assert not out_dir.exists()
-            assert (len(count_forks) > forks_before) == (n_cpus > 1)
+            assert len(count_forks) == forks_before
             messages[n_cpus] = str(err.value)
         assert messages[1] == messages[2] == messages[3] == f"config {dict(target)}"
 
-    def test_an_interrupted_caller_stops_its_workers(self, force_cpus, count_forks):
+    def test_an_interrupted_caller_stops_its_workers(self, force_cpus, count_forks,
+                                                    monkeypatch, tmp_path):
+        # a campaign's workers write its trace files
         force_cpus(3)
         parent = os.getpid()
-        judged = []
 
-        def formula(config):
+        def write(trace, path):
             if os.getpid() == parent:
-                judged.append(None)
-                if len(judged) == 20:
-                    raise KeyboardInterrupt
-            return phi_for(config)
+                raise KeyboardInterrupt
+            time.sleep(60)
 
+        monkeypatch.setattr(falsify, "write_trace_jsonl", write)
+        started = time.perf_counter()
         with pytest.raises(KeyboardInterrupt):
-            self.drone_campaign(ControllerVariant.BUGGY, seed=3, formula=formula)
+            self.drone_campaign(ControllerVariant.BUGGY, seed=3, out_dir=tmp_path)
+        assert time.perf_counter() - started < 30
         assert count_forks
         assert_no_child_left()
 
-    @pytest.mark.parametrize("n_cpus", [1, 2])
-    def test_this_process_builds_each_trial_stream_once(self, force_cpus, count_forks,
-                                                         monkeypatch, n_cpus):
-        # once the pool fills, the streams of all later trials are built and
-        # their coins drawn; every later trial goes on from its generator,
-        # which a worker inherits, so no stream is built twice
-        force_cpus(n_cpus)
-        built = []
-        monkeypatch.setattr(falsify, "trial_rng",
-                            lambda seed, trial: built.append(trial) or trial_rng(seed, trial))
+    def test_forks_nothing_and_holds_one_trial_stream(self, force_cpus, count_forks,
+                                                      monkeypatch):
+        # every trial runs here, on any CPU count: its stream is built once,
+        # and it is the only one alive while the trial runs
+        force_cpus(3)
+        streams = []  # a weak reference to each trial's stream, in trial order
+        alive = []  # how many streams were alive as each trial ran
+
+        class Tracked(np.random.Generator):
+            """The same stream, in a class that takes weak references."""
+
+        def tracked(seed, trial):
+            rng = Tracked(trial_rng(seed, trial).bit_generator)
+            streams.append((trial, weakref.ref(rng)))
+            return rng
+
+        def counted(*args):
+            alive.append(sum(ref() is not None for _, ref in streams))
+            return run_trial(*args)
+
+        mutated = []
+        monkeypatch.setattr(falsify, "trial_rng", tracked)
+        monkeypatch.setattr(falsify, "run_trial", counted)
+        monkeypatch.setattr(falsify, "mutate", lambda *args: mutated.append(None) or mutate(*args))
         result = self.comparable(self.drone_campaign(ControllerVariant.PATCHED, runs=50))
+        assert count_forks == []
         assert_no_child_left()
-        assert sorted(built) == list(range(50))
-        assert len(count_forks) == (n_cpus > 1)  # one worker, once the pool filled
+        assert [trial for trial, _ in streams] == list(range(50))
+        assert alive == [1] * 50
+        assert len(mutated) >= 10  # the pool filled
         monkeypatch.undo()
-        force_cpus(1)
         assert result == self.comparable(
             self.drone_campaign(ControllerVariant.PATCHED, runs=50))
 

@@ -13,9 +13,10 @@ from hdsf.config import Configuration
 from hdsf.drone import (ControllerVariant, DroneParams, build_full_system,
                         build_surrogate_system, default_config_space)
 from hdsf.errors import ConfigurationError, ProjectionError, SimulationFault
-from hdsf.hybrid import (Guard, HybridSystem, StateExpr, Trace, TraceEvent,
+from hdsf.hybrid import (Guard, HybridSystem, RateForm, StateExpr, Trace, TraceEvent,
                          _json_floats, project_trace, simulate,
                          trace_to_jsonl, write_trace_jsonl)
+from hdsf.stl import And, Atom, Not, Or
 
 from oracles import naive_simulate, naive_trace_to_jsonl
 
@@ -269,18 +270,48 @@ def drone_configs(draw):
 
 
 @st.composite
-def small_systems(draw):
+def small_systems(draw, declared=False):
     """Up to three modes over up to three signals, with affine rates,
-    threshold guards with random targets, and constant or affine resets."""
+    threshold guards with random targets, and constant or affine resets.
+
+    With ``declared``, a mode may also rate by declared forms, constant or
+    clamped at the rated signal's level, and guard by conditions whose
+    thresholds may name drawn parameters: a mode declares all of its
+    rates and guards, none, or a random mix, and initial values may be
+    signed zeros.  The case then ends with the drawn parameters."""
     signals = ("x", "y", "z")[:draw(st.integers(1, 3))]
     modes = [f"M{i}" for i in range(draw(st.integers(1, 3)))]
     unit = st.floats(-1.0, 1.0)
+    value = st.one_of(st.sampled_from([-0.0, 0.0]), st.floats(-2.0, 2.0))
     signal = st.sampled_from(signals)
+    params = {}
 
     def affine():
         src, a, b = draw(signal), draw(unit), draw(unit)
         return StateExpr(lambda s, p, src=src, a=a, b=b: a * s[src] + b,
                          reads=frozenset({src}))
+
+    def form(name):
+        rate = draw(value)
+        if draw(st.booleans()):
+            return StateExpr(form=RateForm(rate))
+        return StateExpr(form=RateForm(rate, name, draw(value)))
+
+    def threshold():
+        bound = draw(value)
+        if draw(st.booleans()):
+            return bound
+        name = f"c{len(params)}"
+        params[name] = bound
+        return name
+
+    def condition():
+        atoms = [Atom(draw(signal), draw(st.sampled_from(["<=", "<", ">=", ">", "=="])),
+                      threshold()) for _ in range(2)]
+        kind = draw(st.sampled_from(["atom", "not", "and", "or"]))
+        if kind == "atom":
+            return atoms[0]
+        return Not(atoms[0]) if kind == "not" else {"and": And, "or": Or}[kind](*atoms)
 
     def reset_value():
         if draw(st.booleans()):
@@ -290,10 +321,21 @@ def small_systems(draw):
 
     dynamics, guards = {}, {}
     for mode in modes:
+        kind = draw(st.sampled_from(["opaque", "declared", "mixed"])) if declared else "opaque"
+
+        def declares():
+            return kind == "declared" or kind == "mixed" and draw(st.booleans())
+
         rated = draw(st.lists(signal, unique=True))
-        dynamics[mode] = {n: affine() for n in rated}
+        dynamics[mode] = {n: form(n) if declares() else affine() for n in rated}
         guards[mode] = []
         for j in range(draw(st.integers(0, 2))):
+            if declares():
+                guards[mode].append(Guard(
+                    f"g{j}", None, draw(st.sampled_from(modes)),
+                    {n: reset_value() for n in draw(st.lists(signal, unique=True, max_size=2))},
+                    condition=condition()))
+                continue
             src, bound, above = draw(signal), draw(st.floats(-2.0, 2.0)), draw(st.booleans())
             written = draw(st.lists(signal, unique=True, max_size=2))
             guards[mode].append(Guard(
@@ -304,10 +346,11 @@ def small_systems(draw):
         signal_names=signals, dynamics=dynamics,
         guards={m: tuple(g) for m, g in guards.items()},
         initial_mode=draw(st.sampled_from(modes)))
-    initial = draw(st.lists(st.floats(-2.0, 2.0), min_size=len(signals),
-                            max_size=len(signals)))
+    initial = draw(st.lists(value if declared else st.floats(-2.0, 2.0),
+                            min_size=len(signals), max_size=len(signals)))
     dt = draw(st.sampled_from([0.1, 0.25, 0.5]))
-    return system, initial, dt, dt * draw(st.integers(1, 40))
+    case = system, initial, dt, dt * draw(st.integers(1, 40))
+    return case + (params,) if declared else case
 
 
 class TestNaiveOracle:
@@ -333,6 +376,155 @@ class TestNaiveOracle:
     def test_random_guarded_systems(self, case):
         system, initial, dt, horizon = case
         assert_matches_naive(system, initial, {}, dt, horizon)
+
+    @settings(ORACLE_SETTINGS, max_examples=300)
+    @given(case=small_systems(declared=True))
+    def test_random_declared_systems(self, case):
+        system, initial, dt, horizon, params = case
+        assert_matches_naive(system, initial, params, dt, horizon)
+
+
+def declared_system(rates, guards, signals=("x",), held=("B",)):
+    """Mode A with ``rates`` and ``guards``, and the modes ``held`` with
+    neither, so every run of A is filled in numpy passes."""
+    return HybridSystem(signal_names=signals,
+                        dynamics={"A": rates, **{m: {} for m in held}},
+                        guards={"A": tuple(guards)}, initial_mode="A")
+
+
+def clamp(rate, signal="x", exhausted=0.0):
+    return StateExpr(form=RateForm(rate, signal, exhausted))
+
+
+def when(label, condition, target="B"):
+    return Guard(label, None, target, condition=condition)
+
+
+def fault_of(run):
+    with pytest.raises(SimulationFault) as err:
+        run()
+    return err.value.time, err.value.signal, err.value.value
+
+
+class TestDeclaredRuns:
+    """A mode whose rates all declare forms and whose guards all give
+    conditions is filled in numpy passes, which reproduce the Python steps
+    of ``naive_simulate`` bit for bit at every edge of a pass."""
+
+    def test_event_at_the_first_sample(self):
+        system = declared_system({"x": clamp(-0.5)}, [when("early", Atom("x", ">=", "c"))])
+        trace = simulate(system, [1.0], {"c": 0.5}, dt=0.5, horizon=5.0)
+        assert [(e.time, e.guard) for e in trace.events] == [(0.0, "early")]
+        assert trace.modes == ["A"] + ["B"] * 10
+        assert_matches_naive(system, [1.0], {"c": 0.5}, 0.5, 5.0)
+
+    def test_event_at_the_last_sample(self):
+        system = declared_system({"x": StateExpr(form=RateForm(1.0))},
+                                 [when("late", Atom("x", ">=", 5.0))])
+        trace = simulate(system, [0.0], {}, dt=0.5, horizon=5.0)
+        assert [(e.time, e.guard) for e in trace.events] == [(5.0, "late")]
+        assert trace.modes == ["A"] * 11
+        assert_matches_naive(system, [0.0], {}, 0.5, 5.0)
+
+    def test_clamp_switch_and_guard_at_one_sample(self):
+        # x reaches 0.0 at sample 4, where its clamp switches and the guard holds
+        system = declared_system({"x": clamp(-0.5), "y": clamp(0.25, "y")},
+                                 [when("empty", Atom("x", "<=", 0.0))], signals=("x", "y"))
+        trace = simulate(system, [1.0, -0.0], {}, dt=0.5, horizon=5.0)
+        assert [(e.time, e.guard) for e in trace.events] == [(2.0, "empty")]
+        assert_matches_naive(system, [1.0, -0.0], {}, 0.5, 5.0)
+
+    def test_a_clamp_switch_goes_on_at_the_exhausted_rate(self):
+        # no guard: the pass past the switch runs at the exhausted rate
+        system = declared_system({"x": clamp(-0.3, exhausted=0.1)}, [])
+        trace = simulate(system, [1.0], {}, dt=0.5, horizon=20.0)
+        assert min(trace.signals["x"]) <= 0.0 < trace.signals["x"][-1]
+        assert_matches_naive(system, [1.0], {}, 0.5, 20.0)
+
+    @pytest.mark.parametrize("order", [("first", "second"), ("second", "first")])
+    def test_two_conditions_true_at_once(self, order):
+        conditions = {"first": Atom("x", ">=", 1.0), "second": Atom("x", ">", 0.9)}
+        system = declared_system({"x": StateExpr(form=RateForm(0.5))},
+                                 [when(label, conditions[label], target=label)
+                                  for label in order], held=("first", "second"))
+        trace = simulate(system, [0.0], {}, dt=1.0, horizon=4.0)
+        assert [(e.time, e.guard) for e in trace.events] == [(2.0, order[0])]
+        assert_matches_naive(system, [0.0], {}, 1.0, 4.0)
+
+    @pytest.mark.parametrize("exhausted, after", [(0.0, "0x0.0p+0"), (-0.0, "-0x0.0p+0")])
+    def test_signed_zero_start_under_a_clamp(self, exhausted, after):
+        system = declared_system({"x": clamp(-1.0, exhausted=exhausted)},
+                                 [when("never", Atom("x", ">", 1.0))])
+        trace = simulate(system, [-0.0], {}, dt=0.5, horizon=2.0)
+        assert [v.hex() for v in trace.signals["x"].tolist()] == ["-0x0.0p+0"] + [after] * 4
+        assert_matches_naive(system, [-0.0], {}, 0.5, 2.0)
+
+    @pytest.mark.parametrize("z0, fault", [
+        (1e307, (2.0, "y", math.inf)),  # y and z overflow at sample 2: y comes first
+        (1e308, (1.0, "z", math.inf)),  # z overflows first
+    ])
+    def test_overflow_faults_where_the_python_step_does(self, z0, fault):
+        rates = {"x": StateExpr(form=RateForm(1.0)), "y": StateExpr(form=RateForm(6e307)),
+                 "z": clamp(1e308, "z")}
+        system = declared_system(rates, [], signals=("x", "y", "z"))
+        initial = [0.0, 1e308, z0]
+        assert fault_of(lambda: simulate(system, initial, {}, dt=1.0, horizon=5.0)) == fault
+        assert fault_of(lambda: naive_simulate(system, initial, {}, 1.0, 5.0)) == fault
+        # a guard that fires one sample before the overflow stops the run;
+        # at the overflow's sample it would come too late (x is k at sample k)
+        guarded = declared_system(rates, [when("before", Atom("x", ">=", fault[0] - 1.0))],
+                                  signals=("x", "y", "z"))
+        trace = simulate(guarded, initial, {}, dt=1.0, horizon=5.0)
+        assert [e.time for e in trace.events] == [fault[0] - 1.0]
+        assert_matches_naive(guarded, initial, {}, 1.0, 5.0)
+        late = declared_system(rates, [when("late", Atom("x", ">=", fault[0]))],
+                               signals=("x", "y", "z"))
+        assert fault_of(lambda: simulate(late, initial, {}, dt=1.0, horizon=5.0)) == fault
+
+    def test_overflow_to_minus_inf(self):
+        system = declared_system({"x": StateExpr(form=RateForm(-1e306))}, [])
+        fault = fault_of(lambda: simulate(system, [0.0], {}, dt=1.0, horizon=1000.0))
+        assert fault == (180.0, "x", -math.inf)
+        assert fault == fault_of(lambda: naive_simulate(system, [0.0], {}, 1.0, 1000.0))
+
+    def test_a_mixed_mode_is_stepped_in_python(self):
+        # a declared rate beside an opaque guard: the guard is called every sample
+        calls = []
+
+        def opaque(s, p):
+            calls.append(s["x"])
+            return s["x"] >= 2.0
+
+        system = declared_system({"x": StateExpr(form=RateForm(0.5))},
+                                 [Guard("opaque", opaque, "B", reads=frozenset({"x"}))])
+        trace = simulate(system, [0.0], {}, dt=0.5, horizon=5.0)
+        assert calls == [0.25 * k for k in range(9)]
+        assert [(e.time, e.guard) for e in trace.events] == [(4.0, "opaque")]
+        assert_matches_naive(system, [0.0], {}, 0.5, 5.0)
+
+    def test_runs_enter_and_leave_declared_modes(self):
+        # A is stepped in Python, B filled in passes; each hands its event
+        # to the other, resets included, until the horizon
+        hop = Guard("hop", lambda s, p: s["x"] >= 1.0, "B",
+                    {"y": StateExpr(lambda s, p: s["y"] + 1.0, reads=frozenset({"y"}))},
+                    reads=frozenset({"x"}))
+        back = Guard("back", None, "A", {"x": StateExpr(lambda s, p: 0.0)},
+                     condition=Atom("y", ">=", "top"))
+        system = HybridSystem(
+            signal_names=("x", "y"),
+            dynamics={"A": {"x": StateExpr(lambda s, p: 0.5)},
+                      "B": {"y": StateExpr(form=RateForm(0.5)), "x": clamp(-0.25)}},
+            guards={"A": (hop,), "B": (back,)}, initial_mode="A")
+        trace = simulate(system, [0.0, 0.0], {"top": 3.0}, dt=0.25, horizon=30.0)
+        assert len(trace.events) >= 10
+        assert {e.guard for e in trace.events} == {"hop", "back"}
+        assert_matches_naive(system, [0.0, 0.0], {"top": 3.0}, 0.25, 30.0)
+
+    def test_a_missing_threshold_parameter(self):
+        system = declared_system({"x": StateExpr(form=RateForm(1.0))},
+                                 [when("on", Atom("x", ">=", "c"))])
+        with pytest.raises(KeyError):
+            simulate(system, [0.0], Configuration({}), dt=0.5, horizon=1.0)
 
 
 @st.composite
@@ -634,6 +826,24 @@ class TestProjection:
 
 
 class TestSystemValidation:
+    def test_a_clamp_switches_at_its_own_level(self):
+        with pytest.raises(ConfigurationError, match="level of 'y', not its own"):
+            single_mode_system({"x": clamp(-1.0, "y")}, signals=("x", "y"))
+
+    def test_declared_forms_and_conditions_derive_callables_and_reads(self):
+        rate = StateExpr(lambda s, p: 99.0, reads=frozenset({"y"}), form=RateForm(-1.0, "x"))
+        assert rate.reads == {"x"}
+        assert (rate.func({"x": 1.0}, {}), rate.func({"x": -0.0}, {})) == (-1.0, 0.0)
+        guard = Guard("g", lambda s, p: True, "M", reads=frozenset({"z"}),
+                      condition=And(Atom("x", "<=", "c"), Not(Atom("y"))))
+        assert guard.reads == {"x", "y"}
+        assert guard.predicate({"x": 1.0, "y": 0.0}, {"c": 1.0}) is True
+        assert guard.predicate({"x": 1.0, "y": 0.5}, {"c": 1.0}) is False
+        with pytest.raises(ConfigurationError, match="a predicate or a condition"):
+            Guard("g", None, "M")
+        with pytest.raises(ConfigurationError, match="a func or a form"):
+            StateExpr()
+
     def test_rate_for_undeclared_signal_rejected(self):
         with pytest.raises(ConfigurationError, match=r"mode B.*\['y'\]"):
             HybridSystem(signal_names=("x",),

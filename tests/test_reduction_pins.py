@@ -23,8 +23,11 @@ from hdsf.hybrid import Guard, HybridSystem, StateExpr
 from hdsf.reduction import build_surrogate
 from hdsf.stl import And, Atom, Globally
 
-# both variants x every entry mode x three properties, in that loop order
-DRONE_DIGEST = "54821c36ba036c0e6538a0931270b2d243592e8d209e0bfc2636f710532aed40"
+# both variants x every entry mode x three properties, in that loop order;
+# re-recorded when the emergency guard became a condition: the patched
+# guard reads only the battery, so for G(battery >= 5) it is an edge whose
+# target is dropped rather than a guard on an irrelevant signal
+DRONE_DIGEST = "d9462e9ae4891948519d95f511289ebe76672d2c204b309a1e0f8523c7ddf27e"
 # 200 seeded random systems with resets
 RANDOM_DIGEST = "360c63935e2e431ea76904d6d8a62f395e68a9155cb2ac191d365c18353d6d3b"
 

@@ -77,6 +77,21 @@ class TestEvaluateBasics:
         with pytest.raises(EvaluationError, match="empty"):
             evaluate(Atom("a"), trace)
 
+    def test_a_parameter_threshold_is_for_state_formulas_only(self, make_trace):
+        trace = make_trace(0.1, battery=[50.0, 5.0])
+        with pytest.raises(EvaluationError, match="names a parameter"):
+            evaluate(Globally(Atom("battery", ">=", "low_batt_threshold")), trace)
+        holds = stl.state_truth(Atom("battery", ">=", "low_batt_threshold"),
+                                trace.signals, {"low_batt_threshold": 10.0})
+        assert holds.tolist() == [True, False]
+
+    def test_a_temporal_operator_is_no_state_formula(self):
+        for formula in (Globally(Atom("a", ">", 0.0)), Implies(Atom("a"), Atom("b"))):
+            with pytest.raises(SpecificationError, match="not a state formula"):
+                stl.state_predicate(formula)
+            with pytest.raises(SpecificationError, match="not a state formula"):
+                stl.state_truth(formula, {"a": np.zeros(1), "b": np.zeros(1)}, {})
+
     def test_determinism(self, make_trace):
         rng = np.random.default_rng(3)
         trace = random_trace(rng)
