@@ -695,6 +695,28 @@ class TestCampaignOnWorkers:
         assert results[1] == results[2] == results[3]
         assert written[1] == written[2] == written[3]
 
+    @pytest.mark.parametrize("runs, later_generated", [(22, 0), (24, 1), (25, 2)])
+    def test_forks_only_for_two_generated_trials(self, force_cpus, count_forks, tmp_path,
+                                                 runs, later_generated):
+        # with the late-fill space the buggy pool fills at trial 21; no count
+        # of generated trials after it, two included, makes the trials fork
+        space = ConfigSpace.from_json(LATE_FILL_SPACE.read_text())
+        assert sum(generates(1, t) for t in range(22, runs)) == later_generated
+        results, written = {}, {}
+        for n_cpus in (1, 2, 3):
+            force_cpus(n_cpus)
+            forks_before = len(count_forks)
+            results[n_cpus] = self.comparable(
+                self.drone_campaign(ControllerVariant.BUGGY, space, runs=runs))
+            assert_no_child_left()
+            assert len(count_forks) == forks_before
+            out_dir = tmp_path / f"cpus-{n_cpus}"
+            self.drone_campaign(ControllerVariant.BUGGY, space, runs=runs, out_dir=out_dir)
+            written[n_cpus] = files_under(out_dir)
+        assert near_boundary_trials(tmp_path / "cpus-1")[0] == 21
+        assert results[1] == results[2] == results[3]
+        assert written[1] == written[2] == written[3]
+
     def test_trial_faults_in_generated_trials(self, force_cpus, count_forks, tmp_path):
         phi = Globally(Atom("battery", ">", 3.0))
         written, aborts = {}, {}
@@ -769,6 +791,24 @@ class TestCampaignOnWorkers:
         assert time.perf_counter() - started < 30
         assert count_forks
         assert_no_child_left()
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_this_process_builds_each_trial_stream_once(self, force_cpus, count_forks,
+                                                         monkeypatch, n_cpus):
+        # every trial's stream is built here, once, in trial order, and no
+        # worker is forked to go on from it
+        force_cpus(n_cpus)
+        built = []
+        monkeypatch.setattr(falsify, "trial_rng",
+                            lambda seed, trial: built.append(trial) or trial_rng(seed, trial))
+        result = self.comparable(self.drone_campaign(ControllerVariant.PATCHED, runs=50))
+        assert_no_child_left()
+        assert built == list(range(50))
+        assert count_forks == []
+        monkeypatch.undo()
+        force_cpus(1)
+        assert result == self.comparable(
+            self.drone_campaign(ControllerVariant.PATCHED, runs=50))
 
     def test_forks_nothing_and_holds_one_trial_stream(self, force_cpus, count_forks,
                                                       monkeypatch):
