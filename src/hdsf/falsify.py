@@ -16,7 +16,8 @@ stream alone decides whether it mutates and, if not, what it generates.
 A campaign runs its trials in this process, one after another: a trial
 costs less than forking a worker for it.  Callers whose trials are
 independent and costlier spread them over forked workers with
-:func:`map_trials`, and a campaign writes its trace files with it.
+:func:`map_trials`, each of which sends its whole share back as one
+message, and a campaign writes its trace files with it.
 """
 
 from __future__ import annotations
@@ -181,133 +182,49 @@ def _cpus() -> int:
     return 1
 
 
-_PIPE_BYTES = 1 << 20
-
-
-class TrialStream:
-    """``fn`` over ``keys``, read back in key order, on ``workers`` forked
-    processes; with no keys, ``workers`` may be 0.
-
-    Each ``next()`` returns the result of the next key, or raises its
-    exception, as the serial loop would.  The workers fork when the stream
-    is created.  Key ``i`` goes to worker ``i % workers``, which runs its keys
-    in order and sends each result into its pipe as soon as it has it, or
-    its first exception, after which it stops; ``next()`` waits for it if
-    need be.  Results and exceptions must pickle, and what ``fn`` changes in
-    a worker stays there.  A fork copies only the calling thread, so ``fn``
-    must not wait on another.
-
-    Each pipe is widened to 1 MiB where the system allows, so a worker
-    runs ahead of a busy reader by many results, traces included, instead
-    of stalling on a full pipe.  ``close()`` (or leaving a ``with`` block)
-    kills and reaps the workers, whatever they still had to send.
-    """
-
-    def __init__(self, fn: Callable[[T], R], keys: Sequence[T], workers: int):
-        self._keys, self._workers = keys, workers
-        self._sent = 0
-        self._children: list[tuple[int, BinaryIO]] = []  # (pid, its pipe)
-        self._statuses: dict[int, int] = {}  # pid -> exit code, once reaped
-        try:
-            for first in range(workers):
-                read_fd, write_fd = os.pipe()
-                try:
-                    _widen(write_fd)
-                    pid = os.fork()
-                except OSError:
-                    os.close(read_fd)
-                    os.close(write_fd)
-                    raise
-                if pid == 0:
-                    os.close(read_fd)
-                    for _, pipe in self._children:
-                        os.close(pipe.fileno())
-                    _serve(fn, keys[first::workers], write_fd)
-                os.close(write_fd)
-                self._children.append((pid, open(read_fd, "rb")))
-        except BaseException:
-            self.close()
-            raise
-
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        index = self._sent
-        if index == len(self._keys):
-            raise StopIteration
-        self._sent += 1
-        pid, pipe = self._children[index % self._workers]
-        header = pipe.read(8)
-        size = int.from_bytes(header, "little")
-        payload = pipe.read(size) if len(header) == 8 else b""
-        if not payload or len(payload) < size:
-            self.close()
-            status = self._statuses[pid]
-            raise RuntimeError(f"trial worker {pid} exited with status {status} "
-                               "before sending its results")
-        result, error = pickle.loads(payload)
-        if error is not None:
-            raise error
-        return result
-
-    def close(self) -> None:
-        for pid, pipe in self._children:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            self._statuses[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        self._children = []
-
-    def __enter__(self) -> "TrialStream":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-def _widen(fd: int) -> None:
-    """Raise the pipe's capacity to ``_PIPE_BYTES``, or keep the default
-    where the system has no such setting or refuses it."""
+def _run(fn: Callable[[T], R], share: Sequence[T]) -> tuple[list[R], Optional[Exception]]:
+    """``fn`` over ``share`` in order, up to its first exception: the
+    results before it, and the exception or None."""
+    results = []
     try:
-        import fcntl
-        fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
-    except (ImportError, AttributeError, OSError):
-        pass
+        for item in share:
+            results.append(fn(item))
+    except Exception as exc:
+        return results, exc
+    return results, None
 
 
-def _serve(fn, keys: Sequence, write_fd: int) -> NoReturn:
-    """A forked worker: send ``fn(key)`` for each key, each as a length and
-    a pickle, up to its first exception, and end the process, so that it
-    never returns into the caller's stack."""
+def _serve(fn, items: list, indices: range, write_fd: int) -> NoReturn:
+    """A forked worker: run ``fn`` over the items at ``indices``, write
+    ``(results, exception)`` as one pickle and end the process, so that it
+    never returns into the caller's stack.  A result or exception that will
+    not pickle, or an exception that will not rebuild, is sent as a
+    TypeError naming its item in place of the first of them."""
     status = 1
     try:
+        results, error = _run(fn, [items[i] for i in indices])
+        try:
+            payload = pickle.dumps((results, error), pickle.HIGHEST_PROTOCOL)
+            if error is not None:
+                pickle.loads(payload)  # an exception must also rebuild
+        except Exception as exc:
+            bad = next((k for k, result in enumerate(results) if not _sendable(result)),
+                       len(results))
+            payload = pickle.dumps((results[:bad], TypeError(
+                f"item {indices[bad]}: a trial worker cannot send its result back: {exc!r}")))
         with open(write_fd, "wb") as pipe:
-            for key in keys:
-                try:
-                    message = fn(key), None
-                except Exception as exc:
-                    message = None, exc
-                payload = _pickled(message, key)
-                pipe.write(len(payload).to_bytes(8, "little") + payload)
-                pipe.flush()
-                if message[1] is not None:
-                    break
+            pipe.write(payload)
         status = 0
     finally:
         os._exit(status)
 
 
-def _pickled(message: tuple, key) -> bytes:
-    """The pickle of ``(result, exception)``, or of a TypeError naming
-    ``key`` when it will not pickle or the exception will not rebuild."""
+def _sendable(value) -> bool:
     try:
-        payload = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
-        if message[1] is not None:
-            pickle.loads(payload)  # an exception must also rebuild
-        return payload
-    except Exception as exc:
-        return pickle.dumps((None, TypeError(
-            f"item {key}: a trial worker cannot send its result back: {exc!r}")))
+        pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
+        return True
+    except Exception:
+        return False
 
 
 def map_trials(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
@@ -316,32 +233,60 @@ def map_trials(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
     items are independent trials, or independent writes whose result is
     None; a worker reads the items it inherits copy-on-write.
 
-    The workers are a :class:`TrialStream` over the items this process
-    does not run.  This process runs its own share first, then takes the
-    results in item order, so the exception of the lowest index is the one
-    raised, as in the serial loop; the stream's rules for ``fn`` hold.
-    With one CPU, fewer than two items, or no ``fork``, this process's
-    share is every item and the stream is empty.
+    Item ``i`` goes to worker ``i % workers``, where worker 0 is this
+    process.  Each runs its share in item order up to its first exception;
+    a forked worker then sends its results and that exception back as one
+    message and exits.  This process runs its own share, reads every
+    worker's message and raises the exception of the lowest index, as the
+    serial loop would, once all workers are done.  Results and exceptions
+    must pickle, and what ``fn`` changes in a worker stays there.  A fork
+    copies only the calling thread, so ``fn`` must not wait on another.  An
+    interrupt, or any other BaseException, in this process kills and reaps
+    the workers.  With one CPU, fewer than two items, or no ``fork``, this
+    process runs every item.
     """
     items = list(items)
     workers = max(1, min(_cpus(), len(items)))  # this process and the forked ones
-    theirs = [i for i in range(len(items)) if i % workers]
-    with TrialStream(lambda i: fn(items[i]), theirs, workers - 1) as stream:
-        mine = []  # the results of items 0, workers, 2 * workers, ...
-        try:
-            for index in range(0, len(items), workers):
-                mine.append(fn(items[index]))
-        except Exception as exc:
-            error = exc  # raised when its item's turn comes
-        results = []
-        for index in range(len(items)):
-            if index % workers:
-                results.append(next(stream))
-            elif index // workers < len(mine):
-                results.append(mine[index // workers])
-            else:
-                raise error
-        return results
+    children: list[tuple[int, BinaryIO]] = []  # (pid, its pipe), until reaped
+    try:
+        for first in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                os.close(read_fd)
+                for _, pipe in children:
+                    os.close(pipe.fileno())
+                _serve(fn, items, range(first, len(items), workers), write_fd)
+            os.close(write_fd)
+            children.append((pid, open(read_fd, "rb")))
+        shares = [_run(fn, items[::workers])]  # (results, exception) per worker
+        while children:
+            pid, pipe = children[0]
+            with pipe:
+                payload = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(0)
+            if status or not payload:
+                raise RuntimeError(f"trial worker {pid} exited with status {status} "
+                                   "before sending its results")
+            shares.append(pickle.loads(payload))
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    results = []
+    for index in range(len(items)):
+        done, error = shares[index % workers]
+        if index // workers == len(done):
+            raise error
+        results.append(done[index // workers])
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +315,7 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
 
 def campaign(surrogate, formula: FormulaLike, space: ConfigSpace,
              budget: int, *, dt: float, horizon: float,
-             seed: Optional[int] = None, out_dir=None
+             seed: int, out_dir=None
              ) -> tuple[CampaignSummary, list[ViolationRecord]]:
     """Run a falsification campaign of ``budget`` trials.
 
@@ -386,7 +331,7 @@ def campaign(surrogate, formula: FormulaLike, space: ConfigSpace,
     """
     if budget < 0:
         raise SpaceError(f"budget must be nonnegative, got {budget}")
-    campaign_seed = int(seed if seed is not None else space.rng_seed)
+    campaign_seed = int(seed)
     started = time.perf_counter()
 
     violations: list[ViolationRecord] = []
@@ -449,11 +394,15 @@ def write_campaign_outputs(out_dir: Path, summary: CampaignSummary,
     All three top-level files are byte-deterministic for a fixed
     (seed, run-count) campaign; the summary therefore carries wall_time
     as null on disk (the measured value lives on the in-memory summary).
+    The trace files of an earlier campaign in ``out_dir`` are deleted.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     traces_dir = out_dir / "traces"
     traces_dir.mkdir(exist_ok=True)
+    for stale in traces_dir.glob("trial_*.jsonl"):
+        if not stale.is_dir():
+            stale.unlink()
 
     for record in violations:
         record.trace_ref = f"traces/trial_{record.trial:05d}.jsonl"

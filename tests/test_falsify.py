@@ -20,7 +20,7 @@ from hdsf.config import Configuration, ConfigSpace
 from hdsf.drone import (ControllerVariant, DroneParams, build_surrogate_system,
                         default_config_space, default_configuration, phi_for)
 from hdsf.errors import SpaceError, TrialFault
-from hdsf.falsify import (MUTATION_FRACTION, TrialStream, campaign, generate, map_trials,
+from hdsf.falsify import (MUTATION_FRACTION, campaign, generate, map_trials,
                           mutate, run_trial, trial_rng, violation_signature)
 from hdsf.hybrid import HybridSystem, StateExpr
 from hdsf.margins import MarginPoint, quadrant_for
@@ -470,6 +470,66 @@ class TestMapTrials:
             map_trials(fn, range(4))
         assert_no_child_left()
 
+    def test_a_result_that_cannot_pickle_is_named(self, force_cpus):
+        force_cpus(2)
+
+        def fn(x):
+            return (lambda: x) if x == 3 else x
+
+        with pytest.raises(TypeError, match="item 3: a trial worker cannot send"):
+            map_trials(fn, range(6))
+        assert_no_child_left()
+
+    def test_workers_run_while_this_process_runs_its_share(self, force_cpus):
+        force_cpus(2)
+        parent = os.getpid()
+        read_fd, write_fd = os.pipe()
+        try:
+            def fn(x):
+                if os.getpid() != parent:
+                    os.write(write_fd, b"%d," % x)
+                    return x
+                if x == 0:
+                    # a serial map_trials would run item 1 only after this one
+                    ready, _, _ = select.select([read_fd], [], [], 30)
+                    return os.read(read_fd, 2) if ready else None
+                return x
+
+            assert map_trials(fn, range(4)) == [b"1,", 1, 2, 3]
+        finally:
+            os.close(read_fd)
+            os.close(write_fd)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("n_cpus", [2, 3])
+    def test_results_larger_than_a_pipe_equal_the_serial_loop(self, force_cpus, n_cpus):
+        force_cpus(n_cpus)
+
+        def fn(x):
+            return bytes([x]) * 200_000
+
+        items = list(range(20))
+        assert map_trials(fn, items) == [fn(x) for x in items]
+        assert_no_child_left()
+
+    def test_a_worker_stops_at_its_first_exception(self, force_cpus):
+        force_cpus(2)
+        read_fd, write_fd = os.pipe()
+        boom = squares_except({3})
+
+        def fn(x):
+            os.write(write_fd, b"%d," % x)
+            return boom(x)
+
+        with pytest.raises(Boom, match="item 3"):
+            map_trials(fn, range(6))
+        os.close(write_fd)
+        with open(read_fd, "rb") as pipe:
+            ran = {int(x) for x in pipe.read().split(b",")[:-1]}
+        # the worker's share is 1, 3, 5: item 5 never runs; this process runs 0, 2, 4
+        assert ran == {0, 1, 2, 3, 4}
+        assert_no_child_left()
+
     def test_a_worker_never_returns_into_the_caller(self, force_cpus):
         force_cpus(2)
         parent = os.getpid()
@@ -509,49 +569,6 @@ class TestMapTrials:
         assert_no_child_left()
 
 
-class TestTrialStream:
-    def test_workers_run_before_the_first_result_is_asked(self):
-        read_fd, write_fd = os.pipe()
-        try:
-            def fn(key):
-                os.write(write_fd, b"%d," % key)
-                return key
-
-            with TrialStream(fn, [1, 2, 3], 2) as stream:
-                # each worker's first key runs with no next() called yet
-                ready, _, _ = select.select([read_fd], [], [], 30)
-                assert ready
-                started = b""
-                while started.count(b",") < 2:
-                    select.select([read_fd], [], [], 30)
-                    started += os.read(read_fd, 64)
-                assert {int(k) for k in started.split(b",")[:2]} <= {1, 2, 3}
-                assert list(stream) == [1, 2, 3]
-        finally:
-            os.close(read_fd)
-            os.close(write_fd)
-        assert_no_child_left()
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_results_larger_than_a_pipe_arrive_in_order(self, workers):
-        def fn(key):
-            return bytes([key]) * 200_000
-
-        keys = list(range(20))
-        with TrialStream(fn, keys, workers) as stream:
-            time.sleep(0.2)  # let the workers fill their pipes first
-            assert list(stream) == [fn(k) for k in keys]
-        assert_no_child_left()
-
-    def test_an_exception_ends_the_worker_at_its_key(self):
-        fn = squares_except({3})
-        with TrialStream(fn, list(range(6)), 2) as stream:
-            assert [next(stream) for _ in range(3)] == [fn(k) for k in range(3)]
-            with pytest.raises(Boom, match="item 3"):
-                next(stream)
-        assert_no_child_left()
-
-
 class TestForkedTraceWrites:
     """A campaign's trace files are written by forked workers, one share each,
     and are the same files one process writes."""
@@ -587,6 +604,21 @@ class TestForkedTraceWrites:
             self.buggy_campaign(tmp_path)
         assert err.value.filename == str(blocked)
         assert_no_child_left()
+
+
+    def test_a_reused_out_dir_keeps_only_this_campaigns_traces(self, tmp_path):
+        params = DroneParams()
+        surrogate = build_surrogate_system(params, ControllerVariant.BUGGY)
+
+        def run(out_dir, runs, seed):
+            return campaign(surrogate, phi_for, surrogate.parameter_space, runs,
+                            dt=params.dt, horizon=params.horizon, seed=seed, out_dir=out_dir)
+
+        run(tmp_path / "reused", 100, 7)
+        run(tmp_path / "reused", 10, 3)
+        _, violations = run(tmp_path / "fresh", 10, 3)
+        assert violations  # the later campaign writes traces of its own
+        assert files_under(tmp_path / "reused") == files_under(tmp_path / "fresh")
 
 
 LATE_FILL_SPACE = Path(__file__).parent / "spaces" / "late-fill.json"
