@@ -220,6 +220,7 @@ def _cmd_fuzz(args) -> int:
         surrogate, phi_for, space, args.runs,
         dt=params.dt, horizon=params.horizon, seed=args.seed, out_dir=out_dir)
     print(f"Total Runs: {summary.total_runs}")
+    print(f"Violations: {summary.raw_violations}")
     print(f"Unique Violations: {summary.unique_violations}")
     print(f"Violation Rate: {100.0 * summary.violation_rate:.1f}%")
     print(f"Artifacts written to {args.out_dir}/ "

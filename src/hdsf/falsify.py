@@ -3,10 +3,14 @@
 The campaign loop interleaves fresh constraint-preserving generation
 with mutation of earlier near-boundary configurations, runs each
 candidate on the surrogate, evaluates the property oracle on the trace,
-and deduplicates violations by a quantized signature so only
-non-equivalent counterexamples are logged.  Each run's margin point
-(:mod:`hdsf.margins`) decides pool membership, steering and the
-signature's side, so this module names no parameter of its own.
+and logs the first violation of each failure class with its trace, so
+only non-equivalent counterexamples are kept.  Each run's margin point
+(:mod:`hdsf.margins`) decides pool membership, steering and the failure
+class, so this module names no parameter of its own.  A class is the
+side of the boundary a run decided on and its margin in buckets as wide
+as the seek window, 10 units; configurations on a 1-unit grid merged
+almost no violations.  ``violation_rate`` counts every violation
+(``raw_violations``), not the classes (``unique_violations``).
 
 Every trial draws its randomness from a stream derived from the
 campaign seed and the trial index, so a campaign is reproducible
@@ -23,7 +27,6 @@ message, and a campaign writes its trace files with it.
 from __future__ import annotations
 
 import json
-import math
 import os
 import pickle
 import signal
@@ -65,6 +68,7 @@ class ViolationRecord:
 @dataclass
 class CampaignSummary:
     total_runs: int
+    raw_violations: int
     unique_violations: int
     violation_rate: float
     seed: int
@@ -290,21 +294,6 @@ def map_trials(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
 
 
 # ---------------------------------------------------------------------------
-# Deduplication
-# ---------------------------------------------------------------------------
-
-def _quantize(value: float) -> int:
-    # fixed grid of one unit per parameter, half-up
-    return int(math.floor(value + 0.5))
-
-
-def violation_signature(config: Configuration, margins: MarginPoint) -> str:
-    """Deduplication key: the margin point's side plus the quantized configuration."""
-    quantized = ";".join(f"{k}={_quantize(v)}" for k, v in sorted(config.items()))
-    return f"{margins.side}|{quantized}"
-
-
-# ---------------------------------------------------------------------------
 # Campaign
 # ---------------------------------------------------------------------------
 
@@ -320,14 +309,15 @@ def campaign(surrogate, formula: FormulaLike, space: ConfigSpace,
     """Run a falsification campaign of ``budget`` trials.
 
     With ``out_dir`` set, writes summary.json, violations.jsonl,
-    margins.csv, and one trace file per unique violation.  Aborts when
+    margins.csv, and one trace file per failure class.  Aborts when
     more than ``MAX_FAULT_FRACTION`` of trials fault.
 
     Each trial draws from its own stream: once the mutation pool is
     nonempty, a coin decides whether it mutates a pooled configuration or
     generates a fresh one, and before that it generates.  Every trial
-    runs in this process, in order, and only a new violation keeps its
-    trace, so a campaign holds one trial's stream and trace at a time.
+    runs in this process, in order, and only the first violation of each
+    class keeps its trace, so a campaign holds one trial's stream and
+    trace at a time.
     """
     if budget < 0:
         raise SpaceError(f"budget must be nonnegative, got {budget}")
@@ -335,6 +325,7 @@ def campaign(surrogate, formula: FormulaLike, space: ConfigSpace,
     started = time.perf_counter()
 
     violations: list[ViolationRecord] = []
+    raw_violations = 0
     seen: set[str] = set()
     pool: list[tuple[Configuration, MarginPoint]] = []
     rows: list[tuple[int, Configuration, MarginPoint]] = []
@@ -362,7 +353,8 @@ def campaign(surrogate, formula: FormulaLike, space: ConfigSpace,
         if point.near_boundary:
             pool.append((config, point))
         if verdict.violated:
-            signature = violation_signature(config, point)
+            raw_violations += 1
+            signature = point.failure_class
             if signature not in seen:
                 seen.add(signature)
                 violations.append(ViolationRecord(
@@ -375,8 +367,9 @@ def campaign(surrogate, formula: FormulaLike, space: ConfigSpace,
 
     summary = CampaignSummary(
         total_runs=budget,
+        raw_violations=raw_violations,
         unique_violations=len(violations),
-        violation_rate=(len(violations) / budget) if budget else 0.0,
+        violation_rate=(raw_violations / budget) if budget else 0.0,
         seed=campaign_seed,
         wall_time=time.perf_counter() - started,
     )
@@ -423,6 +416,7 @@ def write_campaign_outputs(out_dir: Path, summary: CampaignSummary,
     with open(out_dir / "summary.json", "w") as fh:
         fh.write(json.dumps({
             "total_runs": summary.total_runs,
+            "raw_violations": summary.raw_violations,
             "unique_violations": summary.unique_violations,
             "violation_rate": summary.violation_rate,
             "seed": summary.seed,

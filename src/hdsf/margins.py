@@ -12,12 +12,13 @@ band, including contact with a limit.
 
 A point also carries the falsifier's boundary rule, so the search loop
 knows no drone parameter: ``near_boundary`` (pool membership),
-``steering`` (mutation targets) and ``side`` (signature prefix).
+``steering`` (mutation targets) and ``failure_class`` (dedup key).
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -36,6 +37,9 @@ BATTERY_SEEK_WINDOW = 5.0
 ALTITUDE_SEEK_WINDOW = 10.0
 BATTERY_SEEK_SIGMA = 0.25
 ALTITUDE_SEEK_SIGMA = 1.0
+# Violations on one side of the band whose altitude margins floor to the same
+# multiple of this many meters, the seek window, are one failure class.
+ALTITUDE_CLASS_WIDTH = 10.0
 
 
 def quadrant_for(battery_margin: float, altitude_margin: float) -> str:
@@ -67,11 +71,11 @@ class MarginPoint:
                 or (not self.in_band and abs(self.altitude_margin) <= ALTITUDE_SEEK_WINDOW))
 
     @property
-    def side(self) -> str:
-        """Where the decision altitude lies: in_band, above or below the band."""
-        if self.in_band:
-            return "in_band"
-        return "above" if self.altitude_margin > 0 else "below"
+    def failure_class(self) -> str:
+        """``side|bucket``: where the decision altitude lies (in_band, above or
+        below the band) and its margin floored to ``ALTITUDE_CLASS_WIDTH``."""
+        side = "in_band" if self.in_band else "above" if self.altitude_margin > 0 else "below"
+        return f"{side}|{math.floor(self.altitude_margin / ALTITUDE_CLASS_WIDTH)}"
 
     def steering(self, values: Mapping[str, float]) -> dict[str, tuple[float, float]]:
         """``{parameter: (target, sigma)}`` toward the boundaries the run of

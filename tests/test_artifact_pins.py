@@ -19,12 +19,16 @@ from hdsf.falsify import campaign, generate
 from hdsf.hybrid import simulate, trace_to_jsonl
 
 CAMPAIGN_DIGESTS = {
-    "summary.json": "c16ad77be7a5a34e7151770348f59a6a38ea5746d6201acf261cac4cdbc1ee98",
-    "violations.jsonl": "0072b5f24294440d318079f22986ad388f372f4ef8ab2afd44a07bc1fdd8ab79",
+    "summary.json": "73a90fa15b70c0ccebf8d6f2d87bda27658e1dcc08735d0bf54988745c54478c",
+    "violations.jsonl": "78b390beb2d47ed11df7685a6dafa6cd30b62c7b51318ca8380f4b0d0a51c8f3",
     "margins.csv": "108297f7b4b5896dd3b12cb995057a03ed562e3c6f8996c51c34b0bd70e44fe7",
 }
-# 44 trace files, hashed as name, NUL, bytes in sorted name order
-TRACES_DIGEST = "3757ed55282a69104fd9fc54dbca40608d897351b107c6b5ad8d13ebf663e423"
+# 14 trace files, one per failure class, hashed as name, NUL, bytes in
+# sorted name order; summary.json, violations.jsonl and the traces were
+# re-recorded when violations were keyed by failure class (side and 10 m
+# altitude-margin bucket) instead of the configuration on a unit grid, and
+# summary.json gained raw_violations; margins.csv did not move
+TRACES_DIGEST = "7c2f67a785848839b842efe19cd866d125ea58c3dba5a36cfb2cf4feccf67798"
 # one "<full> <surrogate>" verdict line per configuration
 CONFORMANCE_DIGESTS = {
     ControllerVariant.BUGGY:
@@ -64,7 +68,7 @@ def test_buggy_campaign_artifacts_pinned(tmp_path):
     for name, digest in CAMPAIGN_DIGESTS.items():
         assert sha256((tmp_path / name).read_bytes()) == digest, name
     traces = sorted((tmp_path / "traces").iterdir())
-    assert len(traces) == 44
+    assert len(traces) == 14
     joined = b"".join(f"traces/{p.name}".encode() + b"\0" + p.read_bytes()
                       for p in traces)
     assert sha256(joined) == TRACES_DIGEST

@@ -1,5 +1,5 @@
-"""Constraint-preserving generation, boundary-seeking mutation, violation
-signatures, campaigns, forked trial and trace-writing workers."""
+"""Constraint-preserving generation, boundary-seeking mutation, failure
+classes, campaigns, forked trial and trace-writing workers."""
 
 import csv
 import json
@@ -21,9 +21,9 @@ from hdsf.drone import (ControllerVariant, DroneParams, build_surrogate_system,
                         default_config_space, default_configuration, phi_for)
 from hdsf.errors import SpaceError, TrialFault
 from hdsf.falsify import (MUTATION_FRACTION, campaign, generate, map_trials,
-                          mutate, run_trial, trial_rng, violation_signature)
-from hdsf.hybrid import HybridSystem, StateExpr
-from hdsf.margins import MarginPoint, quadrant_for
+                          mutate, run_trial, trial_rng)
+from hdsf.hybrid import HybridSystem, StateExpr, Trace
+from hdsf.margins import MarginPoint, compute_margins, quadrant_for
 from hdsf.stl import Atom, Globally, Outcome, evaluate
 
 from oracles import buggy_violation_predicate
@@ -244,35 +244,74 @@ class TestRunTrial:
 
 
 class TestDedup:
-    def margins(self, side):
-        return MarginPoint(battery_margin=-0.01,
-                           altitude_margin={"below": -10.0, "above": 12.0, "in": 0.0}[side],
+    def margins(self, side, altitude_margin=None):
+        if altitude_margin is None:
+            altitude_margin = {"below": -10.0, "above": 12.0, "in": 0.0}[side]
+        return MarginPoint(battery_margin=-0.01, altitude_margin=altitude_margin,
                            in_band=(side == "in"), verdict=Outcome.VIOLATED,
                            quadrant="Q3")
 
-    def config(self, **overrides):
-        base = dict(battery_init=50.2, altitude_init=20.0, min_deploy_alt=60.0,
-                    max_deploy_alt=80.0, low_batt_threshold=10.0, delta=2.0)
-        base.update(overrides)
-        return Configuration(base)
+    def test_distant_configs_in_one_bucket_are_duplicates(self):
+        # every parameter more than a unit apart, the same side and bucket
+        a = dict(battery_init=50.2, altitude_init=20.0, min_deploy_alt=60.0,
+                 max_deploy_alt=80.0, low_batt_threshold=10.0, delta=2.0)
+        b = {name: value + 1.5 for name, value in a.items()}
+        point_a, point_b = self.decided(a, 8.0), self.decided(b, 9.0)
+        assert point_a.altitude_margin != point_b.altitude_margin
+        assert point_a.failure_class == point_b.failure_class == "below|-6"
 
-    def test_quantized_equal_configs_are_duplicates(self):
-        a = self.config(battery_init=50.2)
-        b = self.config(battery_init=50.4)  # same unit-grid cell
-        sig_a = violation_signature(a, self.margins("below"))
-        sig_b = violation_signature(b, self.margins("below"))
-        assert sig_a == sig_b
+    @staticmethod
+    def decided(values, altitude):
+        """The margin point of a two-sample run of ``values`` deciding at
+        ``altitude``: the battery is at the threshold from the start."""
+        threshold = values["low_batt_threshold"]
+        trace = Trace(["FLY", "FLY"], {"battery": np.array([threshold, threshold]),
+                                       "altitude": np.array([altitude, altitude])}, [], 0.1)
+        return compute_margins(trace, Configuration(values), Outcome.VIOLATED)
 
     def test_identical_configs_are_duplicates(self):
-        a = self.config()
-        assert (violation_signature(a, self.margins("below"))
-                == violation_signature(a, self.margins("below")))
+        values = dict(battery_init=50.2, altitude_init=20.0, min_deploy_alt=60.0,
+                      max_deploy_alt=80.0, low_batt_threshold=10.0, delta=2.0)
+        assert self.decided(values, 85.0).failure_class == "above|0"
+        assert (self.decided(values, 85.0).failure_class
+                == self.decided(dict(values), 85.0).failure_class)
 
     def test_below_vs_above_band_distinct(self):
-        a = self.config(altitude_init=50.0)
-        below = violation_signature(a, self.margins("below"))
-        above = violation_signature(a, self.margins("above"))
-        assert below != above
+        assert self.margins("below").failure_class != self.margins("above").failure_class
+
+    def test_bucket_edge_splits_classes(self):
+        assert self.margins("below", -9.99).failure_class == "below|-1"
+        assert self.margins("below", -10.01).failure_class == "below|-2"
+
+    def test_every_in_band_point_is_one_class(self):
+        points = [MarginPoint(battery_margin=b, altitude_margin=0.0, in_band=True,
+                              verdict=Outcome.VIOLATED, quadrant=quadrant_for(b, 0.0))
+                  for b in (-3.0, -0.0, 0.0, 4.5)]
+        assert {p.failure_class for p in points} == {"in_band|0"}
+
+    def test_campaign_classes_follow_margins_csv(self, tmp_path):
+        params = DroneParams()
+        surrogate = build_surrogate_system(params, ControllerVariant.BUGGY)
+        summary, _ = campaign(surrogate, phi_for, surrogate.parameter_space, 80,
+                              dt=params.dt, horizon=params.horizon, seed=5,
+                              out_dir=tmp_path)
+        with open(tmp_path / "margins.csv", newline="") as fh:
+            violated = [row for row in csv.DictReader(fh) if row["verdict"] == "Violated"]
+        first = {}  # class -> trial of its first violated row
+        for row in violated:
+            margin = float(row["altitude_margin"])
+            side = ("in_band" if row["in_band"] == "True"
+                    else "above" if margin > 0 else "below")
+            first.setdefault(f"{side}|{math.floor(margin / 10.0)}", int(row["trial"]))
+        records = [json.loads(line)
+                   for line in (tmp_path / "violations.jsonl").read_text().splitlines()]
+        assert 1 < len(first) < len(violated)
+        assert {r["signature"]: r["trial"] for r in records} == first
+        assert [r["trial"] for r in records] == sorted(first.values())
+        assert summary.unique_violations == len(first)
+        assert summary.raw_violations == len(violated)
+        assert summary.violation_rate == len(violated) / 80
+        assert len(list((tmp_path / "traces").iterdir())) == len(first)
 
 
 class TestCampaign:
@@ -308,7 +347,7 @@ class TestCampaign:
         for record in violations:
             verdict = evaluate(phi_for(record.config), record.trace)
             assert verdict.outcome is Outcome.VIOLATED
-        # one logged violation per signature
+        # one logged violation per failure class
         assert len({r.signature for r in violations}) == len(violations)
 
     def test_byte_identical_reruns(self, tmp_path):
@@ -339,7 +378,7 @@ class TestCampaign:
                  dt=self.params.dt, horizon=self.params.horizon, seed=1,
                  out_dir=tmp_path)
         data = json.loads((tmp_path / "summary.json").read_text())
-        assert data == {"total_runs": 5, "unique_violations": 0,
+        assert data == {"total_runs": 5, "raw_violations": 0, "unique_violations": 0,
                         "violation_rate": 0.0, "seed": 1, "wall_time": None}
 
     def test_violation_log_schema(self, tmp_path):
