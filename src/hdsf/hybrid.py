@@ -25,23 +25,27 @@ in declaration order; the first guard whose predicate holds fires.  The
 recorded sample at an event time carries the pre-transition state and
 mode, so a trace always shows the state the guard actually tested.
 Every run ends at the horizon; a mode with no guards and no rates holds
-its state until then.  A mode run whose rates all declare forms and
-whose guards all give conditions is filled in numpy passes, the same
-bits as the Python steps that fill every other run.
+its state until then.  Each mode is split when the system is built: a
+signal whose rate declares a form and that no callable called per
+sample reads is filled ahead in numpy passes, and so is the first
+sample at which a condition over such signals, and signals the mode
+does not rate, holds.  The rest is stepped in Python.  Both write the
+same bits as stepping every signal would.
 
 Dynamics, guard and reset callables are pure functions of ``(state,
 params)``, where ``params`` is the trial's configuration, a read-only
 dict.  They read only the signals they declare, and may be called any
 number of times or not at all; a rate's callable derived from its form
-is never called in a declared mode run.  A signal settles in a step
+is never called while its signal is filled.  A signal settles in a step
 that fires no guard when the step leaves it bit-identical and every
 signal it reads has settled too; a signal the mode does not rate has
 settled.  A settled signal keeps its value without its rate being
 called, and a guard that reads only settled signals is not called
-either, until the next event starts a new mode run.  Once every signal
-has settled, the rest of the run repeats the last sample.  So a
-callable that reads a signal it does not declare may be skipped while
-that signal moves.  A callable must not change the state mapping it is
+either, until the next event starts a new mode run.  Once nothing is
+left to step, the run goes on at once to the next sample the fill
+decides.  So a callable that reads a signal it does not declare may be
+skipped while that signal moves, and may find a stale value for it in
+the state mapping.  A callable must not change the state mapping it is
 given: that mapping is the recorded sample, shared by every guard and
 rate of that sample.
 """
@@ -164,8 +168,8 @@ class HybridSystem:
     guards: dict[str, tuple[Guard, ...]]
     initial_mode: str
     initials: dict[str, Union[float, str]] = field(default_factory=dict)
-    # each mode's ``_declared`` plan, or None where it is stepped in Python
-    _plans: dict[str, Optional[tuple]] = field(init=False, repr=False, compare=False)
+    # how ``simulate`` runs each mode (see ``_plan``)
+    _plans: dict[str, "_Plan"] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.signal_names = tuple(self.signal_names)
@@ -206,7 +210,7 @@ class HybridSystem:
                     check(f"reset of {sig!r} by guard {g.label!r} of mode {name} reads",
                           expr.reads)
         check("initials for", self.initials)
-        self._plans = {name: _declared(self, name) for name in self.dynamics}
+        self._plans = {name: _plan(self, name) for name in self.dynamics}
 
     def with_entry(self, mode_name: str) -> "HybridSystem":
         """Copy of the system starting in ``mode_name``."""
@@ -312,29 +316,65 @@ def _settle(rates: list, edges: list, held: tuple[str, ...]) -> tuple[list, list
             [entry for entry in edges if not entry[2].isdisjoint(moving)])
 
 
-_BLOCK = 256  # recorded samples held as dicts before they move into the flat array
-_SPAN = 64  # the fewest samples a numpy pass of a declared mode run covers
+_SPAN = 64  # the fewest samples the first pass after a clamp switch covers
 _SAFE = 1e300  # a pass whose values stay below this in magnitude cannot overflow
 
 
-def _declared(system: HybridSystem, mode: str):
-    """``(rated, forms, held, watched)`` of a mode whose every rate declares
-    a form and every guard gives a condition, or None if one does not.
+@dataclass(frozen=True)
+class _Plan:
+    """How ``simulate`` runs one mode, split when the system is built.
 
-    ``rated`` lists the indices of the signals the mode rates, in signal
-    order, and ``forms`` their forms; ``held`` the indices of the signals
-    it does not rate, and ``watched`` those of them a condition reads.
+    A *filled* signal's rate declares a form and no callable called per
+    sample reads it, so its samples are filled ahead in numpy passes.  A
+    *decided* guard gives a condition that reads only filled signals and
+    signals the mode does not rate, so the passes find the first sample
+    at which it holds.  The other rates are stepped in Python and the
+    other guards called at every sample.
     """
-    rates, guards = system.dynamics[mode], system.guards[mode]
-    if (any(expr.form is None for expr in rates.values())
-            or any(guard.condition is None for guard in guards)):
-        return None
+
+    rates: tuple  # (name, func, reads) of each stepped rate, in signal order
+    rows: list[int]  # the stepped signals' indices, in the same order; a list indexes numpy rows
+    edges: tuple  # (guard, predicate, reads) of each guard not decided, in declaration order
+    guards: tuple  # the same of every guard
+    free: tuple[int, ...]  # the indices of the signals not filled
+    filled: tuple[int, ...]  # the indices of the filled signals, in signal order
+    filled_names: tuple[str, ...]  # their names
+    forms: tuple[RateForm, ...]  # their forms
+    decided: tuple[StlFormula, ...]  # the decided guards' conditions, in declaration order
+    watched: tuple[str, ...]  # the signals the mode does not rate that they read
+
+
+def _plan(system: HybridSystem, mode: str) -> _Plan:
+    """Split ``mode`` into its filled signals, its decided guards and the
+    rest.  Making a guard opaque makes what it reads stepped, which can
+    make another guard opaque, so the split shrinks the filled signals
+    until nothing called per sample reads one."""
     names = system.signal_names
-    read = set().union(*(guard.reads for guard in guards))
-    rated = [i for i, name in enumerate(names) if name in rates]
-    held = [i for i, name in enumerate(names) if name not in rates]
-    return (rated, [rates[names[i]].form for i in rated], held,
-            [i for i in held if names[i] in read])
+    rates, guards = system.dynamics[mode], system.guards[mode]
+    unrated = set(names).difference(rates)
+    filled = {name for name, expr in rates.items() if expr.form is not None}
+    while True:
+        decided = {g.label for g in guards
+                   if g.condition is not None and g.reads <= filled | unrated}
+        read = set().union(*(expr.reads for name, expr in rates.items() if name not in filled),
+                           *(g.reads for g in guards if g.label not in decided))
+        if read.isdisjoint(filled):
+            break
+        filled -= read
+    stepped = [i for i, name in enumerate(names) if name in rates and name not in filled]
+    fill = tuple(i for i, name in enumerate(names) if name in filled)
+    watched = set().union(*(g.reads for g in guards if g.label in decided)) & unrated
+    return _Plan(
+        rates=tuple((names[i], rates[names[i]].func, rates[names[i]].reads) for i in stepped),
+        rows=stepped,
+        edges=tuple((g, g.predicate, g.reads) for g in guards if g.label not in decided),
+        guards=tuple((g, g.predicate, g.reads) for g in guards),
+        free=tuple(i for i, name in enumerate(names) if name not in filled),
+        filled=fill,
+        filled_names=tuple(names[i] for i in fill),
+        forms=tuple(rates[names[i]].form for i in fill),
+        decided=tuple(g.condition for g in guards if g.label in decided),
+        watched=tuple(name for name in names if name in watched))
 
 
 def _form_rate(form: RateForm, value: float) -> float:
@@ -352,112 +392,139 @@ def _fire(system: HybridSystem, guard: Guard, mode: str, named: StateMap, parame
     return _apply_reset(system, guard, named, parameters, t)
 
 
-def _declared_run(plan: tuple, guards: tuple[Guard, ...], names: tuple[str, ...],
-                  named: dict, parameters: Params, dt: float, k: int, n_steps: int,
-                  stepping: bool, data: np.ndarray, span: int):
-    """Write samples ``k`` on of a mode run into ``data``, up to the first
-    sample at which one of its ``guards`` fires or the horizon, for a mode
-    whose ``_declared`` plan is ``plan``: in numpy passes, with no rate
-    callable called.  ``named`` is sample ``k`` or, with ``stepping``, the state
-    one step before it: the reset state of the event that entered the
-    mode.  Returns ``(last sample, its state, the guard that fired there
-    or None, the span to start the next run's passes with)``.
+def _fill_pass(rows: tuple[int, ...], steps: list[float], values: list[float], data: np.ndarray,
+               base: int, end: int, safe: bool) -> tuple[list, int, Optional[int]]:
+    """Write samples ``base`` to ``end`` of the signals ``rows`` into
+    ``data``: each starts at its entry of ``values`` and adds its entry of
+    ``steps`` once per sample.  Returns the columns written and the
+    element and position in ``rows`` of the first non-finite value, ties
+    going to the earlier row, or ``(end - base + 1, None)`` if there is
+    none; with ``safe`` no value can overflow, and none is looked for."""
+    size = end - base + 1
+    fault, faulted = size, None
+    columns = []
+    for j, (i, value, step) in enumerate(zip(rows, values, steps)):
+        row = data[i, base:end + 1]
+        columns.append(row)
+        if not step:
+            row[0], row[1:] = value, value + step
+            continue
+        ramp = np.full(size, step)
+        ramp[0] = value
+        if safe:
+            np.add.accumulate(ramp, out=row)
+            continue
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.add.accumulate(ramp, out=row)
+        bad = ~np.isfinite(row)
+        at = int(bad.argmax())
+        if bad[at] and at < fault:
+            fault, faulted = at, j
+    return columns, fault, faulted
+
+
+def _fill_passes(plan: _Plan, names: tuple[str, ...], values: list[float], named: StateMap,
+                 parameters: Params, dt: float, k: int, n_steps: int, data: np.ndarray,
+                 span: int):
+    """Fill the filled signals of a mode run from sample ``k`` on, whose
+    values are ``values``, and yield ``(limit, decided, fault)`` after each
+    pass.  The filled signals are written through sample ``limit``, and no
+    decided guard holds at a sample after ``k`` and before ``limit``.
+    ``decided`` says that one holds at ``limit``; ``fault`` is the
+    :class:`SimulationFault` of the first non-finite value, at ``limit``,
+    or None.  After either, or at the horizon, the caller stops.
+    ``named`` holds the signals the mode does not rate, constant for the
+    run.
 
     Between two switches of a clamp every rate is a constant ``r``, so a
     signal's samples are ``np.add.accumulate`` over ``[v, dt*r, dt*r,
     ...]``, which adds left to right exactly as the scalar step ``old +
     dt * r`` does (with ``r`` zero, every sample after ``v`` is ``v +
-    dt*r``), and signals the mode does not rate hold.  A pass writes
-    ``span`` samples into ``data``, and each next pass twice as many,
-    until one finds what ends the stretch: the first sample at which a
-    clamped signal changes side, from which the next stretch goes on at
-    the rates that sample gives; the first sample at which a guard's
-    condition holds, ties going to the guard declared first; or the first
-    non-finite value, which raises :class:`SimulationFault` unless a guard
-    fired before it.  The guards' predicates check the first sample of a
-    stretch, so an event there costs no pass.  What a pass wrote past the
-    end of its run, a later run writes over.  A stretch's first pass
-    spans twice the last stretch, and at least ``_SPAN`` samples, so runs
-    of many short stretches cost passes of bounded length.
+    dt*r``).  A pass writes ``span`` samples, and each next pass twice as
+    many, until one finds what ends the stretch: the first sample at
+    which a clamped signal changes side, from which the next stretch goes
+    on at the rates that sample gives; the first sample at which a
+    decided condition holds; or the first non-finite value.  A guard's
+    condition is checked up to the switch, or up to the sample before the
+    fault, since a fault at a sample comes before its guards.  What a
+    pass wrote past the end of its run, a later run writes over.  A
+    stretch's first pass spans twice the last stretch, and at least
+    ``_SPAN`` samples, so a long stretch after a short one does not start
+    from a short pass.
     """
-    rated, forms, held, watched = plan
-    values = list(named.values())
-    if stepping:
-        # the step from the reset state into sample k, as the scalar loop takes it
-        for i, form in zip(rated, forms):
-            values[i] += dt * _form_rate(form, values[i])
-            if not math.isfinite(values[i]):
-                raise SimulationFault(k * dt, names[i], values[i])
-    base = k  # the sample a stretch or a pass starts at
+    rows, forms, decided = plan.filled, plan.forms, plan.decided
+    base = k  # the sample a stretch or a pass starts at; its guards are checked
     while True:  # a stretch: every rate constant
-        # its first sample is checked here, so an event there needs no pass
-        state = dict(zip(names, values))
-        for guard in guards:
-            if guard.predicate(state, parameters):
-                data[:, base] = values
-                return base, state, guard, span
-        steps = [dt * _form_rate(form, values[i]) for i, form in zip(rated, forms)]
-        # a clamped signal that moves, and the side of its level it starts on
-        moving = [(names[i], values[i] > 0.0) for i, form, step in zip(rated, forms, steps)
-                  if form.level is not None and step]
-        safe = (max((abs(values[i]) for i in rated), default=0.0)
-                + (n_steps + 1) * max(map(abs, steps), default=0.0)) < _SAFE
+        steps = [dt * _form_rate(form, value) for form, value in zip(forms, values)]
+        # the position of each clamped signal that moves, and the side of its level it starts on
+        moving = [(j, value > 0.0) for j, (form, value, step)
+                  in enumerate(zip(forms, values, steps)) if form.level is not None and step]
+        safe = (max(map(abs, values)) + (n_steps + 1) * max(map(abs, steps))) < _SAFE
         stretch = base
-        while True:  # a pass over samples base to end, its elements 0 to size - 1; 0 is checked
+        while True:  # a pass over samples base to end, its elements 0 to size - 1
             end = min(base + span, n_steps)
             size = end - base + 1
-            switch = fault = size  # the first element past a switch, and past a fault
-            columns = {}
-            for i, step in zip(rated, steps):
-                row = columns[names[i]] = data[i, base:end + 1]
-                if not step:
-                    row[0], row[1:] = values[i], values[i] + step
-                    continue
-                ramp = np.full(size, step)
-                ramp[0] = values[i]
-                if safe:
-                    np.add.accumulate(ramp, out=row)
-                    continue
-                with np.errstate(over="ignore", invalid="ignore"):
-                    np.add.accumulate(ramp, out=row)
-                bad = ~np.isfinite(row)
-                j = int(bad.argmax())
-                if bad[j] and j < fault:
-                    fault, faulted = j, i
-            for i in held:
-                data[i, base:end + 1] = values[i]
-            for name, positive in moving:
-                flips = (columns[name] > 0.0) != positive
-                j = int(flips.argmax())
-                if flips[j] and j < switch:
-                    switch = j
-            # the elements from hit on are left to a later pass or stretch
-            hit, fired = min(switch, fault), None
-            if guards and hit > 1:
-                for i in watched:
-                    columns[names[i]] = data[i, base:end + 1]
-                for guard in guards:
-                    truth = state_truth(guard.condition, columns, parameters)[1:hit]
-                    j = int(truth.argmax())
-                    if truth[j]:
-                        hit, fired = 1 + j, guard
+            columns, fault, faulted = _fill_pass(rows, steps, values, data, base, end, safe)
+            switch = size  # the first element at which a clamp has switched
+            for j, positive in moving:
+                flips = (columns[j] > 0.0) != positive
+                at = int(flips.argmax())
+                if flips[at] and at < switch:
+                    switch = at
+            # the guards of elements 1 to checked - 1 are checked here
+            hit = checked = min(switch + 1, fault)
+            if decided and checked > 1:
+                state = dict(zip(plan.filled_names, columns))
+                state.update((name, np.full(size, named[name])) for name in plan.watched)
+                for condition in decided:
+                    truth = state_truth(condition, state, parameters)[1:hit]
+                    at = int(truth.argmax())
+                    if truth[at]:
+                        hit = 1 + at
                         if hit == 1:
                             break
-            if fired is None and fault < size and fault <= switch:
-                raise SimulationFault((base + fault) * dt, names[faulted],
-                                      float(data[faulted, base + fault]))
-            if fired is not None:
-                return (base + hit, dict(zip(names, data[:, base + hit].tolist())), fired,
-                        max(_SPAN, 2 * (base + hit - stretch)))
+            if hit < checked:
+                yield base + hit, True, None
+                return
+            if fault < size and fault <= switch:
+                i = rows[faulted]
+                yield base + fault, False, SimulationFault(
+                    (base + fault) * dt, names[i], float(data[i, base + fault]))
+                return
             if switch < size:
                 base += switch
-                values = data[:, base].tolist()
+                values = [data.item(i, base) for i in rows]
                 span = max(_SPAN, 2 * (base - stretch))
                 break
-            values = data[:, end].tolist()
-            if end == n_steps:
-                return n_steps, dict(zip(names, values)), None, span
+            yield end, False, None
+            values = [data.item(i, end) for i in rows]
             base, span = end, 2 * span
+
+
+def _assemble(named: dict, plan: _Plan, data: np.ndarray, k: int) -> None:
+    """Bring the filled signals' entries of ``named`` up to sample ``k``."""
+    item = data.item
+    for name, i in zip(plan.filled_names, plan.filled):
+        named[name] = item(i, k)
+
+
+def _close(segments: list, data: np.ndarray, named: StateMap, names: tuple[str, ...],
+           plan: _Plan, first: int, end: int, rows: list[int]) -> None:
+    """End a segment of a mode run, samples ``first`` to ``end - 1``, in
+    which the signals ``rows`` were stepped.  Their values wait in the
+    flat record, and ``segments`` gets ``(first, count, rows)``, merged
+    with the segment before it when that ends at ``first`` with the same
+    ``rows``.  Every other signal that is not filled held its value in
+    ``named``, which is written now."""
+    for i in plan.free:
+        if i not in rows:
+            data[i, first:end] = named[names[i]]
+    if rows and end > first:
+        if segments and segments[-1][2] == rows and sum(segments[-1][:2]) == first:
+            before, count, _ = segments[-1]
+            segments[-1] = (before, count + end - first, rows)
+        else:
+            segments.append((first, end - first, rows))
 
 
 def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
@@ -473,26 +540,40 @@ def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
     hold raise :class:`ConfigurationError`.
 
     A mode run, from the sample that enters a mode to the next event or
-    the horizon, is computed one of two ways, chosen from what the mode
-    declares.  When every rate of the mode declares a form and every
-    guard gives a condition, the run is filled in numpy passes (see
-    ``_declared_run``): no rate callable is called, and a guard's
-    predicate only on the first sample of a stretch between clamp
-    switches.  Otherwise it is stepped in Python, one sample at a time.
-    Both write the same bits.
+    the horizon, is computed in two parts, split once per mode when the
+    system is built.  A signal whose rate declares a form, and that no
+    rate or guard called per sample reads, is filled ahead in numpy
+    passes (see ``_fill_passes``), and so is the first sample at which a
+    guard holds whose condition reads only such signals and signals the
+    mode does not rate.  The other rates are stepped in Python, one
+    sample at a time, and the other guards called at every sample, up to
+    that first sample.  Every guard of the mode is called, in declaration
+    order, on the entry sample and on that sample.  A mode that declares
+    everything has nothing to step, and one that declares nothing has
+    nothing to fill.  Both parts write the same bits as stepping the whole
+    state would.  The first non-finite filled value faults only if no
+    guard fired before its sample and no stepped signal faulted first;
+    at one sample the first signal in signal order faults.
 
-    In a stepped run, after a step that fires no guard, a rated signal
-    has settled when the step left it bit-identical (a ``-0.0`` that
-    becomes ``0.0`` counts as a change) and every signal it declares it
-    reads has settled too: the greatest such set over the mode's read
-    graph, in which a signal the mode does not rate has settled.  A
-    settled signal stays bit-identical at every later step of the mode
-    run, so it keeps its value and its rate is not called again; a guard
-    whose declared reads have all settled was false on the same inputs,
-    so it is not called again either.  Both are called again from the
-    next event on.  Once every signal has settled, every remaining sample
-    repeats the last one in the same mode, with no further event, so they
-    are filled in at once.
+    Each stepped sample is recorded as the values its stepped rates
+    returned.  After a step that fires no guard, a stepped signal has
+    settled when the step left it bit-identical (a ``-0.0`` that becomes
+    ``0.0`` counts as a change) and every signal it declares it reads has
+    settled too: the greatest such set over the mode's read graph, in
+    which a signal the mode does not rate has settled.  A settled signal
+    stays bit-identical at every later step of the mode run, so it keeps
+    its value and its rate is not called again; a guard whose declared
+    reads have all settled was false on the same inputs, so it is not
+    called again either.  Both are called again from the next event on.
+    A signal settled or not rated is written once per stretch of samples
+    in which it holds.  Once nothing is left to step, the run goes on to
+    the next sample the fill decides, or the horizon, at once.
+
+    The fill runs ahead of the stepping one pass at a time.  The first
+    run with filled signals starts with a pass over the whole trace; each
+    later one with a pass twice as long as the last run that filled, and
+    each next pass doubles, so a mode whose other guards fire every few
+    samples writes a few samples per sample, not a trace per run.
 
     ``initial_state`` may be None, in which case it is built from the
     system's declared initials and the configuration.  A non-finite value
@@ -502,13 +583,16 @@ def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
     ``StateExpr`` and ``Guard`` callables must be pure functions of
     ``(state, params)`` that read only the signals they declare: the
     simulator may call them any number of times, or not at all once those
-    signals have settled or when the mode run is filled from declared
-    forms and conditions, and their results may depend on nothing else,
-    time included.  A callable that reads a signal it does not declare
-    may be skipped while that signal moves.  A callable must not change
-    the state mapping it is given: that mapping is the recorded sample,
-    shared by every guard and rate of that sample (at an event, the rates
-    share the reset state instead).
+    signals have settled or when what they compute is filled from
+    declared forms and conditions, and their results may depend on
+    nothing else, time included.  A callable that reads a signal it does
+    not declare may be skipped while that signal moves, and may find a
+    stale value for it in the state mapping: a filled signal's entry is
+    brought up to date only for the samples at which every guard is
+    called and for resets.  A callable must not change the state mapping
+    it is given: that mapping is the recorded sample, shared by every
+    guard and rate of that sample (at an event, the rates share the reset
+    state instead).
     """
     if not (math.isfinite(dt) and math.isfinite(horizon)):
         raise ConfigurationError(f"dt {dt} and horizon {horizon} must be finite")
@@ -527,11 +611,6 @@ def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
     for name, value in zip(names, state):
         if not math.isfinite(value):
             raise SimulationFault(0.0, name, value)
-    plans = system._plans
-    rates = {mode: [(name, dyn[name].func, dyn[name].reads) for name in names if name in dyn]
-             for mode, dyn in system.dynamics.items()}
-    edges = {mode: [(guard, guard.predicate, guard.reads) for guard in guards]
-             for mode, guards in system.guards.items()}
 
     steps = horizon / dt
     try:
@@ -540,95 +619,118 @@ def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
     except (OverflowError, ValueError, MemoryError):
         raise ConfigurationError(
             f"horizon {horizon} over dt {dt} is {steps:g} steps, too many to hold") from None
-    samples = array("d")  # the samples stepped in Python, one after another
-    block: list[dict[str, float]] = []  # the latest of them, not yet in samples
-    record = block.append
-    stretches = []  # (first sample, count) of each stretch of samples stepped in Python
+    plans = system._plans
+    values = array("d")  # what the stepped rates returned, sample after sample
+    record = values.append
+    segments: list[tuple] = []  # (first sample, count, rows) of the values, in order
     events: list[TraceEvent] = []
     mode = system.initial_mode
     mode_runs = [(mode, 0)]  # (mode, its first sample)
     copysign, isfinite = math.copysign, math.isfinite
     named = dict(zip(names, state))
     k, stepping = 0, False  # named is sample k, or with stepping the state one step before it
-    span = n_steps  # a declared run's first pass may cover the whole trace
-    while True:
-        if plans[mode] is not None:
-            k, named, fired, span = _declared_run(plans[mode], system.guards[mode], names,
-                                                  named, parameters, dt, k, n_steps,
-                                                  stepping, data, span)
-            if fired is None:
-                break
-            named = _fire(system, fired, mode, named, parameters, k, dt, events, mode_runs)
-            mode = fired.target
-            if k == n_steps:
-                break
-            k, stepping = k + 1, True
-            continue
-        # stepped mode runs, up to the horizon or an event that enters a declared mode
-        first = end = k
-        mode_edges, mode_rates = edges[mode], rates[mode]
+    span = n_steps  # the first filled run's first pass may cover the whole trace
+    while True:  # a mode run, from sample k to its event or the horizon
+        plan = plans[mode]
+        rates, edges, rows = plan.rates, plan.edges, plan.rows
+        fill = [named[name] for name in plan.filled_names]
+        fault = None  # the first non-finite filled value, at sample limit
+        if stepping and fill:
+            # the step from the reset state into sample k, as the Python step takes it
+            fill = [value + dt * _form_rate(form, value) for form, value in zip(plan.forms, fill)]
+            if not all(map(isfinite, fill)):
+                fault = next(SimulationFault(k * dt, name, value)
+                             for name, value in zip(plan.filled_names, fill)
+                             if not isfinite(value))
+        passes = None
+        if fill:
+            for i, value in zip(plan.filled, fill):
+                data[i, k] = value
+            if fault is None:
+                passes = _fill_passes(plan, names, fill, named, parameters, dt, k, n_steps,
+                                      data, span)
+        start = first = nxt = k  # first: where the current segment of stepped rows starts
+        limit, decided = k, True  # every guard is called on the entry sample
         last = None  # what the last settling saw held; None until one in this mode run
         settling = False  # whether the next step follows a sample that fired no guard
         fired = None
-        pause = k + _BLOCK  # the next sample at which the block moves
-        for k in range(k, n_steps + 1):
-            if stepping:
-                stepped = named.copy()
-                held = ()  # the rated signals this step left bit-identical
-                for name, f, _ in mode_rates:
-                    old = named[name]
-                    value = old + dt * f(named, parameters)
-                    # false, as in most steps, exactly when the value moved and is finite
-                    if value == old or value - value:
-                        if not isfinite(value):
-                            raise SimulationFault(k * dt, name, value)
-                        if value != 0.0 or copysign(1.0, value) == copysign(1.0, old):
-                            held += (name,)
-                    stepped[name] = value
-                named = stepped
-                # when the same signals held at the last settling, it settled
-                # none of them, and none settles now either
-                if settling and held != last:
-                    last = held
-                    mode_rates, mode_edges = _settle(mode_rates, mode_edges, held)
-                    if not mode_rates:
-                        # every signal has settled and no guard is left: this
-                        # sample and every later one repeat the last
-                        data[:, k:] = np.array(list(named.values()))[:, None]
+        while True:  # the samples up to limit, the next one the fill decides
+            for k in range(nxt, limit + 1):
+                if stepping:
+                    stepped = named.copy()
+                    held = ()  # the stepped signals this step left bit-identical
+                    for name, f, _ in rates:
+                        old = named[name]
+                        value = old + dt * f(named, parameters)
+                        # false, as in most steps, exactly when the value moved and is finite
+                        if value == old or value - value:
+                            if not isfinite(value):
+                                if (fault is not None and k == limit
+                                        and names.index(fault.signal) < names.index(name)):
+                                    raise fault
+                                raise SimulationFault(k * dt, name, value)
+                            if value != 0.0 or copysign(1.0, value) == copysign(1.0, old):
+                                held += (name,)
+                        stepped[name] = value
+                        record(value)
+                    named = stepped
+                    # when the same signals held at the last settling, it settled
+                    # none of them, and none settles now either
+                    if settling and held != last:
+                        last = held
+                        moving, edges = _settle(rates, edges, held)
+                        if len(moving) < len(rates):
+                            _close(segments, data, named, names, plan, first, k + 1, rows)
+                            rates, first = moving, k + 1
+                            rows = [names.index(name) for name, _, _ in rates]
+                            if not rates and k < limit:
+                                break  # no guard is left to call before limit
+                elif rates:
+                    values.extend([named[name] for name, _, _ in rates])
+                tried = edges
+                if k == limit:
+                    if fault is not None:
+                        raise fault
+                    if decided:
+                        _assemble(named, plan, data, k)
+                        tried = plan.guards
+                for guard, predicate, _ in tried:
+                    if predicate(named, parameters):
+                        fired = guard
                         break
-            record(named)
-            end = k + 1
-            for guard, predicate, _ in mode_edges:
-                if predicate(named, parameters):
-                    fired = guard
+                if fired is not None:
                     break
-            if fired is not None:
-                named = _fire(system, fired, mode, named, parameters, k, dt, events, mode_runs)
-                mode = fired.target
-                if k == n_steps or plans[mode] is not None:
-                    break
-                mode_edges, mode_rates = edges[mode], rates[mode]
-                fired, last = None, None
-                settling = False
-            else:
-                settling = True
-            stepping = True
-            if k == pause:
-                samples.extend(chain.from_iterable(map(dict.values, block)))
-                block.clear()
-                pause = k + _BLOCK
-        stretches.append((first, end - first))
-        if fired is None or k == n_steps:
+                settling = stepping = True
+            if fired is not None or k == n_steps:
+                break
+            if k == limit:
+                limit, decided, fault = next(passes) if passes else (n_steps, False, None)
+                nxt = k + 1
+            if not rates:
+                # nothing to step, and no guard left that reads what moves:
+                # go on to limit at once
+                nxt, stepping, edges = limit, False, ()
+
+        if fired is None:
+            _close(segments, data, named, names, plan, first, n_steps + 1, rows)
+            break
+        if k != limit or not decided:
+            _assemble(named, plan, data, k)  # the reset reads every signal
+        _close(segments, data, named, names, plan, first, k + 1, rows)
+        if passes is not None and k > start:
+            span = 2 * (k - start)
+        named = _fire(system, fired, mode, named, parameters, k, dt, events, mode_runs)
+        mode = fired.target
+        if k == n_steps:
             break
         k, stepping = k + 1, True
 
-    samples.extend(chain.from_iterable(map(dict.values, block)))
-    recorded = np.frombuffer(samples, dtype=float).reshape(
-        sum(count for _, count in stretches), len(names)).T
+    recorded = np.frombuffer(values, dtype=float)
     done = 0
-    for first, count in stretches:
-        data[:, first:first + count] = recorded[:, done:done + count]
-        done += count
+    for first, count, rows in segments:
+        size = count * len(rows)
+        data[rows, first:first + count] = recorded[done:done + size].reshape(count, len(rows)).T
+        done += size
     ends = [first for _, first in mode_runs[1:]] + [n_steps + 1]
     modes = list(chain.from_iterable(repeat(m, end - first)
                                      for (m, first), end in zip(mode_runs, ends)))

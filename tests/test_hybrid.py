@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import Phase, assume, example, given, settings, strategies as st
 
+from hdsf import hybrid
 from hdsf.config import Configuration
 from hdsf.drone import (ControllerVariant, DroneParams, build_full_system,
                         build_surrogate_system, default_config_space)
@@ -488,7 +489,7 @@ class TestDeclaredRuns:
         assert fault == fault_of(lambda: naive_simulate(system, [0.0], {}, 1.0, 1000.0))
 
     def test_a_mixed_mode_is_stepped_in_python(self):
-        # a declared rate beside an opaque guard: the guard is called every sample
+        # a declared rate that an opaque guard reads is stepped: the guard is called every sample
         calls = []
 
         def opaque(s, p):
@@ -525,6 +526,159 @@ class TestDeclaredRuns:
                                  [when("on", Atom("x", ">=", "c"))])
         with pytest.raises(KeyError):
             simulate(system, [0.0], Configuration({}), dt=0.5, horizon=1.0)
+
+
+def counter():
+    """An opaque rate of 1.0: stepped in Python, never filled."""
+    return StateExpr(lambda s, p: 1.0)
+
+
+def opaque(label, test, reads, target="B", reset=None):
+    return Guard(label, test, target, reset or {}, reads=frozenset(reads))
+
+
+class TestMixedModes:
+    """In a mode that declares some rates and guards, the filled signals
+    and the decided guards' first sample come from numpy passes, and the
+    rest is stepped in Python: the trace, the events and the faults are
+    those of ``naive_simulate``."""
+
+    def test_the_split(self):
+        # x is filled; y is declared but an opaque guard reads it, so y is
+        # stepped and the condition on y is not decided: it is called per sample
+        system = declared_system(
+            {"x": StateExpr(form=RateForm(1.0)), "y": StateExpr(form=RateForm(1.0)),
+             "c": counter()},
+            [when("on_x", Atom("x", ">=", 9.0)), when("on_y", Atom("y", ">=", 9.0)),
+             opaque("on_c", lambda s, p: s["c"] + s["y"] >= 99.0, {"c", "y"})],
+            signals=("x", "y", "c", "w"))
+        plan = system._plans["A"]
+        assert plan.filled_names == ("x",) and [name for name, _, _ in plan.rates] == ["y", "c"]
+        assert [g.label for g, _, _ in plan.edges] == ["on_y", "on_c"]
+        assert len(plan.decided) == 1 and plan.watched == ()
+        assert plan.free == (1, 2, 3)
+        trace = simulate(system, [0.0, 0.0, 0.0, 5.0], {}, dt=1.0, horizon=20.0)
+        assert [(e.time, e.guard) for e in trace.events] == [(9.0, "on_x")]
+        assert_matches_naive(system, [0.0, 0.0, 0.0, 5.0], {}, 1.0, 20.0)
+
+    def test_a_condition_on_an_unrated_signal_is_decided(self):
+        # the buggy drone's emergency guard in GOTO: battery filled, altitude held
+        system = declared_system(
+            {"b": clamp(-1.0, "b"), "c": counter()},
+            [when("low", And(Atom("b", "<=", 3.0), Atom("h", ">=", "floor"))),
+             opaque("far", lambda s, p: s["c"] >= 50.0, {"c"})],
+            signals=("b", "h", "c"))
+        plan = system._plans["A"]
+        assert plan.filled_names == ("b",) and plan.watched == ("h",)
+        for h in (10.0, 0.0):
+            assert_matches_naive(system, [8.0, h, 0.0], {"floor": 5.0}, 0.5, 40.0)
+
+    @pytest.mark.parametrize("at, outcome", [
+        (2.0, "event"),  # the opaque guard fires a sample before x overflows
+        (3.0, "fault"),  # at the overflow's sample the fault comes first
+        (4.0, "fault"),
+    ])
+    def test_an_opaque_guard_before_a_filled_overflow(self, at, outcome):
+        # x is 6e307 * k, inf at sample 3; c is k
+        system = declared_system(
+            {"x": StateExpr(form=RateForm(6e307)), "c": counter()},
+            [opaque("count", lambda s, p, at=at: s["c"] >= at, {"c"})], signals=("x", "c"))
+        run = (lambda: simulate(system, [0.0, 0.0], {}, dt=1.0, horizon=10.0))
+        if outcome == "event":
+            assert [(e.time, e.guard) for e in run().events] == [(2.0, "count")]
+            assert_matches_naive(system, [0.0, 0.0], {}, 1.0, 10.0)
+        else:
+            assert fault_of(run) == (3.0, "x", math.inf)
+            assert fault_of(lambda: naive_simulate(system, [0.0, 0.0], {}, 1.0, 10.0)) == (
+                3.0, "x", math.inf)
+
+    @pytest.mark.parametrize("signals", [("f", "s"), ("s", "f")])
+    @pytest.mark.parametrize("s_rate, fault_time", [(1e308, 2.0), (2e308, 1.0)])
+    def test_a_stepped_and_a_filled_fault(self, signals, s_rate, fault_time):
+        # f is filled and s stepped; both reach inf at sample 2, unless s's
+        # rate is itself inf and s faults at sample 1: at one sample the
+        # first signal in signal order is named, else the earlier sample
+        rates = {"f": StateExpr(form=RateForm(1e308)),
+                 "s": StateExpr(lambda s, p, r=s_rate: r)}
+        system = declared_system(rates, [opaque("never", lambda s, p: s["s"] < -1.0, {"s"})],
+                                 signals=signals)
+        assert system._plans["A"].filled_names == ("f",)
+        run = (lambda: simulate(system, [0.0, 0.0], {}, dt=1.0, horizon=5.0))
+        first = signals[0] if fault_time == 2.0 else "s"
+        assert fault_of(run)[:2] == (fault_time, first)
+        assert fault_of(run) == fault_of(lambda: naive_simulate(system, [0.0, 0.0], {}, 1.0, 5.0))
+
+    @pytest.mark.parametrize("signals", [("f", "s"), ("s", "f")])
+    def test_a_filled_fault_on_the_entry_sample(self, signals):
+        # the step out of the reset state overflows f, filled, and s,
+        # stepped, on the entry sample of B: the first in signal order faults
+        jump = opaque("jump", lambda s, p: True, {}, target="B",
+                      reset={"f": StateExpr(lambda s, p: 1.5e308),
+                             "s": StateExpr(lambda s, p: 1.5e308)})
+        system = HybridSystem(
+            signal_names=signals,
+            dynamics={"A": {}, "B": {"f": StateExpr(form=RateForm(1e308)),
+                                     "s": StateExpr(lambda s, p: 1e308)}},
+            guards={"A": (jump,)}, initial_mode="A")
+        run = (lambda: simulate(system, [0.0, 0.0], {}, dt=1.0, horizon=5.0))
+        assert fault_of(run)[:2] == (1.0, signals[0])
+        assert fault_of(run) == fault_of(lambda: naive_simulate(system, [0.0, 0.0], {}, 1.0, 5.0))
+
+    @pytest.mark.parametrize("order", [("cond", "opaque"), ("opaque", "cond")])
+    def test_a_condition_and_an_opaque_guard_at_the_decided_sample(self, order):
+        # both hold first at sample 3: the one declared first fires
+        guards = {"cond": when("cond", Atom("x", ">=", 3.0), target="cond"),
+                  "opaque": opaque("opaque", lambda s, p: s["c"] >= 3.0, {"c"}, target="opaque")}
+        system = declared_system({"x": StateExpr(form=RateForm(1.0)), "c": counter()},
+                                 [guards[label] for label in order],
+                                 signals=("x", "c"), held=("cond", "opaque"))
+        assert len(system._plans["A"].decided) == 1
+        trace = simulate(system, [0.0, 0.0], {}, dt=1.0, horizon=6.0)
+        assert [(e.time, e.guard) for e in trace.events] == [(3.0, order[0])]
+        assert_matches_naive(system, [0.0, 0.0], {}, 1.0, 6.0)
+
+    @pytest.mark.parametrize("period", [1, 2, 3, 7])
+    def test_fill_passes_stay_short_when_an_opaque_guard_fires_often(self, period, monkeypatch):
+        # a self-loop resets c every period samples; x is filled throughout
+        written = []
+
+        def counted(rows, steps, values, data, base, end, safe):
+            written.append(end - base + 1)
+            return fill_pass(rows, steps, values, data, base, end, safe)
+
+        fill_pass = hybrid._fill_pass
+        monkeypatch.setattr(hybrid, "_fill_pass", counted)
+        loop = opaque("loop", lambda s, p, top=float(period): s["c"] >= top, {"c"}, target="A",
+                      reset={"c": StateExpr(lambda s, p: 0.0)})
+        system = declared_system({"x": StateExpr(form=RateForm(0.5)), "c": counter()}, [loop],
+                                 signals=("x", "c"), held=())
+        initial = [0.0, float(period)]  # the loop fires at every multiple of period
+        trace = simulate(system, initial, {}, dt=1.0, horizon=2000.0)
+        assert len(trace.events) == 2000 // period + 1
+        # a whole-trace pass per run would write len(trace) samples per event
+        assert sum(written) <= 4 * len(trace)
+        assert_matches_naive(system, initial, {}, 1.0, 2000.0)
+
+    def test_the_filled_signal_is_stale_only_where_nothing_reads_it(self):
+        # the opaque guard and rate see x as it was on the run's entry
+        # sample; the condition's sample and the reset see it up to date
+        seen = []
+
+        def watch(s, p):
+            seen.append(s["x"])
+            return False
+
+        full = Guard("full", None, "B", {"c": StateExpr(lambda s, p: s["x"] + 0.5,
+                                                        reads=frozenset({"x"}))},
+                     condition=Atom("x", ">=", 4.0))
+        system = declared_system({"x": StateExpr(form=RateForm(1.0)), "c": counter()},
+                                 [opaque("watch", watch, {"c"}), full], signals=("x", "c"))
+        assert system._plans["A"].filled_names == ("x",)
+        trace = simulate(system, [0.0, 0.0], {}, dt=1.0, horizon=8.0)
+        assert [(e.time, e.guard) for e in trace.events] == [(4.0, "full")]
+        assert len(seen) == 5 and seen[-1] == 4.0
+        assert trace.signals["c"].tolist()[4:] == [4.0] + [4.5] * 4
+        assert_matches_naive(system, [0.0, 0.0], {}, 1.0, 8.0)
 
 
 @st.composite
