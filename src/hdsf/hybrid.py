@@ -25,7 +25,8 @@ in declaration order; the first guard whose predicate holds fires.  The
 recorded sample at an event time carries the pre-transition state and
 mode, so a trace always shows the state the guard actually tested.
 Every run ends at the horizon; a mode with no guards and no rates holds
-its state until then.  Each mode is split when the system is built: a
+its state until then; a trace keeps its modes as ``(mode, first
+sample)`` runs.  Each mode is split when the system is built: a
 signal whose rate declares a form and that no callable called per
 sample reads is filled ahead in numpy passes, and so is the first
 sample at which a condition over such signals, and signals the mode
@@ -263,19 +264,22 @@ class TraceEvent:
 
 @dataclass(eq=False)
 class Trace:
-    """Uniformly sampled execution: per-sample modes and signal arrays; sample k is at k * dt."""
+    """Uniformly sampled execution of ``n_samples`` samples; sample k is at
+    k * dt.  ``mode_runs`` holds ``(mode, first sample)`` pairs, the first
+    at 0 and their starts increasing; a run lasts up to the next start."""
 
-    modes: list[str]
+    mode_runs: list[tuple[str, int]]
     signals: dict[str, np.ndarray]
     events: list[TraceEvent]
     dt: float
+    n_samples: int
 
     def __len__(self) -> int:
-        return len(self.modes)
+        return self.n_samples
 
 
 def project_trace(trace: Trace, signals: Sequence[str]) -> Trace:
-    """Restrict the signal map to ``signals``; modes, events, dt unchanged."""
+    """Restrict the signal map to ``signals``; mode runs, events, dt unchanged."""
     missing = [s for s in signals if s not in trace.signals]
     if missing:
         raise ProjectionError(
@@ -380,16 +384,6 @@ def _plan(system: HybridSystem, mode: str) -> _Plan:
 def _form_rate(form: RateForm, value: float) -> float:
     """The rate ``form`` gives where its signal is at ``value``."""
     return form.rate if form.level is None or value > 0.0 else form.exhausted
-
-
-def _fire(system: HybridSystem, guard: Guard, mode: str, named: StateMap, parameters: Params,
-          k: int, dt: float, events: list, mode_runs: list) -> dict[str, float]:
-    """Record the event of ``guard`` at sample ``k`` and the mode run it
-    starts at the next sample, and return the reset state."""
-    t = k * dt
-    events.append(TraceEvent(t, guard.label, mode, guard.target))
-    mode_runs.append((guard.target, k + 1))
-    return _apply_reset(system, guard, named, parameters, t)
 
 
 def _fill_pass(rows: tuple[int, ...], steps: list[float], values: list[float], data: np.ndarray,
@@ -537,7 +531,8 @@ def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
     and switch to its target; stop at the horizon; otherwise take one
     forward-Euler step in which every rate reads the pre-step state.  The
     trace always holds ``round(horizon / dt) + 1`` samples; too many to
-    hold raise :class:`ConfigurationError`.
+    hold raise :class:`ConfigurationError`.  Each event before the
+    horizon starts a mode run at the next sample.
 
     A mode run, from the sample that enters a mode to the next event or
     the horizon, is computed in two parts, split once per mode when the
@@ -719,11 +714,13 @@ def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
         _close(segments, data, named, names, plan, first, k + 1, rows)
         if passes is not None and k > start:
             span = 2 * (k - start)
-        named = _fire(system, fired, mode, named, parameters, k, dt, events, mode_runs)
+        events.append(TraceEvent(k * dt, fired.label, mode, fired.target))
+        named = _apply_reset(system, fired, named, parameters, k * dt)
         mode = fired.target
         if k == n_steps:
-            break
+            break  # an event at the horizon starts no run
         k, stepping = k + 1, True
+        mode_runs.append((mode, k))
 
     recorded = np.frombuffer(values, dtype=float)
     done = 0
@@ -731,31 +728,28 @@ def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
         size = count * len(rows)
         data[rows, first:first + count] = recorded[done:done + size].reshape(count, len(rows)).T
         done += size
-    ends = [first for _, first in mode_runs[1:]] + [n_steps + 1]
-    modes = list(chain.from_iterable(repeat(m, end - first)
-                                     for (m, first), end in zip(mode_runs, ends)))
-    return Trace(modes=modes, signals=dict(zip(names, data)), events=events, dt=dt)
+    return Trace(mode_runs, dict(zip(names, data)), events, dt, n_steps + 1)
 
 # ---------------------------------------------------------------------------
 # Trace serialization (JSON lines)
 # ---------------------------------------------------------------------------
 
-def _json_floats(values) -> list[str]:
-    """JSON text of each value, exactly as ``json.dumps`` writes a float.
-
-    Held signals and stationary tails repeat one value for long runs, so
-    each run of bit-equal consecutive values is formatted once and its
-    text repeated; comparing bits, not values, keeps ``-0.0`` apart from
-    ``0.0``.  An empty column gives ``[]``.
-    """
+def _json_runs(values) -> tuple[list[str], list[int]]:
+    """The text ``json.dumps`` writes, and the length, of each run of
+    bit-equal consecutive values; held signals and stationary tails are
+    long runs.  Bits keep ``-0.0`` apart from ``0.0``."""
     column = np.asarray(values, dtype=float)
     if not column.size:
-        return []
+        return [], []
     bits = column.view(np.int64)
     starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
     counts = np.diff(starts, append=column.size).tolist()
-    heads = json.dumps(column[starts].tolist())[1:-1].split(", ")
-    return list(chain.from_iterable(map(repeat, heads, counts)))
+    return json.dumps(column[starts].tolist())[1:-1].split(", "), counts
+
+
+def _spread(texts, counts) -> list[str]:
+    """Each text repeated its count of times, in order."""
+    return list(chain.from_iterable(map(repeat, texts, counts)))
 
 
 @lru_cache(maxsize=1)
@@ -763,8 +757,8 @@ def _time_texts(n: int, dt_hex: str) -> tuple[str, ...]:
     """The text that ends each of ``n`` sample lines, from ``"t"`` on, at
     the step whose ``float.hex`` is ``dt_hex``; a campaign's traces share
     both, and the hex key keeps ``-0.0`` apart from ``0.0``."""
-    return tuple('}, "t": ' + text + "}\n"
-                 for text in _json_floats(np.arange(n) * float.fromhex(dt_hex)))
+    texts, counts = _json_runs(np.arange(n) * float.fromhex(dt_hex))
+    return tuple(_spread(['}, "t": ' + text + "}\n" for text in texts], counts))
 
 
 def trace_to_jsonl(trace: Trace) -> str:
@@ -780,32 +774,38 @@ def trace_to_jsonl(trace: Trace) -> str:
     finite), so equal traces give byte-identical text.
 
     Sample lines are pieces of one list, joined once with the header and
-    the event lines: each column's texts go into every ``stride``-th
-    slot, between the fixed text of the keys.  The time texts are reused
-    while consecutive traces have the same length and bits of ``dt``.
-    This writes the same bytes as one ``json.dumps`` per sample.
+    the event lines.  The mode of a one-mode trace and a column of one
+    run of values are folded into the fixed key text around them; the
+    other modes, values and times go into every ``stride``-th slot.  The
+    time texts are reused while consecutive traces have the same length
+    and bits of ``dt``.  This writes the same bytes as one ``json.dumps``
+    per sample.
     """
-    seen = list(dict.fromkeys(trace.modes))
+    n = len(trace)
+    seen = list(dict.fromkeys(mode for mode, _ in trace.mode_runs))
     header = json.dumps({"dt": trace.dt, "signals": list(trace.signals),
                          "modes": seen}, sort_keys=True)
-    n = len(trace)
-    names = sorted(trace.signals)
-    keys = [json.dumps(name) + ": " for name in names]
-    opening = ', "signals": {' + (keys[0] if keys else "")
-    mode_text = {m: '{"mode": ' + json.dumps(m) + opening for m in seen}
-    # a sample line's pieces in order: its mode and the first key, then
-    # each value with the next key between values, then the time
-    columns = [list(map(mode_text.__getitem__, trace.modes))]
-    for i, name in enumerate(names):
-        if i:
-            columns.append([", " + keys[i]] * n)
-        columns.append(_json_floats(trace.signals[name]))
-    columns.append(_time_texts(n, float(trace.dt).hex()))
-    stride = len(columns)
+    # (texts, counts) runs of a line's pieces: its mode, then each key and value
+    runs = trace.mode_runs if len(seen) > 1 else trace.mode_runs[:1]
+    groups = [(['{"mode": ' + json.dumps(mode) + ', "signals": {' for mode, _ in runs],
+               np.diff([first for _, first in runs], append=n).tolist())]
+    for i, name in enumerate(sorted(trace.signals)):
+        groups += [([(", " if i else "") + json.dumps(name) + ": "], [n]),
+                   _json_runs(trace.signals[name])]
+    pieces = []  # a text that every sample line shares, or a column of one text per line
+    for texts, counts in groups:
+        if len(texts) != 1:
+            pieces.append(_spread(texts, counts))
+        elif pieces and isinstance(pieces[-1], str):
+            pieces[-1] += texts[0]
+        else:
+            pieces.append(texts[0])
+    pieces.append(_time_texts(n, float(trace.dt).hex()))
+    stride = len(pieces)
     parts = [None] * (1 + n * stride)
     parts[0] = header + "\n"
-    for j, column in enumerate(columns):
-        parts[1 + j::stride] = column
+    for j, piece in enumerate(pieces):
+        parts[1 + j::stride] = [piece] * n if isinstance(piece, str) else piece
     parts.extend(json.dumps({"event": {
         "t": ev.time, "guard": ev.guard, "from": ev.source, "to": ev.target,
     }}, sort_keys=True) + "\n" for ev in trace.events)

@@ -18,10 +18,11 @@ def make_trace():
         assert len(lengths) == 1
         n = lengths.pop()
         return Trace(
-            modes=["M"] * n,
+            mode_runs=[("M", 0)],
             signals={k: np.asarray(v, dtype=float) for k, v in signals.items()},
             events=[],
             dt=dt,
+            n_samples=n,
         )
 
     return build

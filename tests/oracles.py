@@ -157,10 +157,21 @@ def naive_simulate(system, initial_state, params, dt: float, horizon: float):
 # Naive trace serialization: one json.dumps per sample
 # ---------------------------------------------------------------------------
 
+def sample_modes(trace: Trace) -> list[str]:
+    """The mode of each sample: each mode run's mode repeated from its
+    first sample up to the next run's, the last one up to the end."""
+    modes: list[str] = []
+    ends = [first for _, first in trace.mode_runs[1:]] + [len(trace)]
+    for (mode, first), end in zip(trace.mode_runs, ends):
+        modes += [mode] * (end - first)
+    return modes
+
+
 def naive_trace_to_jsonl(trace: Trace) -> str:
     """Serialize: header object, one object per sample, then event records."""
+    modes = sample_modes(trace)
     seen: list[str] = []
-    for m in trace.modes:
+    for m in modes:
         if m not in seen:
             seen.append(m)
     lines = [json.dumps({"dt": trace.dt, "signals": list(trace.signals),
@@ -169,7 +180,7 @@ def naive_trace_to_jsonl(trace: Trace) -> str:
     for i in range(len(trace)):
         lines.append(json.dumps({
             "t": float(i * trace.dt),
-            "mode": trace.modes[i],
+            "mode": modes[i],
             "signals": {n: float(trace.signals[n][i]) for n in names},
         }, sort_keys=True))
     for ev in trace.events:
@@ -263,7 +274,7 @@ def random_trace(rng: np.random.Generator, max_len: int = 50,
         else:
             values = np.round(rng.uniform(-2.0, 2.0, size=n), 2)
         signals[name] = values
-    return Trace(modes=["M"] * n, signals=signals, events=[], dt=dt)
+    return Trace(mode_runs=[("M", 0)], signals=signals, events=[], dt=dt, n_samples=n)
 
 
 # ---------------------------------------------------------------------------

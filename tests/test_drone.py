@@ -205,7 +205,7 @@ class TestFullSystem:
         system = build_full_system(params, BUGGY)
         config = Configuration(default_configuration(100.0, 0.0), mission_start=1.0)
         trace = simulate(system, None, config, params.dt, params.horizon)
-        visited = list(dict.fromkeys(trace.modes))
+        visited = list(dict.fromkeys(mode for mode, _ in trace.mode_runs))
         assert visited[:3] == ["IDLE", "TAKE_OFF", "GOTO"]
         assert "LAND" in visited
         assert trace.signals["altitude"].max() >= 0.95 * 70.0
@@ -215,7 +215,7 @@ class TestFullSystem:
         system = build_full_system(params, BUGGY)
         config = default_configuration(100.0, 0.0)
         trace = simulate(system, None, config, params.dt, 5.0)
-        assert set(trace.modes) == {"IDLE"}
+        assert trace.mode_runs == [("IDLE", 0)]
 
     def test_full_trace_projection_preserves_events(self):
         from hdsf.hybrid import project_trace

@@ -265,8 +265,8 @@ class TestDedup:
         """The margin point of a two-sample run of ``values`` deciding at
         ``altitude``: the battery is at the threshold from the start."""
         threshold = values["low_batt_threshold"]
-        trace = Trace(["FLY", "FLY"], {"battery": np.array([threshold, threshold]),
-                                       "altitude": np.array([altitude, altitude])}, [], 0.1)
+        trace = Trace([("FLY", 0)], {"battery": np.array([threshold, threshold]),
+                                     "altitude": np.array([altitude, altitude])}, [], 0.1, 2)
         return compute_margins(trace, Configuration(values), Outcome.VIOLATED)
 
     def test_identical_configs_are_duplicates(self):
@@ -737,7 +737,7 @@ class TestCampaignOnWorkers:
         for record in violations:
             fields = {k: v for k, v in vars(record).items() if k != "trace"}
             trace = record.trace
-            fields["trace"] = (trace.modes, trace.events, trace.dt,
+            fields["trace"] = (trace.mode_runs, len(trace), trace.events, trace.dt,
                                {name: column.tobytes()
                                 for name, column in trace.signals.items()})
             records.append(fields)

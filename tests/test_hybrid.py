@@ -15,11 +15,11 @@ from hdsf.drone import (ControllerVariant, DroneParams, build_full_system,
                         build_surrogate_system, default_config_space)
 from hdsf.errors import ConfigurationError, ProjectionError, SimulationFault
 from hdsf.hybrid import (Guard, HybridSystem, RateForm, StateExpr, Trace, TraceEvent,
-                         _json_floats, project_trace, simulate,
+                         _json_runs, _spread, project_trace, simulate,
                          trace_to_jsonl, write_trace_jsonl)
 from hdsf.stl import And, Atom, Not, Or
 
-from oracles import naive_simulate, naive_trace_to_jsonl
+from oracles import naive_simulate, naive_trace_to_jsonl, sample_modes
 
 
 def single_mode_system(rates, signals=("x",), guards=(), initials=None):
@@ -128,7 +128,7 @@ class TestSimulate:
         b = simulate(drain_system(), [100.0], {}, dt=0.1, horizon=10.0)
         assert np.array_equal(a.signals["b"], b.signals["b"])
         assert (len(a), a.dt) == (len(b), b.dt)
-        assert a.modes == b.modes
+        assert a.mode_runs == b.mode_runs
 
     def test_times_uniform_and_start_at_zero(self):
         # a trace stores its step, and its file writes sample k at k * dt
@@ -138,7 +138,8 @@ class TestSimulate:
 
     def test_a_trace_takes_no_time_column(self):
         with pytest.raises(TypeError, match="times"):
-            Trace(times=np.zeros(1), modes=["M"], signals={}, events=[], dt=0.1)
+            Trace(times=np.zeros(1), mode_runs=[("M", 0)], signals={}, events=[], dt=0.1,
+                  n_samples=1)
         assert not hasattr(simulate(drain_system(), [1.0], {}, 0.5, 1.0), "times")
 
 
@@ -165,17 +166,25 @@ class TestGuardsAndEvents:
         idx = round(ev.time / trace.dt)
         assert ev.time == idx * trace.dt
         # guard true on the pre-transition sample; next sample in target mode
-        assert trace.modes[idx] == "A"
+        assert trace.mode_runs == [("A", 0), ("B", idx + 1)]
         assert trace.signals["x"][idx] >= 0.5
         # B is static with no guards: it holds the reset state to the horizon
         assert len(trace) == 21
-        assert trace.modes[idx + 1:] == ["B"] * (len(trace) - idx - 1)
         assert set(trace.signals["flag"][idx + 1:]) == {1.0}
 
     def test_mode_coverage(self):
         system = two_mode_system(lambda s, p: s["x"] >= 0.5)
         trace = simulate(system, [0.0, 0.0], {}, dt=0.1, horizon=2.0)
-        assert set(trace.modes) <= {"A", "B"}
+        assert {mode for mode, _ in trace.mode_runs} <= {"A", "B"}
+
+    def test_an_event_at_the_horizon_starts_no_run(self):
+        system = two_mode_system(lambda s, p: s["x"] >= 1.0)
+        trace = simulate(system, [0.0, 0.0], {}, dt=0.5, horizon=1.0)
+        assert [(e.time, e.target) for e in trace.events] == [(1.0, "B")]
+        assert trace.mode_runs == [("A", 0)] and len(trace) == 3
+        text = trace_to_jsonl(trace)
+        assert text == naive_trace_to_jsonl(trace)
+        assert json.loads(text.splitlines()[0])["modes"] == ["A"]
 
     def test_guard_checked_on_initial_sample(self):
         system = two_mode_system(lambda s, p: s["x"] >= 0.5,
@@ -205,7 +214,7 @@ class TestStep:
     def test_zero_field_no_guards(self):
         system = single_mode_system({"x": StateExpr(lambda s, p: 0.0)})
         trace = simulate(system, [3.0], {}, dt=0.5, horizon=0.5)
-        assert trace.modes == ["M", "M"] and trace.events == []
+        assert trace.mode_runs == [("M", 0)] and len(trace) == 2 and trace.events == []
         assert trace.signals["x"][1] == 3.0
 
     def test_hand_euler_step(self):
@@ -237,7 +246,11 @@ def assert_matches_naive(system, initial_state, params, dt, horizon):
     times, modes, rows, events = naive_simulate(
         system, initial_state, params, dt, horizon)
     assert [k * trace.dt for k in range(len(trace))] == times
-    assert trace.modes == modes
+    # runs start at 0, each after the one before, and none past the end
+    starts = [first for _, first in trace.mode_runs]
+    assert starts[0] == 0 and starts[-1] < len(trace), starts
+    assert all(a < b for a, b in zip(starts, starts[1:])), starts
+    assert sample_modes(trace) == modes
     for i, name in enumerate(system.signal_names):
         # compared as hex, which tells -0.0 from 0.0 where == does not
         assert ([v.hex() for v in trace.signals[name].tolist()] ==
@@ -416,7 +429,7 @@ class TestDeclaredRuns:
         system = declared_system({"x": clamp(-0.5)}, [when("early", Atom("x", ">=", "c"))])
         trace = simulate(system, [1.0], {"c": 0.5}, dt=0.5, horizon=5.0)
         assert [(e.time, e.guard) for e in trace.events] == [(0.0, "early")]
-        assert trace.modes == ["A"] + ["B"] * 10
+        assert trace.mode_runs == [("A", 0), ("B", 1)] and len(trace) == 11
         assert_matches_naive(system, [1.0], {"c": 0.5}, 0.5, 5.0)
 
     def test_event_at_the_last_sample(self):
@@ -424,7 +437,8 @@ class TestDeclaredRuns:
                                  [when("late", Atom("x", ">=", 5.0))])
         trace = simulate(system, [0.0], {}, dt=0.5, horizon=5.0)
         assert [(e.time, e.guard) for e in trace.events] == [(5.0, "late")]
-        assert trace.modes == ["A"] * 11
+        assert trace.mode_runs == [("A", 0)] and len(trace) == 11
+        assert trace_to_jsonl(trace) == naive_trace_to_jsonl(trace)
         assert_matches_naive(system, [0.0], {}, 0.5, 5.0)
 
     def test_clamp_switch_and_guard_at_one_sample(self):
@@ -772,6 +786,9 @@ class TestFixedPoint:
         system = single_mode_system({}, guards=[loop])
         trace = simulate(system, [1.0], {}, dt=0.5, horizon=5.0)
         assert [e.time for e in trace.events] == [k * trace.dt for k in range(len(trace))]
+        # a run per sample, each of the same mode as the one before it
+        assert trace.mode_runs == [("M", k) for k in range(len(trace))]
+        assert trace_to_jsonl(trace) == naive_trace_to_jsonl(trace)
         assert_matches_naive(system, [1.0], {}, 0.5, 5.0)
 
     def test_no_callable_called_past_the_fixed_point(self):
@@ -789,7 +806,7 @@ class TestFixedPoint:
                                     guards=[Guard("never", never, "M")])
         trace = simulate(system, [3.0], {}, dt=0.1, horizon=10.0)
         assert calls == {"rate": 1, "guard": 1}
-        assert len(trace) == 101 and trace.modes == ["M"] * 101
+        assert len(trace) == 101 and trace.mode_runs == [("M", 0)]
         assert trace.signals["x"].tolist() == [3.0] * 101 and trace.events == []
 
     @ORACLE_SETTINGS
@@ -879,11 +896,12 @@ def assert_calls_follow_the_contract(system, initial, dt, horizon):
     for kind, mode, name, mapping, snapshot in log:
         assert _bits(mapping) == _bits(snapshot), (kind, mode, name)
     fired = {round(e.time / dt): e for e in trace.events}
-    mode = trace.modes[0]
+    modes = sample_modes(trace)
+    mode = modes[0]
     # the signals whose rate is still called, and the guards still called
     rated, watched = set(system.dynamics[mode]), list(system.guards[mode])
     i = 0  # the next log entry
-    for k, mode in enumerate(trace.modes):
+    for k, mode in enumerate(modes):
         sample = {n: float(trace.signals[n][k]) for n in system.signal_names}
         event = fired.get(k)
         tried = [g.label for g in watched]
@@ -955,7 +973,7 @@ class TestProjection:
         trace = simulate(self.make(), [0.0, 0.0, 0.0], {}, dt=0.1, horizon=1.0)
         proj = project_trace(trace, ["b"])
         assert list(proj.signals) == ["b"]
-        assert proj.modes == trace.modes
+        assert proj.mode_runs == trace.mode_runs
         assert proj.events == trace.events
 
     def test_idempotence(self):
@@ -974,7 +992,7 @@ class TestProjection:
         trace = simulate(self.make(), [0.0, 0.0, 0.0], {}, dt=0.1, horizon=1.0)
         proj = project_trace(trace, ["a"])
         assert (len(proj), proj.dt) == (len(trace), trace.dt)
-        assert proj.modes == trace.modes
+        assert proj.mode_runs == trace.mode_runs
         assert list(proj.signals) == ["a"]
         assert np.array_equal(proj.signals["a"], trace.signals["a"])
 
@@ -1073,19 +1091,28 @@ NAMES = st.text(alphabet='ab"\\%{}é☃', max_size=4)
 VALUES = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
 
 
+def mode_runs(draw, n: int) -> list[tuple[str, int]]:
+    """Runs over ``n`` samples: the first at 0, then any later starts, so
+    that one-sample runs are common; with at most three modes, so are
+    neighbouring runs of the same mode."""
+    mode_names = draw(st.lists(NAMES, min_size=1, max_size=3))
+    later = draw(st.lists(st.integers(1, n - 1), unique=True, max_size=n - 1)) if n > 1 else []
+    return [(draw(st.sampled_from(mode_names)), first) for first in [0] + sorted(later)]
+
+
 @st.composite
 def hand_built_traces(draw):
     """Up to 30 samples over up to four signals in drawn (unsorted) order."""
     n = draw(st.integers(1, 30))
     names = draw(st.lists(NAMES, unique=True, max_size=4))
-    mode_names = draw(st.lists(NAMES, min_size=1, max_size=3))
     column = st.lists(VALUES, min_size=n, max_size=n)
     events = st.builds(TraceEvent, VALUES, NAMES, NAMES, NAMES)
     return Trace(
-        modes=[draw(st.sampled_from(mode_names)) for _ in range(n)],
+        mode_runs=mode_runs(draw, n),
         signals={name: np.array(draw(column)) for name in names},
         events=draw(st.lists(events, max_size=3)),
-        dt=draw(VALUES))
+        dt=draw(VALUES),
+        n_samples=n)
 
 
 # (value, run length) pairs: held signals and stationary tails
@@ -1101,12 +1128,13 @@ def run_column(runs, n=None) -> np.ndarray:
 
 @st.composite
 def traces_with_runs(draw):
-    """A step and up to four signals, each a column of runs of special floats."""
+    """A step, mode runs, and up to four signals, each a column of runs of
+    special floats."""
     n = draw(st.integers(1, 300))
     names = draw(st.lists(NAMES, unique=True, max_size=4))
-    return Trace(modes=["M"] * n,
+    return Trace(mode_runs=mode_runs(draw, n),
                  signals={name: run_column(draw(RUNS), n) for name in names},
-                 events=[], dt=draw(VALUES))
+                 events=[], dt=draw(VALUES), n_samples=n)
 
 
 def with_bits(column: np.ndarray, i: int, flip: int) -> np.ndarray:
@@ -1129,8 +1157,10 @@ def near_steps(draw):
     return [(float(dt[0]), n) for dt in steps] + [(float(step[0]), n + 1)]
 
 
-# a step of +-inf makes sample 0's time 0 * inf, which numpy warns of
+# a step of +-inf makes sample 0's time 0 * inf, and a step near the
+# largest float makes a later time overflow; numpy warns of both
 @pytest.mark.filterwarnings("ignore:invalid value encountered in multiply")
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply")
 class TestSerializerOracle:
     """``trace_to_jsonl`` writes the same bytes as ``naive_trace_to_jsonl``."""
 
@@ -1140,8 +1170,8 @@ class TestSerializerOracle:
         # every ordered pair of shapes is serialized one after the other
         for pair in itertools.product(shapes, repeat=2):
             for dt, n in pair:
-                trace = Trace(modes=["M"] * n, signals={"x": np.arange(n) * 0.5},
-                              events=[], dt=dt)
+                trace = Trace(mode_runs=[("M", 0)], signals={"x": np.arange(n) * 0.5},
+                              events=[], dt=dt, n_samples=n)
                 assert trace_to_jsonl(trace) == naive_trace_to_jsonl(trace)
 
     @ORACLE_SETTINGS
@@ -1158,31 +1188,41 @@ class TestSerializerOracle:
     @given(runs=RUNS)
     def test_runs_formatted_once_read_as_every_value(self, runs):
         column = run_column(runs)
-        assert _json_floats(column) == [json.dumps(v) for v in column.tolist()]
+        texts, counts = _json_runs(column)
+        assert _spread(texts, counts) == [json.dumps(v) for v in column.tolist()]
+        # one text per run of bit-equal values
+        bits = column.view(np.int64).tolist()
+        assert len(texts) == 1 + sum(a != b for a, b in zip(bits, bits[1:]))
 
     def test_adjacent_runs_of_special_floats(self):
         nan, inf = float("nan"), float("inf")
         column = run_column([(0.0, 3), (-0.0, 2), (0.0, 1), (nan, 4), (inf, 2),
                              (-inf, 3), (-0.0, 1), (1e-7, 1)])
-        assert _json_floats(column) == (["0.0"] * 3 + ["-0.0"] * 2 + ["0.0"]
-                                        + ["NaN"] * 4 + ["Infinity"] * 2
-                                        + ["-Infinity"] * 3 + ["-0.0", "1e-07"])
-        trace = Trace(modes=["M"] * len(column),
-                      signals={"x": column, "y": column[::-1]}, events=[], dt=0.5)
+        assert _spread(*_json_runs(column)) == (["0.0"] * 3 + ["-0.0"] * 2 + ["0.0"]
+                                                + ["NaN"] * 4 + ["Infinity"] * 2
+                                                + ["-Infinity"] * 3 + ["-0.0", "1e-07"])
+        trace = Trace(mode_runs=[("M", 0)], signals={"x": column, "y": column[::-1]},
+                      events=[], dt=0.5, n_samples=len(column))
+        assert trace_to_jsonl(trace) == naive_trace_to_jsonl(trace)
+
+    def test_columns_and_modes_of_two_runs(self):
+        # two runs differ between lines, so neither is folded into the key text
+        trace = Trace(mode_runs=[("A", 0), ("B", 2)], n_samples=5, events=[], dt=0.5,
+                      signals={"x": run_column([(1.0, 3), (-0.0, 2)]), "y": np.full(5, 7.0)})
         assert trace_to_jsonl(trace) == naive_trace_to_jsonl(trace)
 
     def test_empty_column(self):
-        assert _json_floats(np.array([])) == []
+        assert _json_runs(np.array([])) == ([], [])
 
     def test_special_floats_one_sample_no_events(self):
         for value in SPECIAL_FLOATS:
-            trace = Trace(modes=["M"], events=[], dt=value,
+            trace = Trace(mode_runs=[("M", 0)], events=[], dt=value, n_samples=1,
                           signals={"z": np.array([value]), "a": np.array([-value])})
             assert trace_to_jsonl(trace) == naive_trace_to_jsonl(trace)
 
     def test_escaped_names_in_unsorted_order(self):
         names = ['z"q', "b\\s", "%s", "{0}", "é☃", "%%{", "a"]
-        trace = Trace(modes=['"%{é', "\\M"],
+        trace = Trace(mode_runs=[('"%{é', 0), ("\\M", 1)], n_samples=2,
                       signals={n: np.array([1.5, 2.0]) for n in names},
                       events=[TraceEvent(0.1, "g%{", '"%{é', "\\M")], dt=0.1)
         assert trace_to_jsonl(trace) == naive_trace_to_jsonl(trace)
@@ -1197,8 +1237,8 @@ class TestSerializerOracle:
 
     def test_signed_zeros_in_one_column(self):
         column = np.array([0.0, -0.0, 0.0, -0.0])
-        trace = Trace(modes=["M"] * 4,
-                      signals={"x": column}, events=[], dt=0.5)
+        trace = Trace(mode_runs=[("M", 0)], signals={"x": column}, events=[], dt=0.5,
+                      n_samples=4)
         text = trace_to_jsonl(trace)
         assert text == naive_trace_to_jsonl(trace)
         assert '"x": -0.0' in text and '"x": 0.0' in text

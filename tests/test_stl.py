@@ -73,7 +73,8 @@ class TestEvaluateBasics:
             evaluate(phi_default(), trace)
 
     def test_empty_trace_raises(self):
-        trace = Trace(modes=[], signals={"a": np.zeros(0)}, events=[], dt=0.1)
+        trace = Trace(mode_runs=[], signals={"a": np.zeros(0)}, events=[], dt=0.1,
+                      n_samples=0)
         with pytest.raises(EvaluationError, match="empty"):
             evaluate(Atom("a"), trace)
 
