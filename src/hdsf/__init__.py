@@ -13,7 +13,7 @@ from .config import Configuration, ConfigSpace
 from .condensation import (CondensedSystem, LinearSystem, Partition, condense,
                            reassemble, reconstruct_internal, solve_condensed)
 from .drone import (ControllerVariant, DroneParams, build_full_system,
-                    build_surrogate_system, builtin_phi, conformance_check,
+                    build_surrogate_system, conformance_check,
                     condensed_drone_descent, emergency_deploy_decision,
                     timing_comparison)
 from .errors import HdsfError

@@ -23,8 +23,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .config import Configuration, ConfigSpace
 from .drone import (ControllerVariant, DroneParams, build_full_system,
                     build_surrogate_system, check_space, conformance_check,
@@ -231,8 +229,7 @@ def _cmd_fuzz(args) -> int:
 def _cmd_conformance(args) -> int:
     params = _resolve_params(args)
     space = default_config_space(params)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=args.seed))
-    configs = [generate(space, rng) for _ in range(args.n_configs)]
+    configs = [generate(space, trial_rng(args.seed, t)) for t in range(args.n_configs)]
     report = conformance_check(params, ControllerVariant(args.variant), configs,
                                params.dt, params.horizon)
     for k, pair in enumerate(report.pairs):
@@ -273,8 +270,7 @@ def _cmd_margins(args) -> int:
 def _cmd_timing(args) -> int:
     params = _resolve_params(args)
     space = default_config_space(params)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=args.seed))
-    configs = [generate(space, rng) for _ in range(args.n_configs)]
+    configs = [generate(space, trial_rng(args.seed, t)) for t in range(args.n_configs)]
     report = timing_comparison(params, configs, params.dt, params.horizon,
                                ControllerVariant(args.variant))
     print(f"Median full-model trial:  {1000.0 * report.full_seconds:8.2f} ms "

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import condensation
 from .config import Configuration, ConfigSpace
-from .errors import ConfigurationError, SpecificationError, TrialFault
+from .errors import ConfigurationError, TrialFault
 from .hybrid import Guard, HybridSystem, RateForm, StateExpr
 from .margins import AIRBORNE_MIN_ALTITUDE
 from .falsify import map_trials, run_trial
@@ -311,26 +311,15 @@ def default_config_space(params: DroneParams, rng_seed: int = 0) -> ConfigSpace:
     )
 
 
-def builtin_phi(delta: float, battery_threshold: float = 10.0) -> StlFormula:
-    """Low battery while airborne must be followed by deployment within ``delta`` seconds.
-
-    G( (battery <= battery_threshold and altitude > AIRBORNE_MIN_ALTITUDE)
-       -> F[0, delta] deployed_flag >= 0.5 )
-    """
-    if delta <= 0:
-        raise SpecificationError(f"delta must be positive, got {delta}")
-    antecedent = And(
-        Atom("battery", "<=", float(battery_threshold)),
-        Atom("altitude", ">", AIRBORNE_MIN_ALTITUDE),
-    )
-    consequent = Eventually(Atom("deployed_flag", ">=", BOOL_THRESHOLD),
-                            interval=(0.0, float(delta)))
-    return Globally(Implies(antecedent, consequent))
-
-
-def phi_for(config: Configuration) -> StlFormula:
-    """The safety property instantiated with a configuration's thresholds."""
-    return builtin_phi(config["delta"], config["low_batt_threshold"])
+# The safety property, one parametric formula: low battery while airborne
+# must be followed by deployment within delta seconds, with the threshold
+# and delta read from each trial's configuration.
+#   G( (battery <= low_batt_threshold and altitude > AIRBORNE_MIN_ALTITUDE)
+#      -> F[0, delta] deployed_flag >= 0.5 )
+phi_for: StlFormula = Globally(Implies(
+    And(Atom("battery", "<=", "low_batt_threshold"),
+        Atom("altitude", ">", AIRBORNE_MIN_ALTITUDE)),
+    Eventually(Atom("deployed_flag", ">=", BOOL_THRESHOLD), interval=(0.0, "delta"))))
 
 
 def check_band(min_deploy_alt: float, max_deploy_alt: float) -> None:
@@ -338,6 +327,15 @@ def check_band(min_deploy_alt: float, max_deploy_alt: float) -> None:
     if not min_deploy_alt < max_deploy_alt:
         raise ConfigurationError(f"min_deploy_alt {min_deploy_alt} must be below "
                                  f"max_deploy_alt {max_deploy_alt}")
+
+
+def check_delta(delta: float, given: str = "got") -> None:
+    """The delay rule: the deployment window of ``phi_for`` is positive.
+    An STL window [0, 0] is legal, but it would ask for deployment at the
+    sample where the battery goes critical, which records the state
+    before the emergency guard fires."""
+    if delta <= 0:
+        raise ConfigurationError(f"delta must be positive, {given} {delta}")
 
 
 def check_space(space: ConfigSpace, params: DroneParams) -> None:
@@ -363,9 +361,7 @@ def check_space(space: ConfigSpace, params: DroneParams) -> None:
         later[a].append(b)
     if "max_deploy_alt" not in reach(["min_deploy_alt"], later):
         check_band(bounds["min_deploy_alt"][1], bounds["max_deploy_alt"][0])
-    if bounds["delta"][0] <= 0:
-        raise ConfigurationError(
-            f"delta must be positive, but the space allows delta = {bounds['delta'][0]}")
+    check_delta(bounds["delta"][0], "but the space allows delta =")
 
 
 def default_configuration(battery_init: float, altitude_init: float,
@@ -373,8 +369,9 @@ def default_configuration(battery_init: float, altitude_init: float,
                           low_batt_threshold: float = 10.0,
                           delta: float = 2.0) -> Configuration:
     """One trial's configuration; the defaults are the reference example's
-    band, threshold and delay.  ``phi_for`` checks the delay."""
+    band, threshold and delay, which must keep the band and delay rules."""
     check_band(min_deploy_alt, max_deploy_alt)
+    check_delta(delta)
     return Configuration({
         "battery_init": battery_init,
         "altitude_init": altitude_init,
@@ -391,12 +388,10 @@ def build_surrogate_system(params: DroneParams,
     """Two-mode surrogate over (altitude, battery, deployed_flag), with the
     condensed per-mode physical dynamics and the six-parameter search space."""
     full = build_full_system(params, variant)
-    phi = phi_for(default_configuration(10.0, 20.0))  # reduction reads its signals only
     condensed = {mode: condensed_drone_descent(params, mode) for mode in ("GOTO", "PARACHUTE")}
-    reduced = build_surrogate(full, phi, condensed_dynamics=condensed, entry_mode="GOTO")
-    # the property's delay bound is a searched parameter even though the
-    # formula carries it as a literal and no part of the reduced system
-    # reads it, so the space is the whole default space
+    reduced = build_surrogate(full, phi_for, condensed_dynamics=condensed, entry_mode="GOTO")
+    # the property's delay is a searched parameter that only the formula
+    # reads, not the reduced system, so the space is the whole default space
     reduced.parameter_space = default_config_space(params, rng_seed=rng_seed)
     return reduced
 

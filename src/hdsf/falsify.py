@@ -33,7 +33,7 @@ import signal
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Callable, NoReturn, Optional, Sequence, TypeVar, Union
+from typing import BinaryIO, Callable, NoReturn, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -43,7 +43,6 @@ from .hybrid import HybridSystem, Trace, simulate, write_trace_jsonl
 from .margins import MarginPoint, compute_margins, write_margins_csv
 from .stl import StlFormula, Verdict, evaluate, formula_horizon
 
-FormulaLike = Union[StlFormula, Callable[[Configuration], StlFormula]]
 T = TypeVar("T")
 R = TypeVar("R")
 
@@ -144,29 +143,26 @@ def mutate(config: Configuration, space: ConfigSpace,
 # Trial execution
 # ---------------------------------------------------------------------------
 
-def run_trial(surrogate, config: Configuration, formula: FormulaLike,
+def run_trial(surrogate, config: Configuration, formula: StlFormula,
               dt: float, horizon: float) -> tuple[Verdict, Trace]:
     """Simulate one configuration and evaluate the property on its trace.
 
-    If the verdict is pessimistically Violated only because an obligation
-    window ran past the end of the trace, the run is re-simulated once
-    with the horizon extended by the formula's look-ahead, then judged
-    pessimistically.
-
-    ``formula`` may be a fixed formula or a callable building one from the
-    configuration (for properties parameterized by sampled thresholds).
+    The formula's thresholds and window bounds that name parameters are
+    read from ``config``.  If the verdict is pessimistically Violated only
+    because an obligation window ran past the end of the trace, the run is
+    re-simulated once with the horizon extended by the formula's
+    look-ahead under ``config``, then judged pessimistically.
     """
     system: HybridSystem = getattr(surrogate, "system", surrogate)
-    phi = formula(config) if callable(formula) else formula
 
     def one_run(h: float) -> tuple[Verdict, Trace]:
         tr = simulate(system, None, config, dt, h)
-        return evaluate(phi, tr), tr
+        return evaluate(formula, tr, config), tr
 
     try:
         verdict, trace = one_run(horizon)
         if verdict.violated and verdict.window_truncated:
-            ahead = formula_horizon(phi)
+            ahead = formula_horizon(formula, config)
             try:
                 verdict, trace = one_run(horizon + ahead + 10.0 * dt)
             except ConfigurationError:
@@ -302,7 +298,7 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
 
 
-def campaign(surrogate, formula: FormulaLike, space: ConfigSpace,
+def campaign(surrogate, formula: StlFormula, space: ConfigSpace,
              budget: int, *, dt: float, horizon: float,
              seed: int, out_dir=None
              ) -> tuple[CampaignSummary, list[ViolationRecord]]:

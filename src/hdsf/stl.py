@@ -1,7 +1,7 @@
 """Bounded signal temporal logic over finite, uniformly sampled traces.
 
 Formulas are ASTs, built in Python, over comparisons between named
-signals and constants, boolean connectives, and the time-bounded
+signals and thresholds, boolean connectives, and the time-bounded
 operators G (globally), F (eventually) and U (until).  A trace's sample
 k is at time ``k * dt``.  Intervals are given in seconds and are
 converted to sample-index windows by rounding each bound to the nearest
@@ -19,12 +19,15 @@ with a longer horizon before accepting the outcome.
 Boolean signals are encoded as reals; a bare signal atom is true when
 the signal value is >= 0.5.
 
-An atom's threshold may instead name a configuration parameter.  Such an
-atom belongs in a state formula (atoms under Not, And and Or only), which
-a hybrid guard gives as its condition: :func:`state_predicate` decides it
-on one state and :func:`state_truth` on columns of states, both reading
-the named parameters from the configuration.  ``evaluate`` judges
-literal formulas only.
+A formula may be parametric (Asarin, Caspi & Maler, RV 2011): an atom's
+threshold and an interval's bound may name a configuration parameter,
+so one formula, built once, stands for every instance a configuration
+picks.  Each reader reads the named values from the configuration it is
+given: :func:`evaluate`, :func:`formula_horizon`, and, on the state
+formulas (atoms under Not, And and Or) that hybrid guards give as
+conditions, :func:`state_predicate` and :func:`state_truth`.  A missing
+name raises :class:`MissingParameterError`, and an interval that
+resolves to break ``0 <= lo <= hi`` raises :class:`SpecificationError`.
 
 Reference semantics, shared by this evaluator and the independent
 naive evaluator used in the test suite:
@@ -64,6 +67,7 @@ from typing import Callable, Mapping, Optional, Union
 
 import numpy as np
 
+from .config import Configuration
 from .errors import EvaluationError, SpecificationError
 
 # Three-valued encoding ordered so that kleene AND = min and OR = max.
@@ -73,6 +77,8 @@ TRUE = 2
 
 BOOL_THRESHOLD = 0.5
 
+_LITERAL = Configuration()  # all a literal formula reads
+
 _COMPARATORS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge,
                 ">": operator.gt, "==": operator.eq}
 
@@ -81,12 +87,15 @@ _COMPARATORS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge,
 # AST
 # ---------------------------------------------------------------------------
 
+Interval = tuple[Union[float, str], Union[float, str]]  # [lo, hi]: seconds or parameter names
+
+
 @dataclass(frozen=True)
 class Atom:
     """``signal op threshold`` comparison, or a bare boolean signal (op=None).
 
     The threshold is a constant, or the name of a configuration parameter
-    (in a state formula only)."""
+    that each reader of the formula reads from its configuration."""
 
     signal: str
     op: Optional[str] = None
@@ -124,10 +133,11 @@ class Implies:
 
 @dataclass(frozen=True)
 class Globally:
-    """G with optional [lo, hi] interval in seconds; None means unbounded."""
+    """G with optional [lo, hi] interval in seconds; None means unbounded.
+    A bound of any interval may name a configuration parameter."""
 
     child: "StlFormula"
-    interval: Optional[tuple[float, float]] = None
+    interval: Optional[Interval] = None
 
     def __post_init__(self):
         _check_interval(self.interval)
@@ -136,7 +146,7 @@ class Globally:
 @dataclass(frozen=True)
 class Eventually:
     child: "StlFormula"
-    interval: tuple[float, float] = (0.0, 0.0)
+    interval: Interval = (0.0, 0.0)
 
     def __post_init__(self):
         _check_interval(self.interval)
@@ -146,7 +156,7 @@ class Eventually:
 class Until:
     left: "StlFormula"
     right: "StlFormula"
-    interval: tuple[float, float] = (0.0, 0.0)
+    interval: Interval = (0.0, 0.0)
 
     def __post_init__(self):
         _check_interval(self.interval)
@@ -156,11 +166,18 @@ StlFormula = Union[Atom, Not, And, Or, Implies, Globally, Eventually, Until]
 
 
 def _check_interval(interval):
-    if interval is None:
-        return
-    lo, hi = interval
+    # a literal interval is checked here, one that names a bound when it is read
+    if interval is not None and not any(isinstance(b, str) for b in interval):
+        _resolve(interval, _LITERAL)
+
+
+def _resolve(interval: Interval, params: Mapping) -> tuple[float, float]:
+    """``interval`` with each bound that names a parameter read from ``params``."""
+    lo, hi = (params[b] if isinstance(b, str) else b for b in interval)
     if not (0 <= lo <= hi):
-        raise ValueError(f"interval must satisfy 0 <= lo <= hi, got {interval}")
+        raise SpecificationError(f"interval {interval} resolves to [{lo}, {hi}], "
+                                 "which breaks 0 <= lo <= hi")
+    return lo, hi
 
 
 def atom_signals(formula: StlFormula) -> frozenset[str]:
@@ -176,8 +193,9 @@ def atom_signals(formula: StlFormula) -> frozenset[str]:
     raise TypeError(f"not a formula node: {formula!r}")
 
 
-def formula_horizon(formula: StlFormula) -> float:
-    """Worst-case look-ahead (seconds) the formula needs beyond a sample.
+def formula_horizon(formula: StlFormula, params: Mapping = _LITERAL) -> float:
+    """Worst-case look-ahead (seconds) the formula needs beyond a sample,
+    with each bound that names a parameter read from ``params``.
 
     An unbounded G adds only its body's look-ahead: it ranges over the
     recorded trace, so no extension of the trace decides it.  When that
@@ -187,17 +205,18 @@ def formula_horizon(formula: StlFormula) -> float:
     if isinstance(formula, Atom):
         return 0.0
     if isinstance(formula, Not):
-        return formula_horizon(formula.child)
+        return formula_horizon(formula.child, params)
     if isinstance(formula, (And, Or, Implies)):
-        return max(formula_horizon(formula.left), formula_horizon(formula.right))
+        return max(formula_horizon(formula.left, params),
+                   formula_horizon(formula.right, params))
     if isinstance(formula, Globally):
-        inner = formula_horizon(formula.child)
-        return inner if formula.interval is None else formula.interval[1] + inner
+        inner = formula_horizon(formula.child, params)
+        return inner if formula.interval is None else _resolve(formula.interval, params)[1] + inner
     if isinstance(formula, Eventually):
-        return formula.interval[1] + formula_horizon(formula.child)
+        return _resolve(formula.interval, params)[1] + formula_horizon(formula.child, params)
     if isinstance(formula, Until):
-        return formula.interval[1] + max(formula_horizon(formula.left),
-                                         formula_horizon(formula.right))
+        return _resolve(formula.interval, params)[1] + max(
+            formula_horizon(formula.left, params), formula_horizon(formula.right, params))
     raise TypeError(f"not a formula node: {formula!r}")
 
 
@@ -292,16 +311,10 @@ def _index_bound(seconds: float, dt: float, n: int) -> int:
     return n if index >= n else math.floor(index)
 
 
-def _atom_values(atom: Atom, trace) -> np.ndarray:
-    if isinstance(atom.value, str):
-        raise EvaluationError(f"atom {atom} names a parameter; only a state formula "
-                              "(a guard's condition) may")
-    sig = trace.signals[atom.signal]
-    if atom.op is None:
-        truth = sig >= BOOL_THRESHOLD
-    else:
-        truth = _COMPARATORS[atom.op](sig, atom.value)
-    return truth.view(np.int8) * TRUE  # FALSE is 0
+def _window(interval: Interval, params: Mapping, dt: float, n: int) -> tuple[int, int]:
+    """The sample-index bounds of ``interval`` on an n-sample trace."""
+    lo, hi = _resolve(interval, params)
+    return _index_bound(lo, dt, n), _index_bound(hi, dt, n)
 
 
 def _first_from(marked: np.ndarray, lo: int, none: int) -> np.ndarray:
@@ -373,43 +386,36 @@ def _until(left: np.ndarray, right: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return UNKNOWN + holds - fails
 
 
-def _globally(formula: Globally, body: np.ndarray, dt: float) -> np.ndarray:
+def _globally(formula: Globally, body: np.ndarray, params: Mapping, dt: float) -> np.ndarray:
     """Three-valued truth of ``formula`` at every sample index, given its
     body's truth ``body``."""
     if formula.interval is None:
         # unbounded: suffix conjunction over the recorded trace only
         return np.minimum.accumulate(body[::-1])[::-1]
-    n = len(body)
-    lo, hi = (_index_bound(b, dt, n) for b in formula.interval)
-    return _window_fold(body, lo, hi, FALSE)
+    return _window_fold(body, *_window(formula.interval, params, dt, len(body)), FALSE)
 
 
-def _values(formula: StlFormula, trace, dt: float) -> np.ndarray:
+def _values(formula: StlFormula, trace, params: Mapping) -> np.ndarray:
     """Three-valued truth of ``formula`` at every sample index."""
-    n = len(trace)
     if isinstance(formula, Atom):
-        return _atom_values(formula, trace)
+        return state_truth(formula, trace.signals, params).view(np.int8) * TRUE  # FALSE is 0
     if isinstance(formula, Not):
-        return TRUE - _values(formula.child, trace, dt)
-    if isinstance(formula, And):
-        return np.minimum(_values(formula.left, trace, dt), _values(formula.right, trace, dt))
-    if isinstance(formula, Or):
-        return np.maximum(_values(formula.left, trace, dt), _values(formula.right, trace, dt))
-    if isinstance(formula, Implies):
-        lhs = TRUE - _values(formula.left, trace, dt)
-        return np.maximum(lhs, _values(formula.right, trace, dt))
+        return TRUE - _values(formula.child, trace, params)
     if isinstance(formula, Globally):
-        return _globally(formula, _values(formula.child, trace, dt), dt)
+        return _globally(formula, _values(formula.child, trace, params), params, trace.dt)
     if isinstance(formula, Eventually):
-        child = _values(formula.child, trace, dt)
-        lo, hi = (_index_bound(b, dt, n) for b in formula.interval)
-        return _window_fold(child, lo, hi, TRUE)
-    if isinstance(formula, Until):
-        left = _values(formula.left, trace, dt)
-        right = _values(formula.right, trace, dt)
-        lo, hi = (_index_bound(b, dt, n) for b in formula.interval)
-        return _until(left, right, lo, hi)
-    raise TypeError(f"not a formula node: {formula!r}")
+        window = _window(formula.interval, params, trace.dt, len(trace))
+        return _window_fold(_values(formula.child, trace, params), *window, TRUE)
+    if not isinstance(formula, (And, Or, Implies, Until)):
+        raise TypeError(f"not a formula node: {formula!r}")
+    left, right = _values(formula.left, trace, params), _values(formula.right, trace, params)
+    if isinstance(formula, And):
+        return np.minimum(left, right)
+    if isinstance(formula, Or):
+        return np.maximum(left, right)
+    if isinstance(formula, Implies):
+        return np.maximum(TRUE - left, right)
+    return _until(left, right, *_window(formula.interval, params, trace.dt, len(trace)))
 
 
 def _check_trace(formula: StlFormula, trace) -> float:
@@ -423,8 +429,9 @@ def _check_trace(formula: StlFormula, trace) -> float:
     return trace.dt
 
 
-def evaluate(formula: StlFormula, trace) -> Verdict:
-    """Evaluate ``formula`` at the start of ``trace``.
+def evaluate(formula: StlFormula, trace, params: Mapping = _LITERAL) -> Verdict:
+    """Evaluate ``formula`` at the start of ``trace``, with each threshold
+    and bound that names a parameter read from the configuration ``params``.
 
     Returns a :class:`Verdict`.  An undetermined result (a deciding window
     ran past the end of the trace) is pessimistically Violated with
@@ -434,10 +441,10 @@ def evaluate(formula: StlFormula, trace) -> Verdict:
     """
     dt = _check_trace(formula, trace)
     if isinstance(formula, Globally):
-        body = _values(formula.child, trace, dt)
-        root = int(_globally(formula, body, dt)[0])
+        body = _values(formula.child, trace, params)
+        root = int(_globally(formula, body, params, dt)[0])
     else:
-        root = int(_values(formula, trace, dt)[0])
+        root = int(_values(formula, trace, params)[0])
     if root == TRUE:
         return Verdict(Outcome.SATISFIED)
     witness = None
@@ -446,7 +453,7 @@ def evaluate(formula: StlFormula, trace) -> Verdict:
         if formula.interval is None:
             lo, hi = 0, n - 1
         else:
-            lo, hi = (_index_bound(b, dt, n) for b in formula.interval)
+            lo, hi = _window(formula.interval, params, dt, n)
         misses = np.flatnonzero(body[lo:hi + 1] != TRUE)
         if misses.size:
             witness = float((lo + misses[0]) * dt)

@@ -11,6 +11,7 @@ behavior of the buggy controller.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -27,12 +28,18 @@ from hdsf.hybrid import Trace
 _NOT = {stl.FALSE: stl.TRUE, stl.UNKNOWN: stl.UNKNOWN, stl.TRUE: stl.FALSE}
 
 
-def _bound(seconds: float, dt: float) -> int:
-    return int(math.floor(seconds / dt + 0.5))
+def _named(value, params):
+    """A threshold or bound: the constant, or the value of the parameter it names."""
+    return params[value] if isinstance(value, str) else value
 
 
-def naive_value(formula, trace: Trace, i: int, memo=None) -> int:
-    """Truth value of ``formula`` at sample ``i`` by direct expansion."""
+def _bounds(interval, params, dt: float) -> tuple[int, int]:
+    return tuple(int(math.floor(_named(b, params) / dt + 0.5)) for b in interval)
+
+
+def naive_value(formula, trace: Trace, i: int, params, memo=None) -> int:
+    """Truth value of ``formula`` at sample ``i`` by direct expansion, with
+    each threshold and bound that names a parameter read from ``params``."""
     if memo is None:
         memo = {}
     key = (id(formula), i)
@@ -43,51 +50,51 @@ def naive_value(formula, trace: Trace, i: int, memo=None) -> int:
     if i >= n:
         return stl.UNKNOWN
 
+    def value(f, j):
+        return naive_value(f, trace, j, params, memo)
+
     if isinstance(formula, stl.Atom):
         v = float(trace.signals[formula.signal][i])
+        threshold = _named(formula.value, params)
         if formula.op is None:
             ok = v >= stl.BOOL_THRESHOLD
         elif formula.op == "<=":
-            ok = v <= formula.value
+            ok = v <= threshold
         elif formula.op == "<":
-            ok = v < formula.value
+            ok = v < threshold
         elif formula.op == ">=":
-            ok = v >= formula.value
+            ok = v >= threshold
         elif formula.op == ">":
-            ok = v > formula.value
+            ok = v > threshold
         else:
-            ok = v == formula.value
+            ok = v == threshold
         result = stl.TRUE if ok else stl.FALSE
     elif isinstance(formula, stl.Not):
-        result = _NOT[naive_value(formula.child, trace, i, memo)]
+        result = _NOT[value(formula.child, i)]
     elif isinstance(formula, stl.And):
-        result = min(naive_value(formula.left, trace, i, memo),
-                     naive_value(formula.right, trace, i, memo))
+        result = min(value(formula.left, i), value(formula.right, i))
     elif isinstance(formula, stl.Or):
-        result = max(naive_value(formula.left, trace, i, memo),
-                     naive_value(formula.right, trace, i, memo))
+        result = max(value(formula.left, i), value(formula.right, i))
     elif isinstance(formula, stl.Implies):
-        result = max(_NOT[naive_value(formula.left, trace, i, memo)],
-                     naive_value(formula.right, trace, i, memo))
+        result = max(_NOT[value(formula.left, i)], value(formula.right, i))
     elif isinstance(formula, stl.Globally):
         if formula.interval is None:
             js = range(i, n)
         else:
-            lo, hi = (_bound(b, dt) for b in formula.interval)
+            lo, hi = _bounds(formula.interval, params, dt)
             js = range(i + lo, i + hi + 1)
-        result = min((naive_value(formula.child, trace, j, memo) for j in js),
-                     default=stl.TRUE)
+        result = min((value(formula.child, j) for j in js), default=stl.TRUE)
     elif isinstance(formula, stl.Eventually):
-        lo, hi = (_bound(b, dt) for b in formula.interval)
-        result = max((naive_value(formula.child, trace, j, memo)
-                      for j in range(i + lo, i + hi + 1)), default=stl.FALSE)
+        lo, hi = _bounds(formula.interval, params, dt)
+        result = max((value(formula.child, j) for j in range(i + lo, i + hi + 1)),
+                     default=stl.FALSE)
     elif isinstance(formula, stl.Until):
-        lo, hi = (_bound(b, dt) for b in formula.interval)
+        lo, hi = _bounds(formula.interval, params, dt)
         result = stl.FALSE
         for j in range(i + lo, i + hi + 1):
-            term = naive_value(formula.right, trace, j, memo)
+            term = value(formula.right, j)
             for k in range(i, j):
-                term = min(term, naive_value(formula.left, trace, k, memo))
+                term = min(term, value(formula.left, k))
             result = max(result, term)
     else:
         raise TypeError(f"not a formula node: {formula!r}")
@@ -95,9 +102,9 @@ def naive_value(formula, trace: Trace, i: int, memo=None) -> int:
     return result
 
 
-def naive_verdict(formula, trace: Trace) -> int:
+def naive_verdict(formula, trace: Trace, params) -> int:
     """Three-valued verdict at the start of the trace."""
-    return naive_value(formula, trace, 0)
+    return naive_value(formula, trace, 0, params)
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +265,28 @@ def random_formula(rng: np.random.Generator, depth: int, dt: float, reach: int =
     if kind == 6:
         return stl.Eventually(child(), interval=interval())
     return stl.Until(child(), child(), interval=interval())
+
+
+def parametrize(formula, rng: np.random.Generator, params: dict):
+    """``formula`` with about half of its thresholds and interval bounds
+    replaced by names of new parameters, each added to ``params`` with the
+    value it replaces, so the two formulas mean the same."""
+    def name(value):
+        if rng.random() < 0.5:
+            return value
+        key = f"p{len(params)}"
+        params[key] = value
+        return key
+
+    if isinstance(formula, stl.Atom):
+        if formula.op is None:
+            return formula
+        return stl.Atom(formula.signal, formula.op, name(formula.value))
+    changes = {part: parametrize(getattr(formula, part), rng, params)
+               for part in ("child", "left", "right") if hasattr(formula, part)}
+    if getattr(formula, "interval", None) is not None:
+        changes["interval"] = tuple(name(bound) for bound in formula.interval)
+    return dataclasses.replace(formula, **changes)
 
 
 def random_trace(rng: np.random.Generator, max_len: int = 50,

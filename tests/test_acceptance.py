@@ -12,7 +12,7 @@ from hdsf.cli import main
 from hdsf.condensation import (LinearSystem, Partition, condense, reassemble,
                                reconstruct_internal, solve_condensed)
 from hdsf.drone import (ControllerVariant, DroneParams, build_full_system,
-                        build_surrogate_system, builtin_phi, conformance_check,
+                        build_surrogate_system, conformance_check,
                         default_config_space, phi_for, timing_comparison)
 from hdsf.falsify import campaign, generate, run_trial
 from hdsf.reduction import build_surrogate, relevant_modes, relevant_signals
@@ -166,8 +166,8 @@ def test_c6_stl_oracle_equivalence(capsys):
     for _ in range(1000):
         trace = random_trace(rng, max_len=50)
         formula = random_formula(rng, 4, trace.dt)
-        fast = int(_values(formula, trace, trace.dt)[0])
-        agree += fast == naive_verdict(formula, trace)
+        fast = int(_values(formula, trace, {})[0])
+        agree += fast == naive_verdict(formula, trace, {})
     assert agree == 1000, f"only {agree}/1000 agreed"
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0, f"took {elapsed:.1f}s"
@@ -179,7 +179,7 @@ def test_c6_stl_oracle_equivalence(capsys):
 def test_c7_reduction_structure(capsys):
     params = DroneParams()
     full = build_full_system(params, BUGGY)
-    phi = builtin_phi(2.0, 10.0)
+    phi = phi_for
 
     signals = relevant_signals(phi, full)
     assert signals == {"battery", "altitude", "deployed_flag"}

@@ -233,8 +233,7 @@ class TestSurrogateSystem:
     def test_structural_match_with_generic_reduction(self):
         params = DroneParams()
         full = build_full_system(params, BUGGY)
-        phi = phi_for(default_configuration(10.0, 20.0))
-        generic = build_surrogate(full, phi, entry_mode="GOTO")
+        generic = build_surrogate(full, phi_for, entry_mode="GOTO")
         packaged = build_surrogate_system(params, BUGGY)
         a = generic.system.structure_summary()
         b = packaged.system.structure_summary()

@@ -2,6 +2,7 @@
 classes, campaigns, forked trial and trace-writing workers."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -22,9 +23,9 @@ from hdsf.drone import (ControllerVariant, DroneParams, build_surrogate_system,
 from hdsf.errors import SpaceError, TrialFault
 from hdsf.falsify import (MUTATION_FRACTION, campaign, generate, map_trials,
                           mutate, run_trial, trial_rng)
-from hdsf.hybrid import HybridSystem, StateExpr, Trace
+from hdsf.hybrid import Guard, HybridSystem, RateForm, StateExpr, Trace
 from hdsf.margins import MarginPoint, compute_margins, quadrant_for
-from hdsf.stl import Atom, Globally, Outcome, evaluate
+from hdsf.stl import Atom, Eventually, Globally, Outcome, evaluate
 
 from oracles import buggy_violation_predicate
 
@@ -232,6 +233,17 @@ class TestRunTrial:
         assert verdict.outcome is Outcome.SATISFIED
         assert (len(trace) - 1) * trace.dt > horizon  # the extension actually ran
 
+    def test_extension_reads_a_named_bound(self):
+        # F[0, d] x >= 2.5 on x = t is undecided on a 1 s run; the re-simulation
+        # looks d = 4 s further ahead, read from the configuration, and decides it
+        system = HybridSystem(signal_names=("x",),
+                              dynamics={"M": {"x": StateExpr(form=RateForm(1.0))}},
+                              guards={}, initial_mode="M", initials={"x": 0.0})
+        phi = Eventually(Atom("x", ">=", 2.5), interval=(0.0, "d"))
+        verdict, trace = run_trial(system, Configuration(d=4.0), phi, 0.1, 1.0)
+        assert verdict.outcome is Outcome.SATISFIED
+        assert (len(trace) - 1) * trace.dt > 5.0
+
     def test_static_mode_is_judged_over_the_whole_horizon(self):
         # a mode with no guards and no rates holds x = 1 to the horizon, so
         # the whole [0, 5] window is observed and satisfied
@@ -345,7 +357,7 @@ class TestCampaign:
         assert summary.unique_violations > 0
         # soundness: every logged violation's trace re-evaluates as Violated
         for record in violations:
-            verdict = evaluate(phi_for(record.config), record.trace)
+            verdict = evaluate(phi_for, record.trace, record.config)
             assert verdict.outcome is Outcome.VIOLATED
         # one logged violation per failure class
         assert len({r.signature for r in violations}) == len(violations)
@@ -722,10 +734,11 @@ class TestCampaignOnWorkers:
 
     params = DroneParams()
 
-    def drone_campaign(self, variant, space=None, *, runs=60, seed=1, formula=phi_for,
+    def drone_campaign(self, variant, space=None, *, runs=60, seed=1, surrogate=None,
                        out_dir=None):
-        surrogate = build_surrogate_system(self.params, variant)
-        return campaign(surrogate, formula, space or surrogate.parameter_space, runs,
+        if surrogate is None:
+            surrogate = build_surrogate_system(self.params, variant)
+        return campaign(surrogate, phi_for, space or surrogate.parameter_space, runs,
                         dt=self.params.dt, horizon=self.params.horizon, seed=seed,
                         out_dir=out_dir)
 
@@ -825,18 +838,25 @@ class TestCampaignOnWorkers:
         rng.random()
         target = generate(default_config_space(self.params), rng)
 
-        def formula(config):
+        def trap(state, config):
             if config == target:
                 raise Boom(f"config {dict(config)}")
-            return phi_for(config)
+            return False
 
+        # an opaque guard that reads no signal is called on a run's first sample
+        surrogate = build_surrogate_system(self.params, ControllerVariant.BUGGY)
+        system = surrogate.system
+        guards = {mode: (Guard("trap", trap, mode), *edges)
+                  for mode, edges in system.guards.items()}
+        trapped = dataclasses.replace(surrogate,
+                                      system=dataclasses.replace(system, guards=guards))
         messages = {}
         for n_cpus in (1, 2, 3):
             force_cpus(n_cpus)
             out_dir = tmp_path / f"cpus-{n_cpus}"
             forks_before = len(count_forks)
             with pytest.raises(Boom) as err:
-                self.drone_campaign(ControllerVariant.BUGGY, seed=seed, formula=formula,
+                self.drone_campaign(ControllerVariant.BUGGY, seed=seed, surrogate=trapped,
                                     out_dir=out_dir)
             assert_no_child_left()
             assert not out_dir.exists()

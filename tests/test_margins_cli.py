@@ -12,13 +12,13 @@ from pathlib import Path
 import pytest
 
 import hdsf
-from hdsf import falsify
+from hdsf import cli, falsify
 from hdsf.cli import build_parser, main
 from hdsf.config import Configuration
 from hdsf.drone import (ControllerVariant, DroneParams, build_surrogate_system,
                         default_config_space, default_configuration, phi_for)
-from hdsf.errors import EvaluationError
-from hdsf.falsify import run_trial
+from hdsf.errors import ConfigurationError, EvaluationError
+from hdsf.falsify import generate, run_trial, trial_rng
 from hdsf.margins import compute_margins, quadrant_for
 from hdsf.stl import Outcome
 
@@ -589,6 +589,22 @@ class TestTimingCommand:
         err = capsys.readouterr().err.strip().split("\n")
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error:"), err
+
+
+@pytest.mark.parametrize("command, check", [("conformance", "conformance_check"),
+                                            ("timing", "timing_comparison")])
+def test_configuration_t_is_drawn_from_trial_stream_t(monkeypatch, command, check):
+    # as in margins: one configuration stream for every command
+    sampled = []
+
+    def capture(params, *args):
+        sampled.extend(next(arg for arg in args if isinstance(arg, list)))
+        raise ConfigurationError("sampled")
+
+    monkeypatch.setattr(cli, check, capture)
+    assert main([command, "--n-configs", "12", "--seed", "5"]) == 2
+    space = default_config_space(DroneParams())
+    assert sampled == [generate(space, trial_rng(5, t)) for t in range(12)]
 
 
 def run_python(code: str, cwd: Path) -> subprocess.CompletedProcess:

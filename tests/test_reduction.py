@@ -3,16 +3,11 @@
 import numpy as np
 import pytest
 
-from hdsf.drone import (ControllerVariant, DroneParams, build_full_system,
-                        default_configuration, phi_for)
+from hdsf.drone import ControllerVariant, DroneParams, build_full_system, phi_for
 from hdsf.errors import ConfigurationError, ReductionError, SpecificationError
 from hdsf.hybrid import Guard, HybridSystem, StateExpr
 from hdsf.reduction import build_surrogate, relevant_modes, relevant_signals
 from hdsf.stl import And, Atom, Globally
-
-
-def drone_phi():
-    return phi_for(default_configuration(10.0, 20.0))
 
 
 def chain_system(rates_reads, guard_reads=None):
@@ -39,7 +34,7 @@ def chain_system(rates_reads, guard_reads=None):
 class TestRelevantSignals:
     def test_drone_closure_is_exactly_the_three_signals(self):
         full = build_full_system(DroneParams(), ControllerVariant.BUGGY)
-        closure = relevant_signals(drone_phi(), full)
+        closure = relevant_signals(phi_for, full)
         assert closure == {"battery", "altitude", "deployed_flag"}
 
     def test_formula_over_every_signal_gives_full_closure(self):
@@ -92,7 +87,7 @@ class TestRelevantSignals:
 class TestRelevantModes:
     def test_drone_reduction_keeps_goto_and_parachute(self):
         full = build_full_system(DroneParams(), ControllerVariant.BUGGY)
-        signals = relevant_signals(drone_phi(), full)
+        signals = relevant_signals(phi_for, full)
         report = relevant_modes(full, signals, entry_mode="GOTO")
         assert report.modes_kept == {"GOTO", "PARACHUTE"}
         assert report.modes_dropped == {"IDLE", "TAKE_OFF", "LAND"}
@@ -138,7 +133,7 @@ class TestRelevantModes:
 
     def test_report_completeness(self):
         full = build_full_system(DroneParams(), ControllerVariant.BUGGY)
-        signals = relevant_signals(drone_phi(), full)
+        signals = relevant_signals(phi_for, full)
         report = relevant_modes(full, signals, entry_mode="GOTO")
         all_modes = set(full.dynamics)
         assert report.modes_kept | report.modes_dropped == all_modes
@@ -149,7 +144,7 @@ class TestRelevantModes:
     def test_report_serializes_to_json(self):
         import json
         full = build_full_system(DroneParams(), ControllerVariant.BUGGY)
-        signals = relevant_signals(drone_phi(), full)
+        signals = relevant_signals(phi_for, full)
         report = relevant_modes(full, signals, entry_mode="GOTO")
         data = json.loads(report.to_json())
         assert data["modes_kept"] == ["GOTO", "PARACHUTE"]
@@ -206,7 +201,7 @@ class TestBuildSurrogate:
     def test_drone_surrogate_structure(self):
         params = DroneParams()
         full = build_full_system(params, ControllerVariant.BUGGY)
-        rs = build_surrogate(full, drone_phi(), entry_mode="GOTO")
+        rs = build_surrogate(full, phi_for, entry_mode="GOTO")
         assert list(rs.system.dynamics) == ["GOTO", "PARACHUTE"]
         assert rs.system.signal_names == ("altitude", "battery", "deployed_flag")
         assert rs.system.initial_mode == "GOTO"
@@ -236,13 +231,13 @@ class TestBuildSurrogate:
                 ({"battery": StateExpr(lambda s, p: -s["vx"], reads=frozenset({"vx"}))},
                  r"rate of 'battery' in mode GOTO reads undeclared signals: \['vx'\]")):
             with pytest.raises(ConfigurationError, match=message):
-                build_surrogate(full, drone_phi(),
+                build_surrogate(full, phi_for,
                                 condensed_dynamics={"GOTO": wrong}, entry_mode="GOTO")
 
     def test_empty_condensed_mode_has_no_rates(self):
         # a condensed entry replaces the mode's rates even when it is empty
         full = build_full_system(DroneParams(), ControllerVariant.BUGGY)
-        rs = build_surrogate(full, drone_phi(), condensed_dynamics={"GOTO": {}},
+        rs = build_surrogate(full, phi_for, condensed_dynamics={"GOTO": {}},
                              entry_mode="GOTO")
         assert rs.system.dynamics["GOTO"] == {}
         assert set(rs.system.dynamics["PARACHUTE"]) == {"altitude"}
@@ -250,8 +245,8 @@ class TestBuildSurrogate:
     def test_idempotence(self):
         params = DroneParams()
         full = build_full_system(params, ControllerVariant.BUGGY)
-        once = build_surrogate(full, drone_phi(), entry_mode="GOTO")
-        twice = build_surrogate(once.system, drone_phi())
+        once = build_surrogate(full, phi_for, entry_mode="GOTO")
+        twice = build_surrogate(once.system, phi_for)
         assert twice.system.structure_summary() == once.system.structure_summary()
         assert twice.report.modes_dropped == frozenset()
 

@@ -16,8 +16,7 @@ import numpy as np
 import pytest
 
 from hdsf.config import ConfigSpace
-from hdsf.drone import (ControllerVariant, DroneParams, build_full_system,
-                        default_configuration, phi_for)
+from hdsf.drone import ControllerVariant, DroneParams, build_full_system, phi_for
 from hdsf.errors import HdsfError, SpaceError
 from hdsf.hybrid import Guard, HybridSystem, StateExpr
 from hdsf.reduction import build_surrogate
@@ -52,7 +51,7 @@ def sha256(text: str) -> str:
 
 
 def test_drone_reductions_pinned():
-    properties = (phi_for(default_configuration(10.0, 20.0)),
+    properties = (phi_for,
                   Globally(Atom("battery", ">=", 5.0)),
                   Globally(Atom("altitude", ">=", 0.0)))
     text = ""

@@ -4,34 +4,47 @@ import numpy as np
 import pytest
 
 from hdsf import stl
-from hdsf.errors import EvaluationError, SpecificationError
+from hdsf.config import Configuration
+from hdsf.errors import (ConfigurationError, EvaluationError, MissingParameterError,
+                         SpecificationError)
 from hdsf.hybrid import Trace
-from hdsf.drone import builtin_phi
+from hdsf.drone import default_configuration, phi_for
 from hdsf.stl import Atom, Eventually, Globally, Implies, Not, Outcome, Until, evaluate
 
-from oracles import naive_value, naive_verdict, random_formula, random_trace
+from oracles import naive_value, naive_verdict, parametrize, random_formula, random_trace
+
+# the reference configuration: battery threshold 10, delta 2
+REFERENCE = default_configuration(10.0, 20.0)
 
 
-def phi_default():
-    return builtin_phi(2.0, battery_threshold=10.0)
+def phi_default(trace):
+    """The safety property's verdict on ``trace`` at the reference configuration."""
+    return evaluate(phi_for, trace, REFERENCE)
 
 
 class TestBuiltinPhi:
     def test_atoms_reference_exactly_the_three_signals(self):
-        phi = phi_default()
-        assert stl.atom_signals(phi) == {"battery", "altitude", "deployed_flag"}
+        assert stl.atom_signals(phi_for) == {"battery", "altitude", "deployed_flag"}
 
     def test_shape(self):
-        phi = phi_default()
-        assert isinstance(phi, Globally) and phi.interval is None
-        body = phi.child
+        # one parametric formula: the threshold and the delay name parameters
+        assert isinstance(phi_for, Globally) and phi_for.interval is None
+        body = phi_for.child
         assert isinstance(body, Implies)
+        assert body.left.left == Atom("battery", "<=", "low_batt_threshold")
         assert isinstance(body.right, Eventually)
-        assert body.right.interval == (0.0, 2.0)
+        assert body.right.interval == (0.0, "delta")
+        assert stl.formula_horizon(phi_for, REFERENCE) == 2.0
 
-    def test_rejects_nonpositive_delta(self):
-        with pytest.raises(SpecificationError):
-            builtin_phi(0.0)
+    def test_rejects_nonpositive_delta(self, make_trace):
+        # the drone's configurations keep delta > 0; the formula itself
+        # takes the legal window [0, 0]
+        with pytest.raises(ConfigurationError, match="delta must be positive, got 0.0"):
+            default_configuration(10.0, 20.0, delta=0.0)
+        trace = make_trace(0.1, battery=[9.0] * 3, altitude=[20.0] * 3,
+                           deployed_flag=[1.0] * 3)
+        zero = Configuration(REFERENCE, delta=0.0)
+        assert evaluate(phi_for, trace, zero).outcome is Outcome.SATISFIED
 
     def test_grounded_trace_is_vacuously_satisfied(self, make_trace):
         # altitude never above the airborne threshold
@@ -40,7 +53,7 @@ class TestBuiltinPhi:
                            battery=np.linspace(20, 0, n),
                            altitude=[0.2] * n,
                            deployed_flag=[0.0] * n)
-        assert evaluate(phi_default(), trace).outcome is Outcome.SATISFIED
+        assert phi_default(trace).outcome is Outcome.SATISFIED
 
     def test_low_battery_without_deployment_is_violated(self, make_trace):
         n = 60
@@ -48,7 +61,7 @@ class TestBuiltinPhi:
                            battery=[9.0] * n,
                            altitude=[20.0] * n,
                            deployed_flag=[0.0] * n)
-        verdict = evaluate(phi_default(), trace)
+        verdict = phi_default(trace)
         assert verdict.outcome is Outcome.VIOLATED
         assert verdict.witness_time == 0.0
 
@@ -61,16 +74,16 @@ class TestBuiltinPhi:
         deployed = [0.0] * 12 + [1.0] * 8
         trace = make_trace(dt, battery=battery, altitude=altitude,
                            deployed_flag=deployed)
-        verdict = evaluate(phi_default(), trace)
+        verdict = phi_default(trace)
         assert verdict.outcome is Outcome.SATISFIED
-        assert naive_verdict(phi_default(), trace) == stl.TRUE
+        assert naive_verdict(phi_for, trace, REFERENCE) == stl.TRUE
 
 
 class TestEvaluateBasics:
     def test_missing_signal_raises(self, make_trace):
         trace = make_trace(0.1, battery=[50.0, 50.0])
         with pytest.raises(EvaluationError, match="altitude"):
-            evaluate(phi_default(), trace)
+            phi_default(trace)
 
     def test_empty_trace_raises(self):
         trace = Trace(mode_runs=[], signals={"a": np.zeros(0)}, events=[], dt=0.1,
@@ -78,13 +91,59 @@ class TestEvaluateBasics:
         with pytest.raises(EvaluationError, match="empty"):
             evaluate(Atom("a"), trace)
 
-    def test_a_parameter_threshold_is_for_state_formulas_only(self, make_trace):
+    def test_a_parameter_threshold_evaluates(self, make_trace):
+        # as in a guard's condition, the threshold is read from the configuration
         trace = make_trace(0.1, battery=[50.0, 5.0])
-        with pytest.raises(EvaluationError, match="names a parameter"):
-            evaluate(Globally(Atom("battery", ">=", "low_batt_threshold")), trace)
+        phi = Globally(Atom("battery", ">=", "low_batt_threshold"))
+        verdict = evaluate(phi, trace, Configuration(low_batt_threshold=10.0))
+        assert verdict.violated and verdict.witness_time == 0.1
+        assert not evaluate(phi, trace, Configuration(low_batt_threshold=5.0)).violated
         holds = stl.state_truth(Atom("battery", ">=", "low_batt_threshold"),
                                 trace.signals, {"low_batt_threshold": 10.0})
         assert holds.tolist() == [True, False]
+
+    def test_a_parameter_bound_evaluates(self, make_trace):
+        trace = make_trace(0.5, a=[0.0, 0.0, 0.0, 1.0])
+        phi = Eventually(Atom("a"), interval=("lo", "hi"))
+        for lo, hi, outcome in [(0.0, 1.0, Outcome.VIOLATED), (0.0, 1.5, Outcome.SATISFIED),
+                                (1.5, 1.5, Outcome.SATISFIED), (0.5, 0.5, Outcome.VIOLATED)]:
+            params = Configuration(lo=lo, hi=hi)
+            assert evaluate(phi, trace, params).outcome is outcome, (lo, hi)
+            assert stl.formula_horizon(phi, params) == hi
+
+    def test_a_missing_parameter_raises(self, make_trace):
+        trace = make_trace(0.1, battery=[50.0, 5.0], deployed_flag=[0.0, 0.0])
+        named = [Globally(Atom("battery", ">=", "low_batt_threshold")),
+                 Eventually(Atom("deployed_flag"), interval=(0.0, "delta")),
+                 Until(Atom("battery", ">", 0.0), Atom("deployed_flag"), interval=("lo", 1.0))]
+        for phi in named:
+            for params in (Configuration(), Configuration(other=1.0)):
+                with pytest.raises(MissingParameterError, match="configuration has no"):
+                    evaluate(phi, trace, params)
+            with pytest.raises(MissingParameterError):
+                evaluate(phi, trace)  # a literal formula needs no configuration
+        with pytest.raises(MissingParameterError, match="'delta'"):
+            stl.formula_horizon(phi_for)
+        with pytest.raises(MissingParameterError, match="'delta'"):
+            stl.formula_horizon(phi_for, Configuration(low_batt_threshold=10.0))
+
+    @pytest.mark.parametrize("interval, params", [
+        (("lo", "hi"), {"lo": 2.0, "hi": 1.0}), ((1.0, "hi"), {"hi": 0.5}),
+        (("lo", 1.0), {"lo": -0.5}), ((0.0, "hi"), {"hi": -1.0})])
+    def test_a_resolved_interval_out_of_order_raises(self, make_trace, interval, params):
+        trace = make_trace(0.1, a=[1.0, 1.0, 1.0])
+        params = Configuration(params)
+        for phi in (Eventually(Atom("a"), interval=interval),
+                    Globally(Atom("a"), interval=interval),
+                    Until(Atom("a"), Atom("a"), interval=interval),
+                    Not(Globally(Eventually(Atom("a"), interval=interval)))):
+            with pytest.raises(SpecificationError, match="breaks 0 <= lo <= hi"):
+                evaluate(phi, trace, params)
+            with pytest.raises(SpecificationError, match="breaks 0 <= lo <= hi"):
+                stl.formula_horizon(phi, params)
+        # a literal interval is checked when it is built
+        with pytest.raises(SpecificationError, match="breaks 0 <= lo <= hi"):
+            Eventually(Atom("a"), interval=(2.0, 1.0))
 
     def test_a_temporal_operator_is_no_state_formula(self):
         for formula in (Globally(Atom("a", ">", 0.0)), Implies(Atom("a"), Atom("b"))):
@@ -107,7 +166,7 @@ class TestEvaluateBasics:
                            battery=[50.0, 50.0, 9.0],
                            altitude=[20.0] * 3,
                            deployed_flag=[0.0] * 3)
-        verdict = evaluate(phi_default(), trace)
+        verdict = phi_default(trace)
         assert verdict.outcome is Outcome.VIOLATED
         assert verdict.window_truncated
 
@@ -115,7 +174,7 @@ class TestEvaluateBasics:
         n = 60
         trace = make_trace(0.1, battery=[9.0] * n, altitude=[20.0] * n,
                            deployed_flag=[0.0] * n)
-        verdict = evaluate(phi_default(), trace)
+        verdict = phi_default(trace)
         assert verdict.outcome is Outcome.VIOLATED
         assert not verdict.window_truncated
 
@@ -126,18 +185,37 @@ class TestNaiveEquivalence:
         for _ in range(300):
             trace = random_trace(rng)
             formula = random_formula(rng, 4, trace.dt)
-            fast = stl._values(formula, trace, trace.dt)[0]
-            assert int(fast) == naive_verdict(formula, trace)
+            fast = stl._values(formula, trace, {})[0]
+            assert int(fast) == naive_verdict(formula, trace, {})
 
     def test_agreement_at_every_index(self):
         rng = np.random.default_rng(7)
         for _ in range(40):
             trace = random_trace(rng, max_len=20)
             formula = random_formula(rng, 3, trace.dt)
-            fast = stl._values(formula, trace, trace.dt)
+            fast = stl._values(formula, trace, {})
             memo = {}
             for i in range(len(trace)):
-                assert int(fast[i]) == naive_value(formula, trace, i, memo)
+                assert int(fast[i]) == naive_value(formula, trace, i, {}, memo)
+
+    def test_agreement_on_parametric_draws(self):
+        # thresholds and bounds that name parameters, resolved by the
+        # evaluator and by the oracle's own code, give the literal values
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            trace = random_trace(rng, max_len=20)
+            literal = random_formula(rng, 4, trace.dt)
+            params = {}
+            formula = parametrize(literal, rng, params)
+            config = Configuration(params)
+            fast = stl._values(formula, trace, config)
+            memo = {}
+            for i in range(len(trace)):
+                assert int(fast[i]) == naive_value(formula, trace, i, params, memo), formula
+            assert fast.tolist() == stl._values(literal, trace, {}).tolist()
+            assert evaluate(formula, trace, config) == evaluate(literal, trace)
+            assert (stl.formula_horizon(formula, config)
+                    == stl.formula_horizon(literal)), formula
 
     def test_agreement_with_windows_past_the_trace_end(self):
         # window bounds up to five trace lengths, capped at the trace length
@@ -146,10 +224,10 @@ class TestNaiveEquivalence:
         for _ in range(60):
             trace = random_trace(rng, max_len=20)
             formula = random_formula(rng, 3, trace.dt, reach=5 * len(trace) + 2)
-            fast = stl._values(formula, trace, trace.dt)
+            fast = stl._values(formula, trace, {})
             memo = {}
             for i in range(len(trace)):
-                assert int(fast[i]) == naive_value(formula, trace, i, memo)
+                assert int(fast[i]) == naive_value(formula, trace, i, {}, memo)
         huge = Eventually(Atom("a"), interval=(0.0, 1e308))
         far = Eventually(Atom("a"), interval=(0.0, len(trace) * trace.dt))
         assert evaluate(huge, trace) == evaluate(far, trace)
@@ -168,9 +246,9 @@ def windowed(lo: int, hi: int, dt: float) -> list:
 
 
 def assert_naive_at_every_index(formula, trace):
-    fast = stl._values(formula, trace, trace.dt)
+    fast = stl._values(formula, trace, {})
     memo = {}
-    assert [int(v) for v in fast] == [naive_value(formula, trace, i, memo)
+    assert [int(v) for v in fast] == [naive_value(formula, trace, i, {}, memo)
                                       for i in range(len(trace))], formula
 
 
@@ -250,10 +328,10 @@ class TestWitness:
                 formula = Globally(body, interval=(first * dt, last * dt))
             memo = {}
             expected = next((float(j * dt) for j in range(first, min(last, n - 1) + 1)
-                             if naive_value(body, trace, j, memo) != stl.TRUE), None)
+                             if naive_value(body, trace, j, {}, memo) != stl.TRUE), None)
             verdict = evaluate(formula, trace)
             assert verdict.witness_time == expected, formula
-            assert verdict.violated == (naive_verdict(formula, trace) != stl.TRUE)
+            assert verdict.violated == (naive_verdict(formula, trace, {}) != stl.TRUE)
 
 
 class TestDualityAndMonotonicity:
@@ -280,8 +358,9 @@ class TestDualityAndMonotonicity:
             )
             d1 = float(rng.integers(1, 6)) * 0.5
             d2 = d1 + float(rng.integers(0, 6)) * 0.5
-            if evaluate(builtin_phi(d1), trace).outcome is Outcome.SATISFIED:
-                assert evaluate(builtin_phi(d2), trace).outcome is Outcome.SATISFIED
+            first, second = (Configuration(low_batt_threshold=10.0, delta=d) for d in (d1, d2))
+            if evaluate(phi_for, trace, first).outcome is Outcome.SATISFIED:
+                assert evaluate(phi_for, trace, second).outcome is Outcome.SATISFIED
 
 
 
