@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import json
 import math
-from array import array
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import chain, repeat
@@ -169,8 +168,9 @@ class HybridSystem:
     guards: dict[str, tuple[Guard, ...]]
     initial_mode: str
     initials: dict[str, Union[float, str]] = field(default_factory=dict)
-    # how ``simulate`` runs each mode (see ``_plan``)
+    # how ``simulate`` runs each mode (see ``_plan``), and the signals some mode steps
     _plans: dict[str, "_Plan"] = field(init=False, repr=False, compare=False)
+    _stepped: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.signal_names = tuple(self.signal_names)
@@ -212,6 +212,7 @@ class HybridSystem:
                           expr.reads)
         check("initials for", self.initials)
         self._plans = {name: _plan(self, name) for name in self.dynamics}
+        self._stepped = frozenset(i for plan in self._plans.values() for *_, i in plan.rates)
 
     def with_entry(self, mode_name: str) -> "HybridSystem":
         """Copy of the system starting in ``mode_name``."""
@@ -304,15 +305,15 @@ def _apply_reset(system: HybridSystem, guard: Guard, named: StateMap,
 def _settle(rates: list, edges: list, held: tuple[str, ...]) -> tuple[list, list]:
     """The rates and guards still to call after a step that fired no guard.
 
-    ``rates`` and ``edges`` are the ``(name, func, reads)`` and ``(guard,
-    predicate, reads)`` entries still called in this mode run, and ``held``
-    names the signals whose rate the step called and that stayed
-    bit-identical.  A signal moves if its rate was called and it changed,
+    ``rates`` and ``edges`` are the ``(name, func, reads, row)`` and
+    ``(guard, predicate, reads)`` entries still called in this mode run,
+    and ``held`` names the signals whose rate the step called and that
+    stayed bit-identical.  A signal moves if its rate was called and it changed,
     or if it reads a signal that moves; every other signal has settled.
     A guard stays only while it reads a signal that moves.
     """
-    moving = {name for name, _, _ in rates}.difference(held)
-    waiting = [(name, reads) for name, _, reads in rates if name not in moving]
+    moving = {entry[0] for entry in rates}.difference(held)
+    waiting = [(entry[0], entry[2]) for entry in rates if entry[0] not in moving]
     while stuck := {name for name, reads in waiting if not reads.isdisjoint(moving)}:
         moving |= stuck
         waiting = [entry for entry in waiting if entry[0] not in stuck]
@@ -333,11 +334,12 @@ class _Plan:
     *decided* guard gives a condition that reads only filled signals and
     signals the mode does not rate, so the passes find the first sample
     at which it holds.  The other rates are stepped in Python and the
-    other guards called at every sample.
+    other guards called at every sample.  A stepped rate's entry carries
+    its signal's row, into which ``simulate`` writes each value at the
+    step that computes it.
     """
 
-    rates: tuple  # (name, func, reads) of each stepped rate, in signal order
-    rows: list[int]  # the stepped signals' indices, in the same order; a list indexes numpy rows
+    rates: tuple  # (name, func, reads, row) of each stepped rate, in signal order
     edges: tuple  # (guard, predicate, reads) of each guard not decided, in declaration order
     guards: tuple  # the same of every guard
     free: tuple[int, ...]  # the indices of the signals not filled
@@ -369,8 +371,7 @@ def _plan(system: HybridSystem, mode: str) -> _Plan:
     fill = tuple(i for i, name in enumerate(names) if name in filled)
     watched = set().union(*(g.reads for g in guards if g.label in decided)) & unrated
     return _Plan(
-        rates=tuple((names[i], rates[names[i]].func, rates[names[i]].reads) for i in stepped),
-        rows=stepped,
+        rates=tuple((names[i], rates[names[i]].func, rates[names[i]].reads, i) for i in stepped),
         edges=tuple((g, g.predicate, g.reads) for g in guards if g.label not in decided),
         guards=tuple((g, g.predicate, g.reads) for g in guards),
         free=tuple(i for i, name in enumerate(names) if name not in filled),
@@ -502,23 +503,16 @@ def _assemble(named: dict, plan: _Plan, data: np.ndarray, k: int) -> None:
         named[name] = item(i, k)
 
 
-def _close(segments: list, data: np.ndarray, named: StateMap, names: tuple[str, ...],
-           plan: _Plan, first: int, end: int, rows: list[int]) -> None:
-    """End a segment of a mode run, samples ``first`` to ``end - 1``, in
-    which the signals ``rows`` were stepped.  Their values wait in the
-    flat record, and ``segments`` gets ``(first, count, rows)``, merged
-    with the segment before it when that ends at ``first`` with the same
-    ``rows``.  Every other signal that is not filled held its value in
+def _close(data: np.ndarray, named: StateMap, names: tuple[str, ...], plan: _Plan,
+           first: int, end: int, rates: Sequence[tuple]) -> None:
+    """End a stretch of a mode run, samples ``first`` to ``end - 1``, in
+    which ``rates`` were stepped.  Their signals' values were written at
+    each step; every other signal that is not filled held its value in
     ``named``, which is written now."""
+    stepped = [entry[3] for entry in rates]
     for i in plan.free:
-        if i not in rows:
+        if i not in stepped:
             data[i, first:end] = named[names[i]]
-    if rows and end > first:
-        if segments and segments[-1][2] == rows and sum(segments[-1][:2]) == first:
-            before, count, _ = segments[-1]
-            segments[-1] = (before, count + end - first, rows)
-        else:
-            segments.append((first, end - first, rows))
 
 
 def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
@@ -550,19 +544,20 @@ def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
     guard fired before its sample and no stepped signal faulted first;
     at one sample the first signal in signal order faults.
 
-    Each stepped sample is recorded as the values its stepped rates
-    returned.  After a step that fires no guard, a stepped signal has
-    settled when the step left it bit-identical (a ``-0.0`` that becomes
-    ``0.0`` counts as a change) and every signal it declares it reads has
-    settled too: the greatest such set over the mode's read graph, in
-    which a signal the mode does not rate has settled.  A settled signal
-    stays bit-identical at every later step of the mode run, so it keeps
-    its value and its rate is not called again; a guard whose declared
-    reads have all settled was false on the same inputs, so it is not
-    called again either.  Both are called again from the next event on.
-    A signal settled or not rated is written once per stretch of samples
-    in which it holds.  Once nothing is left to step, the run goes on to
-    the next sample the fill decides, or the horizon, at once.
+    Each value a stepped rate returns is written into its signal's row of
+    the trace at the step that computes it.  After a step that fires no
+    guard, a stepped signal has settled when the step left it
+    bit-identical (a ``-0.0`` that becomes ``0.0`` counts as a change) and
+    every signal it declares it reads has settled too: the greatest such
+    set over the mode's read graph, in which a signal the mode does not
+    rate has settled.  A settled signal stays bit-identical at every later
+    step of the mode run, so it keeps its value and its rate is not called
+    again; a guard whose declared reads have all settled was false on the
+    same inputs, so it is not called again either.  Both are called again
+    from the next event on.  A signal settled or not rated is written once
+    per stretch of samples in which it holds.  Once nothing is left to
+    step, the run goes on to the next sample the fill decides, or the
+    horizon, at once.
 
     The fill runs ahead of the stepping one pass at a time.  The first
     run with filled signals starts with a pass over the whole trace; each
@@ -614,10 +609,11 @@ def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
     except (OverflowError, ValueError, MemoryError):
         raise ConfigurationError(
             f"horizon {horizon} over dt {dt} is {steps:g} steps, too many to hold") from None
+    data[:, 0] = state
+    cells = [None] * len(names)  # a 1-D view of each row some mode steps
+    for i in system._stepped:
+        cells[i] = memoryview(data[i])
     plans = system._plans
-    values = array("d")  # what the stepped rates returned, sample after sample
-    record = values.append
-    segments: list[tuple] = []  # (first sample, count, rows) of the values, in order
     events: list[TraceEvent] = []
     mode = system.initial_mode
     mode_runs = [(mode, 0)]  # (mode, its first sample)
@@ -627,7 +623,7 @@ def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
     span = n_steps  # the first filled run's first pass may cover the whole trace
     while True:  # a mode run, from sample k to its event or the horizon
         plan = plans[mode]
-        rates, edges, rows = plan.rates, plan.edges, plan.rows
+        rates, edges = plan.rates, plan.edges
         fill = [named[name] for name in plan.filled_names]
         fault = None  # the first non-finite filled value, at sample limit
         if stepping and fill:
@@ -644,7 +640,7 @@ def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
             if fault is None:
                 passes = _fill_passes(plan, names, fill, named, parameters, dt, k, n_steps,
                                       data, span)
-        start = first = nxt = k  # first: where the current segment of stepped rows starts
+        start = first = nxt = k  # first: where the current stretch of stepped rates starts
         limit, decided = k, True  # every guard is called on the entry sample
         last = None  # what the last settling saw held; None until one in this mode run
         settling = False  # whether the next step follows a sample that fired no guard
@@ -654,7 +650,7 @@ def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
                 if stepping:
                     stepped = named.copy()
                     held = ()  # the stepped signals this step left bit-identical
-                    for name, f, _ in rates:
+                    for name, f, _, i in rates:
                         old = named[name]
                         value = old + dt * f(named, parameters)
                         # false, as in most steps, exactly when the value moved and is finite
@@ -667,7 +663,7 @@ def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
                             if value != 0.0 or copysign(1.0, value) == copysign(1.0, old):
                                 held += (name,)
                         stepped[name] = value
-                        record(value)
+                        cells[i][k] = value
                     named = stepped
                     # when the same signals held at the last settling, it settled
                     # none of them, and none settles now either
@@ -675,13 +671,10 @@ def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
                         last = held
                         moving, edges = _settle(rates, edges, held)
                         if len(moving) < len(rates):
-                            _close(segments, data, named, names, plan, first, k + 1, rows)
+                            _close(data, named, names, plan, first, k + 1, rates)
                             rates, first = moving, k + 1
-                            rows = [names.index(name) for name, _, _ in rates]
                             if not rates and k < limit:
                                 break  # no guard is left to call before limit
-                elif rates:
-                    values.extend([named[name] for name, _, _ in rates])
                 tried = edges
                 if k == limit:
                     if fault is not None:
@@ -707,11 +700,11 @@ def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
                 nxt, stepping, edges = limit, False, ()
 
         if fired is None:
-            _close(segments, data, named, names, plan, first, n_steps + 1, rows)
+            _close(data, named, names, plan, first, n_steps + 1, rates)
             break
         if k != limit or not decided:
             _assemble(named, plan, data, k)  # the reset reads every signal
-        _close(segments, data, named, names, plan, first, k + 1, rows)
+        _close(data, named, names, plan, first, k + 1, rates)
         if passes is not None and k > start:
             span = 2 * (k - start)
         events.append(TraceEvent(k * dt, fired.label, mode, fired.target))
@@ -722,12 +715,6 @@ def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
         k, stepping = k + 1, True
         mode_runs.append((mode, k))
 
-    recorded = np.frombuffer(values, dtype=float)
-    done = 0
-    for first, count, rows in segments:
-        size = count * len(rows)
-        data[rows, first:first + count] = recorded[done:done + size].reshape(count, len(rows)).T
-        done += size
     return Trace(mode_runs, dict(zip(names, data)), events, dt, n_steps + 1)
 
 # ---------------------------------------------------------------------------

@@ -398,14 +398,17 @@ def _globally(formula: Globally, body: np.ndarray, params: Mapping, dt: float) -
 def _values(formula: StlFormula, trace, params: Mapping) -> np.ndarray:
     """Three-valued truth of ``formula`` at every sample index."""
     if isinstance(formula, Atom):
+        if formula.signal not in trace.signals:
+            raise EvaluationError(f"formula references signal {formula.signal!r}, not in "
+                                  f"the trace; available: {sorted(trace.signals)}")
         return state_truth(formula, trace.signals, params).view(np.int8) * TRUE  # FALSE is 0
     if isinstance(formula, Not):
         return TRUE - _values(formula.child, trace, params)
     if isinstance(formula, Globally):
         return _globally(formula, _values(formula.child, trace, params), params, trace.dt)
     if isinstance(formula, Eventually):
-        window = _window(formula.interval, params, trace.dt, len(trace))
-        return _window_fold(_values(formula.child, trace, params), *window, TRUE)
+        body = _values(formula.child, trace, params)
+        return _window_fold(body, *_window(formula.interval, params, trace.dt, len(trace)), TRUE)
     if not isinstance(formula, (And, Or, Implies, Until)):
         raise TypeError(f"not a formula node: {formula!r}")
     left, right = _values(formula.left, trace, params), _values(formula.right, trace, params)
@@ -418,17 +421,6 @@ def _values(formula: StlFormula, trace, params: Mapping) -> np.ndarray:
     return _until(left, right, *_window(formula.interval, params, trace.dt, len(trace)))
 
 
-def _check_trace(formula: StlFormula, trace) -> float:
-    if len(trace) == 0:
-        raise EvaluationError("cannot evaluate a formula on an empty trace")
-    missing = sorted(atom_signals(formula) - set(trace.signals))
-    if missing:
-        raise EvaluationError(
-            f"formula references signals {missing} not present in trace; "
-            f"available: {sorted(trace.signals)}")
-    return trace.dt
-
-
 def evaluate(formula: StlFormula, trace, params: Mapping = _LITERAL) -> Verdict:
     """Evaluate ``formula`` at the start of ``trace``, with each threshold
     and bound that names a parameter read from the configuration ``params``.
@@ -437,9 +429,12 @@ def evaluate(formula: StlFormula, trace, params: Mapping = _LITERAL) -> Verdict:
     ran past the end of the trace) is pessimistically Violated with
     ``window_truncated`` set.  A top-level G's body is evaluated once: its
     fold gives the verdict, and the first sample of the window where the
-    body is not True gives the witness time.
+    body is not True gives the witness time.  An atom whose signal the
+    trace lacks raises :class:`EvaluationError`.
     """
-    dt = _check_trace(formula, trace)
+    if len(trace) == 0:
+        raise EvaluationError("cannot evaluate a formula on an empty trace")
+    dt = trace.dt
     if isinstance(formula, Globally):
         body = _values(formula.child, trace, params)
         root = int(_globally(formula, body, params, dt)[0])

@@ -567,7 +567,8 @@ class TestMixedModes:
              opaque("on_c", lambda s, p: s["c"] + s["y"] >= 99.0, {"c", "y"})],
             signals=("x", "y", "c", "w"))
         plan = system._plans["A"]
-        assert plan.filled_names == ("x",) and [name for name, _, _ in plan.rates] == ["y", "c"]
+        assert plan.filled_names == ("x",)
+        assert [(name, row) for name, _, _, row in plan.rates] == [("y", 1), ("c", 2)]
         assert [g.label for g, _, _ in plan.edges] == ["on_y", "on_c"]
         assert len(plan.decided) == 1 and plan.watched == ()
         assert plan.free == (1, 2, 3)

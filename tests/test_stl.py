@@ -9,7 +9,7 @@ from hdsf.errors import (ConfigurationError, EvaluationError, MissingParameterEr
                          SpecificationError)
 from hdsf.hybrid import Trace
 from hdsf.drone import default_configuration, phi_for
-from hdsf.stl import Atom, Eventually, Globally, Implies, Not, Outcome, Until, evaluate
+from hdsf.stl import And, Atom, Eventually, Globally, Implies, Not, Outcome, Until, evaluate
 
 from oracles import naive_value, naive_verdict, parametrize, random_formula, random_trace
 
@@ -84,6 +84,23 @@ class TestEvaluateBasics:
         trace = make_trace(0.1, battery=[50.0, 50.0])
         with pytest.raises(EvaluationError, match="altitude"):
             phi_default(trace)
+
+    def test_a_missing_signal_under_an_eventually_raises(self, make_trace):
+        # the trace holds every other signal; the missing one is read only under F
+        trace = make_trace(0.1, a=[1.0, 0.0, 0.0], b=[0.0, 1.0, 0.0])
+        formula = Globally(Implies(Atom("a"), Eventually(Atom("c"), (0.0, 0.1))))
+        with pytest.raises(EvaluationError, match="signal 'c'.*available: \\['a', 'b'\\]"):
+            evaluate(And(Atom("b", "<", 2.0), formula), trace)
+        # a bound naming a parameter the configuration lacks comes second
+        named = Globally(Implies(Atom("a"), Eventually(Atom("c"), (0.0, "delta"))))
+        with pytest.raises(EvaluationError, match="signal 'c'"):
+            evaluate(named, trace)
+
+    def test_a_missing_signal_in_an_until_right_operand_raises(self, make_trace):
+        trace = make_trace(0.1, a=[1.0, 1.0, 0.0], b=[0.0, 1.0, 0.0])
+        formula = Until(And(Atom("a"), Not(Atom("b"))), Atom("c"), (0.0, 0.2))
+        with pytest.raises(EvaluationError, match="signal 'c'.*available: \\['a', 'b'\\]"):
+            evaluate(formula, trace)
 
     def test_empty_trace_raises(self):
         trace = Trace(mode_runs=[], signals={"a": np.zeros(0)}, events=[], dt=0.1,
