@@ -483,21 +483,24 @@ class TimingReport:
 def paired_trial_times(first: tuple, second: tuple, configs: Sequence[Configuration],
                        horizon: float) -> tuple[list[float], list[float]]:
     """Wall-clock time of one simulate-and-evaluate trial on each of two
-    ``(system, dt)`` models, per configuration.
+    ``(build, dt)`` models, per configuration.
 
-    Each model warms up with one untimed trial on the first configuration.
-    Then, configuration by configuration, the first model's trial and the
-    second's are timed back to back, so a slow stretch of the host slows
-    both alike.
+    Each trial is cold: it runs on a model that ``build()`` made for it
+    before the clock starts, so no trial replays what a system kept of an
+    earlier run.  Each model warms up with one untimed trial on the first
+    configuration.  Then, configuration by configuration, the first
+    model's trial and the second's are timed back to back, so a slow
+    stretch of the host slows both alike.
     """
     models = (first, second)
-    for system_like, dt in models:
-        run_trial(system_like, configs[0], phi_for, dt, horizon)
+    for build, dt in models:
+        run_trial(build(), configs[0], phi_for, dt, horizon)
     seconds = ([], [])
     for config in configs:
-        for (system_like, dt), timed in zip(models, seconds):
+        for (build, dt), timed in zip(models, seconds):
+            model = build()
             started = time.perf_counter()
-            run_trial(system_like, config, phi_for, dt, horizon)
+            run_trial(model, config, phi_for, dt, horizon)
             timed.append(time.perf_counter() - started)
     return seconds
 
@@ -508,11 +511,11 @@ def timing_comparison(params: DroneParams, configs: Sequence[Configuration],
     """Wall-clock comparison over identical configurations.
 
     The full model runs at its fidelity step (params.full_model_dt); the
-    surrogate runs at the given trace step.
+    surrogate runs at the given trace step.  Each trial runs on a model
+    built for it.
     """
     if len(configs) < 10:
         raise ConfigurationError("timing comparison needs at least 10 configurations")
-    full = build_full_system(params, variant).with_entry("GOTO")
-    surrogate = build_surrogate_system(params, variant)
-    return TimingReport(*paired_trial_times((full, params.full_model_dt),
-                                            (surrogate, dt), configs, horizon))
+    full = (lambda: build_full_system(params, variant).with_entry("GOTO"), params.full_model_dt)
+    surrogate = (lambda: build_surrogate_system(params, variant), dt)
+    return TimingReport(*paired_trial_times(full, surrogate, configs, horizon))

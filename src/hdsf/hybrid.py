@@ -31,7 +31,8 @@ signal whose rate declares a form and that no callable called per
 sample reads is filled ahead in numpy passes, and so is the first
 sample at which a condition over such signals, and signals the mode
 does not rate, holds.  The rest is stepped in Python.  Both write the
-same bits as stepping every signal would.
+same bits as stepping every signal would.  A system keeps the stepped
+part of each mode's last run, and a run from the same inputs replays it.
 
 Dynamics, guard and reset callables are pure functions of ``(state,
 params)``, where ``params`` is the trial's configuration, a read-only
@@ -62,6 +63,7 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
+from .config import Configuration
 from .errors import ConfigurationError, ProjectionError, SimulationFault
 from .stl import StlFormula, atom_signals, state_predicate, state_truth
 
@@ -160,7 +162,9 @@ class HybridSystem:
     the name of a configuration parameter to read it from.  Construction
     raises :class:`ConfigurationError` when a rate, guard or reset reads or
     writes a signal outside ``signal_names``.  Instances are treated as
-    immutable after construction.
+    immutable after construction; the one thing a run changes is
+    ``simulate``'s memo of the stepped part of each mode's last run, which
+    no trace shows.
     """
 
     signal_names: tuple[str, ...]
@@ -168,9 +172,11 @@ class HybridSystem:
     guards: dict[str, tuple[Guard, ...]]
     initial_mode: str
     initials: dict[str, Union[float, str]] = field(default_factory=dict)
-    # how ``simulate`` runs each mode (see ``_plan``), and the signals some mode steps
+    # how ``simulate`` runs each mode (see ``_plan``), the signals some mode
+    # steps, and per mode the (key, parameters read, stepped rows) of its last run
     _plans: dict[str, "_Plan"] = field(init=False, repr=False, compare=False)
     _stepped: frozenset[int] = field(init=False, repr=False, compare=False)
+    _runs: dict[str, tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.signal_names = tuple(self.signal_names)
@@ -213,6 +219,7 @@ class HybridSystem:
         check("initials for", self.initials)
         self._plans = {name: _plan(self, name) for name in self.dynamics}
         self._stepped = frozenset(i for plan in self._plans.values() for *_, i in plan.rates)
+        self._runs = {}
 
     def with_entry(self, mode_name: str) -> "HybridSystem":
         """Copy of the system starting in ``mode_name``."""
@@ -336,7 +343,9 @@ class _Plan:
     at which it holds.  The other rates are stepped in Python and the
     other guards called at every sample.  A stepped rate's entry carries
     its signal's row, into which ``simulate`` writes each value at the
-    step that computes it.
+    step that computes it.  What is stepped reads no filled signal, so its
+    values and the sample at which an opaque guard fires follow from the
+    entry values of the ``keyed`` signals and the parameters looked up.
     """
 
     rates: tuple  # (name, func, reads, row) of each stepped rate, in signal order
@@ -348,6 +357,7 @@ class _Plan:
     forms: tuple[RateForm, ...]  # their forms
     decided: tuple[StlFormula, ...]  # the decided guards' conditions, in declaration order
     watched: tuple[str, ...]  # the signals the mode does not rate that they read
+    keyed: tuple[str, ...]  # the stepped signals and what they and the opaque guards read
 
 
 def _plan(system: HybridSystem, mode: str) -> _Plan:
@@ -379,7 +389,8 @@ def _plan(system: HybridSystem, mode: str) -> _Plan:
         filled_names=tuple(names[i] for i in fill),
         forms=tuple(rates[names[i]].form for i in fill),
         decided=tuple(g.condition for g in guards if g.label in decided),
-        watched=tuple(name for name in names if name in watched))
+        watched=tuple(name for name in names if name in watched),
+        keyed=tuple(name for i, name in enumerate(names) if name in read or i in stepped))
 
 
 def _form_rate(form: RateForm, value: float) -> float:
@@ -496,10 +507,13 @@ def _fill_passes(plan: _Plan, names: tuple[str, ...], values: list[float], named
             base, span = end, 2 * span
 
 
-def _assemble(named: dict, plan: _Plan, data: np.ndarray, k: int) -> None:
-    """Bring the filled signals' entries of ``named`` up to sample ``k``."""
+def _assemble(named: dict, plan: _Plan, data: np.ndarray, k: int, replayed: tuple) -> None:
+    """Bring the entries of ``named`` of the filled signals, and of the
+    signals of the stepped rates ``replayed``, up to sample ``k``."""
     item = data.item
     for name, i in zip(plan.filled_names, plan.filled):
+        named[name] = item(i, k)
+    for name, *_, i in replayed:
         named[name] = item(i, k)
 
 
@@ -513,6 +527,65 @@ def _close(data: np.ndarray, named: StateMap, names: tuple[str, ...], plan: _Pla
     for i in plan.free:
         if i not in stepped:
             data[i, first:end] = named[names[i]]
+
+
+class _Reads(Configuration):
+    """The parameters that the stepped rates and opaque guards of one mode
+    run look up in ``source``, as a read-only configuration.
+
+    It starts empty, and a name enters on its first lookup, so later
+    lookups of it run in C.  A lookup of a name ``source`` lacks, by
+    ``[]``, ``get`` or ``in``, enters it in ``absent``.  Whatever reads
+    every name, such as iterating, ``len``, ``==`` or ``copy``, copies
+    all of ``source`` in and sets ``whole``.
+    """
+
+    __slots__ = ("source", "absent", "whole")
+
+    def __init__(self, source: Params):
+        dict.__init__(self)
+        self.source, self.absent, self.whole = source, set(), False
+
+    def __missing__(self, name: str):
+        if name not in self.source:
+            self.absent.add(name)
+        value = self.source[name]  # an absent name raises as ``source`` does
+        dict.__setitem__(self, name, value)
+        return value
+
+    def __contains__(self, name) -> bool:
+        if name in self.source:
+            self[name]
+            return True
+        self.absent.add(name)
+        return False
+
+    def get(self, name: str, default=None):
+        return self[name] if name in self else default
+
+    def matches(self, parameters: Params) -> bool:
+        """Whether ``parameters`` gives every lookup recorded here the same
+        answer: the same bits of each name found, no name found absent,
+        and, with ``whole``, no other name."""
+        if self.whole and len(parameters) != dict.__len__(self):
+            return False
+        return (not any(name in parameters for name in self.absent)
+                and all(name in parameters and float(parameters[name]).hex() == float(v).hex()
+                        for name, v in dict.items(self)))
+
+
+def _reading_whole(method):
+    def read(self, *args):
+        if not self.whole:
+            self.whole = True
+            dict.update(self, self.source)
+        return method(self, *args)
+    return read
+
+
+for _name in ("__iter__", "__reversed__", "__len__", "__eq__", "__ne__", "__or__", "__ror__",
+              "keys", "items", "values", "copy"):
+    setattr(_Reads, _name, _reading_whole(getattr(dict, _name)))
 
 
 def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
@@ -565,6 +638,16 @@ def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
     each next pass doubles, so a mode whose other guards fire every few
     samples writes a few samples per sample, not a trace per run.
 
+    A system keeps, per mode, the stepped part of its last run that did
+    not end at a sample where every guard was called: the stepped rows
+    from the entry sample to the horizon, or to the sample at which an
+    opaque guard fired.  Its key is whether the entry sample was stepped
+    into, the samples left, the bits of ``dt`` and of the entry values of
+    the stepped signals and of what they and the opaque guards read, and
+    the parameters those callables looked up.  A run with the same key
+    writes those rows at once; it calls no stepped rate, and an opaque
+    guard only where every guard is called.
+
     ``initial_state`` may be None, in which case it is built from the
     system's declared initials and the configuration.  A non-finite value
     in the initial state, or produced by a step or a reset, raises
@@ -582,7 +665,10 @@ def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
     called and for resets.  A callable must not change the state mapping
     it is given: that mapping is the recorded sample, shared by every
     guard and rate of that sample (at an event, the rates share the reset
-    state instead).
+    state instead).  A stepped rate or opaque guard may be given, for
+    ``params``, a read-only ``Configuration`` that records each name
+    looked up in it, found or not; a parameter counts only if it is
+    looked up, and iterating reads them all.
     """
     if not (math.isfinite(dt) and math.isfinite(horizon)):
         raise ConfigurationError(f"dt {dt} and horizon {horizon} must be finite")
@@ -613,7 +699,7 @@ def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
     cells = [None] * len(names)  # a 1-D view of each row some mode steps
     for i in system._stepped:
         cells[i] = memoryview(data[i])
-    plans = system._plans
+    plans, runs = system._plans, system._runs
     events: list[TraceEvent] = []
     mode = system.initial_mode
     mode_runs = [(mode, 0)]  # (mode, its first sample)
@@ -642,6 +728,18 @@ def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
                                       data, span)
         start = first = nxt = k  # first: where the current stretch of stepped rates starts
         limit, decided = k, True  # every guard is called on the entry sample
+        replayed, end = (), n_steps + 1  # the stepped rates replayed, to sample end
+        given, used = parameters, None  # what the stepped rates and opaque guards read
+        if rates:
+            key = (stepping, n_steps - k, float(dt).hex(), *[named[n].hex() for n in plan.keyed])
+            run = runs.get(mode)
+            if run is not None and run[0] == key and run[1].matches(parameters):
+                # the stepped part of the last run from these inputs, at once
+                end = k + run[2].shape[1] - 1
+                data[[i for *_, i in rates], k:end + 1] = run[2]
+                replayed, rates, edges = rates, (), ()
+            else:
+                given = used = _Reads(parameters)
         last = None  # what the last settling saw held; None until one in this mode run
         settling = False  # whether the next step follows a sample that fired no guard
         fired = None
@@ -652,7 +750,7 @@ def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
                     held = ()  # the stepped signals this step left bit-identical
                     for name, f, _, i in rates:
                         old = named[name]
-                        value = old + dt * f(named, parameters)
+                        value = old + dt * f(named, given)
                         # false, as in most steps, exactly when the value moved and is finite
                         if value == old or value - value:
                             if not isfinite(value):
@@ -675,15 +773,15 @@ def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
                             rates, first = moving, k + 1
                             if not rates and k < limit:
                                 break  # no guard is left to call before limit
-                tried = edges
+                tried, told = edges, given
                 if k == limit:
                     if fault is not None:
                         raise fault
                     if decided:
-                        _assemble(named, plan, data, k)
-                        tried = plan.guards
+                        _assemble(named, plan, data, k, replayed)
+                        tried, told = plan.guards, parameters
                 for guard, predicate, _ in tried:
-                    if predicate(named, parameters):
+                    if predicate(named, told):
                         fired = guard
                         break
                 if fired is not None:
@@ -693,18 +791,22 @@ def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
                 break
             if k == limit:
                 limit, decided, fault = next(passes) if passes else (n_steps, False, None)
+                if limit >= end:  # every guard is called where the replay ends
+                    fault = fault if limit == end else None
+                    limit, decided, end = end, True, n_steps + 1
                 nxt = k + 1
             if not rates:
                 # nothing to step, and no guard left that reads what moves:
                 # go on to limit at once
                 nxt, stepping, edges = limit, False, ()
 
+        if fired is not None and (k != limit or not decided):
+            _assemble(named, plan, data, k, replayed)  # the reset reads every signal
+        _close(data, named, names, plan, first, k + 1, rates or replayed)
+        if used is not None and told is used:  # no guard called with every other ended it
+            runs[mode] = (key, used, data[[i for *_, i in plan.rates], start:k + 1])
         if fired is None:
-            _close(data, named, names, plan, first, n_steps + 1, rates)
             break
-        if k != limit or not decided:
-            _assemble(named, plan, data, k)  # the reset reads every signal
-        _close(data, named, names, plan, first, k + 1, rates)
         if passes is not None and k > start:
             span = 2 * (k - start)
         events.append(TraceEvent(k * dt, fired.label, mode, fired.target))

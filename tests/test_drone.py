@@ -339,7 +339,7 @@ class TestTiming:
         surrogate = build_surrogate_system(params, BUGGY)
         rng = np.random.default_rng(47)
         configs = [generate(surrogate.parameter_space, rng) for _ in range(15)]
-        model = (surrogate, params.dt)
+        model = (lambda: build_surrogate_system(params, BUGGY), params.dt)
         first, second = map(statistics.median,
                             paired_trial_times(model, model, configs, params.horizon))
         assert 0.25 <= first / second <= 4.0
@@ -347,13 +347,16 @@ class TestTiming:
     def test_untimed_warm_up_then_median(self, monkeypatch):
         params = DroneParams()
         configs = [default_configuration(50, 70 + i) for i in range(10)]
+        steps = []  # "build", "clock" and "run", in the order they happen
         monkeypatch.setattr(drone, "build_full_system",
-                            lambda params, variant: SimpleNamespace(with_entry=lambda _: "full"))
-        monkeypatch.setattr(drone, "build_surrogate_system", lambda params, variant: "surrogate")
+                            lambda params, variant: steps.append("build") or
+                            SimpleNamespace(with_entry=lambda _: "full"))
+        monkeypatch.setattr(drone, "build_surrogate_system",
+                            lambda params, variant: steps.append("build") or "surrogate")
         runs = []
         monkeypatch.setattr(drone, "run_trial",
                             lambda system, config, phi, dt, horizon:
-                            runs.append((system, dt, config)))
+                            steps.append("run") or runs.append((system, dt, config)))
         # each trial reads the clock before and after it; full and surrogate
         # alternate: full 1, 9, 2, 3, 50, 4, 4, 6, 5, 7 s (median 4.5) and
         # surrogate 2, 1, 3, 8, 1, 3, 2, 6, 1, 9 s (median 2.5)
@@ -363,7 +366,8 @@ class TestTiming:
             start = readings[-1] + 1 if readings else 0
             readings += [start, start + seconds]
         clock = iter(readings)
-        monkeypatch.setattr(drone, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+        monkeypatch.setattr(drone, "time", SimpleNamespace(
+            perf_counter=lambda: steps.append("clock") or next(clock)))
         report = timing_comparison(params, configs, params.dt, params.horizon)
         assert (report.full_seconds, report.surrogate_seconds) == (4.5, 2.5)
         # the speedup is the median of the paired ratios 1/2, 9, 2/3, 3/8,
@@ -374,6 +378,29 @@ class TestTiming:
                         *((*model, config) for config in configs
                           for model in (full, surrogate))]
         assert next(clock, None) is None
+        # one build per warm-up and per timed trial, each made before its clock starts
+        assert steps == ["build", "run"] * 2 + ["build", "clock", "run", "clock"] * 20
+
+    def test_every_timed_full_trial_calls_the_full_models_rates(self, monkeypatch):
+        # the same configuration each time: a trial on a reused system would replay
+        params = DroneParams()
+        configs = [default_configuration(50, 70)] * 10
+        calls = []
+        guidance = drone._guidance
+
+        def counted(signal, gain, target):
+            func = guidance(signal, gain, target).func
+            return drone.StateExpr(lambda s, p: calls.append(signal) or func(s, p),
+                                   reads=frozenset({signal}))
+
+        monkeypatch.setattr(drone, "_guidance", counted)
+        marks = []  # the rate calls made before each clock reading
+        monkeypatch.setattr(drone, "time", SimpleNamespace(
+            perf_counter=lambda: marks.append(len(calls)) or float(len(marks))))
+        timing_comparison(params, configs, params.dt, 5.0)
+        full_trials = list(zip(marks[0::4], marks[1::4]))
+        assert len(full_trials) == len(configs)
+        assert all(stop > start for start, stop in full_trials), full_trials
 
     def test_surrogate_faster_than_full(self):
         params = DroneParams()

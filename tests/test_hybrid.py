@@ -283,6 +283,9 @@ def drone_configs(draw):
     return Configuration(values)
 
 
+OPAQUE_PARAMETERS = ("q0", "q1")  # parameters only opaque callables look up
+
+
 @st.composite
 def small_systems(draw, declared=False):
     """Up to three modes over up to three signals, with affine rates,
@@ -292,7 +295,10 @@ def small_systems(draw, declared=False):
     clamped at the rated signal's level, and guard by conditions whose
     thresholds may name drawn parameters: a mode declares all of its
     rates and guards, none, or a random mix, and initial values may be
-    signed zeros.  The case then ends with the drawn parameters."""
+    signed zeros.  An opaque rate's offset or guard's bound may then be a
+    lookup of one of ``OPAQUE_PARAMETERS``, by ``p[name]``, by
+    ``p.get(name, default)`` or by ``name in p``; only the first makes
+    sure the name is drawn.  The case then ends with the drawn parameters."""
     signals = ("x", "y", "z")[:draw(st.integers(1, 3))]
     modes = [f"M{i}" for i in range(draw(st.integers(1, 3)))]
     unit = st.floats(-1.0, 1.0)
@@ -300,9 +306,22 @@ def small_systems(draw, declared=False):
     signal = st.sampled_from(signals)
     params = {}
 
+    def constant(c):
+        """``c`` as a function of the parameters, or a lookup of one."""
+        if not declared or draw(st.booleans()):
+            return lambda p: c
+        name, how = draw(st.sampled_from(OPAQUE_PARAMETERS)), draw(st.sampled_from("[gi"))
+        if how == "[" or draw(st.booleans()):
+            params.setdefault(name, draw(value))
+        if how == "[":
+            return lambda p: p[name]
+        if how == "g":
+            return lambda p: p.get(name, c)
+        return lambda p: c if name in p else 0.5 - c
+
     def affine():
-        src, a, b = draw(signal), draw(unit), draw(unit)
-        return StateExpr(lambda s, p, src=src, a=a, b=b: a * s[src] + b,
+        src, a, b = draw(signal), draw(unit), constant(draw(unit))
+        return StateExpr(lambda s, p, src=src, a=a, b=b: a * s[src] + b(p),
                          reads=frozenset({src}))
 
     def form(name):
@@ -350,10 +369,10 @@ def small_systems(draw, declared=False):
                     {n: reset_value() for n in draw(st.lists(signal, unique=True, max_size=2))},
                     condition=condition()))
                 continue
-            src, bound, above = draw(signal), draw(st.floats(-2.0, 2.0)), draw(st.booleans())
-            written = draw(st.lists(signal, unique=True, max_size=2))
+            src, bound = draw(signal), constant(draw(st.floats(-2.0, 2.0)))
+            above, written = draw(st.booleans()), draw(st.lists(signal, unique=True, max_size=2))
             guards[mode].append(Guard(
-                f"g{j}", lambda s, p, src=src, c=bound, up=above: (s[src] >= c) == up,
+                f"g{j}", lambda s, p, src=src, c=bound, up=above: (s[src] >= c(p)) == up,
                 draw(st.sampled_from(modes)), {n: reset_value() for n in written},
                 reads=frozenset({src})))
     system = HybridSystem(
@@ -549,6 +568,128 @@ def counter():
 
 def opaque(label, test, reads, target="B", reset=None):
     return Guard(label, test, target, reset or {}, reads=frozenset(reads))
+
+
+def assert_same_trace(trace, expected):
+    assert trace.mode_runs == expected.mode_runs
+    assert trace.events == expected.events
+    # compared as hex, which tells -0.0 from 0.0 where == does not
+    assert ({name: [v.hex() for v in values.tolist()] for name, values in trace.signals.items()}
+            == {name: [v.hex() for v in values.tolist()]
+                for name, values in expected.signals.items()})
+
+
+def counted_rate(calls, value=lambda p: 1.0):
+    """A stepped rate of ``x``, ``value(params)``, that counts its calls."""
+    return StateExpr(lambda s, p: calls.append("rate") or value(p) + 0.0 * s["x"],
+                     reads=frozenset({"x"}))
+
+
+class TestMemo:
+    """A system keeps the stepped part of each mode's last run, and a run
+    from the same inputs replays it: the trace is the one a fresh system
+    gives, bit for bit."""
+
+    @settings(ORACLE_SETTINGS, max_examples=200)
+    @given(case=small_systems(declared=True), data=st.data())
+    def test_runs_on_one_instance_equal_fresh_runs(self, case, data):
+        system, initial, dt, horizon, params = case
+        assume(any(plan.rates for plan in system._plans.values()))  # something is stepped
+        for run in range(3):
+            draw = [list(initial), dict(params), horizon]
+            change = data.draw(st.sampled_from(["none", "zero", "parameter", "horizon"])
+                               if run else st.just("none"))
+            if change == "zero":  # a zero of the other sign than the value it replaces
+                i = data.draw(st.integers(0, len(initial) - 1))
+                draw[0][i] = math.copysign(0.0, -math.copysign(1.0, initial[i]))
+            elif change == "parameter":  # one an opaque callable or a condition reads
+                name = data.draw(st.sampled_from(sorted({*OPAQUE_PARAMETERS, *params})))
+                draw[1][name] = data.draw(st.sampled_from([-0.0, 0.0, 1.5]))
+            elif change == "horizon":
+                draw[2] = dt * data.draw(st.integers(1, 40))
+            fresh = simulate(replace(system), draw[0], draw[1], dt, draw[2])
+            assert_same_trace(simulate(system, draw[0], draw[1], dt, draw[2]), fresh)
+            assert_matches_naive(system, draw[0], draw[1], dt, draw[2])
+
+    def test_a_replay_calls_no_rate_and_guards_only_where_all_are(self):
+        # the replayed run ends where the opaque guard fires, which the replay
+        # calls only there and on the entry sample, as it does every guard
+        calls = []
+        reached = opaque("reached", lambda s, p: calls.append("guard") or s["x"] >= 1.0, {"x"})
+        system = declared_system({"x": counted_rate(calls)}, [reached])
+        first = simulate(system, [0.0], {}, 0.1, 2.0)
+        assert calls.count("rate") == 11 and calls.count("guard") == 12
+        calls.clear()
+        assert_same_trace(simulate(system, [0.0], {}, 0.1, 2.0), first)
+        assert calls == ["guard", "guard"]
+        assert [e.time for e in first.events] == [1.1]
+
+    def test_a_run_cut_by_a_decided_guard_leaves_nothing_to_replay(self):
+        calls = []
+        system = declared_system({"x": counted_rate(calls), "b": StateExpr(form=RateForm(-1.0))},
+                                 [when("empty", Atom("b", "<=", 0.0))], signals=("x", "b"))
+        assert simulate(system, [0.0, 0.5], {}, 0.1, 2.0).events
+        calls.clear()
+        trace = simulate(system, [0.0, 5.0], {}, 0.1, 2.0)
+        assert len(calls) == 20
+        assert_same_trace(trace, simulate(replace(system), [0.0, 5.0], {}, 0.1, 2.0))
+        assert_matches_naive(system, [0.0, 5.0], {}, 0.1, 2.0)
+
+    def test_an_event_entered_run_replays_only_an_event_entered_run(self):
+        # A steps x; y, which only the guard reads, lets the guard fire on
+        # the first sample and then never again
+        calls = []
+        again = opaque("again", lambda s, p: s["y"] < 0.5, {"y"}, target="A",
+                       reset={"y": StateExpr(lambda s, p: 1.0)})
+        system = declared_system({"x": counted_rate(calls)}, [again], signals=("x", "y"))
+        simulate(system, [0.0, 1.0], {}, 0.1, 1.0)  # entered at sample 0, 10 to go
+        for replayed in (False, True):  # entered at sample 1 by a step, 10 to go
+            calls.clear()
+            trace = simulate(system, [0.0, 0.0], {}, 0.1, 1.1)
+            assert len(calls) == (0 if replayed else 11)
+            assert_same_trace(trace, simulate(replace(system), [0.0, 0.0], {}, 0.1, 1.1))
+
+    @pytest.mark.parametrize("first, second", [
+        (([0.0], {}, 1.0), ([-0.0], {}, 1.0)),
+        (([0.0], {}, 1.0), ([0.0], {}, 1.5)),
+        (([0.0], {}, 1.0), ([0.0], {"q": 2.0}, 1.0)),
+        (([0.0], {}, 1.0), ([0.0], {"r": 0.0}, 1.0)),
+        (([0.0], {"q": 2.0}, 1.0), ([0.0], {"q": -2.0}, 1.0)),
+        (([0.0], {"q": 0.0}, 1.0), ([0.0], {"q": -0.0}, 1.0)),
+    ], ids=["signed-zero", "horizon", "absent-get", "absent-in", "value", "value-bits"])
+    def test_a_changed_input_is_not_replayed(self, first, second):
+        calls = []
+        rate = counted_rate(calls, lambda p: p.get("q", 1.0) + (2.0 if "r" in p else 0.0))
+        system = single_mode_system({"x": rate})
+        simulate(system, first[0], first[1], 0.1, first[2])
+        calls.clear()
+        trace = simulate(system, second[0], second[1], 0.1, second[2])
+        assert calls
+        assert_same_trace(trace, simulate(replace(system), second[0], second[1], 0.1, second[2]))
+
+    def test_only_a_mode_that_steps_keeps_a_run(self):
+        config = Configuration(battery_init=50.0, altitude_init=0.0, min_deploy_alt=60.0,
+                               max_deploy_alt=80.0, low_batt_threshold=10.0, delta=2.0,
+                               mission_start=1.0)
+        surrogate = build_surrogate_system(_PARAMS, ControllerVariant.BUGGY).system
+        full = build_full_system(_PARAMS, ControllerVariant.BUGGY)
+        for system in (surrogate, full):
+            trace = simulate(system, None, config, _PARAMS.dt, _PARAMS.horizon)
+        assert surrogate._runs == {}
+        # IDLE and PARACHUTE step nothing, and the emergency guard, which is
+        # decided, cuts GOTO short
+        assert [mode for mode, _ in trace.mode_runs] == ["IDLE", "TAKE_OFF", "GOTO", "PARACHUTE"]
+        assert set(full._runs) == {"TAKE_OFF"}
+
+    def test_a_callable_that_iterates_its_parameters_keys_on_all_of_them(self):
+        calls = []
+        system = single_mode_system({"x": counted_rate(calls, lambda p: sum(1.0 for _ in p))})
+        for params, replayed in [({"a": 1.0}, False), ({"a": 1.0, "b": 2.0}, False),
+                                 ({"a": 1.0, "b": 5.0}, False), ({"a": 1.0, "b": 5.0}, True)]:
+            calls.clear()
+            trace = simulate(system, [0.0], params, 0.1, 1.0)
+            assert len(calls) == (0 if replayed else 10), params
+            assert_same_trace(trace, simulate(replace(system), [0.0], params, 0.1, 1.0))
 
 
 class TestMixedModes:
