@@ -29,7 +29,7 @@ from .drone import (ControllerVariant, DroneParams, build_full_system,
                     default_config_space, default_configuration, phi_for,
                     timing_comparison)
 from .errors import ConfigurationError, HdsfError
-from .falsify import campaign, generate, map_trials, run_trial, trial_rng
+from .falsify import campaign, generate, run_trial, trial_rng
 from .margins import compute_margins, decision_index, write_margins_csv
 from .stl import Outcome
 
@@ -255,7 +255,7 @@ def _cmd_margins(args) -> int:
         verdict, trace = run_trial(surrogate, config, phi_for, params.dt, params.horizon)
         return trial, config, compute_margins(trace, config, verdict=verdict.outcome)
 
-    rows = map_trials(margin_row, range(args.runs))
+    rows = [margin_row(trial) for trial in range(args.runs)]
     counts: dict[str, int] = {}
     for _, _, point in rows:
         key = f"{point.quadrant}/{point.verdict.value}"

@@ -38,7 +38,7 @@ from .config import Configuration, ConfigSpace
 from .errors import ConfigurationError, TrialFault
 from .hybrid import Guard, HybridSystem, RateForm, StateExpr
 from .margins import AIRBORNE_MIN_ALTITUDE
-from .falsify import map_trials, run_trial
+from .falsify import run_trial
 from .reduction import ReducedSystem, build_surrogate, reach
 from .stl import (BOOL_THRESHOLD, And, Atom, Eventually, Globally, Implies, Outcome,
                   StlFormula, state_predicate)
@@ -431,8 +431,9 @@ def conformance_check(params: DroneParams, variant: ControllerVariant,
     property reads only signals both systems have.
 
     Configurations that fault in either system are excluded from the
-    agreement denominator and reported separately.  The configurations are
-    checked by ``map_trials``, one forked worker per usable CPU.
+    agreement denominator and reported separately.  All run in this
+    process, in order: a forked worker would step the full model's GOTO
+    again, where this process's one full model replays it.
     """
     full = build_full_system(params, variant).with_entry("GOTO")
     surrogate = build_surrogate_system(params, variant)
@@ -445,9 +446,8 @@ def conformance_check(params: DroneParams, variant: ControllerVariant,
             return str(exc)
         return full_verdict.outcome, surr_verdict.outcome
 
-    pairs = []
-    faults = []
-    for config, checked in zip(configs, map_trials(check, configs)):
+    pairs, faults = [], []
+    for config, checked in zip(configs, [check(config) for config in configs]):
         if isinstance(checked, str):
             faults.append((config, checked))
         else:
@@ -485,22 +485,23 @@ def paired_trial_times(first: tuple, second: tuple, configs: Sequence[Configurat
     """Wall-clock time of one simulate-and-evaluate trial on each of two
     ``(build, dt)`` models, per configuration.
 
-    Each trial is cold: it runs on a model that ``build()`` made for it
-    before the clock starts, so no trial replays what a system kept of an
-    earlier run.  Each model warms up with one untimed trial on the first
-    configuration.  Then, configuration by configuration, the first
-    model's trial and the second's are timed back to back, so a slow
-    stretch of the host slows both alike.
+    Each trial is cold and times no build: it runs on a model that
+    ``build()`` made for it before the first trial ran.  Each model warms
+    up with one untimed trial on the first configuration.  Then,
+    configuration by configuration, the first model's trial and the
+    second's are timed back to back, so a slow stretch slows both alike.
     """
     models = (first, second)
-    for build, dt in models:
-        run_trial(build(), configs[0], phi_for, dt, horizon)
+    systems = [build() for _ in range(len(configs) + 1) for build, _ in models]
+    systems.reverse()  # popped in trial order, so a run system is freed
+    for _, dt in models:
+        run_trial(systems.pop(), configs[0], phi_for, dt, horizon)
     seconds = ([], [])
     for config in configs:
-        for (build, dt), timed in zip(models, seconds):
-            model = build()
+        for (_, dt), timed in zip(models, seconds):
+            system = systems.pop()
             started = time.perf_counter()
-            run_trial(model, config, phi_for, dt, horizon)
+            run_trial(system, config, phi_for, dt, horizon)
             timed.append(time.perf_counter() - started)
     return seconds
 
@@ -511,8 +512,7 @@ def timing_comparison(params: DroneParams, configs: Sequence[Configuration],
     """Wall-clock comparison over identical configurations.
 
     The full model runs at its fidelity step (params.full_model_dt); the
-    surrogate runs at the given trace step.  Each trial runs on a model
-    built for it.
+    surrogate runs at the given trace step, each trial on its own model.
     """
     if len(configs) < 10:
         raise ConfigurationError("timing comparison needs at least 10 configurations")

@@ -17,11 +17,10 @@ campaign seed and the trial index, so a campaign is reproducible
 bit-for-bit given (seed, run-count budget).  Only a mutated trial reads
 the pool of earlier trials, and once the pool is nonempty a trial's own
 stream alone decides whether it mutates and, if not, what it generates.
-A campaign runs its trials in this process, one after another: a trial
-costs less than forking a worker for it.  Callers whose trials are
-independent and costlier spread them over forked workers with
-:func:`map_trials`, each of which sends its whole share back as one
-message, and a campaign writes its trace files with it.
+Trials never fork: each runs in its caller's process, in order, since a
+trial costs less than a fork and a system replays only what its own
+process ran.  Only a campaign's trace files are written by forked
+workers (:func:`map_trials`), since a trace write costs more than a fork.
 """
 
 from __future__ import annotations

@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -26,3 +27,25 @@ def make_trace():
         )
 
     return build
+
+
+@pytest.fixture
+def force_cpus(monkeypatch):
+    """``force(n)``: make ``os.sched_getaffinity`` report ``n`` CPUs."""
+    def force(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    return force
+
+
+@pytest.fixture
+def count_forks(monkeypatch):
+    """The list that gains one entry per ``os.fork`` this process calls."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks

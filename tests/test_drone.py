@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import os
 import statistics
 from collections.abc import Mapping
 from types import SimpleNamespace
@@ -304,6 +305,42 @@ class TestConformance:
         if variant is PATCHED:
             assert all(p.full is Outcome.SATISFIED for p in report.pairs)
 
+    def test_forks_nothing(self, force_cpus, count_forks):
+        force_cpus(3)
+        params = DroneParams()
+        configs = [default_configuration(50 + i, 70) for i in range(10)]
+        report = conformance_check(params, BUGGY, configs, params.dt, 5.0)
+        assert len(report.pairs) == 10
+        assert count_forks == []
+
+    def test_steps_the_full_models_goto_once(self, force_cpus, monkeypatch, tmp_path):
+        # no configuration goes critical within 5 s, so every GOTO run reaches
+        # the horizon from the same entry and all but the first replay it;
+        # each call writes a byte, so calls made in a forked worker count too
+        force_cpus(3)
+        params = DroneParams()
+        configs = [default_configuration(50 + i, 70) for i in range(10)]
+        calls = os.open(tmp_path / "calls", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+        guidance = drone._guidance
+
+        def counted(signal, gain, target):
+            rate = guidance(signal, gain, target)
+            if signal != "x":
+                return rate
+            return drone.StateExpr(lambda s, p: os.write(calls, b"x") and rate.func(s, p),
+                                   reads=rate.reads)
+
+        monkeypatch.setattr(drone, "_guidance", counted)
+        try:
+            full = build_full_system(params, BUGGY).with_entry("GOTO")
+            run_trial(full, configs[0], phi_for, params.dt, 5.0)
+            cold = os.path.getsize(tmp_path / "calls")
+            conformance_check(params, BUGGY, configs, params.dt, 5.0)
+        finally:
+            os.close(calls)
+        assert cold > 0
+        assert os.path.getsize(tmp_path / "calls") == 2 * cold
+
     @pytest.mark.parametrize("variant", [BUGGY, PATCHED])
     def test_full_model_at_fidelity_step_agrees(self, variant):
         # conformance_check runs both systems at the trace step; the full
@@ -378,8 +415,8 @@ class TestTiming:
                         *((*model, config) for config in configs
                           for model in (full, surrogate))]
         assert next(clock, None) is None
-        # one build per warm-up and per timed trial, each made before its clock starts
-        assert steps == ["build", "run"] * 2 + ["build", "clock", "run", "clock"] * 20
+        # one build per warm-up and per timed trial, all made before the first trial
+        assert steps == ["build"] * 22 + ["run"] * 2 + ["clock", "run", "clock"] * 20
 
     def test_every_timed_full_trial_calls_the_full_models_rates(self, monkeypatch):
         # the same configuration each time: a trial on a reused system would replay

@@ -445,13 +445,6 @@ def squares_except(bad):
     return fn
 
 
-@pytest.fixture
-def force_cpus(monkeypatch):
-    def force(n):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-    return force
-
-
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -692,19 +685,6 @@ def near_boundary_trials(out_dir: Path) -> list[int]:
 def generates(seed: int, trial: int) -> bool:
     """Whether a trial generates once the pool is nonempty."""
     return trial_rng(seed, trial).random() >= MUTATION_FRACTION
-
-
-@pytest.fixture
-def count_forks(monkeypatch):
-    forks = []
-    fork = os.fork
-
-    def counted():
-        forks.append(None)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted)
-    return forks
 
 
 def faulty_system(above: float) -> HybridSystem:
