@@ -432,26 +432,20 @@ def conformance_check(params: DroneParams, variant: ControllerVariant,
 
     Configurations that fault in either system are excluded from the
     agreement denominator and reported separately.  All run in this
-    process, in order: a forked worker would step the full model's GOTO
-    again, where this process's one full model replays it.
+    process, in order, on one full model, so a GOTO run from the same
+    inputs as an earlier one replays it.
     """
     full = build_full_system(params, variant).with_entry("GOTO")
     surrogate = build_surrogate_system(params, variant)
-
-    def check(config: Configuration):
+    pairs, faults = [], []
+    for config in configs:
         try:
             full_verdict, _ = run_trial(full, config, phi_for, dt, horizon)
             surr_verdict, _ = run_trial(surrogate, config, phi_for, dt, horizon)
         except TrialFault as exc:
-            return str(exc)
-        return full_verdict.outcome, surr_verdict.outcome
-
-    pairs, faults = [], []
-    for config, checked in zip(configs, [check(config) for config in configs]):
-        if isinstance(checked, str):
-            faults.append((config, checked))
+            faults.append((config, str(exc)))
         else:
-            pairs.append(ConformancePair(config, *checked))
+            pairs.append(ConformancePair(config, full_verdict.outcome, surr_verdict.outcome))
     return ConformanceReport(pairs=pairs, faults=faults)
 
 

@@ -17,22 +17,19 @@ campaign seed and the trial index, so a campaign is reproducible
 bit-for-bit given (seed, run-count budget).  Only a mutated trial reads
 the pool of earlier trials, and once the pool is nonempty a trial's own
 stream alone decides whether it mutates and, if not, what it generates.
-Trials never fork: each runs in its caller's process, in order, since a
-trial costs less than a fork and a system replays only what its own
-process ran.  Only a campaign's trace files are written by forked
-workers (:func:`map_trials`), since a trace write costs more than a fork.
+Everything runs in the caller's process: the trials in order, and then
+the campaign's trace files in violation order.  A system replays only
+what its own process ran, and a worker process cost more than it saved,
+even for the trace writes.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import pickle
-import signal
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Callable, NoReturn, Optional, Sequence, TypeVar
+from typing import Optional
 
 import numpy as np
 
@@ -41,9 +38,6 @@ from .errors import ConfigurationError, SimulationFault, SpaceError, TrialFault
 from .hybrid import HybridSystem, Trace, simulate, write_trace_jsonl
 from .margins import MarginPoint, compute_margins, write_margins_csv
 from .stl import StlFormula, Verdict, evaluate, formula_horizon
-
-T = TypeVar("T")
-R = TypeVar("R")
 
 _MAX_REPAIR_ROUNDS = 100
 # Share of trials that mutate a pooled near-boundary configuration (once
@@ -174,120 +168,6 @@ def run_trial(surrogate, config: Configuration, formula: StlFormula,
     return verdict, trace
 
 
-def _cpus() -> int:
-    """The CPUs this process may run on, or 1 where it cannot fork."""
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return 1
-
-
-def _run(fn: Callable[[T], R], share: Sequence[T]) -> tuple[list[R], Optional[Exception]]:
-    """``fn`` over ``share`` in order, up to its first exception: the
-    results before it, and the exception or None."""
-    results = []
-    try:
-        for item in share:
-            results.append(fn(item))
-    except Exception as exc:
-        return results, exc
-    return results, None
-
-
-def _serve(fn, items: list, indices: range, write_fd: int) -> NoReturn:
-    """A forked worker: run ``fn`` over the items at ``indices``, write
-    ``(results, exception)`` as one pickle and end the process, so that it
-    never returns into the caller's stack.  A result or exception that will
-    not pickle, or an exception that will not rebuild, is sent as a
-    TypeError naming its item in place of the first of them."""
-    status = 1
-    try:
-        results, error = _run(fn, [items[i] for i in indices])
-        try:
-            payload = pickle.dumps((results, error), pickle.HIGHEST_PROTOCOL)
-            if error is not None:
-                pickle.loads(payload)  # an exception must also rebuild
-        except Exception as exc:
-            bad = next((k for k, result in enumerate(results) if not _sendable(result)),
-                       len(results))
-            payload = pickle.dumps((results[:bad], TypeError(
-                f"item {indices[bad]}: a trial worker cannot send its result back: {exc!r}")))
-        with open(write_fd, "wb") as pipe:
-            pipe.write(payload)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _sendable(value) -> bool:
-    try:
-        pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
-        return True
-    except Exception:
-        return False
-
-
-def map_trials(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
-    """``[fn(x) for x in items]``, with the items dealt round-robin to this
-    process and to one forked worker per further CPU it may run on.  The
-    items are independent trials, or independent writes whose result is
-    None; a worker reads the items it inherits copy-on-write.
-
-    Item ``i`` goes to worker ``i % workers``, where worker 0 is this
-    process.  Each runs its share in item order up to its first exception;
-    a forked worker then sends its results and that exception back as one
-    message and exits.  This process runs its own share, reads every
-    worker's message and raises the exception of the lowest index, as the
-    serial loop would, once all workers are done.  Results and exceptions
-    must pickle, and what ``fn`` changes in a worker stays there.  A fork
-    copies only the calling thread, so ``fn`` must not wait on another.  An
-    interrupt, or any other BaseException, in this process kills and reaps
-    the workers.  With one CPU, fewer than two items, or no ``fork``, this
-    process runs every item.
-    """
-    items = list(items)
-    workers = max(1, min(_cpus(), len(items)))  # this process and the forked ones
-    children: list[tuple[int, BinaryIO]] = []  # (pid, its pipe), until reaped
-    try:
-        for first in range(1, workers):
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
-            if pid == 0:
-                os.close(read_fd)
-                for _, pipe in children:
-                    os.close(pipe.fileno())
-                _serve(fn, items, range(first, len(items), workers), write_fd)
-            os.close(write_fd)
-            children.append((pid, open(read_fd, "rb")))
-        shares = [_run(fn, items[::workers])]  # (results, exception) per worker
-        while children:
-            pid, pipe = children[0]
-            with pipe:
-                payload = pipe.read()
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            children.pop(0)
-            if status or not payload:
-                raise RuntimeError(f"trial worker {pid} exited with status {status} "
-                                   "before sending its results")
-            shares.append(pickle.loads(payload))
-    finally:
-        for pid, pipe in children:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    results = []
-    for index in range(len(items)):
-        done, error = shares[index % workers]
-        if index // workers == len(done):
-            raise error
-        results.append(done[index // workers])
-    return results
-
-
 # ---------------------------------------------------------------------------
 # Campaign
 # ---------------------------------------------------------------------------
@@ -394,9 +274,7 @@ def write_campaign_outputs(out_dir: Path, summary: CampaignSummary,
 
     for record in violations:
         record.trace_ref = f"traces/trial_{record.trial:05d}.jsonl"
-    # each trace file is independent: workers write their share and send None
-    map_trials(lambda record: write_trace_jsonl(record.trace, out_dir / record.trace_ref),
-               violations)
+        write_trace_jsonl(record.trace, out_dir / record.trace_ref)
 
     with open(out_dir / "violations.jsonl", "w") as fh:
         for record in violations:

@@ -31,7 +31,11 @@ def make_trace():
 
 @pytest.fixture
 def force_cpus(monkeypatch):
-    """``force(n)``: make ``os.sched_getaffinity`` report ``n`` CPUs."""
+    """``force(n)``: make ``os.sched_getaffinity`` report ``n`` CPUs.
+
+    The package reads no CPU count; tests use this to check that nothing
+    it does, its outputs and its forks included, depends on one.
+    """
     def force(n):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
     return force

@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import os
 import statistics
 from collections.abc import Mapping
 from types import SimpleNamespace
@@ -17,7 +16,7 @@ from hdsf.drone import (ControllerVariant, DroneParams, build_full_system,
                         condensed_drone_descent, default_config_space, default_configuration,
                         emergency_deploy_decision, paired_trial_times, phi_for,
                         timing_comparison)
-from hdsf.errors import ConfigurationError
+from hdsf.errors import ConfigurationError, SimulationFault, TrialFault
 from hdsf.falsify import generate, run_trial
 from hdsf.hybrid import simulate
 from hdsf.reduction import build_surrogate
@@ -305,41 +304,53 @@ class TestConformance:
         if variant is PATCHED:
             assert all(p.full is Outcome.SATISFIED for p in report.pairs)
 
-    def test_forks_nothing(self, force_cpus, count_forks):
-        force_cpus(3)
+    def test_forks_nothing(self, count_forks):
         params = DroneParams()
         configs = [default_configuration(50 + i, 70) for i in range(10)]
         report = conformance_check(params, BUGGY, configs, params.dt, 5.0)
         assert len(report.pairs) == 10
         assert count_forks == []
 
-    def test_steps_the_full_models_goto_once(self, force_cpus, monkeypatch, tmp_path):
+    def test_steps_the_full_models_goto_once(self, monkeypatch):
         # no configuration goes critical within 5 s, so every GOTO run reaches
-        # the horizon from the same entry and all but the first replay it;
-        # each call writes a byte, so calls made in a forked worker count too
-        force_cpus(3)
+        # the horizon from the same entry and all but the first replay it
         params = DroneParams()
         configs = [default_configuration(50 + i, 70) for i in range(10)]
-        calls = os.open(tmp_path / "calls", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+        calls = []
         guidance = drone._guidance
 
         def counted(signal, gain, target):
             rate = guidance(signal, gain, target)
             if signal != "x":
                 return rate
-            return drone.StateExpr(lambda s, p: os.write(calls, b"x") and rate.func(s, p),
+            return drone.StateExpr(lambda s, p: calls.append(None) or rate.func(s, p),
                                    reads=rate.reads)
 
         monkeypatch.setattr(drone, "_guidance", counted)
-        try:
-            full = build_full_system(params, BUGGY).with_entry("GOTO")
-            run_trial(full, configs[0], phi_for, params.dt, 5.0)
-            cold = os.path.getsize(tmp_path / "calls")
-            conformance_check(params, BUGGY, configs, params.dt, 5.0)
-        finally:
-            os.close(calls)
+        full = build_full_system(params, BUGGY).with_entry("GOTO")
+        run_trial(full, configs[0], phi_for, params.dt, 5.0)
+        cold = len(calls)
+        conformance_check(params, BUGGY, configs, params.dt, 5.0)
         assert cold > 0
-        assert os.path.getsize(tmp_path / "calls") == 2 * cold
+        assert len(calls) == 2 * cold
+
+    def test_a_faulting_configuration_is_reported_apart(self, monkeypatch):
+        params = DroneParams()
+        configs = [default_configuration(10.0, 20.0), default_configuration(50, 70),
+                   default_configuration(15.0, 20.0)]
+        bad = configs[1]
+        exc = TrialFault(SimulationFault(0.5, "battery", math.nan), bad)
+
+        def faulting(system, config, *args):
+            if config is bad:
+                raise exc
+            return run_trial(system, config, *args)
+
+        monkeypatch.setattr(drone, "run_trial", faulting)
+        report = conformance_check(params, BUGGY, configs, params.dt, params.horizon)
+        assert report.faults == [(bad, str(exc))]
+        assert [pair.config for pair in report.pairs] == [configs[0], configs[2]]
+        assert report.agreement == 1.0
 
     @pytest.mark.parametrize("variant", [BUGGY, PATCHED])
     def test_full_model_at_fidelity_step_agrees(self, variant):

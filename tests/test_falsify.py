@@ -1,13 +1,10 @@
 """Constraint-preserving generation, boundary-seeking mutation, failure
-classes, campaigns, forked trial and trace-writing workers."""
+classes, campaigns and their artifacts."""
 
 import csv
 import dataclasses
 import json
 import math
-import os
-import select
-import time
 import weakref
 from pathlib import Path
 
@@ -21,9 +18,10 @@ from hdsf.config import Configuration, ConfigSpace
 from hdsf.drone import (ControllerVariant, DroneParams, build_surrogate_system,
                         default_config_space, default_configuration, phi_for)
 from hdsf.errors import SpaceError, TrialFault
-from hdsf.falsify import (MUTATION_FRACTION, campaign, generate, map_trials,
-                          mutate, run_trial, trial_rng)
-from hdsf.hybrid import Guard, HybridSystem, RateForm, StateExpr, Trace
+from hdsf.falsify import (MUTATION_FRACTION, campaign, generate, mutate, run_trial,
+                          trial_rng)
+from hdsf.hybrid import (Guard, HybridSystem, RateForm, StateExpr, Trace, trace_to_jsonl,
+                         write_trace_jsonl)
 from hdsf.margins import MarginPoint, compute_margins, quadrant_for
 from hdsf.stl import Atom, Eventually, Globally, Outcome, evaluate
 
@@ -430,225 +428,107 @@ class Boom(Exception):
     pass
 
 
-class TwoArgumentError(Exception):
-    """Pickles, but cannot be rebuilt from its args."""
-
-    def __init__(self, first, second):
-        super().__init__(f"{first} {second}")
-
-
-def squares_except(bad):
-    def fn(x):
-        if x in bad:
-            raise Boom(f"item {x}")
-        return x * 0.1, f"item {x}"
-    return fn
+def buggy_campaign(out_dir=None):
+    params = DroneParams()
+    surrogate = build_surrogate_system(params, ControllerVariant.BUGGY)
+    return campaign(surrogate, phi_for, surrogate.parameter_space, 60,
+                    dt=params.dt, horizon=params.horizon, seed=7, out_dir=out_dir)
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+def trace_name(record) -> str:
+    return f"trial_{record.trial:05d}.jsonl"
 
 
 class TestMapTrials:
+    """``write_campaign_outputs`` maps each violation to its trace file in a
+    plain loop, in violation order: the files are those a serial loop of
+    ``write_trace_jsonl`` writes, on any CPU count, and nothing forks."""
+
+    @pytest.fixture(scope="class")
+    def buggy(self):
+        summary, violations = buggy_campaign()
+        assert len(violations) >= 7
+        return summary, violations
+
+    @staticmethod
+    def write_outputs(out_dir, summary, records):
+        space = default_config_space(DroneParams())
+        falsify.write_campaign_outputs(out_dir, summary, records, [], space)
+
     @pytest.mark.parametrize("n_items", [0, 1, 2, 3, 7])
     @pytest.mark.parametrize("n_cpus", [1, 2, 3, 4])
-    def test_equals_the_serial_loop(self, force_cpus, n_cpus, n_items):
+    def test_equals_the_serial_loop(self, force_cpus, count_forks, monkeypatch, tmp_path,
+                                    buggy, n_cpus, n_items):
         force_cpus(n_cpus)
-        fn = squares_except(())
-        items = list(range(n_items))
-        assert map_trials(fn, items) == [fn(x) for x in items]
-        assert_no_child_left()
-        # item i runs in worker i % workers; worker 0 is this process
-        pids = map_trials(lambda x: os.getpid(), items)
-        workers = min(n_cpus, n_items)
-        assert [pid == os.getpid() for pid in pids] == [i % workers == 0 for i in items]
-        assert len(set(pids)) == workers
-        assert_no_child_left()
+        summary, violations = buggy
+        records = violations[:n_items]
+        serial = tmp_path / "serial"
+        serial.mkdir()
+        for record in records:
+            write_trace_jsonl(record.trace, serial / trace_name(record))
+        written = []  # the trace paths, in the order they are written
 
-    @pytest.mark.parametrize("lower_in_worker", [True, False])
+        def write(trace, path):
+            written.append(path)
+            write_trace_jsonl(trace, path)
+
+        monkeypatch.setattr(falsify, "write_trace_jsonl", write)
+        self.write_outputs(tmp_path / "out", summary, records)
+        traces = tmp_path / "out" / "traces"
+        assert written == [traces / trace_name(record) for record in records]
+        assert files_under(traces) == files_under(serial)
+        assert count_forks == []
+
+    @pytest.mark.parametrize("earlier", [True, False])
     @pytest.mark.parametrize("n_cpus", [2, 3, 4])
-    def test_reraises_the_lowest_index(self, force_cpus, n_cpus, lower_in_worker):
+    def test_reraises_the_lowest_index(self, force_cpus, count_forks, tmp_path, buggy,
+                                       n_cpus, earlier):
         force_cpus(n_cpus)
-        # with 7 items, indices n_cpus - 1 and n_cpus go to the last worker
-        # and to this process, n_cpus and n_cpus + 1 to this process and the first
-        bad = {n_cpus - 1, n_cpus} if lower_in_worker else {n_cpus, n_cpus + 1}
-        fn = squares_except(bad)
-        with pytest.raises(Boom) as serial:
-            [fn(x) for x in range(7)]
-        with pytest.raises(Boom) as forked:
-            map_trials(fn, range(7))
-        assert type(forked.value) is Boom
-        assert str(forked.value) == str(serial.value) == f"item {min(bad)}"
-        assert_no_child_left()
-
-    def test_trial_fault_arrives_from_a_worker(self, force_cpus):
-        force_cpus(2)
-        exploding = {"x": StateExpr(lambda s, p: s["x"] * s["x"] * 1e300,
-                                    reads=frozenset({"x"}))}
-        system = HybridSystem(signal_names=("x",), dynamics={"M": exploding},
-                              guards={"M": ()}, initial_mode="M", initials={"x": "x0"})
-        configs = [Configuration({"x0": x0}) for x0 in (0.0, 1e10, 0.0)]
-
-        def fn(config):
-            return run_trial(system, config, Globally(Atom("x", ">=", 0.0)), 0.1, 1.0)[0]
-
-        with pytest.raises(TrialFault) as serial:
-            [fn(c) for c in configs]
-        with pytest.raises(TrialFault) as forked:
-            map_trials(fn, configs)
-        assert str(forked.value) == str(serial.value)
-        assert forked.value.config == configs[1]
-        assert vars(forked.value.cause) == vars(serial.value.cause)
-        assert_no_child_left()
-
-    def test_an_exception_that_cannot_rebuild_is_named(self, force_cpus):
-        force_cpus(2)
-
-        def fn(x):
-            if x == 1:
-                raise TwoArgumentError("a", "b")
-            return x
-
-        with pytest.raises(TypeError, match="item 1: a trial worker cannot send"):
-            map_trials(fn, range(4))
-        assert_no_child_left()
-
-    def test_a_result_that_cannot_pickle_is_named(self, force_cpus):
-        force_cpus(2)
-
-        def fn(x):
-            return (lambda: x) if x == 3 else x
-
-        with pytest.raises(TypeError, match="item 3: a trial worker cannot send"):
-            map_trials(fn, range(6))
-        assert_no_child_left()
-
-    def test_workers_run_while_this_process_runs_its_share(self, force_cpus):
-        force_cpus(2)
-        parent = os.getpid()
-        read_fd, write_fd = os.pipe()
-        try:
-            def fn(x):
-                if os.getpid() != parent:
-                    os.write(write_fd, b"%d," % x)
-                    return x
-                if x == 0:
-                    # a serial map_trials would run item 1 only after this one
-                    ready, _, _ = select.select([read_fd], [], [], 30)
-                    return os.read(read_fd, 2) if ready else None
-                return x
-
-            assert map_trials(fn, range(4)) == [b"1,", 1, 2, 3]
-        finally:
-            os.close(read_fd)
-            os.close(write_fd)
-        assert_no_child_left()
-
-    @pytest.mark.parametrize("n_cpus", [2, 3])
-    def test_results_larger_than_a_pipe_equal_the_serial_loop(self, force_cpus, n_cpus):
-        force_cpus(n_cpus)
-
-        def fn(x):
-            return bytes([x]) * 200_000
-
-        items = list(range(20))
-        assert map_trials(fn, items) == [fn(x) for x in items]
-        assert_no_child_left()
-
-    def test_a_worker_stops_at_its_first_exception(self, force_cpus):
-        force_cpus(2)
-        read_fd, write_fd = os.pipe()
-        boom = squares_except({3})
-
-        def fn(x):
-            os.write(write_fd, b"%d," % x)
-            return boom(x)
-
-        with pytest.raises(Boom, match="item 3"):
-            map_trials(fn, range(6))
-        os.close(write_fd)
-        with open(read_fd, "rb") as pipe:
-            ran = {int(x) for x in pipe.read().split(b",")[:-1]}
-        # the worker's share is 1, 3, 5: item 5 never runs; this process runs 0, 2, 4
-        assert ran == {0, 1, 2, 3, 4}
-        assert_no_child_left()
-
-    def test_a_worker_never_returns_into_the_caller(self, force_cpus):
-        force_cpus(2)
-        parent = os.getpid()
-        read_fd, write_fd = os.pipe()
-
-        def fn(x):
-            if os.getpid() != parent:
-                raise SystemExit(0)  # not an Exception, so no worker catches it
-            return x
-
-        try:
-            with pytest.raises(RuntimeError, match="before sending its results"):
-                map_trials(fn, range(4))
-        finally:
-            if os.getpid() != parent:
-                # a worker got back here; it must not go on running the tests
-                os.write(write_fd, b"escaped")
-                os._exit(0)
-        os.close(write_fd)
-        with open(read_fd, "rb") as pipe:
-            assert pipe.read() == b""
-        assert_no_child_left()
-
-    def test_an_interrupted_caller_stops_its_workers(self, force_cpus):
-        force_cpus(3)
-        parent = os.getpid()
-
-        def fn(x):
-            if os.getpid() == parent:
-                raise KeyboardInterrupt
-            time.sleep(60)
-
-        started = time.perf_counter()
-        with pytest.raises(KeyboardInterrupt):
-            map_trials(fn, range(3))
-        assert time.perf_counter() - started < 30
-        assert_no_child_left()
+        summary, violations = buggy
+        records = violations[:7]
+        # two neighbouring traces, from index n_cpus - 1 or n_cpus, are blocked
+        # by directories: the loop raises at the lower and writes none after it
+        lowest = n_cpus - 1 if earlier else n_cpus
+        traces = tmp_path / "traces"
+        for record in records[lowest:lowest + 2]:
+            (traces / trace_name(record)).mkdir(parents=True)
+        with pytest.raises(IsADirectoryError) as err:
+            self.write_outputs(tmp_path, summary, records)
+        assert err.value.filename == str(traces / trace_name(records[lowest]))
+        assert set(files_under(traces)) == {trace_name(r) for r in records[:lowest]}
+        assert count_forks == []
 
 
 class TestForkedTraceWrites:
-    """A campaign's trace files are written by forked workers, one share each,
-    and are the same files one process writes."""
+    """A campaign's trace files, once written by forked workers, are written
+    in this process: one per failure class, the same files on any CPU count,
+    and nothing forks."""
 
-    @staticmethod
-    def buggy_campaign(out_dir=None):
-        params = DroneParams()
-        surrogate = build_surrogate_system(params, ControllerVariant.BUGGY)
-        return campaign(surrogate, phi_for, surrogate.parameter_space, 60,
-                        dt=params.dt, horizon=params.horizon, seed=7, out_dir=out_dir)
-
-    def test_same_files_on_one_cpu_and_on_three(self, force_cpus, tmp_path):
+    def test_same_files_on_one_cpu_and_on_three(self, force_cpus, count_forks, tmp_path):
         written = {}
         for n_cpus in (1, 3):
             force_cpus(n_cpus)
             out_dir = tmp_path / f"cpus-{n_cpus}"
-            _, violations = self.buggy_campaign(out_dir)
-            assert_no_child_left()
-            written[n_cpus] = {str(path.relative_to(out_dir)): path.read_bytes()
-                               for path in out_dir.rglob("*") if path.is_file()}
-        assert len(violations) >= 3  # every worker writes at least one file
+            _, violations = buggy_campaign(out_dir)
+            written[n_cpus] = files_under(out_dir)
+        assert len(violations) >= 3
+        assert count_forks == []
         assert set(written[1]) == {"summary.json", "violations.jsonl", "margins.csv",
                                    *(record.trace_ref for record in violations)}
+        for record in violations:
+            assert written[1][record.trace_ref] == trace_to_jsonl(record.trace).encode()
         assert written[1] == written[3]
 
-    def test_a_write_error_in_a_worker_reaches_the_caller(self, force_cpus, tmp_path):
-        force_cpus(3)
-        _, violations = self.buggy_campaign()
-        # the second trace goes to the first forked worker
+    def test_a_write_error_in_a_worker_reaches_the_caller(self, tmp_path):
+        _, violations = buggy_campaign()
+        # the second trace, which a forked worker once wrote, is blocked by a
+        # directory; the first is written
         blocked = tmp_path / "traces" / f"trial_{violations[1].trial:05d}.jsonl"
         blocked.mkdir(parents=True)
         with pytest.raises(IsADirectoryError) as err:
-            self.buggy_campaign(tmp_path)
+            buggy_campaign(tmp_path)
         assert err.value.filename == str(blocked)
-        assert_no_child_left()
-
+        assert (tmp_path / "traces" / f"trial_{violations[0].trial:05d}.jsonl").is_file()
 
     def test_a_reused_out_dir_keeps_only_this_campaigns_traces(self, tmp_path):
         params = DroneParams()
@@ -708,9 +588,8 @@ FAULTY_SPACE = ConfigSpace(bounds={"battery_init": (0.0, 100.0),
 
 
 class TestCampaignOnWorkers:
-    """A campaign runs every trial in this process and forks workers only
-    to write its trace files; results and artifacts are the same on any
-    CPU count."""
+    """A campaign runs every trial in this process, in trial order, and
+    forks no worker."""
 
     params = DroneParams()
 
@@ -746,70 +625,44 @@ class TestCampaignOnWorkers:
         for n_cpus in (1, 2, 3):
             force_cpus(n_cpus)
             out_dir = tmp_path / f"cpus-{n_cpus}"
-            forks_before = len(count_forks)
             results[n_cpus] = self.comparable(
                 self.drone_campaign(variant, space, out_dir=out_dir))
-            assert_no_child_left()
             written[n_cpus] = files_under(out_dir)
-            # one trace-writing worker per further CPU, up to one per violation
-            traces = results[n_cpus][0]["unique_violations"]
-            assert len(count_forks) - forks_before == max(1, min(n_cpus, traces)) - 1
         if late_fill and variant is ControllerVariant.BUGGY:
             assert near_boundary_trials(tmp_path / "cpus-1")[0] == 21
         assert results[1] == results[2] == results[3]
         assert written[1] == written[2] == written[3]
+        assert count_forks == []
 
     @pytest.mark.parametrize("runs, later_generated", [(22, 0), (24, 1), (25, 2)])
-    def test_forks_only_for_two_generated_trials(self, force_cpus, count_forks, tmp_path,
-                                                 runs, later_generated):
+    def test_forks_only_for_two_generated_trials(self, count_forks, tmp_path, runs,
+                                                 later_generated):
         # with the late-fill space the buggy pool fills at trial 21; no count
-        # of generated trials after it, two included, makes the trials fork
+        # of generated trials after it, two included, makes the campaign fork
         space = ConfigSpace.from_json(LATE_FILL_SPACE.read_text())
         assert sum(generates(1, t) for t in range(22, runs)) == later_generated
-        results, written = {}, {}
-        for n_cpus in (1, 2, 3):
-            force_cpus(n_cpus)
-            forks_before = len(count_forks)
-            results[n_cpus] = self.comparable(
-                self.drone_campaign(ControllerVariant.BUGGY, space, runs=runs))
-            assert_no_child_left()
-            assert len(count_forks) == forks_before
-            out_dir = tmp_path / f"cpus-{n_cpus}"
-            self.drone_campaign(ControllerVariant.BUGGY, space, runs=runs, out_dir=out_dir)
-            written[n_cpus] = files_under(out_dir)
-        assert near_boundary_trials(tmp_path / "cpus-1")[0] == 21
-        assert results[1] == results[2] == results[3]
-        assert written[1] == written[2] == written[3]
+        self.drone_campaign(ControllerVariant.BUGGY, space, runs=runs, out_dir=tmp_path)
+        assert near_boundary_trials(tmp_path)[0] == 21
+        assert count_forks == []
 
-    def test_trial_faults_in_generated_trials(self, force_cpus, count_forks, tmp_path):
+    def test_trial_faults_in_generated_trials(self, count_forks, tmp_path):
         phi = Globally(Atom("battery", ">", 3.0))
-        written, aborts = {}, {}
-        for n_cpus in (1, 2, 3):
-            force_cpus(n_cpus)
-            out_dir = tmp_path / f"cpus-{n_cpus}"
-            summary, _ = campaign(faulty_system(90.0), phi, FAULTY_SPACE, 60,
-                                  dt=0.1, horizon=5.0, seed=1, out_dir=out_dir)
-            assert_no_child_left()
-            written[n_cpus] = files_under(out_dir)
-            with pytest.raises(SpaceError, match="campaign aborted") as err:
-                campaign(faulty_system(90.0), phi, FAULTY_SPACE, 60,
-                         dt=0.1, horizon=5.0, seed=0)
-            assert_no_child_left()
-            aborts[n_cpus] = str(err.value), str(err.value.__cause__)
+        summary, _ = campaign(faulty_system(90.0), phi, FAULTY_SPACE, 60,
+                              dt=0.1, horizon=5.0, seed=1, out_dir=tmp_path)
         # seed 1 faults without aborting, and the faulted trials have no row
-        rows = written[1]["margins.csv"].decode().splitlines()
+        rows = (tmp_path / "margins.csv").read_text().splitlines()
         assert summary.unique_violations > 0 and 1 < len(rows) < 61
-        assert written[1] == written[2] == written[3]
         # seed 0 aborts at a generated trial, 4 faults in 34 trials
-        assert aborts[1][0].startswith("campaign aborted: 4/34 trials faulted")
+        with pytest.raises(SpaceError, match="campaign aborted") as err:
+            campaign(faulty_system(90.0), phi, FAULTY_SPACE, 60,
+                     dt=0.1, horizon=5.0, seed=0)
+        assert str(err.value).startswith("campaign aborted: 4/34 trials faulted")
+        assert isinstance(err.value.__cause__, TrialFault)
         assert generates(0, 33)
-        assert aborts[1] == aborts[2] == aborts[3]
-        assert count_forks
+        assert count_forks == []
 
-    def test_an_error_in_a_generated_trial_reaches_the_caller(self, force_cpus, count_forks,
-                                                             tmp_path):
+    def test_an_error_in_a_generated_trial_reaches_the_caller(self, tmp_path):
         seed = 7
-        force_cpus(1)
         self.drone_campaign(ControllerVariant.BUGGY, seed=seed, out_dir=tmp_path / "clean")
         fills = near_boundary_trials(tmp_path / "clean")[0]
         # the fourth trial after the pool fills that generates
@@ -830,50 +683,39 @@ class TestCampaignOnWorkers:
                   for mode, edges in system.guards.items()}
         trapped = dataclasses.replace(surrogate,
                                       system=dataclasses.replace(system, guards=guards))
-        messages = {}
-        for n_cpus in (1, 2, 3):
-            force_cpus(n_cpus)
-            out_dir = tmp_path / f"cpus-{n_cpus}"
-            forks_before = len(count_forks)
-            with pytest.raises(Boom) as err:
-                self.drone_campaign(ControllerVariant.BUGGY, seed=seed, surrogate=trapped,
-                                    out_dir=out_dir)
-            assert_no_child_left()
-            assert not out_dir.exists()
-            assert len(count_forks) == forks_before
-            messages[n_cpus] = str(err.value)
-        assert messages[1] == messages[2] == messages[3] == f"config {dict(target)}"
+        out_dir = tmp_path / "trapped"
+        with pytest.raises(Boom) as err:
+            self.drone_campaign(ControllerVariant.BUGGY, seed=seed, surrogate=trapped,
+                                out_dir=out_dir)
+        assert not out_dir.exists()
+        assert str(err.value) == f"config {dict(target)}"
 
-    def test_an_interrupted_caller_stops_its_workers(self, force_cpus, count_forks,
-                                                    monkeypatch, tmp_path):
-        # a campaign's workers write its trace files
-        force_cpus(3)
-        parent = os.getpid()
+    def test_an_interrupted_caller_stops_its_workers(self, count_forks, monkeypatch,
+                                                    tmp_path):
+        # the campaign's trace writes, which forked workers once ran, run here:
+        # an interrupt at the first ends the campaign there
+        written = []
 
         def write(trace, path):
-            if os.getpid() == parent:
-                raise KeyboardInterrupt
-            time.sleep(60)
+            written.append(path)
+            raise KeyboardInterrupt
 
         monkeypatch.setattr(falsify, "write_trace_jsonl", write)
-        started = time.perf_counter()
         with pytest.raises(KeyboardInterrupt):
             self.drone_campaign(ControllerVariant.BUGGY, seed=3, out_dir=tmp_path)
-        assert time.perf_counter() - started < 30
-        assert count_forks
-        assert_no_child_left()
+        assert len(written) == 1
+        assert count_forks == []
 
     @pytest.mark.parametrize("n_cpus", [1, 2])
     def test_this_process_builds_each_trial_stream_once(self, force_cpus, count_forks,
                                                          monkeypatch, n_cpus):
-        # every trial's stream is built here, once, in trial order, and no
-        # worker is forked to go on from it
+        # every trial's stream is built here, once, in trial order, on any
+        # CPU count
         force_cpus(n_cpus)
         built = []
         monkeypatch.setattr(falsify, "trial_rng",
                             lambda seed, trial: built.append(trial) or trial_rng(seed, trial))
         result = self.comparable(self.drone_campaign(ControllerVariant.PATCHED, runs=50))
-        assert_no_child_left()
         assert built == list(range(50))
         assert count_forks == []
         monkeypatch.undo()
@@ -881,11 +723,9 @@ class TestCampaignOnWorkers:
         assert result == self.comparable(
             self.drone_campaign(ControllerVariant.PATCHED, runs=50))
 
-    def test_forks_nothing_and_holds_one_trial_stream(self, force_cpus, count_forks,
-                                                      monkeypatch):
-        # every trial runs here, on any CPU count: its stream is built once,
-        # and it is the only one alive while the trial runs
-        force_cpus(3)
+    def test_forks_nothing_and_holds_one_trial_stream(self, count_forks, monkeypatch):
+        # every trial runs here: its stream is built once, and it is the only
+        # one alive while the trial runs
         streams = []  # a weak reference to each trial's stream, in trial order
         alive = []  # how many streams were alive as each trial ran
 
@@ -907,7 +747,6 @@ class TestCampaignOnWorkers:
         monkeypatch.setattr(falsify, "mutate", lambda *args: mutated.append(None) or mutate(*args))
         result = self.comparable(self.drone_campaign(ControllerVariant.PATCHED, runs=50))
         assert count_forks == []
-        assert_no_child_left()
         assert [trial for trial, _ in streams] == list(range(50))
         assert alive == [1] * 50
         assert len(mutated) >= 10  # the pool filled
@@ -915,8 +754,7 @@ class TestCampaignOnWorkers:
         assert result == self.comparable(
             self.drone_campaign(ControllerVariant.PATCHED, runs=50))
 
-    def test_a_pool_that_never_fills_forks_nothing(self, force_cpus, count_forks):
-        force_cpus(3)
+    def test_a_pool_that_never_fills_forks_nothing(self, count_forks):
         space = default_config_space(self.params)
         bounds = {**space.bounds, "battery_init": (0.0, 1.0), "altitude_init": (0.0, 5.0),
                   "low_batt_threshold": (20.0, 30.0)}
@@ -924,4 +762,3 @@ class TestCampaignOnWorkers:
             ControllerVariant.BUGGY, ConfigSpace(bounds=bounds, orderings=space.orderings))
         assert summary.unique_violations > 0
         assert count_forks == []
-        assert_no_child_left()

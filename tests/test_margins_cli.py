@@ -576,8 +576,7 @@ class TestMarginsCommand:
                               "in_band", "verdict", "quadrant"]
         assert len(rows) == 30
 
-    def test_forks_nothing(self, capsys, tmp_path, force_cpus, count_forks):
-        force_cpus(3)
+    def test_forks_nothing(self, capsys, tmp_path, count_forks):
         assert main(["margins", "--runs", "20", "--out-dir", str(tmp_path)]) == 0
         capsys.readouterr()
         assert count_forks == []
