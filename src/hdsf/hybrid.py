@@ -30,9 +30,11 @@ sample)`` runs.  Each mode is split when the system is built: a
 signal whose rate declares a form and that no callable called per
 sample reads is filled ahead in numpy passes, and so is the first
 sample at which a condition over such signals, and signals the mode
-does not rate, holds.  The rest is stepped in Python.  Both write the
-same bits as stepping every signal would.  A system keeps the stepped
-part of each mode's last run, and a run from the same inputs replays it.
+does not rate, holds; a stretch in which nothing moves, with nothing
+stepped, is written to the horizon at once.  The rest is stepped in
+Python.  Both write the same bits as stepping every signal would.  A
+system keeps the stepped part of each mode's last run, and a run from
+the same inputs replays it.
 
 Dynamics, guard and reset callables are pure functions of ``(state,
 params)``, where ``params`` is the trial's configuration, a read-only
@@ -58,7 +60,6 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import chain, repeat
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -456,12 +457,20 @@ def _fill_passes(plan: _Plan, names: tuple[str, ...], values: list[float], named
     pass wrote past the end of its run, a later run writes over.  A
     stretch's first pass spans twice the last stretch, and at least
     ``_SPAN`` samples, so a long stretch after a short one does not start
-    from a short pass.
+    from a short pass.  A still stretch, every step zero, in a mode with
+    nothing stepped and no opaque guard, is written to the horizon at
+    once: after its first sample, whose guards were checked, nothing
+    moves, faults, switches a clamp or makes a condition hold.
     """
     rows, forms, decided = plan.filled, plan.forms, plan.decided
     base = k  # the sample a stretch or a pass starts at; its guards are checked
     while True:  # a stretch: every rate constant
         steps = [dt * _form_rate(form, value) for form, value in zip(forms, values)]
+        if not (any(steps) or plan.rates or plan.edges):  # still, and nothing else ends the run
+            for i, value, step in zip(rows, values, steps):
+                data[i, base], data[i, base + 1:] = value, value + step
+            yield n_steps, False, None
+            return
         # the position of each clamped signal that moves, and the side of its level it starts on
         moving = [(j, value > 0.0) for j, (form, value, step)
                   in enumerate(zip(forms, values, steps)) if form.level is not None and step]
@@ -636,7 +645,9 @@ def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
     run with filled signals starts with a pass over the whole trace; each
     later one with a pass twice as long as the last run that filled, and
     each next pass doubles, so a mode whose other guards fire every few
-    samples writes a few samples per sample, not a trace per run.
+    samples writes a few samples per sample, not a trace per run.  Where
+    nothing is stepped and every filled rate is zero, no guard can fire
+    before the horizon, and the fill writes up to it at once.
 
     A system keeps, per mode, the stepped part of its last run that did
     not end at a sample where every guard was called: the stepped rows
@@ -823,31 +834,30 @@ def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
 # Trace serialization (JSON lines)
 # ---------------------------------------------------------------------------
 
-def _json_runs(values) -> tuple[list[str], list[int]]:
-    """The text ``json.dumps`` writes, and the length, of each run of
-    bit-equal consecutive values; held signals and stationary tails are
-    long runs.  Bits keep ``-0.0`` apart from ``0.0``."""
+def _json_texts(values, before: str = "", after: str = "") -> Union[str, list[str]]:
+    """The text ``json.dumps`` writes of each value, between ``before``
+    and ``after``, or that text alone if all values have the same bits.
+    A run of bit-equal consecutive values, such as a held signal or a
+    stationary tail, is formatted once, and one take by run number gives
+    each value its run's text.  Bits keep ``-0.0`` apart from ``0.0``."""
     column = np.asarray(values, dtype=float)
-    if not column.size:
-        return [], []
     bits = column.view(np.int64)
-    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
-    counts = np.diff(starts, append=column.size).tolist()
-    return json.dumps(column[starts].tolist())[1:-1].split(", "), counts
-
-
-def _spread(texts, counts) -> list[str]:
-    """Each text repeated its count of times, in order."""
-    return list(chain.from_iterable(map(repeat, texts, counts)))
+    change = np.concatenate(([True], bits[1:] != bits[:-1]))[:bits.size]  # run starts
+    texts = json.dumps(column[change].tolist())[1:-1].split(", ")
+    if before or after:
+        texts = [before + text + after for text in texts]
+    if len(texts) == 1:
+        return texts[0]
+    return np.array(texts, dtype=object)[np.cumsum(change) - 1].tolist()
 
 
 @lru_cache(maxsize=1)
-def _time_texts(n: int, dt_hex: str) -> tuple[str, ...]:
+def _time_texts(n: int, dt_hex: str) -> Union[str, list[str]]:
     """The text that ends each of ``n`` sample lines, from ``"t"`` on, at
-    the step whose ``float.hex`` is ``dt_hex``; a campaign's traces share
-    both, and the hex key keeps ``-0.0`` apart from ``0.0``."""
-    texts, counts = _json_runs(np.arange(n) * float.fromhex(dt_hex))
-    return tuple(_spread(['}, "t": ' + text + "}\n" for text in texts], counts))
+    the step whose ``float.hex`` is ``dt_hex``, as ``_json_texts`` gives
+    it, shared and never changed; a campaign's traces share both, and
+    the hex key keeps ``-0.0`` apart from ``0.0``."""
+    return _json_texts(np.arange(n) * float.fromhex(dt_hex), '}, "t": ', "}\n")
 
 
 def trace_to_jsonl(trace: Trace) -> str:
@@ -863,32 +873,34 @@ def trace_to_jsonl(trace: Trace) -> str:
     finite), so equal traces give byte-identical text.
 
     Sample lines are pieces of one list, joined once with the header and
-    the event lines.  The mode of a one-mode trace and a column of one
-    run of values are folded into the fixed key text around them; the
-    other modes, values and times go into every ``stride``-th slot.  The
-    time texts are reused while consecutive traces have the same length
-    and bits of ``dt``.  This writes the same bytes as one ``json.dumps``
-    per sample.
+    the event lines.  Text that every line shares (the mode of a one-mode
+    trace, the keys, a column of one run of values) is folded into one
+    piece before each column that varies and before the times, and each
+    varying column of modes, values or times goes into every
+    ``stride``-th slot.  The time texts are reused while consecutive
+    traces have the same length and bits of ``dt``.  This writes the same
+    bytes as one ``json.dumps`` per sample.
     """
     n = len(trace)
     seen = list(dict.fromkeys(mode for mode, _ in trace.mode_runs))
     header = json.dumps({"dt": trace.dt, "signals": list(trace.signals),
                          "modes": seen}, sort_keys=True)
-    # (texts, counts) runs of a line's pieces: its mode, then each key and value
     runs = trace.mode_runs if len(seen) > 1 else trace.mode_runs[:1]
-    groups = [(['{"mode": ' + json.dumps(mode) + ', "signals": {' for mode, _ in runs],
-               np.diff([first for _, first in runs], append=n).tolist())]
+    modes = ['{"mode": ' + json.dumps(mode) + ', "signals": {' for mode, _ in runs]
+    pieces, fixed = [], modes[0]  # shared texts and columns of a line; shared text to place
+    if len(runs) > 1:
+        number = np.repeat(np.arange(len(runs)), np.diff([first for _, first in runs], append=n))
+        pieces, fixed = [np.array(modes, dtype=object)[number].tolist()], ""
     for i, name in enumerate(sorted(trace.signals)):
-        groups += [([(", " if i else "") + json.dumps(name) + ": "], [n]),
-                   _json_runs(trace.signals[name])]
-    pieces = []  # a text that every sample line shares, or a column of one text per line
-    for texts, counts in groups:
-        if len(texts) != 1:
-            pieces.append(_spread(texts, counts))
-        elif pieces and isinstance(pieces[-1], str):
-            pieces[-1] += texts[0]
+        fixed += (", " if i else "") + json.dumps(name) + ": "
+        texts = _json_texts(trace.signals[name])
+        if isinstance(texts, str):
+            fixed += texts
         else:
-            pieces.append(texts[0])
+            pieces += [fixed, texts]
+            fixed = ""
+    if fixed:
+        pieces.append(fixed)
     pieces.append(_time_texts(n, float(trace.dt).hex()))
     stride = len(pieces)
     parts = [None] * (1 + n * stride)

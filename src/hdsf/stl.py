@@ -427,30 +427,27 @@ def evaluate(formula: StlFormula, trace, params: Mapping = _LITERAL) -> Verdict:
 
     Returns a :class:`Verdict`.  An undetermined result (a deciding window
     ran past the end of the trace) is pessimistically Violated with
-    ``window_truncated`` set.  A top-level G's body is evaluated once: its
-    fold gives the verdict, and the first sample of the window where the
-    body is not True gives the witness time.  An atom whose signal the
-    trace lacks raises :class:`EvaluationError`.
+    ``window_truncated`` set.  A top-level G needs its body only over its
+    window from sample 0: the least value there is the verdict, at most
+    Unknown when the window reaches past the end of the trace, and the
+    first sample of the window where the body is not True gives the
+    witness time.  An atom whose signal the trace lacks raises
+    :class:`EvaluationError`.
     """
     if len(trace) == 0:
         raise EvaluationError("cannot evaluate a formula on an empty trace")
-    dt = trace.dt
+    dt, n = trace.dt, len(trace)
     if isinstance(formula, Globally):
-        body = _values(formula.child, trace, params)
-        root = int(_globally(formula, body, params, dt)[0])
+        lo, hi = (0, n - 1) if formula.interval is None else _window(formula.interval, params, dt, n)
+        window = _values(formula.child, trace, params)[lo:hi + 1]
+        # a window that reaches past the end, or starts there, is Unknown at best
+        root = min(int(window.min(initial=TRUE)), UNKNOWN if hi >= n else TRUE)
     else:
         root = int(_values(formula, trace, params)[0])
     if root == TRUE:
         return Verdict(Outcome.SATISFIED)
     witness = None
-    if isinstance(formula, Globally):
-        n = len(body)
-        if formula.interval is None:
-            lo, hi = 0, n - 1
-        else:
-            lo, hi = _window(formula.interval, params, dt, n)
-        misses = np.flatnonzero(body[lo:hi + 1] != TRUE)
-        if misses.size:
-            witness = float((lo + misses[0]) * dt)
+    if isinstance(formula, Globally) and (misses := np.flatnonzero(window != TRUE)).size:
+        witness = float((lo + misses[0]) * dt)
     return Verdict(Outcome.VIOLATED, witness_time=witness,
                    window_truncated=(root == UNKNOWN))

@@ -519,10 +519,9 @@ class TestForkedTraceWrites:
             assert written[1][record.trace_ref] == trace_to_jsonl(record.trace).encode()
         assert written[1] == written[3]
 
-    def test_a_write_error_in_a_worker_reaches_the_caller(self, tmp_path):
+    def test_a_write_error_reaches_the_caller(self, tmp_path):
         _, violations = buggy_campaign()
-        # the second trace, which a forked worker once wrote, is blocked by a
-        # directory; the first is written
+        # the second trace is blocked by a directory; the first is written
         blocked = tmp_path / "traces" / f"trial_{violations[1].trial:05d}.jsonl"
         blocked.mkdir(parents=True)
         with pytest.raises(IsADirectoryError) as err:
@@ -635,8 +634,8 @@ class TestCampaignOnWorkers:
         assert count_forks == []
 
     @pytest.mark.parametrize("runs, later_generated", [(22, 0), (24, 1), (25, 2)])
-    def test_forks_only_for_two_generated_trials(self, count_forks, tmp_path, runs,
-                                                 later_generated):
+    def test_generated_trials_after_a_late_fill_run_here(self, count_forks, tmp_path, runs,
+                                                         later_generated):
         # with the late-fill space the buggy pool fills at trial 21; no count
         # of generated trials after it, two included, makes the campaign fork
         space = ConfigSpace.from_json(LATE_FILL_SPACE.read_text())
@@ -690,10 +689,10 @@ class TestCampaignOnWorkers:
         assert not out_dir.exists()
         assert str(err.value) == f"config {dict(target)}"
 
-    def test_an_interrupted_caller_stops_its_workers(self, count_forks, monkeypatch,
-                                                    tmp_path):
-        # the campaign's trace writes, which forked workers once ran, run here:
-        # an interrupt at the first ends the campaign there
+    def test_an_interrupt_at_the_first_trace_write_ends_the_campaign(self, count_forks,
+                                                                     monkeypatch, tmp_path):
+        # the campaign's trace writes run here: an interrupt at the first ends
+        # the campaign there
         written = []
 
         def write(trace, path):

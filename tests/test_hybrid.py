@@ -15,7 +15,7 @@ from hdsf.drone import (ControllerVariant, DroneParams, build_full_system,
                         build_surrogate_system, default_config_space)
 from hdsf.errors import ConfigurationError, ProjectionError, SimulationFault
 from hdsf.hybrid import (Guard, HybridSystem, RateForm, StateExpr, Trace, TraceEvent,
-                         _json_runs, _spread, project_trace, simulate,
+                         _json_texts, project_trace, simulate,
                          trace_to_jsonl, write_trace_jsonl)
 from hdsf.stl import And, Atom, Not, Or
 
@@ -492,6 +492,23 @@ class TestDeclaredRuns:
         trace = simulate(system, [-0.0], {}, dt=0.5, horizon=2.0)
         assert [v.hex() for v in trace.signals["x"].tolist()] == ["-0x0.0p+0"] + [after] * 4
         assert_matches_naive(system, [-0.0], {}, 0.5, 2.0)
+
+    def test_no_pass_after_a_clamp_switch_with_nothing_stepped(self, monkeypatch):
+        # x drains to its level at sample 8 and holds there: the rest of the
+        # trace is one write, not passes doubling over a state that cannot move
+        bases = []
+
+        def counted(rows, steps, values, data, base, end, safe):
+            bases.append(base)
+            return fill_pass(rows, steps, values, data, base, end, safe)
+
+        fill_pass = hybrid._fill_pass
+        monkeypatch.setattr(hybrid, "_fill_pass", counted)
+        system = declared_system({"x": clamp(-0.5)}, [when("never", Atom("x", ">", 10.0))])
+        trace = simulate(system, [4.0], {}, dt=1.0, horizon=2000.0)
+        switch = int(np.argmax(trace.signals["x"] <= 0.0))
+        assert switch == 8 and bases and max(bases) < switch
+        assert_matches_naive(system, [4.0], {}, 1.0, 2000.0)
 
     @pytest.mark.parametrize("z0, fault", [
         (1e307, (2.0, "y", math.inf)),  # y and z overflow at sample 2: y comes first
@@ -1330,19 +1347,21 @@ class TestSerializerOracle:
     @given(runs=RUNS)
     def test_runs_formatted_once_read_as_every_value(self, runs):
         column = run_column(runs)
-        texts, counts = _json_runs(column)
-        assert _spread(texts, counts) == [json.dumps(v) for v in column.tolist()]
-        # one text per run of bit-equal values
+        texts = _json_texts(column)
+        texts = [texts] * len(column) if isinstance(texts, str) else texts
+        assert texts == [json.dumps(v) for v in column.tolist()]
+        # one text per run of bit-equal values, shared by every value of the run
         bits = column.view(np.int64).tolist()
-        assert len(texts) == 1 + sum(a != b for a, b in zip(bits, bits[1:]))
+        assert len({id(text) for text in texts}) == 1 + sum(a != b
+                                                            for a, b in zip(bits, bits[1:]))
 
     def test_adjacent_runs_of_special_floats(self):
         nan, inf = float("nan"), float("inf")
         column = run_column([(0.0, 3), (-0.0, 2), (0.0, 1), (nan, 4), (inf, 2),
                              (-inf, 3), (-0.0, 1), (1e-7, 1)])
-        assert _spread(*_json_runs(column)) == (["0.0"] * 3 + ["-0.0"] * 2 + ["0.0"]
-                                                + ["NaN"] * 4 + ["Infinity"] * 2
-                                                + ["-Infinity"] * 3 + ["-0.0", "1e-07"])
+        assert _json_texts(column) == (["0.0"] * 3 + ["-0.0"] * 2 + ["0.0"]
+                                       + ["NaN"] * 4 + ["Infinity"] * 2
+                                       + ["-Infinity"] * 3 + ["-0.0", "1e-07"])
         trace = Trace(mode_runs=[("M", 0)], signals={"x": column, "y": column[::-1]},
                       events=[], dt=0.5, n_samples=len(column))
         assert trace_to_jsonl(trace) == naive_trace_to_jsonl(trace)
@@ -1354,7 +1373,8 @@ class TestSerializerOracle:
         assert trace_to_jsonl(trace) == naive_trace_to_jsonl(trace)
 
     def test_empty_column(self):
-        assert _json_runs(np.array([])) == ([], [])
+        # no two values differ, so the text alone comes back, for no line
+        assert _json_texts(np.array([]), "a", "b") == "ab"
 
     def test_special_floats_one_sample_no_events(self):
         for value in SPECIAL_FLOATS:

@@ -348,7 +348,9 @@ class TestWitness:
                              if naive_value(body, trace, j, {}, memo) != stl.TRUE), None)
             verdict = evaluate(formula, trace)
             assert verdict.witness_time == expected, formula
-            assert verdict.violated == (naive_verdict(formula, trace, {}) != stl.TRUE)
+            naive = naive_verdict(formula, trace, {})
+            assert verdict.violated == (naive != stl.TRUE)
+            assert verdict.window_truncated == (naive == stl.UNKNOWN)
 
 
 class TestDualityAndMonotonicity:
