@@ -46,6 +46,8 @@ class Configuration(dict[str, float]):
     clear = pop = popitem = setdefault = update = _read_only
 
     def __reduce__(self):
+        # pickle and copy rebuild from the values; a dict's default would
+        # set them one by one, which a read-only configuration refuses
         return Configuration, (dict(self),)
 
     def __repr__(self) -> str:

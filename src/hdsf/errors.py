@@ -33,6 +33,7 @@ class SimulationFault(HdsfError):
         self.value = value
 
     def __reduce__(self):
+        # pickle and copy rebuild from the fields, not from the message alone
         return type(self), (self.time, self.signal, self.value)
 
 
@@ -45,6 +46,7 @@ class TrialFault(HdsfError):
         self.config = config
 
     def __reduce__(self):
+        # pickle and copy rebuild from the fields, not from the message alone
         return type(self), (self.cause, self.config)
 
 

@@ -13,18 +13,14 @@ dependency sets declared by dynamics, guards, and resets:
   * whatever a reset expression writing a relevant signal reads is
     relevant, and so is whatever the guard triggering that reset reads.
 
-Mode pruning walks the mode graph whose edges are the guards that only
-read relevant signals.  Its anchors are the modes that write a relevant
-signal or guard on one, and it keeps
-
-    reachable from the entry mode  ∩  can reach an anchor,
-
-so a kept mode either is an anchor or lies on an execution path toward
-one.  Both sets are one reachability search each, forward from the entry
-and backward from the anchors.  This is one conservative instantiation
-of property relevance; the resulting reduced system is validated against
-the full system empirically (per-configuration verdict agreement), not
-by proof.
+Mode pruning keeps the modes reachable from the entry mode over the
+guards that read only relevant signals: the cone of influence over the
+mode graph.  A kept mode that rates no relevant signal stays, so entering
+it holds those signals as the full system does, and every guard of a
+kept mode that reads only relevant signals is kept with it.  This is one
+conservative instantiation of property relevance; the resulting reduced
+system is validated against the full system empirically
+(per-configuration verdict agreement), not by proof.
 """
 
 from __future__ import annotations
@@ -112,48 +108,20 @@ def relevant_modes(system: HybridSystem, signals: frozenset[str],
 
     # the edges of the pruned mode graph: guards that read only relevant signals
     edges = {m: [g for g in system.guards[m] if g.reads <= signals] for m in names}
-    targets = {m: [g.target for g in guards] for m, guards in edges.items()}
-    predecessors = {m: [p for p in names if m in targets[p]] for m in names}
-
-    def why(mode: str) -> list[str]:
-        """What makes ``mode`` an anchor of the reduction; empty if nothing."""
-        because = []
-        if (signals.intersection(system.dynamics[mode])
-                or any(signals.intersection(g.reset) for g in system.guards[mode])):
-            because.append("writes a relevant signal")
-        if any(g.reads & signals for g in edges[mode]):
-            because.append("guards on a relevant signal")
-        return because
-
-    # keep a reachable mode when an anchor is still ahead of it, so execution
-    # paths toward the property's modes stay intact while irrelevant tails
-    # fall away
-    reachable = reach([entry], targets)
-    kept = reachable & reach([m for m in reachable if why(m)], predecessors)
-    if entry not in kept:
-        raise ReductionError(
-            f"reduction would drop the entry mode {entry!r}; "
-            "the property cannot be scoped to this entry")
+    kept = reach([entry], {m: [g.target for g in guards] for m, guards in edges.items()})
 
     guards_kept = {}
     reasons: dict[str, str] = {}
     for mode in names:
-        if mode not in reachable:
+        if mode not in kept:
             reasons[f"mode:{mode}"] = "dropped: unreachable from entry over relevant guards"
             continue
-        if mode not in kept:
-            reasons[f"mode:{mode}"] = ("dropped: touches no relevant signal and "
-                                       "is not between relevant modes")
-            continue
-        guards_kept[mode] = tuple(g.label for g in edges[mode] if g.target in kept)
-        because = why(mode) or ["lies on an execution path to a relevant mode"]
-        reasons[f"mode:{mode}"] = "kept: " + ", ".join(because)
+        guards_kept[mode] = tuple(g.label for g in edges[mode])
+        reasons[f"mode:{mode}"] = "kept: reachable from entry over relevant guards"
         for g in system.guards[mode]:
             if not g.reads <= signals:
                 reasons[f"guard:{mode}:{g.label}"] = (
                     f"dropped: reads irrelevant signals {sorted(g.reads - signals)}")
-            elif g.target not in kept:
-                reasons[f"guard:{mode}:{g.label}"] = f"dropped: target {g.target} was dropped"
 
     return RelevanceReport(
         modes_kept=frozenset(kept),

@@ -1,5 +1,6 @@
 """A Configuration is a read-only dict of finite floats whose lookups run in C."""
 
+import copy
 import json
 import math
 import pickle
@@ -88,11 +89,12 @@ def test_overrides_are_merged_and_validated():
 @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
 def test_pickle_round_trip_stays_read_only(protocol):
     config = sample()
-    copy = pickle.loads(pickle.dumps(config, protocol))
-    assert type(copy) is Configuration
-    assert copy == config
-    with pytest.raises(TypeError):
-        set_item(copy)
+    for copy_of in (lambda c: pickle.loads(pickle.dumps(c, protocol)), copy.copy, copy.deepcopy):
+        twin = copy_of(config)
+        assert type(twin) is Configuration
+        assert twin == config and twin is not config
+        with pytest.raises(TypeError):
+            set_item(twin)
 
 
 def test_repr_is_sorted_by_name():

@@ -17,10 +17,10 @@ from hdsf.drone import (ControllerVariant, DroneParams, build_full_system,
                         emergency_deploy_decision, paired_trial_times, phi_for,
                         timing_comparison)
 from hdsf.errors import ConfigurationError, SimulationFault, TrialFault
-from hdsf.falsify import generate, run_trial
+from hdsf.falsify import generate, run_trial, trial_rng
 from hdsf.hybrid import simulate
 from hdsf.reduction import build_surrogate
-from hdsf.stl import Outcome, state_truth
+from hdsf.stl import Atom, Globally, Outcome, state_truth
 
 
 BUGGY = ControllerVariant.BUGGY
@@ -351,6 +351,24 @@ class TestConformance:
         assert report.faults == [(bad, str(exc))]
         assert [pair.config for pair in report.pairs] == [configs[0], configs[2]]
         assert report.agreement == 1.0
+
+    def test_patched_battery_floor_agrees_from_goto(self):
+        # the patched emergency guard reads only the battery, so the surrogate
+        # for G(battery >= 5) keeps it and PARACHUTE, which holds the battery
+        params = DroneParams()
+        formula = Globally(Atom("battery", ">=", 5.0))
+        full = build_full_system(params, PATCHED).with_entry("GOTO")
+        surrogate = build_surrogate(full, formula)
+        assert surrogate.report.modes_kept == {"GOTO", "PARACHUTE"}
+        space = default_config_space(params)
+        outcomes = set()
+        for t in range(100):
+            config = generate(space, trial_rng(1, t))
+            want, _ = run_trial(full, config, formula, params.dt, params.horizon)
+            got, _ = run_trial(surrogate, config, formula, params.dt, params.horizon)
+            assert got.outcome is want.outcome, config
+            outcomes.add(got.outcome)
+        assert outcomes == {Outcome.VIOLATED, Outcome.SATISFIED}
 
     @pytest.mark.parametrize("variant", [BUGGY, PATCHED])
     def test_full_model_at_fidelity_step_agrees(self, variant):

@@ -1,5 +1,10 @@
-"""Every package error survives pickling, as it must to leave a trial worker."""
+"""Every package error survives pickling, ``copy.copy`` and ``copy.deepcopy``.
 
+An error whose constructor takes more than a message rebuilds itself from
+its fields; the default would call it with the message alone.
+"""
+
+import copy
 import pickle
 
 import pytest
@@ -34,7 +39,8 @@ def test_every_error_is_listed():
 @pytest.mark.parametrize("cls", ERRORS, ids=lambda c: c.__name__)
 def test_round_trips_through_pickle(cls):
     error = SAMPLES.get(cls) or cls("what went wrong")
-    copy = pickle.loads(pickle.dumps(error))
-    assert type(copy) is cls
-    assert str(copy) == str(error)
-    assert same(copy, error)
+    for copy_of in (lambda e: pickle.loads(pickle.dumps(e)), copy.copy, copy.deepcopy):
+        twin = copy_of(error)
+        assert type(twin) is cls
+        assert str(twin) == str(error)
+        assert same(twin, error)

@@ -499,10 +499,9 @@ class TestMapTrials:
         assert count_forks == []
 
 
-class TestForkedTraceWrites:
-    """A campaign's trace files, once written by forked workers, are written
-    in this process: one per failure class, the same files on any CPU count,
-    and nothing forks."""
+class TestTraceFiles:
+    """A campaign writes its trace files in this process: one per failure
+    class, the same files on any CPU count, and nothing forks."""
 
     def test_same_files_on_one_cpu_and_on_three(self, force_cpus, count_forks, tmp_path):
         written = {}

@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from hdsf.drone import ControllerVariant, DroneParams, build_full_system, phi_for
-from hdsf.errors import ConfigurationError, ReductionError, SpecificationError
-from hdsf.hybrid import Guard, HybridSystem, StateExpr
+from hdsf.errors import ConfigurationError, SpecificationError
+from hdsf.hybrid import Guard, HybridSystem, StateExpr, simulate
 from hdsf.reduction import build_surrogate, relevant_modes, relevant_signals
 from hdsf.stl import And, Atom, Globally
+
+from oracles import sample_modes
+from test_hybrid import small_systems
 
 
 def chain_system(rates_reads, guard_reads=None):
@@ -115,10 +119,11 @@ class TestRelevantModes:
                     frontier.append(nxt)
         assert "C" not in reachable
         assert "C" in report.modes_dropped
-        assert report.modes_kept <= reachable
+        assert report.modes_kept == reachable
 
-    def test_entry_mode_dropped_raises(self):
-        # entry writes nothing relevant and reaches nothing relevant
+    def test_an_entry_that_rates_nothing_is_kept_and_holds(self):
+        # the entry rates nothing relevant and its one guard reads a dropped
+        # signal, so it is all that is kept, and the surrogate holds a there
         signals = ("a", "b")
         dyn_work = {"a": StateExpr(lambda s, p: 1.0, reads=frozenset())}
         system = HybridSystem(
@@ -128,8 +133,13 @@ class TestRelevantModes:
                                    reads=frozenset({"b"})),), "WORK": ()},
             initial_mode="IDLE",
         )
-        with pytest.raises(ReductionError, match="entry"):
-            relevant_modes(system, frozenset({"a"}), entry_mode="IDLE")
+        report = relevant_modes(system, frozenset({"a"}), entry_mode="IDLE")
+        assert report.modes_kept == {"IDLE"}
+        assert report.guards_kept == {"IDLE": ()}
+        reduced = build_surrogate(system, Globally(Atom("a", ">", 0.0)), entry_mode="IDLE")
+        trace = simulate(reduced.system, [3.0], {}, dt=0.5, horizon=2.0)
+        assert trace.signals["a"].tolist() == [3.0] * 5
+        assert trace.mode_runs == [("IDLE", 0)]
 
     def test_report_completeness(self):
         full = build_full_system(DroneParams(), ControllerVariant.BUGGY)
@@ -189,10 +199,7 @@ class TestRelevantModes:
                 initial_mode="M0")
             small = frozenset(s for s in names if rng.random() < 0.5) or frozenset({"a"})
             large = small | frozenset(s for s in names if rng.random() < 0.5)
-            try:
-                kept_small = relevant_modes(system, small).modes_kept
-            except ReductionError:
-                continue
+            kept_small = relevant_modes(system, small).modes_kept
             kept_large = relevant_modes(system, large).modes_kept
             assert kept_small <= kept_large
 
@@ -250,3 +257,51 @@ class TestBuildSurrogate:
         assert twice.system.structure_summary() == once.system.structure_summary()
         assert twice.report.modes_dropped == frozenset()
 
+
+def assert_equal_until_a_dropped_guard_fires(case, data):
+    """Reduce a random automaton for ``G[0,5]`` over one or two of its
+    signals, then run both systems: the surrogate's signals, modes and
+    events equal the full system's up to the first sample at which a guard
+    fires that the surrogate lacks, that sample included, and such a guard
+    reads a signal the surrogate dropped."""
+    system, initial, dt, horizon, *params = case
+    params = params[0] if params else {}
+    watched = data.draw(st.lists(st.sampled_from(system.signal_names), min_size=1,
+                                 max_size=2, unique=True))
+    atoms = [Atom(s, ">=", -2.0) for s in watched]
+    formula = Globally(atoms[0] if len(atoms) == 1 else And(*atoms), (0.0, 5.0))
+    reduced = build_surrogate(system, formula)
+    kept = reduced.system.signal_names
+    full = simulate(system, initial, params, dt, horizon)
+    surrogate = simulate(reduced.system, [initial[system.signal_names.index(s)] for s in kept],
+                         params, dt, horizon)
+    lacking = [e for e in full.events
+               if e.guard not in reduced.report.guards_kept.get(e.source, ())]
+    # the surrogate may fire a kept guard at the first lacking one's sample
+    first = full.events.index(lacking[0]) if lacking else len(full.events)
+    end = round(lacking[0].time / dt) + 1 if lacking else len(full)
+    assert sample_modes(surrogate)[:end] == sample_modes(full)[:end]
+    for s in kept:
+        assert ([v.hex() for v in surrogate.signals[s][:end].tolist()] ==
+                [v.hex() for v in full.signals[s][:end].tolist()]), s
+    assert surrogate.events[:first] == full.events[:first]
+    if lacking:
+        assert all(e.time >= lacking[0].time for e in surrogate.events[first:])
+        guard = next(g for g in system.guards[lacking[0].source] if g.label == lacking[0].guard)
+        assert not guard.reads <= set(kept), guard.label
+    else:
+        assert len(surrogate.events) == first
+
+
+class TestRandomAutomata:
+    """The reduction on random automata: ``build_surrogate`` never raises,
+    and the surrogate runs as the full system does while every guard that
+    fires is one it kept."""
+
+    @given(case=small_systems(), data=st.data())
+    def test_opaque_systems(self, case, data):
+        assert_equal_until_a_dropped_guard_fires(case, data)
+
+    @given(case=small_systems(declared=True), data=st.data())
+    def test_declared_systems(self, case, data):
+        assert_equal_until_a_dropped_guard_fires(case, data)

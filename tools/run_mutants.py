@@ -8,9 +8,11 @@ on it.  For each mutant (or only those named), the package and its tests
 are copied to a temporary directory, the edits are made there, and the
 selectors run there.  The mutant is killed when they fail (pytest exit
 status 1).  The run fails if a mutant survives, if its selectors end in
-any other status, or if an old text is not found exactly once, which
-means a refactor moved the code and the mutant must be re-aimed.  Every
-selector first runs once on an unchanged copy and must pass there.
+any other status or run longer than ``TIMEOUT_S`` (a shrinking property
+test can take minutes; list a plain selector first), or if an old text is
+not found exactly once, which means a refactor moved the code and the
+mutant must be re-aimed.  Every selector first runs once on an unchanged
+copy and must pass there, within the same time.
 """
 
 from __future__ import annotations
@@ -25,13 +27,19 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MUTANTS = ROOT / "tools" / "mutants.json"
+TIMEOUT_S = 300  # per pytest run
 
 
-def pytest_status(copy: Path, selectors: list[str]) -> tuple[int, str]:
-    """Run ``selectors`` in ``copy``; return pytest's status and last line."""
+def pytest_status(copy: Path, selectors: list[str]) -> tuple[int | None, str]:
+    """Run ``selectors`` in ``copy``; return pytest's status and last line,
+    or None and the time limit if the run was stopped at ``TIMEOUT_S``."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
-    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-                          *selectors], cwd=copy, env=env, capture_output=True, text=True)
+    try:
+        run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p",
+                              "no:cacheprovider", *selectors], cwd=copy, env=env,
+                             capture_output=True, text=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return None, f"stopped after {TIMEOUT_S} s"
     lines = run.stdout.strip().splitlines() or [run.stderr.strip()]
     return run.returncode, lines[-1]
 
@@ -74,7 +82,7 @@ def main(argv: list[str]) -> int:
             problem = mutate(copy, mutant["edits"])
             if problem is None:
                 status, last = pytest_status(copy, mutant["selectors"])
-                problem = {0: f"survived: {last}", 1: None}.get(
+                problem = {0: f"survived: {last}", 1: None, None: last}.get(
                     status, f"pytest status {status}: {last}")
             print(f"{mutant['name']}: {problem or 'killed'}")
             if problem:
