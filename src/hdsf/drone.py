@@ -38,7 +38,7 @@ from .config import Configuration, ConfigSpace
 from .errors import ConfigurationError, TrialFault
 from .hybrid import Guard, HybridSystem, RateForm, StateExpr
 from .margins import AIRBORNE_MIN_ALTITUDE
-from .falsify import run_trial
+from .falsify import run_trial, run_trial_against
 from .reduction import ReducedSystem, build_surrogate, reach
 from .stl import (BOOL_THRESHOLD, And, Atom, Eventually, Globally, Implies, Outcome,
                   StlFormula, state_predicate)
@@ -432,20 +432,23 @@ def conformance_check(params: DroneParams, variant: ControllerVariant,
 
     Configurations that fault in either system are excluded from the
     agreement denominator and reported separately.  All run in this
-    process, in order, on one full model, so a GOTO run from the same
-    inputs as an earlier one replays it.
+    process, in order, on the full model the surrogate was reduced from,
+    so a GOTO run from the same inputs as an earlier one replays its
+    stepped part and steps on only past it.  A surrogate trace that
+    agrees with the full model's on what the property reads takes the
+    full model's verdict (``run_trial_against``).
     """
-    full = build_full_system(params, variant).with_entry("GOTO")
     surrogate = build_surrogate_system(params, variant)
+    full = surrogate.source.with_entry("GOTO")
     pairs, faults = [], []
     for config in configs:
         try:
-            full_verdict, _ = run_trial(full, config, phi_for, dt, horizon)
-            surr_verdict, _ = run_trial(surrogate, config, phi_for, dt, horizon)
+            full_run = run_trial(full, config, phi_for, dt, horizon)
+            surr_verdict, _ = run_trial_against(full_run, surrogate, config, phi_for, dt, horizon)
         except TrialFault as exc:
             faults.append((config, str(exc)))
         else:
-            pairs.append(ConformancePair(config, full_verdict.outcome, surr_verdict.outcome))
+            pairs.append(ConformancePair(config, full_run[0].outcome, surr_verdict.outcome))
     return ConformanceReport(pairs=pairs, faults=faults)
 
 

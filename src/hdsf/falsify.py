@@ -37,7 +37,7 @@ from .config import Configuration, ConfigSpace
 from .errors import ConfigurationError, SimulationFault, SpaceError, TrialFault
 from .hybrid import HybridSystem, Trace, simulate, write_trace_jsonl
 from .margins import MarginPoint, compute_margins, write_margins_csv
-from .stl import StlFormula, Verdict, evaluate, formula_horizon
+from .stl import StlFormula, Verdict, atom_signals, evaluate, formula_horizon
 
 _MAX_REPAIR_ROUNDS = 100
 # Share of trials that mutate a pooled near-boundary configuration (once
@@ -146,10 +146,26 @@ def run_trial(surrogate, config: Configuration, formula: StlFormula,
     re-simulated once with the horizon extended by the formula's
     look-ahead under ``config``, then judged pessimistically.
     """
+    return run_trial_against(None, surrogate, config, formula, dt, horizon)
+
+
+def run_trial_against(reference: Optional[tuple[Verdict, Trace]], surrogate,
+                      config: Configuration, formula: StlFormula,
+                      dt: float, horizon: float) -> tuple[Verdict, Trace]:
+    """``run_trial``, given ``reference``, the verdict and trace of a trial
+    of ``formula`` under ``config`` on another system, or None.
+
+    When the run's trace has the reference trace's length and ``dt`` and
+    the bits of each signal ``formula`` reads, its verdict is the
+    reference's without evaluating: ``evaluate`` reads nothing else of a
+    trace.  Otherwise the trace is judged as ``run_trial`` judges it.
+    """
     system: HybridSystem = getattr(surrogate, "system", surrogate)
 
     def one_run(h: float) -> tuple[Verdict, Trace]:
         tr = simulate(system, None, config, dt, h)
+        if reference is not None and _same_reads(tr, reference[1], formula):
+            return reference[0], tr
         return evaluate(formula, tr, config), tr
 
     try:
@@ -166,6 +182,16 @@ def run_trial(surrogate, config: Configuration, formula: StlFormula,
     except SimulationFault as exc:
         raise TrialFault(exc, config) from exc
     return verdict, trace
+
+
+def _same_reads(trace: Trace, other: Trace, formula: StlFormula) -> bool:
+    """Whether ``evaluate`` reads the same of ``trace`` as of ``other``: the
+    length, ``dt`` and the bits of each signal ``formula`` reads."""
+    mine, theirs = trace.signals, other.signals
+    return (len(trace) == len(other) and trace.dt == other.dt
+            and all(name in mine and name in theirs
+                    and mine[name].tobytes() == theirs[name].tobytes()
+                    for name in atom_signals(formula)))
 
 
 # ---------------------------------------------------------------------------

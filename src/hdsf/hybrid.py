@@ -33,8 +33,8 @@ sample at which a condition over such signals, and signals the mode
 does not rate, holds; a stretch in which nothing moves, with nothing
 stepped, is written to the horizon at once.  The rest is stepped in
 Python.  Both write the same bits as stepping every signal would.  A
-system keeps the stepped part of each mode's last run, and a run from
-the same inputs replays it.
+system keeps the stepped part of a run of each mode, and a run from the
+same inputs replays it and steps on past its end.
 
 Dynamics, guard and reset callables are pure functions of ``(state,
 params)``, where ``params`` is the trial's configuration, a read-only
@@ -164,7 +164,7 @@ class HybridSystem:
     raises :class:`ConfigurationError` when a rate, guard or reset reads or
     writes a signal outside ``signal_names``.  Instances are treated as
     immutable after construction; the one thing a run changes is
-    ``simulate``'s memo of the stepped part of each mode's last run, which
+    ``simulate``'s memo of the stepped part of a run of each mode, which
     no trace shows.
     """
 
@@ -174,7 +174,7 @@ class HybridSystem:
     initial_mode: str
     initials: dict[str, Union[float, str]] = field(default_factory=dict)
     # how ``simulate`` runs each mode (see ``_plan``), the signals some mode
-    # steps, and per mode the (key, parameters read, stepped rows) of its last run
+    # steps, and per mode the (key, parameters read, stepped rows) of its kept run
     _plans: dict[str, "_Plan"] = field(init=False, repr=False, compare=False)
     _stepped: frozenset[int] = field(init=False, repr=False, compare=False)
     _runs: dict[str, tuple] = field(init=False, repr=False, compare=False)
@@ -582,6 +582,14 @@ class _Reads(Configuration):
                 and all(name in parameters and float(parameters[name]).hex() == float(v).hex()
                         for name, v in dict.items(self)))
 
+    def over(self, parameters: Params) -> "_Reads":
+        """A record over ``parameters``, which it ``matches``, that starts
+        with the lookups recorded here."""
+        reads = _Reads(parameters)
+        reads.absent, reads.whole = set(self.absent), self.whole
+        dict.update(reads, ((name, parameters[name]) for name in dict.keys(self)))
+        return reads
+
 
 def _reading_whole(method):
     def read(self, *args):
@@ -649,15 +657,25 @@ def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
     nothing is stepped and every filled rate is zero, no guard can fire
     before the horizon, and the fill writes up to it at once.
 
-    A system keeps, per mode, the stepped part of its last run that did
-    not end at a sample where every guard was called: the stepped rows
-    from the entry sample to the horizon, or to the sample at which an
-    opaque guard fired.  Its key is whether the entry sample was stepped
-    into, the samples left, the bits of ``dt`` and of the entry values of
-    the stepped signals and of what they and the opaque guards read, and
-    the parameters those callables looked up.  A run with the same key
-    writes those rows at once; it calls no stepped rate, and an opaque
-    guard only where every guard is called.
+    A system keeps, per mode, the stepped part of a run: the stepped rows
+    from the entry sample to the sample at which the run ended, by an
+    event or at the horizon.  Its key is whether the entry sample was
+    stepped into, the samples left, the bits of ``dt`` and of the entry
+    values of the stepped signals and of what they and the opaque guards
+    read, and the parameters those callables looked up.  A run with the
+    same key writes those rows at once; it calls no stepped rate, and an
+    opaque guard only where every guard is called, which it does where
+    the kept part ends.  If no guard fires there and the horizon is not
+    reached, it calls the opaque guards there again with a record that
+    starts with the lookups the kept part recorded, steps on with every
+    rate and guard of the mode, records its lookups in it too, and keeps
+    the longer stepped part in its place.  This writes what stepping from
+    the entry would: the kept values follow from the key and the recorded
+    lookups, no opaque guard fired before the kept part ends, and what
+    they looked up where it ended, now inside the longer part, is
+    recorded as well.  A run from other inputs that goes past its entry
+    sample replaces what its mode kept; a run that ends on its entry
+    sample or within the kept part, or that faults, leaves it.
 
     ``initial_state`` may be None, in which case it is built from the
     system's declared initials and the configuration.  A non-finite value
@@ -740,12 +758,13 @@ def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
         start = first = nxt = k  # first: where the current stretch of stepped rates starts
         limit, decided = k, True  # every guard is called on the entry sample
         replayed, end = (), n_steps + 1  # the stepped rates replayed, to sample end
+        ahead = None  # what the fill yielded past end, held until the replay ends
         given, used = parameters, None  # what the stepped rates and opaque guards read
         if rates:
             key = (stepping, n_steps - k, float(dt).hex(), *[named[n].hex() for n in plan.keyed])
             run = runs.get(mode)
             if run is not None and run[0] == key and run[1].matches(parameters):
-                # the stepped part of the last run from these inputs, at once
+                # the stepped part of a run from these inputs, at once
                 end = k + run[2].shape[1] - 1
                 data[[i for *_, i in rates], k:end + 1] = run[2]
                 replayed, rates, edges = rates, (), ()
@@ -801,10 +820,19 @@ def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
             if fired is not None or k == n_steps:
                 break
             if k == limit:
-                limit, decided, fault = next(passes) if passes else (n_steps, False, None)
-                if limit >= end:  # every guard is called where the replay ends
-                    fault = fault if limit == end else None
-                    limit, decided, end = end, True, n_steps + 1
+                if k == end:  # no guard fired where the replay ends: step on from there
+                    rates, edges, replayed, end = plan.rates, plan.edges, (), n_steps + 1
+                    given = used = run[1].over(parameters)
+                    for _, predicate, _ in edges:  # so the kept part records what they read here
+                        predicate(named, given)
+                if ahead:
+                    (limit, decided, fault), ahead = ahead, None
+                else:
+                    limit, decided, fault = next(passes) if passes else (n_steps, False, None)
+                if limit > end:  # every guard is called where the replay ends
+                    ahead, fault = (limit, decided, fault), None
+                if limit >= end:
+                    limit, decided = end, True
                 nxt = k + 1
             if not rates:
                 # nothing to step, and no guard left that reads what moves:
@@ -814,7 +842,7 @@ def simulate(system: HybridSystem, initial_state: Optional[Sequence[float]],
         if fired is not None and (k != limit or not decided):
             _assemble(named, plan, data, k, replayed)  # the reset reads every signal
         _close(data, named, names, plan, first, k + 1, rates or replayed)
-        if used is not None and told is used:  # no guard called with every other ended it
+        if used is not None and k > start:  # stepped past its entry, or past a replay's end
             runs[mode] = (key, used, data[[i for *_, i in plan.rates], start:k + 1])
         if fired is None:
             break

@@ -59,10 +59,12 @@ class RelevanceReport:
 
 @dataclass
 class ReducedSystem:
-    """Executable reduced system plus its audit report and parameter space."""
+    """Executable reduced system plus its audit report, the system it was
+    reduced from and its parameter space."""
 
     system: HybridSystem
     report: RelevanceReport
+    source: HybridSystem
     parameter_space: Optional[ConfigSpace] = None
 
 
@@ -165,4 +167,4 @@ def build_surrogate(system: HybridSystem, formula: StlFormula,
         initial_mode=report.entry_mode,
         initials={sig: system.initials.get(sig, 0.0) for sig in kept_order},
     )
-    return ReducedSystem(system=reduced, report=report)
+    return ReducedSystem(system=reduced, report=report, source=system)

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hdsf import drone
+from hdsf import drone, falsify
 from hdsf.config import Configuration, ConfigSpace
 from hdsf.drone import (ControllerVariant, DroneParams, build_full_system,
                         build_surrogate_system, check_space, conformance_check,
@@ -303,6 +303,51 @@ class TestConformance:
         assert report.agreement == 1.0
         if variant is PATCHED:
             assert all(p.full is Outcome.SATISFIED for p in report.pairs)
+
+    @pytest.mark.parametrize("variant", [BUGGY, PATCHED])
+    @pytest.mark.parametrize("waypoint", [DroneParams().waypoint, (100.0, 0.0, 70.0)],
+                             ids=["default", "waypoint-100"])
+    @pytest.mark.parametrize("dt, horizon", [(0.05, 120.0), (2.0, 600.0)],
+                             ids=["trace-step", "vx-overflows"])
+    def test_reports_what_two_trials_on_fresh_models_give(self, variant, waypoint, dt, horizon):
+        # at the 100 m waypoint the two models part; at a 2 s step the full
+        # model's vx lag overflows in a GOTO run that lasts past t = 480
+        params = DroneParams(waypoint=waypoint)
+        space = default_config_space(params)
+        configs = [generate(space, trial_rng(1, t)) for t in range(25)]
+        pairs, faults = [], []
+        for config in configs:
+            try:
+                full, _ = run_trial(build_full_system(params, variant).with_entry("GOTO"),
+                                    config, phi_for, dt, horizon)
+                surrogate, _ = run_trial(build_surrogate_system(params, variant),
+                                         config, phi_for, dt, horizon)
+            except TrialFault as exc:
+                faults.append((config, str(exc)))
+            else:
+                pairs.append((config, full.outcome, surrogate.outcome))
+        report = conformance_check(params, variant, configs, dt, horizon)
+        assert [(p.config, p.full, p.surrogate) for p in report.pairs] == pairs
+        assert report.faults == faults
+        if waypoint[0] == 100.0 and variant is BUGGY and dt == 0.05:
+            assert 0.0 < report.agreement < 1.0
+        if variant is BUGGY and dt == 2.0:
+            assert faults
+
+    def test_evaluates_once_per_configuration_whose_traces_agree(self, monkeypatch):
+        # at the default scenario the surrogate's battery, altitude and flag
+        # are the full model's, bit for bit, so its verdict is the full one's
+        params = DroneParams()
+        space = default_config_space(params)
+        configs = [generate(space, trial_rng(3, t)) for t in range(25)]
+        evaluated = []
+        evaluate = falsify.evaluate
+        monkeypatch.setattr(falsify, "evaluate",
+                            lambda *args: evaluated.append(None) or evaluate(*args))
+        report = conformance_check(params, BUGGY, configs, params.dt, params.horizon)
+        assert report.agreement == 1.0 and report.faults == []
+        assert {p.full for p in report.pairs} == {Outcome.VIOLATED, Outcome.SATISFIED}
+        assert len(evaluated) == len(configs)
 
     def test_forks_nothing(self, count_forks):
         params = DroneParams()

@@ -14,12 +14,14 @@ from hdsf.config import Configuration
 from hdsf.drone import (ControllerVariant, DroneParams, build_full_system,
                         build_surrogate_system, default_config_space)
 from hdsf.errors import ConfigurationError, ProjectionError, SimulationFault
+from hdsf.falsify import generate, trial_rng
 from hdsf.hybrid import (Guard, HybridSystem, RateForm, StateExpr, Trace, TraceEvent,
                          _json_texts, project_trace, simulate,
                          trace_to_jsonl, write_trace_jsonl)
-from hdsf.stl import And, Atom, Not, Or
+from hdsf.stl import And, Atom, Not
 
 from oracles import naive_simulate, naive_trace_to_jsonl, sample_modes
+from random_systems import OPAQUE_PARAMETERS, small_systems
 
 
 def single_mode_system(rates, signals=("x",), guards=(), initials=None):
@@ -283,109 +285,6 @@ def drone_configs(draw):
     return Configuration(values)
 
 
-OPAQUE_PARAMETERS = ("q0", "q1")  # parameters only opaque callables look up
-
-
-@st.composite
-def small_systems(draw, declared=False):
-    """Up to three modes over up to three signals, with affine rates,
-    threshold guards with random targets, and constant or affine resets.
-
-    With ``declared``, a mode may also rate by declared forms, constant or
-    clamped at the rated signal's level, and guard by conditions whose
-    thresholds may name drawn parameters: a mode declares all of its
-    rates and guards, none, or a random mix, and initial values may be
-    signed zeros.  An opaque rate's offset or guard's bound may then be a
-    lookup of one of ``OPAQUE_PARAMETERS``, by ``p[name]``, by
-    ``p.get(name, default)`` or by ``name in p``; only the first makes
-    sure the name is drawn.  The case then ends with the drawn parameters."""
-    signals = ("x", "y", "z")[:draw(st.integers(1, 3))]
-    modes = [f"M{i}" for i in range(draw(st.integers(1, 3)))]
-    unit = st.floats(-1.0, 1.0)
-    value = st.one_of(st.sampled_from([-0.0, 0.0]), st.floats(-2.0, 2.0))
-    signal = st.sampled_from(signals)
-    params = {}
-
-    def constant(c):
-        """``c`` as a function of the parameters, or a lookup of one."""
-        if not declared or draw(st.booleans()):
-            return lambda p: c
-        name, how = draw(st.sampled_from(OPAQUE_PARAMETERS)), draw(st.sampled_from("[gi"))
-        if how == "[" or draw(st.booleans()):
-            params.setdefault(name, draw(value))
-        if how == "[":
-            return lambda p: p[name]
-        if how == "g":
-            return lambda p: p.get(name, c)
-        return lambda p: c if name in p else 0.5 - c
-
-    def affine():
-        src, a, b = draw(signal), draw(unit), constant(draw(unit))
-        return StateExpr(lambda s, p, src=src, a=a, b=b: a * s[src] + b(p),
-                         reads=frozenset({src}))
-
-    def form(name):
-        rate = draw(value)
-        if draw(st.booleans()):
-            return StateExpr(form=RateForm(rate))
-        return StateExpr(form=RateForm(rate, name, draw(value)))
-
-    def threshold():
-        bound = draw(value)
-        if draw(st.booleans()):
-            return bound
-        name = f"c{len(params)}"
-        params[name] = bound
-        return name
-
-    def condition():
-        atoms = [Atom(draw(signal), draw(st.sampled_from(["<=", "<", ">=", ">", "=="])),
-                      threshold()) for _ in range(2)]
-        kind = draw(st.sampled_from(["atom", "not", "and", "or"]))
-        if kind == "atom":
-            return atoms[0]
-        return Not(atoms[0]) if kind == "not" else {"and": And, "or": Or}[kind](*atoms)
-
-    def reset_value():
-        if draw(st.booleans()):
-            return affine()
-        c = draw(unit)
-        return StateExpr(lambda s, p, c=c: c)
-
-    dynamics, guards = {}, {}
-    for mode in modes:
-        kind = draw(st.sampled_from(["opaque", "declared", "mixed"])) if declared else "opaque"
-
-        def declares():
-            return kind == "declared" or kind == "mixed" and draw(st.booleans())
-
-        rated = draw(st.lists(signal, unique=True))
-        dynamics[mode] = {n: form(n) if declares() else affine() for n in rated}
-        guards[mode] = []
-        for j in range(draw(st.integers(0, 2))):
-            if declares():
-                guards[mode].append(Guard(
-                    f"g{j}", None, draw(st.sampled_from(modes)),
-                    {n: reset_value() for n in draw(st.lists(signal, unique=True, max_size=2))},
-                    condition=condition()))
-                continue
-            src, bound = draw(signal), constant(draw(st.floats(-2.0, 2.0)))
-            above, written = draw(st.booleans()), draw(st.lists(signal, unique=True, max_size=2))
-            guards[mode].append(Guard(
-                f"g{j}", lambda s, p, src=src, c=bound, up=above: (s[src] >= c(p)) == up,
-                draw(st.sampled_from(modes)), {n: reset_value() for n in written},
-                reads=frozenset({src})))
-    system = HybridSystem(
-        signal_names=signals, dynamics=dynamics,
-        guards={m: tuple(g) for m, g in guards.items()},
-        initial_mode=draw(st.sampled_from(modes)))
-    initial = draw(st.lists(value if declared else st.floats(-2.0, 2.0),
-                            min_size=len(signals), max_size=len(signals)))
-    dt = draw(st.sampled_from([0.1, 0.25, 0.5]))
-    case = system, initial, dt, dt * draw(st.integers(1, 40))
-    return case + (params,) if declared else case
-
-
 class TestNaiveOracle:
     """``simulate`` reproduces ``naive_simulate`` exactly."""
 
@@ -603,9 +502,9 @@ def counted_rate(calls, value=lambda p: 1.0):
 
 
 class TestMemo:
-    """A system keeps the stepped part of each mode's last run, and a run
-    from the same inputs replays it: the trace is the one a fresh system
-    gives, bit for bit."""
+    """A system keeps the stepped part of a run of each mode, and a run
+    from the same inputs replays it and steps on past its end: the trace
+    is the one a fresh system gives, bit for bit."""
 
     @settings(ORACLE_SETTINGS, max_examples=200)
     @given(case=small_systems(declared=True), data=st.data())
@@ -641,16 +540,56 @@ class TestMemo:
         assert calls == ["guard", "guard"]
         assert [e.time for e in first.events] == [1.1]
 
-    def test_a_run_cut_by_a_decided_guard_leaves_nothing_to_replay(self):
+    def test_a_run_cut_by_a_decided_guard_is_replayed_and_stepped_on(self):
+        # b, filled and not in the key, empties at sample 6 (0.5 less six
+        # steps of 0.1 is 2.8e-17 at sample 5); a run that does not empty
+        # replays samples 0 to 6 and steps only samples 7 to 20
         calls = []
         system = declared_system({"x": counted_rate(calls), "b": StateExpr(form=RateForm(-1.0))},
                                  [when("empty", Atom("b", "<=", 0.0))], signals=("x", "b"))
-        assert simulate(system, [0.0, 0.5], {}, 0.1, 2.0).events
+        cut = simulate(system, [0.0, 0.5], {}, 0.1, 2.0)
+        assert [e.time for e in cut.events] == [0.6000000000000001] and len(calls) == 6
+        for initial, steps in [([0.0, 5.0], 14), ([0.0, 0.5], 0), ([0.0, 5.0], 0)]:
+            calls.clear()
+            trace = simulate(system, initial, {}, 0.1, 2.0)
+            assert len(calls) == steps, initial
+            assert_same_trace(trace, simulate(replace(system), initial, {}, 0.1, 2.0))
+            assert_matches_naive(system, initial, {}, 0.1, 2.0)
+
+    def test_a_resumed_run_keeps_the_lookups_of_its_prefix(self):
+        # the rate looks up q only while x < 0.05, in the step from sample 0,
+        # which the cut run stepped and the run that steps on past it replays
+        calls = []
+        system = declared_system(
+            {"x": StateExpr(lambda s, p: calls.append(None) or (p["q"] if s["x"] < 0.05 else 1.0),
+                            reads=frozenset({"x"})),
+             "b": StateExpr(form=RateForm(-1.0))},
+            [when("empty", Atom("b", "<=", 0.0))], signals=("x", "b"))
+        simulate(system, [0.0, 0.15], {"q": 1.0}, 0.1, 2.0)
+        simulate(system, [0.0, 5.0], {"q": 1.0}, 0.1, 2.0)
         calls.clear()
-        trace = simulate(system, [0.0, 5.0], {}, 0.1, 2.0)
-        assert len(calls) == 20
-        assert_same_trace(trace, simulate(replace(system), [0.0, 5.0], {}, 0.1, 2.0))
-        assert_matches_naive(system, [0.0, 5.0], {}, 0.1, 2.0)
+        trace = simulate(system, [0.0, 5.0], {"q": 3.0}, 0.1, 2.0)
+        assert calls
+        assert_same_trace(trace, simulate(replace(system), [0.0, 5.0], {"q": 3.0}, 0.1, 2.0))
+        assert trace.signals["x"][1] == 0.30000000000000004
+
+    def test_a_resumed_run_keeps_what_the_guards_read_where_its_prefix_ended(self):
+        # near looks up q only at sample 6, where the first run is cut with
+        # the parameters unrecorded, as at every sample where all guards are
+        # called; the second steps on past it, so sample 6 lies inside the
+        # part kept, and the third, with another q, must not replay it
+        calls = []
+        near = opaque("near", lambda s, p: abs(s["x"] - 0.6) < 0.01 and p["q"] > 0, {"x"})
+        system = declared_system({"x": counted_rate(calls), "b": StateExpr(form=RateForm(-1.0))},
+                                 [near, when("empty", Atom("b", "<=", 0.0))], signals=("x", "b"))
+        for initial, q, steps in [([0.0, 0.5], -1.0, 6), ([0.0, 5.0], -1.0, 34),
+                                  ([0.0, 5.0], 1.0, 6)]:
+            calls.clear()
+            trace = simulate(system, initial, {"q": q}, 0.1, 4.0)
+            assert len(calls) == steps, q
+            assert_same_trace(trace, simulate(replace(system), initial, {"q": q}, 0.1, 4.0))
+            assert_matches_naive(system, initial, {"q": q}, 0.1, 4.0)
+        assert [(e.guard, e.time) for e in trace.events] == [("near", 0.6000000000000001)]
 
     def test_an_event_entered_run_replays_only_an_event_entered_run(self):
         # A steps x; y, which only the guard reads, lets the guard fire on
@@ -669,11 +608,13 @@ class TestMemo:
     @pytest.mark.parametrize("first, second", [
         (([0.0], {}, 1.0), ([-0.0], {}, 1.0)),
         (([0.0], {}, 1.0), ([0.0], {}, 1.5)),
+        (([0.0], {}, 1.5), ([0.0], {}, 1.0)),
         (([0.0], {}, 1.0), ([0.0], {"q": 2.0}, 1.0)),
         (([0.0], {}, 1.0), ([0.0], {"r": 0.0}, 1.0)),
         (([0.0], {"q": 2.0}, 1.0), ([0.0], {"q": -2.0}, 1.0)),
         (([0.0], {"q": 0.0}, 1.0), ([0.0], {"q": -0.0}, 1.0)),
-    ], ids=["signed-zero", "horizon", "absent-get", "absent-in", "value", "value-bits"])
+    ], ids=["signed-zero", "horizon", "shorter-horizon", "absent-get", "absent-in", "value",
+            "value-bits"])
     def test_a_changed_input_is_not_replayed(self, first, second):
         calls = []
         rate = counted_rate(calls, lambda p: p.get("q", 1.0) + (2.0 if "r" in p else 0.0))
@@ -693,10 +634,41 @@ class TestMemo:
         for system in (surrogate, full):
             trace = simulate(system, None, config, _PARAMS.dt, _PARAMS.horizon)
         assert surrogate._runs == {}
-        # IDLE and PARACHUTE step nothing, and the emergency guard, which is
-        # decided, cuts GOTO short
+        # IDLE and PARACHUTE step nothing; GOTO, which the decided emergency
+        # guard cuts short, keeps its stepped part up to the cut
         assert [mode for mode, _ in trace.mode_runs] == ["IDLE", "TAKE_OFF", "GOTO", "PARACHUTE"]
-        assert set(full._runs) == {"TAKE_OFF"}
+        assert set(full._runs) == {"TAKE_OFF", "GOTO"}
+        goto = trace.mode_runs[2][1]
+        assert full._runs["GOTO"][2].shape == (5, trace.mode_runs[3][1] - goto)
+
+    def test_patched_goto_runs_forward_and_back_step_goto_once(self):
+        # the decided emergency guard cuts each patched GOTO run at its own
+        # sample, and every run has the same key: run forward, each run
+        # longer than those before it steps on past the kept part, and run
+        # back, each replays a prefix of it
+        calls = []
+        full = build_full_system(_PARAMS, ControllerVariant.PATCHED)
+        x = full.dynamics["GOTO"]["x"]
+        goto = dict(full.dynamics["GOTO"],
+                    x=StateExpr(lambda s, p: calls.append(None) or x.func(s, p), reads=x.reads))
+        system = replace(full, dynamics=dict(full.dynamics, GOTO=goto), initial_mode="GOTO")
+        space = default_config_space(_PARAMS)
+        configs = [generate(space, trial_rng(1, t)) for t in range(25)]
+        dt, horizon = _PARAMS.dt, _PARAMS.horizon
+        stepped, ends = 0, set()  # the x rate's calls, and the samples GOTO stepped to
+        for config in configs + configs[::-1]:
+            before = len(calls)
+            trace = simulate(system, None, config, dt, horizon)
+            stepped += len(calls) - before
+            runs = trace.mode_runs + [(None, len(trace))]
+            assert runs[0] == ("GOTO", 0)
+            ends.add(runs[1][1] - 1)
+            fresh = build_full_system(_PARAMS, ControllerVariant.PATCHED).with_entry("GOTO")
+            assert_same_trace(trace, simulate(fresh, None, config, dt, horizon))
+            assert_matches_naive(system, None, config, dt, horizon)
+        assert len(ends) > 10
+        assert 0 < stepped <= max(ends)
+        assert system._runs["GOTO"][2].shape == (5, max(ends) + 1)
 
     def test_a_callable_that_iterates_its_parameters_keys_on_all_of_them(self):
         calls = []

@@ -11,7 +11,7 @@ from hdsf.reduction import build_surrogate, relevant_modes, relevant_signals
 from hdsf.stl import And, Atom, Globally
 
 from oracles import sample_modes
-from test_hybrid import small_systems
+from random_systems import small_systems
 
 
 def chain_system(rates_reads, guard_reads=None):
